@@ -53,7 +53,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # The blended solve and the dislocation it produces
     # ------------------------------------------------------------------
-    system = reduce_system(params, assemble(params, part, "qc"))
+    system = reduce_system(params, assemble(params, part, "ac"))
     y = solve_positions(system)
     ids = system.free_index
     near = (ids >= -2) & (ids <= 3)

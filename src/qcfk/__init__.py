@@ -33,12 +33,9 @@ from .model import (
     QuadraticModel,
     assemble,
     energy_direct,
-    interpolate,
     interval_partition,
     make_partition,
-    misfit_segment_energy,
     reduce_system,
-    restrict,
 )
 
 __version__ = "0.1.0"
@@ -63,14 +60,11 @@ __all__ = [
     "eta2",
     "exact_goal_error",
     "fixed_k_run",
-    "interpolate",
     "interval_partition",
     "lemma1_check",
     "make_partition",
     "mark_atoms",
-    "misfit_segment_energy",
     "reduce_system",
-    "restrict",
     "run_adaptive",
     "solve_dual_pair",
     "__version__",

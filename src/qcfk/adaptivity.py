@@ -12,6 +12,7 @@ and never switch back.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +35,11 @@ class AdaptConfig:
     use_gamma: bool = False
 
     def __post_init__(self):
-        if self.tau_gl <= 0.0:
-            raise ValueError(f"tau_gl must be positive, got {self.tau_gl}")
-        if self.tau_div <= 1.0:
-            raise ValueError(f"tau_div must exceed 1, got {self.tau_div}")
+        # NaN fails every comparison, so "not (lo < x < hi)" rejects it too
+        if not (0.0 < self.tau_gl < math.inf):
+            raise ValueError(f"tau_gl must be positive and finite, got {self.tau_gl}")
+        if not (1.0 < self.tau_div < math.inf):
+            raise ValueError(f"tau_div must exceed 1 and be finite, got {self.tau_div}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 

@@ -5,16 +5,16 @@ Every matrix in this package is symmetric with a small, fixed bandwidth
 heavy lifting to LAPACK via scipy.  Storage layout: ``bands[d, j]`` holds
 entry ``(j + d, j)`` of the matrix, i.e. row ``d`` is the d-th subdiagonal
 left-aligned, with the trailing ``d`` slots unused (kept at zero).  This is
-exactly the lower form scipy's ``cholesky_banded`` expects.
+exactly the lower form LAPACK's ``dpbtrf`` expects.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded, cho_solve_banded
+from scipy.linalg import cho_solve_banded
+from scipy.linalg.lapack import dpbtrf
 
 Array = np.ndarray
 
@@ -116,14 +116,13 @@ def factor(a: BandedSpdMatrix) -> BandedFactor:
         if bad.size:
             raise NotPositiveDefiniteError(int(bad[0]) + 1)
         return BandedFactor(np.sqrt(d)[np.newaxis, :])
-    try:
-        # trim band rows that lie entirely outside the matrix
-        cb = cholesky_banded(a.bands[: min(a.bandwidth, a.n - 1) + 1], lower=True)
-    except np.linalg.LinAlgError as exc:
-        m = re.search(r"(\d+)-th leading minor", str(exc))
-        if m:
-            raise NotPositiveDefiniteError(int(m.group(1))) from exc
-        raise
+    # trim band rows that lie entirely outside the matrix
+    ab = np.asarray_chkfinite(a.bands[: min(a.bandwidth, a.n - 1) + 1])
+    cb, info = dpbtrf(ab, lower=1)
+    if info > 0:
+        raise NotPositiveDefiniteError(info)
+    if info < 0:
+        raise ValueError(f"dpbtrf rejected argument {-info}")
     return BandedFactor(cb)
 
 

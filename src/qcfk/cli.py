@@ -13,7 +13,8 @@ Modes:
 * ``table1``   - adaptive histories over a list of chain sizes
 * ``table2``   - exact error and both estimates over a list of K values
 * ``table3``   - smallest K reaching each tolerance, by exact error and
-                 by each estimate
+                 by each estimate; the tolerances are the decades
+                 1e-2 .. 1e-14 unless --tau-gl names a single one
 * ``profile``  - per-atom and per-bond indicator series for one region
 
 Config files hold ``key = value`` lines using the long option names with
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -58,7 +60,11 @@ _CONFIG_KEYS = {
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Fully resolved run request (mode defaults already applied)."""
+    """Fully resolved run request (mode defaults already applied).
+
+    ``tau_gl`` is None only for a table3 run given no tolerance, which
+    then tabulates every decade of ``TABLE3_TAU``.
+    """
 
     mode: str
     m: tuple[int, ...]
@@ -67,7 +73,7 @@ class RunSpec:
     k1: float
     k2: float
     a0: float
-    tau_gl: float
+    tau_gl: float | None
     tau_div: float
     symmetrize: bool
     gamma_split: bool
@@ -203,7 +209,7 @@ def parse_run_spec(argv: list[str]) -> RunSpec:
         k_list = _parse_int_list(merged["k"], "--k", err)
 
     tau_gl = merged["tau_gl"]
-    if tau_gl is None:
+    if tau_gl is None and mode != "table3":
         tau_gl = 1e-10
 
     spec = RunSpec(
@@ -214,7 +220,7 @@ def parse_run_spec(argv: list[str]) -> RunSpec:
         k1=float(merged["k1"]),
         k2=float(merged["k2"]),
         a0=float(merged["a0"]),
-        tau_gl=float(tau_gl),
+        tau_gl=None if tau_gl is None else float(tau_gl),
         tau_div=float(merged["tau_div"]),
         symmetrize=bool(merged["symmetrize"]),
         gamma_split=bool(merged["gamma_split"]),
@@ -227,11 +233,15 @@ def parse_run_spec(argv: list[str]) -> RunSpec:
     for m in spec.m:
         if m < 3:
             err(f"--m values must be >= 3, got {m}")
-    if spec.k0 <= 0 or spec.k1 <= 0 or spec.k2 < 0 or spec.a0 <= 0:
+    for name in ("k0", "k1", "k2", "a0", "tau_gl", "tau_div"):
+        value = getattr(spec, name)
+        if value is not None and not math.isfinite(value):
+            err(f"--{name.replace('_', '-')} must be finite, got {value}")
+    if not (spec.k0 > 0 and spec.k1 > 0 and spec.k2 >= 0 and spec.a0 > 0):
         err("need k0 > 0, k1 > 0, k2 >= 0, a0 > 0")
-    if spec.tau_gl <= 0:
+    if spec.tau_gl is not None and not (spec.tau_gl > 0):
         err(f"--tau-gl must be positive, got {spec.tau_gl}")
-    if spec.tau_div <= 1:
+    if not (spec.tau_div > 1):
         err(f"--tau-div must exceed 1, got {spec.tau_div}")
     if mode in ("fixed-k", "profile") and len(spec.k) != 1:
         err(f"mode {mode} takes exactly one --k value")
@@ -375,7 +385,7 @@ def cmd_table2(spec: RunSpec):
 def cmd_table3(spec: RunSpec):
     results = _table2_results(spec)
     # the decade list is the default; an explicit --tau-gl narrows it to one row
-    taus = TABLE3_TAU if spec.tau_gl == 1e-10 else (spec.tau_gl,)
+    taus = TABLE3_TAU if spec.tau_gl is None else (spec.tau_gl,)
     header = ["tau", "k_opt", "k_eta1", "k_eta2"]
 
     def first_k(values, tau) -> int | None:

@@ -11,7 +11,7 @@ e_hat the dual error.  The second term is not computable, but it can be
 bracketed by parallelogram combinations of one projected quantity: with
 P = I - E_a^{-1} E_ac acting on bond difference vectors, both model errors
 satisfy  M (alpha e + beta e_hat) = -J^T D^T E_a P D [alpha (y - a) + beta g]
-(restricted to free atoms), which makes ||P z||_{E_a} computable for any
+(taken on the free atoms), which makes ||P z||_{E_a} computable for any
 combination z of the primal and dual difference vectors.  Everything in
 this module is built from those pieces:
 
@@ -87,6 +87,15 @@ def goal_vector(params: ChainParams, free_index: Array) -> Array:
     return q
 
 
+def _project(ea_factor: BandedFactor, eac: BandedSpdMatrix, z: Array) -> Array:
+    """P z = z - E_a^{-1} E_ac z on bond difference vectors.
+
+    P annihilates differences the two models treat identically, so P z is
+    supported near the atomistic/continuum interfaces.
+    """
+    return z - banded.solve(ea_factor, banded.matvec(eac, z))
+
+
 def solve_dual_pair(params: ChainParams, part: Partition) -> DualPair:
     """Solve the blended primal and dual problems and prepare estimator data.
 
@@ -125,8 +134,8 @@ def solve_dual_pair(params: ChainParams, part: Partition) -> DualPair:
     eac = acmodel.e_mat
     ediff = BandedSpdMatrix(ea.bands - eac.bands)
     ea_factor = banded.factor(ea)
-    pz_y = z_y - banded.solve(ea_factor, banded.matvec(eac, z_y))
-    pz_g = z_g - banded.solve(ea_factor, banded.matvec(eac, z_g))
+    pz_y = _project(ea_factor, eac, z_y)
+    pz_g = _project(ea_factor, eac, z_g)
 
     return DualPair(
         params=params,
@@ -150,16 +159,6 @@ def solve_dual_pair(params: ChainParams, part: Partition) -> DualPair:
         npy=banded.norm(ea, pz_y),
         npg=banded.norm(ea, pz_g),
     )
-
-
-def apply_perturbation(pair: DualPair, z: Array) -> Array:
-    """P z = z - E_a^{-1} E_ac z on bond difference vectors.
-
-    P annihilates differences the two models treat identically, so P z is
-    supported near the atomistic/continuum interfaces.
-    """
-    eac_bands = pair.ea.bands - pair.ediff.bands
-    return z - banded.solve(pair.ea_factor, banded.matvec(BandedSpdMatrix(eac_bands), z))
 
 
 def first_term(pair: DualPair) -> float:
@@ -451,10 +450,8 @@ def lemma1_check(
     pair = solve_dual_pair(params, part)
     e, e_hat = dual_errors(pair)
     lhs = banded.matvec(pair.asys.mat, alpha * e + beta * e_hat)
-    z = alpha * pair.z_y + beta * pair.z_g
-    pz = z - banded.solve(pair.ea_factor, banded.matvec(
-        BandedSpdMatrix(pair.ea.bands - pair.ediff.bands), z
-    ))
+    eac = model.assemble(params, part, "ac").e_mat
+    pz = _project(pair.ea_factor, eac, alpha * pair.z_y + beta * pair.z_g)
     w = banded.matvec(pair.ea, pz)
     rhs = -model.dt_apply(pair.amodel, w)[2:-2]
     scale = float(np.max(np.abs(lhs)))

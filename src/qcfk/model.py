@@ -7,19 +7,17 @@ springs ``k2``, and pinned to substrate wells by a quadratic on-site term
 label ``>= 1`` in wells ``i a0``, so the well spacing jumps by one ``a0``
 between atoms 0 and 1: that gap is the defect the error estimators track.
 
-Three model flavors share one quadratic-energy shape
+Two model flavors share one quadratic-energy shape on the full chain
 
     E(y) = 1/2 (y - a)^T D^T E D (y - a) + 1/2 (y - b)^T K (y - b)
 
-with a bidiagonal difference map ``D``, a tridiagonal interaction matrix
-``E`` on bonds (or coarse segments), and a misfit matrix ``K``:
+with the bond difference map ``D``, a tridiagonal interaction matrix ``E``
+on bonds, and a diagonal misfit matrix ``K``:
 
-* ``atomistic``  - exact NN/NNN interactions on the full chain,
-* ``ac``         - full chain, but atoms flagged continuum use the local
-                   Cauchy-Born density ``k12 = k1 + 4 k2`` instead of the
-                   nonlocal NNN coupling,
-* ``qc``         - the ac model restricted to a subset of representative
-                   atoms, with piecewise linear interpolation in between.
+* ``atomistic``  - exact NN/NNN interactions everywhere,
+* ``ac``         - atoms flagged continuum use the local Cauchy-Born
+                   density ``k12 = k1 + 4 k2`` instead of the nonlocal NNN
+                   coupling; atoms flagged atomistic keep the exact model.
 
 Index conventions used throughout: an atom id ``i`` maps to array position
 ``i + M - 1``; bond ``i`` connects atoms ``i`` and ``i + 1`` and maps to the
@@ -29,6 +27,8 @@ each side, so the free unknowns are atoms ``-M+3 .. M-2``.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -37,7 +37,7 @@ import numpy as np
 from . import banded
 from .banded import Array, BandedSpdMatrix
 
-FLAVORS = ("atomistic", "ac", "qc")
+FLAVORS = ("atomistic", "ac")
 
 
 @dataclass(frozen=True)
@@ -57,12 +57,23 @@ class ChainParams:
     bc: tuple[float, float, float, float] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.m, numbers.Integral):
+            raise ValueError(f"m must be an integer, got {self.m!r}")
         if self.m < 3:
             raise ValueError(f"m must be >= 3, got {self.m}")
-        if self.k0 <= 0 or self.k1 <= 0 or self.k2 < 0:
-            raise ValueError("spring constants must satisfy k0 > 0, k1 > 0, k2 >= 0")
-        if self.a0 <= 0:
-            raise ValueError(f"a0 must be positive, got {self.a0}")
+        springs = (self.k0, self.k1, self.k2)
+        if not (
+            all(map(math.isfinite, springs))
+            and self.k0 > 0
+            and self.k1 > 0
+            and self.k2 >= 0
+        ):
+            raise ValueError(
+                f"spring constants must be finite with k0 > 0, k1 > 0, k2 >= 0, "
+                f"got {springs}"
+            )
+        if not (math.isfinite(self.a0) and self.a0 > 0):
+            raise ValueError(f"a0 must be positive and finite, got {self.a0}")
         if self.bc is None:
             m, a0 = self.m, self.a0
             object.__setattr__(
@@ -70,6 +81,8 @@ class ChainParams:
             )
         elif len(self.bc) != 4:
             raise ValueError("bc must give positions for the 4 clamped atoms")
+        elif not all(map(math.isfinite, self.bc)):
+            raise ValueError(f"bc positions must be finite, got {self.bc}")
 
     @property
     def k12(self) -> float:
@@ -109,57 +122,20 @@ def well_positions(params: ChainParams, ids: Array | None = None) -> Array:
 
 @dataclass(frozen=True)
 class Partition:
-    """Atomistic/continuum flags plus the representative-atom grid.
-
-    ``delta_a`` flags every atom of the full chain; ``rep`` lists the
-    retained atom ids in increasing order.  ``nu`` are the segment lengths
-    between consecutive representatives and ``omega`` the per-segment
-    continuum weights (0 inside atomistic regions, nu in fully continuum
-    ones, 1/2 on interface segments).
-    """
+    """Atomistic/continuum flags of every atom of the full chain."""
 
     m: int
     delta_a: Array
-    rep: Array
-    nu: Array
-    omega: Array
-
-    @property
-    def n_rep(self) -> int:
-        return len(self.rep)
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.rep) - 1
-
-    @property
-    def rep_pos(self) -> Array:
-        return self.rep + self.m - 1
-
-    @property
-    def is_fully_refined(self) -> bool:
-        return self.n_rep == 2 * self.m
 
     def atomistic_ids(self) -> Array:
         return np.flatnonzero(self.delta_a) - self.m + 1
 
 
-def make_partition(
-    params: ChainParams,
-    atomistic=(),
-    repatoms=None,
-) -> Partition:
+def make_partition(params: ChainParams, atomistic=()) -> Partition:
     """Validate and build a partition.
 
     ``atomistic`` lists atom ids treated exactly; everything else is
-    continuum.  ``repatoms`` lists the retained atoms (default: all of them,
-    i.e. no coarsening).  Rules enforced here:
-
-    * the four clamped boundary atoms are always representatives,
-    * every atomistic atom and its NNN neighbourhood (ids within 2) stays
-      uncoarsened, so exact interactions never reach across a coarse segment,
-    * a coarse segment may not straddle the defect bond between atoms 0 and
-      1, because the wells of its interior atoms would be ambiguous.
+    continuum.
     """
     m = params.m
     lo, hi = -m + 1, m
@@ -169,44 +145,11 @@ def make_partition(
         raise ValueError(f"atomistic atom {bad} outside chain range [{lo}, {hi}]")
     delta_a = np.zeros(2 * m, dtype=bool)
     delta_a[atom_arr + m - 1] = True
-
-    if repatoms is None:
-        rep = np.arange(lo, hi + 1)
-    else:
-        rep = np.unique(np.asarray(list(repatoms), dtype=int))
-        if rep.size and (rep[0] < lo or rep[-1] > hi):
-            bad = rep[0] if rep[0] < lo else rep[-1]
-            raise ValueError(f"repatom {bad} outside chain range [{lo}, {hi}]")
-        for b in (lo, lo + 1, hi - 1, hi):
-            if b not in rep:
-                raise ValueError(f"boundary atom {b} must be a repatom")
-        rep_set = set(rep.tolist())
-        for i in atom_arr.tolist():
-            if i not in rep_set:
-                raise ValueError(f"atomistic atom {i} must be a repatom")
-            for j in range(max(i - 2, lo), min(i + 2, hi) + 1):
-                if j not in rep_set:
-                    raise ValueError(
-                        f"atom {j} in the NNN buffer of atomistic atom {i} "
-                        f"must stay uncoarsened"
-                    )
-
-    nu = np.diff(rep)
-    straddle = (nu > 1) & (rep[:-1] <= 0) & (rep[1:] >= 1)
-    if straddle.any():
-        p = int(np.flatnonzero(straddle)[0])
-        raise ValueError(
-            f"coarse segment [{rep[p]}, {rep[p + 1]}] straddles the defect "
-            f"bond (0, 1); keep that region uncoarsened"
-        )
-
-    dc_rep = 1.0 - delta_a[rep + m - 1].astype(float)
-    omega = 0.5 * nu * (dc_rep[:-1] + dc_rep[1:])
-    return Partition(m=m, delta_a=delta_a, rep=rep, nu=nu, omega=omega)
+    return Partition(m=m, delta_a=delta_a)
 
 
 def interval_partition(params: ChainParams, k: int) -> Partition:
-    """Uncoarsened partition with atoms -K+1 .. K atomistic (K = 0: none)."""
+    """Partition with atoms -K+1 .. K atomistic (K = 0: none)."""
     if k < 0 or k > params.m - 2:
         raise ValueError(f"k must be in [0, {params.m - 2}], got {k}")
     return make_partition(params, atomistic=range(-k + 1, k + 1))
@@ -216,13 +159,11 @@ def interval_partition(params: ChainParams, k: int) -> Partition:
 class QuadraticModel:
     """Assembled quadratic energy 1/2|D(y-a)|_E^2 + 1/2|y-b|_K^2.
 
-    ``inv_nu`` scales each difference row of ``D`` (all ones unless the
-    flavor is qc), ``ids`` labels the degrees of freedom by atom id.
+    ``ids`` labels the degrees of freedom by atom id.
     """
 
     flavor: str
     ids: Array
-    inv_nu: Array
     e_mat: BandedSpdMatrix
     k_mat: BandedSpdMatrix
     a_eq: Array
@@ -234,16 +175,15 @@ class QuadraticModel:
 
 
 def d_apply(model: QuadraticModel, v: Array) -> Array:
-    """Scaled difference map: row j is (v[j+1] - v[j]) / nu_j."""
-    return model.inv_nu * np.diff(v)
+    """Bond difference map: row j is v[j+1] - v[j]."""
+    return np.diff(v)
 
 
 def dt_apply(model: QuadraticModel, w: Array) -> Array:
     """Adjoint of d_apply."""
     out = np.zeros(model.n_points)
-    sw = model.inv_nu * w
-    out[:-1] -= sw
-    out[1:] += sw
+    out[:-1] -= w
+    out[1:] += w
     return out
 
 
@@ -268,33 +208,12 @@ def _nn_bond_bands(params: ChainParams, da: Array) -> BandedSpdMatrix:
     return BandedSpdMatrix(bands)
 
 
-def _segment_bands(params: ChainParams, part: Partition) -> BandedSpdMatrix:
-    """Segment interaction matrix on the repatom grid.
-
-    Continuum stretch energy enters through the omega weights; exact NN/NNN
-    terms only appear where the flags are atomistic, and the NNN buffer rule
-    guarantees those segments all have nu = 1.
-    """
-    k1, k2, k12 = params.k1, params.k2, params.k12
-    ns = part.n_segments
-    da = part.delta_a[part.rep_pos].astype(float)
-    bands = banded.zeros_like_band(ns, 1)
-    diag = bands[0]
-    diag += part.omega * k12 + 0.5 * k1 * (da[:-1] + da[1:])
-    pair = da[0 : ns - 1] + da[2 : ns + 1]
-    diag[1:] += 0.5 * k2 * pair
-    diag[:-1] += 0.5 * k2 * pair
-    bands[1, : ns - 1] = 0.5 * k2 * pair
-    return BandedSpdMatrix(bands)
-
-
 def _misfit_diag_bands(params: ChainParams, da: Array) -> BandedSpdMatrix:
     """On-site misfit matrix for the full chain.
 
     Interior atoms carry the full k0.  A continuum atom at a chain end only
-    bounds one segment, so it carries half weight; that keeps the matrix
-    consistent with the segment-based energy and with the qc flavor at
-    nu = 1.
+    bounds one bond, so it carries half weight, consistent with the
+    bond-by-bond continuum misfit of the blended energy.
     """
     n = len(da)
     bands = banded.zeros_like_band(n, 0)
@@ -305,63 +224,22 @@ def _misfit_diag_bands(params: ChainParams, da: Array) -> BandedSpdMatrix:
     return BandedSpdMatrix(bands)
 
 
-def _misfit_segment_bands(params: ChainParams, part: Partition) -> BandedSpdMatrix:
-    """Misfit matrix on the repatom grid.
-
-    A continuum segment of length nu contributes the quadratic form of the
-    interpolated misfit sum: (2 nu + 1/nu) k0 / 6 to each endpoint diagonal
-    and (nu - 1/nu) k0 / 6 to the coupling.  Atomistic repatoms keep the
-    plain k0 on-site term instead.
-    """
-    k0 = params.k0
-    nr = part.n_rep
-    nu = part.nu.astype(float)
-    da = part.delta_a[part.rep_pos]
-    w = (2.0 * nu + 1.0 / nu) / 6.0
-    bands = banded.zeros_like_band(nr, 1)
-    diag = bands[0]
-    diag[:-1] += k0 * w
-    diag[1:] += k0 * w
-    diag[da] = k0
-    off = k0 * (nu - 1.0 / nu) / 6.0
-    off[da[:-1] | da[1:]] = 0.0  # only fully continuum segments couple wells
-    bands[1, : nr - 1] = off
-    return BandedSpdMatrix(bands)
-
-
 def assemble(params: ChainParams, part: Partition, flavor: str) -> QuadraticModel:
     """Build the quadratic model of the requested flavor.
 
-    ``atomistic`` and ``ac`` live on the full chain (``atomistic`` ignores
-    the partition flags); ``qc`` lives on the repatom grid.
+    ``atomistic`` ignores the partition flags; ``ac`` blends by them.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
-    if flavor == "qc":
-        ids = part.rep.copy()
-        e_mat = _segment_bands(params, part)
-        k_mat = _misfit_segment_bands(params, part)
-        inv_nu = 1.0 / part.nu.astype(float)
-    else:
-        ids = atom_ids(params)
-        da = (
-            np.ones(2 * params.m)
-            if flavor == "atomistic"
-            else part.delta_a.astype(float)
-        )
-        e_mat = _nn_bond_bands(params, da)
-        k_mat = _misfit_diag_bands(params, da)
-        inv_nu = np.ones(2 * params.m - 1)
-    a_eq = ids * params.a0
-    b_eq = well_positions(params, ids)
+    ids = atom_ids(params)
+    da = np.ones(2 * params.m) if flavor == "atomistic" else part.delta_a.astype(float)
     return QuadraticModel(
         flavor=flavor,
         ids=ids,
-        inv_nu=inv_nu,
-        e_mat=e_mat,
-        k_mat=k_mat,
-        a_eq=a_eq,
-        b_eq=b_eq,
+        e_mat=_nn_bond_bands(params, da),
+        k_mat=_misfit_diag_bands(params, da),
+        a_eq=ids * params.a0,
+        b_eq=well_positions(params, ids),
     )
 
 
@@ -370,23 +248,18 @@ def stiffness_bands(model: QuadraticModel) -> BandedSpdMatrix:
     n = model.n_points
     ed = model.e_mat.bands[0]
     eo = model.e_mat.bands[1, : n - 2]
-    s = model.inv_nu
-    se = s[:-1] * s[1:] * eo
 
     bands = banded.zeros_like_band(n, 2)
     diag, off1, off2 = bands[0], bands[1, : n - 1], bands[2, : n - 2]
-    s2ed = s * s * ed
-    diag[:-1] += s2ed
-    diag[1:] += s2ed
-    diag[1:-1] -= 2.0 * se
-    off1 -= s2ed
-    off1[1:] += se
-    off1[:-1] += se
-    off2 -= se
+    diag[:-1] += ed
+    diag[1:] += ed
+    diag[1:-1] -= 2.0 * eo
+    off1 -= ed
+    off1[1:] += eo
+    off1[:-1] += eo
+    off2 -= eo
 
     diag += model.k_mat.bands[0]
-    if model.k_mat.bandwidth >= 1:
-        off1 += model.k_mat.bands[1, : n - 1]
     return BandedSpdMatrix(bands)
 
 
@@ -459,71 +332,6 @@ def solve_positions(system: LinearSystem) -> Array:
     return solve_displacements(system) + system.wells_free
 
 
-def interpolate(part: Partition, y_rep: Array) -> Array:
-    """Piecewise linear extension from repatom values to the full chain."""
-    y_rep = np.asarray(y_rep, dtype=float)
-    if len(y_rep) != part.n_rep:
-        raise ValueError(f"expected {part.n_rep} repatom values, got {len(y_rep)}")
-    ids = np.arange(-part.m + 1, part.m + 1)
-    return np.interp(ids, part.rep, y_rep)
-
-
-def restrict(part: Partition, y_full: Array) -> Array:
-    """Sample a full-chain vector at the repatoms (left inverse of interpolate)."""
-    y_full = np.asarray(y_full, dtype=float)
-    if len(y_full) != 2 * part.m:
-        raise ValueError(f"expected {2 * part.m} atom values, got {len(y_full)}")
-    return y_full[part.rep_pos]
-
-
-def misfit_segment_energy(
-    params: ChainParams,
-    ell_lo: int,
-    ell_hi: int,
-    y_lo: float,
-    y_hi: float,
-    side: str,
-) -> float:
-    """Misfit energy of one continuum segment under linear interpolation.
-
-    The interpolated misfit sum over the nu+1 atoms of the segment (with
-    half weight at both end atoms, since those are shared with the
-    neighbouring segments) collapses to a closed form in the endpoint
-    displacements:
-
-        k0 / (2 nu^2) * (alpha (u_lo^2 + u_hi^2) + 2 beta u_lo u_hi),
-        alpha = (2 nu^3 + nu) / 6,   beta = (nu^3 - nu) / 6.
-
-    All atoms covered by the segment must share one well family, so the
-    caller states the ``side`` ("left" of the defect or "right") and we
-    refuse geometries that contradict it.
-    """
-    nu = ell_hi - ell_lo
-    if nu < 1:
-        raise ValueError(f"segment endpoints must increase, got [{ell_lo}, {ell_hi}]")
-    if side == "right":
-        if ell_lo < 1:
-            raise ValueError(
-                f"segment [{ell_lo}, {ell_hi}] is not entirely right of the defect"
-            )
-        shift = 0.0
-    elif side == "left":
-        if ell_hi > 0:
-            raise ValueError(
-                f"segment [{ell_lo}, {ell_hi}] is not entirely left of the defect"
-            )
-        shift = -params.a0
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    u_lo = y_lo - (ell_lo * params.a0 + shift)
-    u_hi = y_hi - (ell_hi * params.a0 + shift)
-    alpha = (2.0 * nu**3 + nu) / 6.0
-    beta = (nu**3 - nu) / 6.0
-    return params.k0 / (2.0 * nu**2) * (
-        alpha * (u_lo * u_lo + u_hi * u_hi) + 2.0 * beta * u_lo * u_hi
-    )
-
-
 def _check_wells(params: ChainParams, u: Array, what: str) -> None:
     off = np.abs(u) > 0.5 * params.a0
     if off.any():
@@ -547,63 +355,49 @@ def _energy_atomistic(params: ChainParams, y: Array) -> float:
 
 
 def _energy_blended(params: ChainParams, part: Partition, y: Array) -> float:
-    """Energy of the ac/qc flavors by walking the repatom grid.
+    """Energy of the ac flavor by walking the bonds of the full chain.
 
-    Atomistic repatoms contribute their exact per-atom NN/NNN/misfit share
-    (quarter weights on bonds and spans, which all live on nu = 1 segments
-    thanks to the buffer rule).  Continuum segments contribute the
-    Cauchy-Born stretch energy plus the interpolated misfit closed form;
-    an interface segment contributes half a bond energy and the continuum
-    endpoint's misfit half.
+    Atomistic atoms contribute their exact per-atom NN/NNN/misfit share
+    (quarter weights on the bonds and spans they end).  A continuum bond
+    contributes the Cauchy-Born stretch energy plus half the misfit of
+    both end atoms; an interface bond contributes half a Cauchy-Born bond
+    energy and half the misfit of its continuum end.
     """
     k0, k2, a0, k12 = params.k0, params.k2, params.a0, params.k12
     quarter_k1 = 0.25 * params.k1
-    rep = part.rep
-    nu = part.nu
-    nr = part.n_rep
-    da = part.delta_a[part.rep_pos]
-    dy = np.diff(y)
-    u = y - well_positions(params, rep)
+    n = 2 * params.m
+    da = part.delta_a
+    stretch = np.diff(y) - a0
+    u = y - well_positions(params)
 
     at_lo, at_hi = da[:-1], da[1:]
-    cont_seg = ~at_lo & ~at_hi
+    cont_bond = ~at_lo & ~at_hi
     iface = at_lo ^ at_hi
 
-    rbar = dy / nu
-    phi = 0.5 * k12 * (rbar - a0) ** 2
-    total = float(np.dot(nu[cont_seg], phi[cont_seg]) + 0.5 * phi[iface].sum())
+    phi = 0.5 * k12 * stretch**2
+    total = float(phi[cont_bond].sum() + 0.5 * phi[iface].sum())
 
-    # continuum misfit: refined segments pointwise, coarse ones closed form
-    fine_cont = cont_seg & (nu == 1)
-    if fine_cont.any():
-        p = np.flatnonzero(fine_cont)
-        total += 0.25 * k0 * float(np.dot(u[p], u[p]) + np.dot(u[p + 1], u[p + 1]))
-    for p in np.flatnonzero(cont_seg & (nu > 1)):
-        side = "right" if rep[p] >= 1 else "left"
-        total += misfit_segment_energy(
-            params, int(rep[p]), int(rep[p + 1]), float(y[p]), float(y[p + 1]), side
-        )
-    if iface.any():
-        p = np.flatnonzero(iface)
-        cont_end = np.where(at_lo[p], p + 1, p)
-        total += 0.25 * k0 * float(np.dot(u[cont_end], u[cont_end]))
+    # continuum misfit, half an atom per bond end
+    p = np.flatnonzero(cont_bond)
+    total += 0.25 * k0 * float(np.dot(u[p], u[p]) + np.dot(u[p + 1], u[p + 1]))
+    p = np.flatnonzero(iface)
+    cont_end = np.where(at_lo[p], p + 1, p)
+    total += 0.25 * k0 * float(np.dot(u[cont_end], u[cont_end]))
 
-    # exact share of the atomistic repatoms
+    # exact share of the atomistic atoms
     ja = np.flatnonzero(da)
-    if ja.size:
-        stretch2 = (dy - nu * a0) ** 2
-        for j in ja:
-            if j - 1 >= 0:
-                total += quarter_k1 * stretch2[j - 1]
-            if j <= nr - 2:
-                total += quarter_k1 * stretch2[j]
-            if j - 2 >= 0:
-                span = y[j] - y[j - 2] - (nu[j - 2] + nu[j - 1]) * a0
-                total += 0.25 * k2 * span * span
-            if j + 2 <= nr - 1:
-                span = y[j + 2] - y[j] - (nu[j] + nu[j + 1]) * a0
-                total += 0.25 * k2 * span * span
-        total += 0.5 * k0 * float(np.dot(u[ja], u[ja]))
+    for j in ja:
+        if j - 1 >= 0:
+            total += quarter_k1 * stretch[j - 1] ** 2
+        if j <= n - 2:
+            total += quarter_k1 * stretch[j] ** 2
+        if j - 2 >= 0:
+            span = y[j] - y[j - 2] - 2.0 * a0
+            total += 0.25 * k2 * span * span
+        if j + 2 <= n - 1:
+            span = y[j + 2] - y[j] - 2.0 * a0
+            total += 0.25 * k2 * span * span
+    total += 0.5 * k0 * float(np.dot(u[ja], u[ja]))
     return total
 
 
@@ -624,22 +418,12 @@ def energy_direct(
     if flavor not in FLAVORS:
         raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
     y = np.asarray(y, dtype=float)
-    want = part.n_rep if flavor == "qc" else 2 * params.m
-    if len(y) != want:
-        raise ValueError(f"flavor {flavor!r} expects {want} values, got {len(y)}")
-    if flavor == "atomistic":
-        if check_wells:
-            _check_wells(params, y - well_positions(params), "atoms")
-        return _energy_atomistic(params, y)
-    if flavor == "ac":
-        full = make_partition(
-            params, atomistic=part.atomistic_ids()
-        )  # same flags, no coarsening
-        if check_wells:
-            _check_wells(params, y - well_positions(params), "atoms")
-        return _energy_blended(params, full, y)
+    if len(y) != 2 * params.m:
+        raise ValueError(f"expected {2 * params.m} atom positions, got {len(y)}")
     if check_wells:
-        _check_wells(params, y - well_positions(params, part.rep), "repatoms")
+        _check_wells(params, y - well_positions(params), "atoms")
+    if flavor == "atomistic":
+        return _energy_atomistic(params, y)
     return _energy_blended(params, part, y)
 
 

@@ -78,26 +78,14 @@ def fd_gradient(fun, y: Array, h: float = 1.0) -> Array:
     return out
 
 
-def random_partition(rng, params: ChainParams, allow_coarse: bool = True) -> Partition:
-    """Random valid partition: interval, scattered flags, or coarsened grid."""
+def random_partition(rng, params: ChainParams) -> Partition:
+    """Random valid partition: an interval or scattered atomistic flags."""
     m = params.m
-    ids = np.arange(-m + 1, m + 1)
-    style = rng.integers(0, 3 if allow_coarse else 2)
-    if style == 0:
+    if rng.integers(0, 2) == 0:
         k = int(rng.integers(0, m - 1))
         return make_partition(params, atomistic=range(-k + 1, k + 1))
-    if style == 1:
-        return make_partition(params, atomistic=ids[rng.random(2 * m) < 0.3])
-    k = int(rng.integers(0, max(m - 2, 1)))
-    ats = np.arange(-k + 1, k + 1)
-    need = {-m + 1, -m + 2, m - 1, m, 0, 1}  # keeping 0,1 avoids the defect straddle
-    for i in ats.tolist():
-        for j in range(i - 2, i + 3):
-            if -m + 1 <= j <= m:
-                need.add(j)
-    extra = ids[rng.random(2 * m) < 0.4]
-    rep = sorted(need | set(int(v) for v in extra))
-    return make_partition(params, atomistic=ats, repatoms=rep)
+    ids = np.arange(-m + 1, m + 1)
+    return make_partition(params, atomistic=ids[rng.random(2 * m) < 0.3])
 
 
 def random_point(rng, n: int, wells: Array, spread: float = 0.3) -> Array:

@@ -29,6 +29,11 @@ def test_config_validation():
         AdaptConfig(tau_gl=1e-10, tau_div=1.0)
     with pytest.raises(ValueError):
         AdaptConfig(tau_gl=1e-10, max_iterations=0)
+    for bad in (dict(tau_gl=float("nan")), dict(tau_gl=float("inf")),
+                dict(tau_gl=1e-10, tau_div=float("nan")),
+                dict(tau_gl=1e-10, tau_div=float("inf"))):
+        with pytest.raises(ValueError):
+            AdaptConfig(**bad)
     c = AdaptConfig(tau_gl=1e-10)
     assert c.tau_div == 10.0 and c.max_iterations == 50
     assert not c.symmetrize and not c.use_gamma

@@ -31,6 +31,7 @@ def test_mode_defaults():
 
     assert parse_run_spec(["table1"]).m == (100, 1000, 10_000, 100_000, 1_000_000)
     assert parse_run_spec(["table3"]).k == tuple(range(0, 51))
+    assert parse_run_spec(["table3"]).tau_gl is None  # every TABLE3_TAU decade
     assert parse_run_spec(["sweep-k"]).k == TABLE2_K
 
     prof = parse_run_spec(["profile"])
@@ -83,6 +84,12 @@ def test_flag_toggles():
         ["table2", "--format", "xml"],
         ["table2", "--no-such-flag"],
         ["no-such-mode"],
+        ["table2", "--k1", "nan"],
+        ["table2", "--k2", "inf"],
+        ["table2", "--a0", "nan"],
+        ["table2", "--tau-gl", "nan"],
+        ["table3", "--tau-gl", "nan"],
+        ["adapt", "--tau-div", "nan"],
     ],
 )
 def test_rejected_argv(argv):
@@ -207,10 +214,12 @@ def test_table3_row_shape():
 
 
 def test_table3_single_tau_override():
-    spec = parse_run_spec(["table3", "--m", "200", "--k", "0,2,4", "--tau-gl", "1e-3"])
-    _, rows = parse_csv(run(spec))
-    assert len(rows) == 1
-    assert rows[0][0] == 1e-3
+    # 1e-10 is also the adapt default; given explicitly it still means one row
+    for tau in ("1e-3", "1e-10"):
+        spec = parse_run_spec(["table3", "--m", "200", "--k", "0,2,4", "--tau-gl", tau])
+        _, rows = parse_csv(run(spec))
+        assert len(rows) == 1
+        assert rows[0][0] == float(tau)
 
 
 def test_adapt_json_shape():

@@ -374,18 +374,3 @@ def test_exact_goal_error_fills_pair():
     qe2, _ = exact_goal_error(p, part)
     assert np.isclose(qe, qe2, rtol=1e-12)
 
-
-def test_coarsened_dual_pair_matches_uncoarsened_reference():
-    # coarsening far from the defect barely moves the estimates
-    p = ChainParams(m=200)
-    fine = interval_partition(p, 10)
-    coarse_reps = sorted(
-        set(range(-30, 31))
-        | {-p.m + 1, -p.m + 2, p.m - 1, p.m}
-        | set(range(-p.m + 1, p.m + 1, 7))
-    )
-    coarse = make_partition(p, atomistic=range(-9, 11), repatoms=coarse_reps)
-    r_fine = estimate(solve_dual_pair(p, fine))
-    r_coarse = estimate(solve_dual_pair(p, coarse))
-    assert np.isclose(r_coarse.eta1, r_fine.eta1, rtol=1e-2)
-    assert np.isclose(r_coarse.eta2, r_fine.eta2, rtol=1e-2)

@@ -12,13 +12,10 @@ from qcfk.model import (
     dt_apply,
     energy_direct,
     energy_matrix,
-    interpolate,
     interval_partition,
     lattice_sites,
     make_partition,
-    misfit_segment_energy,
     reduce_system,
-    restrict,
     solve_displacements,
     solve_positions,
     stiffness_bands,
@@ -52,6 +49,22 @@ def test_params_validation():
         ChainParams(m=10, a0=0.0)
     with pytest.raises(ValueError):
         ChainParams(m=10, bc=(0.0, 1.0))
+    # non-finite numbers and a non-integral size are rejected on entry
+    nan, inf = float("nan"), float("inf")
+    for bad in (
+        dict(k1=nan),
+        dict(k2=inf),
+        dict(k0=nan),
+        dict(k0=inf),
+        dict(a0=nan),
+        dict(a0=inf),
+        dict(bc=(-10.0, -9.0, nan, 10.0)),
+    ):
+        with pytest.raises(ValueError):
+            ChainParams(m=10, **bad)
+    with pytest.raises(ValueError, match="integer"):
+        ChainParams(m=50.5)
+    assert ChainParams(m=np.int64(10)).n_free == 16
 
 
 def test_params_derived_counts():
@@ -97,8 +110,6 @@ def test_interval_partition_flags():
     p = ChainParams(m=6)
     part = interval_partition(p, 2)
     assert np.array_equal(part.atomistic_ids(), [-1, 0, 1, 2])
-    assert part.n_rep == 2 * p.m
-    assert np.all(part.nu == 1)
     full = interval_partition(p, 0)
     assert full.atomistic_ids().size == 0
     with pytest.raises(ValueError):
@@ -111,98 +122,8 @@ def test_make_partition_rejects_out_of_range():
     p = ChainParams(m=5)
     with pytest.raises(ValueError, match="atomistic atom 6"):
         make_partition(p, atomistic=[6])
-    with pytest.raises(ValueError, match="repatom -9"):
-        make_partition(p, atomistic=[0], repatoms=[-9, -4, -3, 0, 4, 5])
-
-
-def test_make_partition_requires_boundary_repatoms():
-    p = ChainParams(m=5)
-    with pytest.raises(ValueError, match="boundary atom -3"):
-        make_partition(p, repatoms=[-4, 0, 4, 5])
-
-
-def test_make_partition_requires_nnn_buffer():
-    p = ChainParams(m=8)
-    # atom 3 atomistic but its neighbour 5 coarsened away
-    with pytest.raises(ValueError, match="atom 5 in the NNN buffer"):
-        make_partition(
-            p, atomistic=[3], repatoms=[-7, -6, -5, 1, 2, 3, 4, 6, 7, 8]
-        )
-    with pytest.raises(ValueError, match="atomistic atom 3 must be a repatom"):
-        make_partition(p, atomistic=[3], repatoms=[-7, -6, 7, 8])
-
-
-def test_make_partition_rejects_defect_straddle():
-    p = ChainParams(m=6)
-    with pytest.raises(ValueError, match="straddles the defect"):
-        make_partition(p, repatoms=[-5, -4, -2, 3, 5, 6])
-
-
-def test_buffer_clipped_at_chain_ends():
-    # atomistic atoms at the very ends only need buffers inside the chain
-    p = ChainParams(m=5)
-    part = make_partition(
-        p, atomistic=[-4, 5], repatoms=[-4, -3, -2, 0, 1, 2, 3, 4, 5]
-    )
-    assert np.array_equal(part.rep, [-4, -3, -2, 0, 1, 2, 3, 4, 5])
-    assert np.array_equal(part.nu, [1, 1, 2, 1, 1, 1, 1, 1])
-
-
-def test_omega_weights_blend_flags():
-    p = ChainParams(m=6)
-    part = make_partition(p, atomistic=[0, 1])
-    # omega = nu/2 * (continuum fraction of the two endpoint atoms)
-    da = part.delta_a.astype(float)
-    expect = 0.5 * part.nu * ((1 - da[:-1]) + (1 - da[1:]))
-    assert np.allclose(part.omega, expect)
-    # fully atomistic segment contributes nothing through omega
-    rp = part.rep_pos
-    seg_touch_a = part.delta_a[rp[:-1]] & part.delta_a[rp[1:]]
-    assert np.all(part.omega[seg_touch_a] == 0.0)
-
-
-# ---------------------------------------------------------------------------
-# interpolation between grids
-
-
-def test_interpolate_linear_example():
-    p = ChainParams(m=6)
-    part = make_partition(
-        p, atomistic=[], repatoms=[-5, -4, -3, -2, -1, 0, 1, 5, 6]
-    )
-    y_rep = np.array([-5.0, -4.0, -3.0, -2.0, -1.0, 0.0, 4.0, 8.8, 9.8])
-    y_full = interpolate(part, y_rep)
-    # the nu = 4 segment [1, 5] fills atoms 2, 3, 4 linearly
-    assert np.allclose(y_full[p.m + 1 : p.m + 4], [5.2, 6.4, 7.6])
-    assert np.allclose(restrict(part, y_full), y_rep)
-
-
-def test_interpolate_round_trip_random():
-    rng = np.random.default_rng(1123)
-    for _ in range(50):
-        p = ChainParams(m=int(rng.integers(3, 15)))
-        part = random_partition(rng, p)
-        y_rep = rng.normal(size=part.n_rep)
-        assert np.allclose(restrict(part, interpolate(part, y_rep)), y_rep)
-
-
-def test_interpolate_reproduces_affine_data():
-    rng = np.random.default_rng(77)
-    p = ChainParams(m=9)
-    for _ in range(20):
-        part = random_partition(rng, p)
-        c0, c1 = rng.normal(size=2)
-        y_full = c0 + c1 * atom_ids(p)
-        assert np.allclose(interpolate(part, restrict(part, y_full)), y_full)
-
-
-def test_interpolate_length_checks():
-    p = ChainParams(m=4)
-    part = interval_partition(p, 0)
-    with pytest.raises(ValueError):
-        interpolate(part, np.zeros(3))
-    with pytest.raises(ValueError):
-        restrict(part, np.zeros(3))
+    with pytest.raises(ValueError, match="atomistic atom -9"):
+        make_partition(p, atomistic=[-9, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -243,115 +164,14 @@ def test_blended_bond_matrix_pure_continuum():
     assert np.all(kd[1:-1] == p.k0)
 
 
-def test_coarsened_misfit_matrix_values():
-    # nu = 2 segment right of the defect: each endpoint picks up
-    # k0 (2 nu + 1/nu)/6 = 0.75 k0, the coupling k0 (nu - 1/nu)/6 = 0.25 k0;
-    # nu = 1 segments contribute k0/2 per endpoint and no coupling
-    p = ChainParams(m=4, k0=2.0)
-    part = make_partition(p, repatoms=[-3, -2, -1, 0, 1, 3, 4])
-    model = assemble(p, part, "qc")
-    diag = p.k0 * np.array([0.5, 1.0, 1.0, 1.0, 1.25, 1.25, 0.5])
-    off = p.k0 * np.array([0.0, 0.0, 0.0, 0.0, 0.25, 0.0])
-    assert np.allclose(model.k_mat.bands[0], diag)
-    assert np.allclose(model.k_mat.bands[1][:-1], off)
-    # the stretch matrix weights each segment by omega = nu here
-    assert np.allclose(
-        np.diag(banded.to_dense(model.e_mat)), part.nu * p.k12
-    )
-    # atomistic repatoms keep the exact on-site misfit
-    part2 = make_partition(
-        p, atomistic=[0, 1], repatoms=[-3, -2, -1, 0, 1, 2, 3, 4]
-    )
-    model2 = assemble(p, part2, "qc")
-    kd = model2.k_mat.bands[0]
-    assert kd[3] == p.k0 and kd[4] == p.k0
-
-
-def test_qc_at_full_refinement_equals_ac():
-    rng = np.random.default_rng(5150)
-    for _ in range(20):
-        p = ChainParams(m=int(rng.integers(3, 12)))
-        atoms = rng.choice(atom_ids(p), size=rng.integers(0, 5), replace=False)
-        part = make_partition(p, atomistic=atoms)
-        mac = assemble(p, part, "ac")
-        mqc = assemble(p, part, "qc")
-        assert np.array_equal(
-            banded.to_dense(mac.e_mat), banded.to_dense(mqc.e_mat)
-        )
-        assert np.allclose(
-            banded.to_dense(mac.k_mat), banded.to_dense(mqc.k_mat)
-        )
-        assert np.array_equal(mac.a_eq, mqc.a_eq)
-        assert np.array_equal(mac.b_eq, mqc.b_eq)
-
-
 def test_d_apply_adjoint():
     rng = np.random.default_rng(31)
     p = ChainParams(m=8)
-    part = make_partition(
-        p, atomistic=[0, 1], repatoms=[-7, -6, -5, -2, -1, 0, 1, 2, 3, 6, 7, 8]
-    )
-    model = assemble(p, part, "qc")
+    model = assemble(p, make_partition(p, atomistic=[-3, 0, 1, 2]), "ac")
     for _ in range(20):
         v = rng.normal(size=model.n_points)
         w = rng.normal(size=model.n_points - 1)
         assert np.isclose(np.dot(d_apply(model, v), w), np.dot(v, dt_apply(model, w)))
-
-
-# ---------------------------------------------------------------------------
-# misfit segment closed form
-
-
-def test_misfit_segment_single_bond_example():
-    # nu = 1, u = (0.1, 0.2): 1/2 k0 (u_lo^2/2 + u_hi^2/2) = 0.0125
-    p = ChainParams(m=3)
-    e = misfit_segment_energy(p, 1, 2, 1.1, 2.2, "right")
-    assert np.isclose(e, 0.0125)
-
-
-def test_misfit_segment_matches_interpolated_sum():
-    # oracle: enumerate the interpolated atoms and add 1/2 k0 u^2 with half
-    # weight at both segment ends
-    rng = np.random.default_rng(909)
-    p = ChainParams(m=50, k0=1.7)
-    for _ in range(100):
-        side = "right" if rng.random() < 0.5 else "left"
-        nu = int(rng.integers(1, 9))
-        if side == "right":
-            lo = int(rng.integers(1, 20))
-        else:
-            lo = int(rng.integers(-25, -nu + 1))
-        hi = lo + nu
-        y_lo = lo * p.a0 + rng.normal() * 0.3
-        y_hi = hi * p.a0 + rng.normal() * 0.3
-        ids = np.arange(lo, hi + 1)
-        y = np.interp(ids, [lo, hi], [y_lo, y_hi])
-        u = y - well_positions(p, ids)
-        w = np.ones(nu + 1)
-        w[0] = w[-1] = 0.5
-        expect = 0.5 * p.k0 * np.sum(w * u * u)
-        got = misfit_segment_energy(p, lo, hi, y_lo, y_hi, side)
-        assert np.isclose(got, expect, rtol=1e-12), (side, lo, hi)
-
-
-def test_misfit_segment_weight_identity():
-    # the closed-form alpha at u_lo = 0, u_hi = 1 equals the half-weighted
-    # sum of (j/nu)^2, e.g. nu = 3: 0 + 1/9 + 4/9 + 1/2 * 1 = 9.5 / 9
-    nu = 3
-    alpha = (2.0 * nu**3 + nu) / 6.0
-    assert np.isclose(alpha / nu**2, 9.5 / 9.0)
-
-
-def test_misfit_segment_side_checks():
-    p = ChainParams(m=5)
-    with pytest.raises(ValueError, match="not entirely right"):
-        misfit_segment_energy(p, 0, 2, 0.0, 2.0, "right")
-    with pytest.raises(ValueError, match="not entirely left"):
-        misfit_segment_energy(p, -1, 1, -1.0, 1.0, "left")
-    with pytest.raises(ValueError, match="must increase"):
-        misfit_segment_energy(p, 2, 2, 2.0, 2.0, "right")
-    with pytest.raises(ValueError, match="side must be"):
-        misfit_segment_energy(p, 1, 2, 1.0, 2.0, "up")
 
 
 # ---------------------------------------------------------------------------
@@ -382,27 +202,14 @@ def test_energy_matrix_matches_direct():
     for _ in range(120):
         p = ChainParams(m=int(rng.integers(3, 14)))
         part = random_partition(rng, p)
-        for flavor in ("atomistic", "ac", "qc"):
-            n = 2 * p.m if flavor != "qc" else part.n_rep
-            ids = atom_ids(p) if flavor != "qc" else part.rep
-            y = random_point(rng, n, well_positions(p, ids))
+        for flavor in ("atomistic", "ac"):
+            y = random_point(rng, 2 * p.m, well_positions(p, atom_ids(p)))
             model = assemble(p, part, flavor)
             em = energy_matrix(p, model, y)
             ed = energy_direct(p, part, flavor, y)
             scale = max(abs(em), abs(ed), 1.0)
             worst = max(worst, abs(em - ed) / scale)
     assert worst < 1e-12
-
-
-def test_energy_direct_qc_equals_ac_when_unrefined():
-    rng = np.random.default_rng(404)
-    for _ in range(40):
-        p = ChainParams(m=int(rng.integers(3, 12)))
-        k = int(rng.integers(0, p.m - 1))
-        part = interval_partition(p, k)
-        y = random_point(rng, 2 * p.m, well_positions(p, atom_ids(p)))
-        # same partition, same point: the two code paths must agree exactly
-        assert energy_direct(p, part, "qc", y) == energy_direct(p, part, "ac", y)
 
 
 def test_energy_warns_off_well():
@@ -424,25 +231,6 @@ def test_reduce_system_shapes_and_free_ids():
     assert sys_a.mat.n == p.n_free
     # free_index carries atom ids, not array offsets
     assert np.array_equal(sys_a.free_index, np.arange(-3, 5))
-    coarse = make_partition(
-        p, atomistic=[0, 1], repatoms=[-5, -4, -2, -1, 0, 1, 2, 3, 5, 6]
-    )
-    sys_q = reduce_system(p, assemble(p, coarse, "qc"))
-    assert sys_q.mat.n == coarse.n_rep - 4
-    assert np.array_equal(sys_q.free_index, [-2, -1, 0, 1, 2, 3])
-
-
-def test_reduce_system_minimal_coarse_grid():
-    # the smallest legal qc grid keeps the 4 clamped atoms plus 0 and 1;
-    # everything still assembles and solves
-    p = ChainParams(m=5)
-    part = make_partition(p, repatoms=[-4, -3, 0, 1, 4, 5])
-    system = reduce_system(p, assemble(p, part, "qc"))
-    assert system.mat.n == 2
-    u = solve_displacements(system)
-    assert np.all(np.isfinite(u))
-    # the solution is antisymmetric, like the full chain
-    assert np.isclose(u[0], -u[1])
 
 
 def test_rhs_routes_consistent():
@@ -452,7 +240,7 @@ def test_rhs_routes_consistent():
     for _ in range(30):
         p = ChainParams(m=int(rng.integers(3, 16)))
         part = random_partition(rng, p)
-        flavor = ("atomistic", "ac", "qc")[rng.integers(0, 3)]
+        flavor = ("atomistic", "ac")[rng.integers(0, 2)]
         system = reduce_system(p, assemble(p, part, flavor))
         gap = system.rhs - banded.matvec(system.mat, system.wells_free)
         assert np.allclose(gap, system.rhs_wells, atol=1e-9)
@@ -466,7 +254,7 @@ def test_solutions_match_dense_oracle():
     for _ in range(40):
         p = ChainParams(m=int(rng.integers(3, 14)))
         part = random_partition(rng, p)
-        flavor = ("atomistic", "ac", "qc")[rng.integers(0, 3)]
+        flavor = ("atomistic", "ac")[rng.integers(0, 2)]
         system = reduce_system(p, assemble(p, part, flavor))
         u = solve_displacements(system)
         y = solve_positions(system)
@@ -482,7 +270,7 @@ def test_assembled_system_matches_dense_fd():
     for _ in range(25):
         p = ChainParams(m=int(rng.integers(3, 12)))
         part = random_partition(rng, p)
-        flavor = ("atomistic", "ac", "qc")[rng.integers(0, 3)]
+        flavor = ("atomistic", "ac")[rng.integers(0, 2)]
         system = reduce_system(p, assemble(p, part, flavor))
         h_dense, load_dense = dense_system(p, part, flavor)
         assert np.allclose(banded.to_dense(system.mat), h_dense, atol=1e-9)
@@ -494,7 +282,7 @@ def test_stiffness_matches_quadratic_form():
     p = ChainParams(m=9)
     for _ in range(20):
         part = random_partition(rng, p)
-        flavor = ("atomistic", "ac", "qc")[rng.integers(0, 3)]
+        flavor = ("atomistic", "ac")[rng.integers(0, 2)]
         model = assemble(p, part, flavor)
         full = stiffness_bands(model)
         v = rng.normal(size=model.n_points)
@@ -530,11 +318,9 @@ def test_fd_gradient_matches_assembled_residual():
     for _ in range(25):
         p = ChainParams(m=int(rng.integers(3, 10)))
         part = random_partition(rng, p)
-        flavor = ("atomistic", "ac", "qc")[rng.integers(0, 3)]
+        flavor = ("atomistic", "ac")[rng.integers(0, 2)]
         model = assemble(p, part, flavor)
-        n = model.n_points
-        ids = atom_ids(p) if flavor != "qc" else part.rep
-        y = random_point(rng, n, well_positions(p, ids))
+        y = random_point(rng, model.n_points, well_positions(p, atom_ids(p)))
 
         def ener(vec):
             return energy_direct(p, part, flavor, vec, check_wells=False)
