@@ -68,7 +68,7 @@ def main() -> None:
     print(f"final eta1 = {trace.final_eta1:.6e} "
           f"({'<=' if trace.final_eta1 <= args.tau else '>'} tau_gl)")
 
-    # The trace serializes to the same shape the CLI emits with --json.
+    # The CLI's adapt JSON carries these keys beside "spec", "columns" and "rows".
     print("\nJSON trace:")
     print(trace.to_json())
 

@@ -19,11 +19,11 @@ from .banded import BandedFactor, BandedSpdMatrix, NotPositiveDefiniteError
 from .estimators import (
     DualPair,
     EstimatorReport,
+    Reference,
     estimate,
-    eta1,
-    eta2,
     exact_goal_error,
     lemma1_check,
+    reference,
     solve_dual_pair,
 )
 from .model import (
@@ -53,11 +53,10 @@ __all__ = [
     "NotPositiveDefiniteError",
     "Partition",
     "QuadraticModel",
+    "Reference",
     "assemble",
     "energy_direct",
     "estimate",
-    "eta1",
-    "eta2",
     "exact_goal_error",
     "fixed_k_run",
     "interval_partition",
@@ -65,6 +64,7 @@ __all__ = [
     "make_partition",
     "mark_atoms",
     "reduce_system",
+    "reference",
     "run_adaptive",
     "solve_dual_pair",
     "__version__",

@@ -18,7 +18,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .banded import Array
-from .estimators import EstimatorReport, estimate, exact_goal_error, solve_dual_pair
+from .estimators import (
+    EstimatorReport,
+    Reference,
+    estimate,
+    exact_goal_error,
+    reference,
+    solve_dual_pair,
+)
 from .model import ChainParams, interval_partition, make_partition
 
 
@@ -83,8 +90,10 @@ class AdaptTrace:
                 {
                     "iteration": r.iteration,
                     "k": r.k,
+                    "n_atomistic": r.n_atomistic,
                     "tau_at": r.tau_at,
                     "eta1": r.eta1,
+                    "eta2": r.eta2,
                 }
                 for r in self.records
             ],
@@ -112,12 +121,13 @@ def _interval_k(atoms: Array, m: int) -> int | None:
 
 def run_adaptive(params: ChainParams, config: AdaptConfig) -> AdaptTrace:
     """Grow the atomistic region until eta1 drops below tau_gl."""
+    ref = reference(params)
     atoms = np.empty(0, dtype=int)
     records: list[IterationRecord] = []
     status = "max-iterations"
     for it in range(1, config.max_iterations + 1):
         part = make_partition(params, atomistic=atoms)
-        pair = solve_dual_pair(params, part)
+        pair = solve_dual_pair(params, part, ref)
         report = estimate(pair, use_gamma=config.use_gamma)
         tau_shown = config.tau_gl / config.tau_div ** (it - 1)
         records.append(
@@ -176,10 +186,14 @@ def fixed_k_run(
     k: int,
     want_exact: bool = True,
     use_gamma: bool = False,
+    ref: Reference | None = None,
 ) -> FixedKResult:
-    """One estimate on the fixed interval region of half-width K."""
+    """One estimate on the fixed interval region of half-width K.
+
+    ``ref`` is the chain's atomistic reference, built here when not given.
+    """
     part = interval_partition(params, k)
-    pair = solve_dual_pair(params, part)
+    pair = solve_dual_pair(params, part, ref)
     report = estimate(pair, use_gamma=use_gamma)
     q_error = None
     if want_exact:

@@ -32,6 +32,7 @@ import sys
 from dataclasses import asdict, dataclass
 
 from .adaptivity import AdaptConfig, FixedKResult, fixed_k_run, run_adaptive
+from .estimators import reference
 from .model import ChainParams
 
 MODES = ("adapt", "fixed-k", "sweep-k", "table1", "table2", "table3", "profile")
@@ -349,8 +350,9 @@ def cmd_table1(spec: RunSpec):
 
 def _table2_results(spec: RunSpec) -> list[FixedKResult]:
     params = spec.chain_params(spec.m[0])
+    ref = reference(params)
     return [
-        fixed_k_run(params, k, want_exact=True, use_gamma=spec.gamma_split)
+        fixed_k_run(params, k, want_exact=True, use_gamma=spec.gamma_split, ref=ref)
         for k in spec.k
     ]
 
@@ -426,11 +428,13 @@ def cmd_profile(spec: RunSpec):
 
 def cmd_sweep_k(spec: RunSpec):
     params = spec.chain_params(spec.m[0])
+    ref = reference(params)
     header = ["k", "eta1", "eta2", "first_term", "sigma_bar"]
     rows = []
     for k in spec.k:
-        res = fixed_k_run(params, k, want_exact=False, use_gamma=spec.gamma_split)
-        rep = res.report
+        rep = fixed_k_run(
+            params, k, want_exact=False, use_gamma=spec.gamma_split, ref=ref
+        ).report
         rows.append([k, rep.eta1, rep.eta2, rep.first_term, rep.sigma_bar])
     return header, rows, None
 
@@ -494,11 +498,7 @@ def run(spec: RunSpec) -> str:
     """Execute a spec and render its output text."""
     header, rows, extra = _COMMANDS[spec.mode](spec)
     if spec.format == "json":
-        if spec.mode == "adapt":
-            return json.dumps(extra, indent=2) + "\n"
-        if spec.mode == "fixed-k":
-            return emit_json(spec, header, rows, extra)
-        return emit_json(spec, header, rows)
+        return emit_json(spec, header, rows, extra)
     return emit_csv(header, rows)
 
 

@@ -29,7 +29,7 @@ degenerate optima fall back to safe values and set a flag on the report.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,29 +41,42 @@ from .model import ChainParams, LinearSystem, Partition, QuadraticModel
 _DEGENERATE_REL = 1e-14
 
 
-@dataclass
+@dataclass(frozen=True)
+class Reference:
+    """Everything that depends on the chain but not on the partition.
+
+    The atomistic model and its reduced system ``M_a``, the Cholesky
+    factors of the bond matrix ``E_a`` (for the projection P) and of
+    ``M_a`` (for the exact-error oracles), and the goal vector on the free
+    atoms.  ``reference`` builds it once per chain; every blended solve on
+    that chain shares it.
+    """
+
+    params: ChainParams
+    model: QuadraticModel
+    system: LinearSystem
+    ea_factor: BandedFactor
+    ma_factor: BandedFactor
+    goal: Array
+
+
+@dataclass(frozen=True)
 class DualPair:
     """Primal/dual blended solutions plus everything the estimators reuse.
 
     ``y_free`` are absolute positions on the free atoms, ``u_free`` the same
     solution measured from the wells (the internally solved form).  The
     residuals are those of the atomistic operator applied to the blended
-    solutions, formed from the model difference ``ediff``.  ``e`` and
-    ``e_hat`` stay None unless the exact-error oracle routines fill them in.
+    solutions, formed from the model difference ``ediff = E_a - E_ac``.
+    ``my`` and ``mg`` are ``M_a y`` and ``M_a g``.
     """
 
-    params: ChainParams
-    part: Partition
-    asys: LinearSystem
-    acsys: LinearSystem
-    ea: BandedSpdMatrix
-    ea_factor: BandedFactor
+    ref: Reference
+    eac: BandedSpdMatrix
     ediff: BandedSpdMatrix
-    amodel: QuadraticModel
     y_free: Array
     u_free: Array
     g_free: Array
-    goal: Array
     residual_primal: Array
     residual_dual: Array
     z_y: Array
@@ -72,11 +85,8 @@ class DualPair:
     pz_g: Array
     npy: float
     npg: float
-    e: Array | None = None
-    e_hat: Array | None = None
-    # cached M-inner products of (y, g) used by the theta optimisation
-    _my: Array = field(default=None, repr=False)
-    _mg: Array = field(default=None, repr=False)
+    my: Array
+    mg: Array
 
 
 def goal_vector(params: ChainParams, free_index: Array) -> Array:
@@ -85,6 +95,21 @@ def goal_vector(params: ChainParams, free_index: Array) -> Array:
     q[np.searchsorted(free_index, 0)] = -1.0
     q[np.searchsorted(free_index, 1)] = 1.0
     return q
+
+
+def reference(params: ChainParams) -> Reference:
+    """Assemble, reduce and factor the atomistic model of one chain."""
+    # the atomistic flavor ignores the partition
+    amodel = model.assemble(params, None, "atomistic")
+    asys = model.reduce_system(params, amodel)
+    return Reference(
+        params=params,
+        model=amodel,
+        system=asys,
+        ea_factor=banded.factor(amodel.e_mat),
+        ma_factor=banded.factor(asys.mat),
+        goal=goal_vector(params, asys.free_index),
+    )
 
 
 def _project(ea_factor: BandedFactor, eac: BandedSpdMatrix, z: Array) -> Array:
@@ -96,22 +121,26 @@ def _project(ea_factor: BandedFactor, eac: BandedSpdMatrix, z: Array) -> Array:
     return z - banded.solve(ea_factor, banded.matvec(eac, z))
 
 
-def solve_dual_pair(params: ChainParams, part: Partition) -> DualPair:
+def solve_dual_pair(
+    params: ChainParams, part: Partition, ref: Reference | None = None
+) -> DualPair:
     """Solve the blended primal and dual problems and prepare estimator data.
 
-    One Cholesky factorization serves both solves.  The atomistic system is
-    assembled (matrix and load) but never solved here; production estimates
-    only ever solve the blended model.
+    One Cholesky factorization serves both solves.  ``ref`` is the chain's
+    atomistic reference (built here when not given); it is never solved
+    here, production estimates only ever solve the blended model.
     """
-    amodel = model.assemble(params, part, "atomistic")
+    if ref is None:
+        ref = reference(params)
+    elif ref.params != params:
+        raise ValueError(f"reference was built for {ref.params}, not {params}")
+    amodel = ref.model
     acmodel = model.assemble(params, part, "ac")
-    asys = model.reduce_system(params, amodel)
     acsys = model.reduce_system(params, acmodel)
 
     f_ac = banded.factor(acsys.mat)
     u = banded.solve(f_ac, acsys.rhs_wells)
-    q = goal_vector(params, acsys.free_index)
-    g = banded.solve(f_ac, q)
+    g = banded.solve(f_ac, ref.goal)
     y = u + acsys.wells_free
 
     # bond difference vectors of the lifted solutions
@@ -119,7 +148,7 @@ def solve_dual_pair(params: ChainParams, part: Partition) -> DualPair:
     u_full = np.zeros(n)
     u_full[2:-2] = u
     for p in (0, 1, -2, -1):
-        u_full[p] = asys.lift[p] - amodel.b_eq[p]
+        u_full[p] = acsys.lift[p] - amodel.b_eq[p]
     z_y = model.d_apply(amodel, u_full + (amodel.b_eq - amodel.a_eq))
     g_full = np.zeros(n)
     g_full[2:-2] = g
@@ -139,23 +168,16 @@ def solve_dual_pair(params: ChainParams, part: Partition) -> DualPair:
     res_y = -model.dt_apply(amodel, banded.matvec(ediff, z_y))[2:-2]
     res_g = -model.dt_apply(amodel, banded.matvec(ediff, z_g))[2:-2]
 
-    ea_factor = banded.factor(ea)
-    pz_y = _project(ea_factor, eac, z_y)
-    pz_g = _project(ea_factor, eac, z_g)
+    pz_y = _project(ref.ea_factor, eac, z_y)
+    pz_g = _project(ref.ea_factor, eac, z_g)
 
     return DualPair(
-        params=params,
-        part=part,
-        asys=asys,
-        acsys=acsys,
-        ea=ea,
-        ea_factor=ea_factor,
+        ref=ref,
+        eac=eac,
         ediff=ediff,
-        amodel=amodel,
         y_free=y,
         u_free=u,
         g_free=g,
-        goal=q,
         residual_primal=res_y,
         residual_dual=res_g,
         z_y=z_y,
@@ -164,6 +186,8 @@ def solve_dual_pair(params: ChainParams, part: Partition) -> DualPair:
         pz_g=pz_g,
         npy=banded.norm(ea, pz_y),
         npg=banded.norm(ea, pz_g),
+        my=banded.matvec(ref.system.mat, y),
+        mg=banded.matvec(ref.system.mat, g),
     )
 
 
@@ -172,14 +196,19 @@ def first_term(pair: DualPair) -> float:
     return float(np.dot(pair.g_free, pair.residual_primal))
 
 
+def _norms_degenerate(pair: DualPair) -> bool:
+    """True when either projected norm vanishes next to the other."""
+    scale = max(pair.npy, pair.npg)
+    return scale == 0.0 or min(pair.npy, pair.npg) <= _DEGENERATE_REL * scale
+
+
 def sigma_opt(pair: DualPair) -> float | None:
     """Balance scalar sqrt(||P z_g|| / ||P z_y||); None when either norm vanishes.
 
     This sigma minimises the upper parallelogram bound; scaling is the only
     thing it affects, so any positive value would still give valid bounds.
     """
-    scale = max(pair.npy, pair.npg)
-    if scale == 0.0 or min(pair.npy, pair.npg) <= _DEGENERATE_REL * scale:
+    if _norms_degenerate(pair):
         return None
     return float(np.sqrt(pair.npg / pair.npy))
 
@@ -191,14 +220,8 @@ def residual_combo(pair: DualPair, sigma: float, sign: int) -> Array:
 
 def eta_upp(pair: DualPair, sigma: float, sign: int) -> float:
     """Upper parallelogram term ||sigma P z_y +/- sigma^-1 P z_g||_{E_a}."""
-    return banded.norm(pair.ea, sigma * pair.pz_y + (sign / sigma) * pair.pz_g)
-
-
-def _m_products(pair: DualPair) -> tuple[Array, Array]:
-    if pair._my is None:
-        pair._my = banded.matvec(pair.asys.mat, pair.y_free)
-        pair._mg = banded.matvec(pair.asys.mat, pair.g_free)
-    return pair._my, pair._mg
+    combo = sigma * pair.pz_y + (sign / sigma) * pair.pz_g
+    return banded.norm(pair.ref.model.e_mat, combo)
 
 
 def theta_opt(pair: DualPair, r: Array) -> tuple[float, bool]:
@@ -208,12 +231,11 @@ def theta_opt(pair: DualPair, r: Array) -> tuple[float, bool]:
     condition in the M-inner products of y and g; when its denominator
     vanishes the ratio is flat in theta and 0 is as good as any value.
     """
-    my, mg = _m_products(pair)
     a = float(np.dot(r, pair.y_free))
     b = float(np.dot(r, pair.g_free))
-    c = float(np.dot(pair.y_free, my))
-    d = float(np.dot(pair.g_free, my))
-    f = float(np.dot(pair.g_free, mg))
+    c = float(np.dot(pair.y_free, pair.my))
+    d = float(np.dot(pair.g_free, pair.my))
+    f = float(np.dot(pair.g_free, pair.mg))
     den = b * d - a * f
     scale = abs(b * d) + abs(a * f)
     if scale == 0.0 or abs(den) <= _DEGENERATE_REL * scale:
@@ -227,11 +249,10 @@ def eta_low(pair: DualPair, r: Array, theta: float) -> float:
     Unlike eta_upp this may come out negative; the sandwich bounds square a
     clamped copy while the headline eta1 squares the raw value.
     """
-    my, mg = _m_products(pair)
     v0 = pair.y_free + theta * pair.g_free
-    nv2 = float(np.dot(pair.y_free, my)) + 2.0 * theta * float(
-        np.dot(pair.g_free, my)
-    ) + theta * theta * float(np.dot(pair.g_free, mg))
+    nv2 = float(np.dot(pair.y_free, pair.my)) + 2.0 * theta * float(
+        np.dot(pair.g_free, pair.my)
+    ) + theta * theta * float(np.dot(pair.g_free, pair.mg))
     if nv2 <= 0.0:
         return 0.0
     return float(np.dot(v0, r)) / float(np.sqrt(nv2))
@@ -261,10 +282,10 @@ class EstimatorReport:
     eta_low_minus: float
     bound_low: float
     bound_high: float
-    eta2_at: Array
-    eta2_el: Array
     eta2_weighted: float | None
     flags: tuple[str, ...]
+    eta2_at: Array
+    eta2_el: Array
 
     def eta2_total(self) -> Array:
         """Per-free-atom indicator: own at-term plus half of each adjacent bond."""
@@ -272,25 +293,12 @@ class EstimatorReport:
         return self.eta2_at + 0.5 * (el[1:-2] + el[2:-1])
 
     def as_dict(self) -> dict:
-        out = {
-            "m": self.m,
-            "eta1": self.eta1,
-            "eta2": self.eta2,
-            "first_term": self.first_term,
-            "sigma_bar": self.sigma_bar,
-            "theta_plus": self.theta_plus,
-            "theta_minus": self.theta_minus,
-            "eta_upp_plus": self.eta_upp_plus,
-            "eta_upp_minus": self.eta_upp_minus,
-            "eta_low_plus": self.eta_low_plus,
-            "eta_low_minus": self.eta_low_minus,
-            "bound_low": self.bound_low,
-            "bound_high": self.bound_high,
-            "eta2_weighted": self.eta2_weighted,
-            "flags": list(self.flags),
-            "eta2_at": self.eta2_at.tolist(),
-            "eta2_el": self.eta2_el.tolist(),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(
+            flags=list(self.flags),
+            eta2_at=self.eta2_at.tolist(),
+            eta2_el=self.eta2_el.tolist(),
+        )
         return out
 
     def to_json(self) -> str:
@@ -299,23 +307,12 @@ class EstimatorReport:
     @staticmethod
     def from_dict(d: dict) -> "EstimatorReport":
         return EstimatorReport(
-            m=d["m"],
-            eta1=d["eta1"],
-            eta2=d["eta2"],
-            first_term=d["first_term"],
-            sigma_bar=d["sigma_bar"],
-            theta_plus=d["theta_plus"],
-            theta_minus=d["theta_minus"],
-            eta_upp_plus=d["eta_upp_plus"],
-            eta_upp_minus=d["eta_upp_minus"],
-            eta_low_plus=d["eta_low_plus"],
-            eta_low_minus=d["eta_low_minus"],
-            bound_low=d["bound_low"],
-            bound_high=d["bound_high"],
-            eta2_weighted=d["eta2_weighted"],
-            flags=tuple(d["flags"]),
-            eta2_at=np.asarray(d["eta2_at"], dtype=float),
-            eta2_el=np.asarray(d["eta2_el"], dtype=float),
+            **{
+                **d,
+                "flags": tuple(d["flags"]),
+                "eta2_at": np.asarray(d["eta2_at"], dtype=float),
+                "eta2_el": np.asarray(d["eta2_el"], dtype=float),
+            }
         )
 
 
@@ -335,8 +332,7 @@ def eta2_parts(pair: DualPair, use_gamma: bool = False):
     ely = pair.pz_y * banded.matvec(pair.ediff, pair.z_y)
     elg = pair.pz_g * banded.matvec(pair.ediff, pair.z_g)
     if use_gamma:
-        scale = max(pair.npy, pair.npg)
-        if scale == 0.0 or min(pair.npy, pair.npg) <= _DEGENERATE_REL * scale:
+        if _norms_degenerate(pair):
             gamma = 1.0
             flags.append("gamma-degenerate")
         else:
@@ -352,6 +348,9 @@ def eta2_parts(pair: DualPair, use_gamma: bool = False):
 def estimate(pair: DualPair, use_gamma: bool = False) -> EstimatorReport:
     """Run the full eta1 + eta2 pipeline on a solved primal/dual pair."""
     flags: list[str] = []
+    # past a0/2 from its well an atom leaves the harmonic well model's range
+    if np.max(np.abs(pair.u_free)) > 0.5 * pair.ref.params.a0:
+        flags.append("off-well")
     ft = first_term(pair)
     sigma = sigma_opt(pair)
     if sigma is None:
@@ -384,7 +383,7 @@ def estimate(pair: DualPair, use_gamma: bool = False) -> EstimatorReport:
     value2, at, el, weighted, flags2 = eta2_parts(pair, use_gamma)
     flags.extend(flags2)
     return EstimatorReport(
-        m=pair.params.m,
+        m=pair.ref.params.m,
         eta1=value1,
         eta2=value2,
         first_term=ft,
@@ -404,17 +403,6 @@ def estimate(pair: DualPair, use_gamma: bool = False) -> EstimatorReport:
     )
 
 
-def eta1(pair: DualPair) -> float:
-    """Headline sharp estimate |Q(e)| ~ eta1."""
-    return estimate(pair).eta1
-
-
-def eta2(pair: DualPair, use_gamma: bool = False) -> float:
-    """Headline product bound |Q(e)| <= eta2."""
-    value, _, _, _, _ = eta2_parts(pair, use_gamma)
-    return value
-
-
 def exact_goal_error(
     params: ChainParams, part: Partition, pair: DualPair | None = None
 ) -> tuple[float, Array]:
@@ -427,22 +415,18 @@ def exact_goal_error(
     forms r from the model difference (E_a - E_ac) applied to the blended
     solution, r carries no backward error of the blended solve, so e keeps
     full relative accuracy when it is many orders smaller than the
-    displacements.  When a pair is passed in, its ``e`` field is filled.
+    displacements.
     """
     if pair is None:
         pair = solve_dual_pair(params, part)
-    e = banded.factor_solve(pair.asys.mat, pair.residual_primal)
-    pair.e = e
-    return float(np.dot(pair.goal, e)), e
+    e = banded.solve(pair.ref.ma_factor, pair.residual_primal)
+    return float(np.dot(pair.ref.goal, e)), e
 
 
 def dual_errors(pair: DualPair) -> tuple[Array, Array]:
     """Exact primal and dual errors via residual-driven atomistic solves."""
-    f_a = banded.factor(pair.asys.mat)
-    if pair.e is None:
-        pair.e = banded.solve(f_a, pair.residual_primal)
-    pair.e_hat = banded.solve(f_a, pair.residual_dual)
-    return pair.e, pair.e_hat
+    fa = pair.ref.ma_factor
+    return banded.solve(fa, pair.residual_primal), banded.solve(fa, pair.residual_dual)
 
 
 def lemma1_check(
@@ -456,12 +440,12 @@ def lemma1_check(
     smaller after scaling).
     """
     pair = solve_dual_pair(params, part)
+    ref = pair.ref
     e, e_hat = dual_errors(pair)
-    lhs = banded.matvec(pair.asys.mat, alpha * e + beta * e_hat)
-    eac = model.assemble(params, part, "ac").e_mat
-    pz = _project(pair.ea_factor, eac, alpha * pair.z_y + beta * pair.z_g)
-    w = banded.matvec(pair.ea, pz)
-    rhs = -model.dt_apply(pair.amodel, w)[2:-2]
+    lhs = banded.matvec(ref.system.mat, alpha * e + beta * e_hat)
+    pz = _project(ref.ea_factor, pair.eac, alpha * pair.z_y + beta * pair.z_g)
+    w = banded.matvec(ref.model.e_mat, pz)
+    rhs = -model.dt_apply(ref.model, w)[2:-2]
     scale = float(np.max(np.abs(lhs)))
     if scale == 0.0:
         scale = 1.0

@@ -7,6 +7,8 @@ by running this file directly (about 40 s for the M = 1000 sweep):
 
     python3 tests/oracle_exact.py 1000 $(seq 0 50)
     python3 tests/oracle_exact.py 100 0 15 28 32   # M = 100 rows, EXACT_ETA1_M100
+    python3 tests/oracle_exact.py 10000 0 28 32    # about 35 s
+    python3 tests/oracle_exact.py 100000 28 32     # about 3 min
 
 and are correct to the 10 digits listed; the script prints rows in the
 form pasted below.  Tests compare production doubles against these, which
@@ -67,6 +69,11 @@ EXACT = {
     (1000, 50): (4.672688785e-16, 6.482995874e-16, 8.564186265e-16),
     (100, 28): (4.263370130e-10, 5.915078072e-10, 7.813979614e-10),
     (100, 32): (3.516274675e-11, 4.878544193e-11, 6.444690116e-11),
+    (10000, 0): (3.627632784e-02, 3.899207778e-02, 3.999783300e-02),
+    (10000, 28): (4.263370130e-10, 5.915097674e-10, 7.813979614e-10),
+    (10000, 32): (3.516274675e-11, 4.878560358e-11, 6.444690116e-11),
+    (100000, 28): (4.263370130e-10, 5.915097674e-10, 7.813979614e-10),
+    (100000, 32): (3.516274675e-11, 4.878560358e-11, 6.444690116e-11),
 }
 
 # eta1 is the only quantity with a visible M dependence (7th digit);

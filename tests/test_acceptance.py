@@ -4,9 +4,10 @@ Reference digits below are the published benchmark values for this chain
 family (7 significant figures), checked against the 40-digit recomputation
 in tests/oracle_exact.py.  The published values were produced in double
 precision and drift near the precision floor; where the oracle refutes a
-published entry (|Q(e)| at K = 30, the K = 35 and K = 40 rows, and the
-tau = 1e-14 window sizes), the entry holds the oracle value rounded to 7
-figures and a comment keeps the published digits.  The tolerances and
+published entry (eta1 of the third adaptive iteration, |Q(e)| at K = 30,
+the K = 35 and K = 40 rows, and the tau = 1e-14 window sizes), the entry
+holds the oracle value rounded to 7 figures and a comment keeps the
+published digits.  The tolerances and
 gates stay strict.
 """
 
@@ -49,10 +50,14 @@ def _line(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 # reference eta1 per adaptive iteration, by chain half-size
 REF_ADAPT_ETA1 = {
-    100: (3.899207e-02, 5.915080e-10, 4.878532e-11),
-    1000: (3.899208e-02, 5.915100e-10, 4.878548e-11),
-    10_000: (3.899208e-02, 5.915100e-10, 4.878548e-11),
-    100_000: (3.899208e-02, 5.915099e-10, 4.878540e-11),
+    # published iteration-3 eta1 4.878532e-11; oracle EXACT[(100, 32)]
+    100: (3.899207e-02, 5.915080e-10, 4.878544e-11),
+    # published iteration-3 eta1 4.878548e-11; oracle EXACT[(1000, 32)]
+    1000: (3.899208e-02, 5.915100e-10, 4.878560e-11),
+    # published iteration-3 eta1 4.878548e-11; oracle EXACT[(10000, 32)]
+    10_000: (3.899208e-02, 5.915100e-10, 4.878560e-11),
+    # published iteration-3 eta1 4.878540e-11; oracle EXACT[(100000, 32)]
+    100_000: (3.899208e-02, 5.915099e-10, 4.878560e-11),
 }
 REF_ADAPT_ETA1_M1E6 = (3.899208e-02, 5.914422e-10, 4.871775e-11)
 
@@ -232,7 +237,9 @@ def test_criterion_5_small_chain_oracles():
         pair = solve_dual_pair(params, part)
         qe, e = exact_goal_error(params, part, pair)
         _, e_hat = dual_errors(pair)
-        rhs = first_term(pair) + float(np.dot(e_hat, banded.matvec(pair.asys.mat, e)))
+        rhs = first_term(pair) + float(
+            np.dot(e_hat, banded.matvec(pair.ref.system.mat, e))
+        )
         iscale = max(abs(qe), abs(first_term(pair)), 1e-300)
         worst_identity = max(worst_identity, abs(qe - rhs) / iscale)
 

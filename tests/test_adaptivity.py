@@ -153,11 +153,13 @@ def test_trace_json_shape():
     assert set(d) == {"m", "status", "iterations"}
     assert d["m"] == 30 and d["status"] == trace.status
     for row, rec in zip(d["iterations"], trace.records):
-        assert set(row) == {"iteration", "k", "tau_at", "eta1"}
+        assert set(row) == {"iteration", "k", "n_atomistic", "tau_at", "eta1", "eta2"}
         assert row["iteration"] == rec.iteration
         assert row["k"] == rec.k
+        assert row["n_atomistic"] == rec.n_atomistic
         assert row["tau_at"] == rec.tau_at
         assert row["eta1"] == rec.eta1
+        assert row["eta2"] == rec.eta2
     assert json.loads(trace.to_json()) == d
 
 

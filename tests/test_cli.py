@@ -225,11 +225,13 @@ def test_table3_single_tau_override():
 def test_adapt_json_shape():
     spec = parse_run_spec(["adapt", "--m", "100", "--format", "json"])
     payload = json.loads(run(spec))
-    assert set(payload) == {"m", "status", "iterations"}
+    assert set(payload) == {"spec", "columns", "rows", "m", "status", "iterations"}
     assert payload["m"] == 100
     assert payload["status"] == "converged"
+    assert payload["columns"] == ["m", "iteration", "k", "tau_at", "eta1"]
+    assert len(payload["rows"]) == len(payload["iterations"])
     for row in payload["iterations"]:
-        assert set(row) == {"iteration", "k", "tau_at", "eta1"}
+        assert set(row) == {"iteration", "k", "n_atomistic", "tau_at", "eta1", "eta2"}
     assert [r["k"] for r in payload["iterations"]] == [0, 28, 32]
 
 

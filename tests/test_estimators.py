@@ -1,9 +1,12 @@
 """Dual solves, the two error estimates, and their frozen reference values."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qcfk import banded
 from qcfk.banded import BandedSpdMatrix
@@ -20,13 +23,12 @@ from qcfk.estimators import (
     estimate,
     eta_low,
     eta_upp,
-    eta1,
-    eta2,
     eta2_parts,
     exact_goal_error,
     first_term,
     goal_vector,
     lemma1_check,
+    reference,
     residual_combo,
     sigma_opt,
     solve_dual_pair,
@@ -90,7 +92,7 @@ def test_projection_matches_dense_inverse():
     # oracle: dense solve of E_a (P z) = (E_a - E_ac) z
     p = ChainParams(m=10)
     pair = solve_dual_pair(p, interval_partition(p, 2))
-    ea = banded.to_dense(pair.ea)
+    ea = banded.to_dense(pair.ref.model.e_mat)
     eac = ea - banded.to_dense(pair.ediff)
     for z, pz in ((pair.z_y, pair.pz_y), (pair.z_g, pair.pz_g)):
         dense = z - np.linalg.solve(ea, eac @ z)
@@ -135,7 +137,7 @@ def test_theta_opt_is_stationary():
         p = ChainParams(m=m)
         pair = solve_dual_pair(p, interval_partition(p, k))
         s = sigma_opt(pair)
-        y, g, mat = pair.y_free, pair.g_free, pair.asys.mat
+        y, g, mat = pair.y_free, pair.g_free, pair.ref.system.mat
 
         def phi(r, th):
             v = y + th * g
@@ -163,7 +165,7 @@ def test_goal_error_identity():
         qe, e = exact_goal_error(p, part, pair)
         _, e_hat = dual_errors(pair)
         rhs = first_term(pair) + float(
-            np.dot(e_hat, banded.matvec(pair.asys.mat, e))
+            np.dot(e_hat, banded.matvec(pair.ref.system.mat, e))
         )
         scale = max(abs(qe), abs(first_term(pair)), 1e-300)
         assert abs(qe - rhs) <= 1e-10 * scale
@@ -187,7 +189,7 @@ def test_residuals_vanish_when_model_is_exact():
     # every atom exact: the working model is the reference model
     p = ChainParams(m=12)
     pair = solve_dual_pair(p, _fully_atomistic(p))
-    scale = np.max(np.abs(pair.asys.rhs_wells))
+    scale = np.max(np.abs(pair.ref.system.rhs_wells))
     assert np.max(np.abs(pair.residual_primal)) <= 1e-12 * scale
     assert np.max(np.abs(pair.residual_dual)) <= 1e-12
     assert pair.npy <= 1e-12 and pair.npg <= 1e-12
@@ -222,8 +224,7 @@ def test_zero_residual_pair_takes_degenerate_branch():
     # by zero; the estimate falls back to the first term alone
     p = ChainParams(m=12)
     pair = solve_dual_pair(p, _fully_atomistic(p))
-    pair.npy = 0.0
-    pair.npg = 0.0
+    pair = dataclasses.replace(pair, npy=0.0, npg=0.0)
     assert sigma_opt(pair) is None
     rep = estimate(pair)
     assert "sigma-degenerate" in rep.flags
@@ -231,8 +232,7 @@ def test_zero_residual_pair_takes_degenerate_branch():
     assert rep.eta1 == abs(rep.first_term)
     assert rep.bound_low == rep.first_term == rep.bound_high
     # one-sided degeneracy triggers the same guard
-    pair2 = solve_dual_pair(p, _fully_atomistic(p))
-    pair2.npy = 0.0
+    pair2 = dataclasses.replace(solve_dual_pair(p, _fully_atomistic(p)), npy=0.0)
     assert sigma_opt(pair2) is None
 
 
@@ -275,14 +275,12 @@ def test_eta2_gamma_rebalances_locals_only():
     assert el1.sum() >= pair.npy * pair.npg * (1.0 - 1e-12)
     # the weighted global equals the plain product bound away from degeneracy
     assert np.isclose(w1, v1, rtol=1e-10)
-    assert np.isclose(eta2(pair, use_gamma=True), eta2(pair), rtol=1e-12)
 
 
 def test_eta2_gamma_degenerate_flag():
     p = ChainParams(m=10)
     pair = solve_dual_pair(p, _fully_atomistic(p))
-    pair.npy = 0.0
-    pair.npg = 0.0
+    pair = dataclasses.replace(pair, npy=0.0, npg=0.0)
     _, _, _, w, flags = eta2_parts(pair, use_gamma=True)
     assert "gamma-degenerate" in flags
     assert w is not None and np.isfinite(w)
@@ -315,6 +313,36 @@ def test_bound_sandwich_and_orderings():
         assert abs(qe) <= rep.eta2
         assert rep.eta2 <= abs(rep.first_term) + rep.eta2_at.sum() + rep.eta2_el.sum() + 1e-18
         assert rep.eta1 <= rep.eta2
+
+
+@st.composite
+def _chains(draw):
+    """Random springs and chain size with an interval or scattered partition."""
+    m = draw(st.integers(3, 80))
+    params = ChainParams(
+        m=m,
+        k0=draw(st.floats(0.2, 3.0)),
+        k1=draw(st.floats(0.5, 5.0)),
+        k2=draw(st.floats(0.0, 4.0)),
+    )
+    if draw(st.booleans()):
+        return params, interval_partition(params, draw(st.integers(0, m - 2)))
+    flags = draw(st.lists(st.booleans(), min_size=2 * m, max_size=2 * m))
+    atoms = np.arange(-m + 1, m + 1)[np.array(flags, dtype=bool)]
+    return params, make_partition(params, atomistic=atoms)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_chains())
+def test_sandwich_and_eta2_bound_hold_for_random_chains(case):
+    params, part = case
+    pair = solve_dual_pair(params, part)
+    rep = estimate(pair)
+    qe, _ = exact_goal_error(params, part, pair)
+    # below this the exact error itself is round-off (the CLI's precision floor)
+    assume(abs(qe) >= 1e-13)
+    assert rep.bound_low <= qe <= rep.bound_high
+    assert abs(qe) <= rep.eta2
 
 
 def test_eta1_equals_worse_signed_combination():
@@ -354,23 +382,67 @@ def test_report_json_round_trip():
         assert np.array_equal(back.eta2_el, rep.eta2_el)
 
 
-def test_headline_helpers_match_estimate():
-    p = ChainParams(m=60)
-    pair = solve_dual_pair(p, interval_partition(p, 5))
-    rep = estimate(pair)
-    assert eta1(pair) == rep.eta1
-    assert eta2(pair) == rep.eta2
-
-
-def test_exact_goal_error_fills_pair():
+def test_exact_goal_error_matches_dual_errors():
     p = ChainParams(m=30)
     part = interval_partition(p, 3)
     pair = solve_dual_pair(p, part)
-    assert pair.e is None
     qe, e = exact_goal_error(p, part, pair)
-    assert pair.e is e
-    assert np.isclose(np.dot(pair.goal, e), qe)
+    assert np.isclose(np.dot(pair.ref.goal, e), qe)
+    # both oracles solve with the same M_a factor
+    e2, _ = dual_errors(pair)
+    assert np.array_equal(e, e2)
     # standalone call agrees
     qe2, _ = exact_goal_error(p, part)
     assert np.isclose(qe, qe2, rtol=1e-12)
 
+
+# ---------------------------------------------------------------------------
+# the per-chain atomistic reference
+
+
+def test_reference_is_shared_without_changing_results():
+    p = ChainParams(m=40)
+    ref = reference(p)
+    for k in (0, 3, 9):
+        part = interval_partition(p, k)
+        shared = solve_dual_pair(p, part, ref)
+        fresh = solve_dual_pair(p, part)
+        assert shared.ref is ref
+        assert estimate(shared).as_dict() == estimate(fresh).as_dict()
+        q_shared, _ = exact_goal_error(p, part, shared)
+        assert q_shared == exact_goal_error(p, part, fresh)[0]
+        with_ref = fixed_k_run(p, k, ref=ref)
+        without = fixed_k_run(p, k)
+        assert with_ref.q_error == without.q_error
+        assert with_ref.report.as_dict() == without.report.as_dict()
+
+
+def test_reference_for_other_params_is_rejected():
+    ref = reference(ChainParams(m=40))
+    other = ChainParams(m=40, k2=1.0)
+    with pytest.raises(ValueError, match="reference was built for"):
+        solve_dual_pair(other, interval_partition(other, 2), ref)
+    with pytest.raises(ValueError, match="reference was built for"):
+        fixed_k_run(ChainParams(m=41), 2, ref=ref)
+
+
+def test_reference_and_pair_are_frozen():
+    p = ChainParams(m=12)
+    pair = solve_dual_pair(p, interval_partition(p, 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.npy = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.ref.goal = None
+
+
+def test_off_well_flag():
+    # clamps two spacings further out on each side pull atoms past a0/2
+    p = ChainParams(m=50, bc=(-52.0, -51.0, 51.0, 52.0))
+    pair = solve_dual_pair(p, interval_partition(p, 4))
+    assert np.max(np.abs(pair.u_free)) > 0.5 * p.a0
+    assert "off-well" in estimate(pair).flags
+    # the default chain stays inside its wells (max |u| = 0.40)
+    p = ChainParams(m=50)
+    pair = solve_dual_pair(p, interval_partition(p, 4))
+    assert np.max(np.abs(pair.u_free)) <= 0.5 * p.a0
+    assert "off-well" not in estimate(pair).flags
