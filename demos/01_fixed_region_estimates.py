@@ -46,7 +46,7 @@ def main() -> None:
     part = interval_partition(params, args.k)
     print(f"chain: {params.n_atoms} atoms, defect bond (0, 1), k0={params.k0}, "
           f"k1={params.k1}, k2={params.k2}")
-    n_at = part.atomistic_ids().size
+    n_at = part.atomistic.size
     print(f"region: K={args.k} -> {n_at} atoms treated exactly, "
           f"{params.n_atoms - n_at} by the continuum model")
 
@@ -89,7 +89,7 @@ def main() -> None:
     # eta2 decomposes into per-atom contributions that an adaptive loop
     # can mark on; the bulk of it sits at the interface atoms.
     tot = report.eta2_total()
-    free = np.arange(-params.m + 3, params.m - 1)
+    free = report.free_ids()
     top = np.argsort(tot)[::-1][:4]
     print("\nlargest per-atom indicators:")
     for p in sorted(top, key=lambda p: free[p]):

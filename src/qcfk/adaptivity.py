@@ -23,7 +23,6 @@ from .estimators import (
     Reference,
     estimate,
     exact_goal_error,
-    reference,
     solve_dual_pair,
 )
 from .model import ChainParams, interval_partition, make_partition
@@ -54,11 +53,13 @@ class AdaptConfig:
 @dataclass(frozen=True)
 class IterationRecord:
     """One solve of the loop: the active threshold, the region it ran on,
-    and the global estimate it produced."""
+    the half-size of the window chain it solved, and the global estimate it
+    produced."""
 
     iteration: int
     k: int | None
     n_atomistic: int
+    m_window: int
     tau_at: float
     eta1: float
     eta2: float
@@ -91,6 +92,7 @@ class AdaptTrace:
                     "iteration": r.iteration,
                     "k": r.k,
                     "n_atomistic": r.n_atomistic,
+                    "m_window": r.m_window,
                     "tau_at": r.tau_at,
                     "eta1": r.eta1,
                     "eta2": r.eta2,
@@ -105,8 +107,7 @@ class AdaptTrace:
 
 def mark_atoms(report: EstimatorReport, tau_at: float) -> Array:
     """Atom ids whose local indicator reaches the threshold."""
-    ids = np.arange(-report.m + 3, report.m - 1)
-    return ids[report.eta2_total() >= tau_at]
+    return report.free_ids()[report.eta2_total() >= tau_at]
 
 
 def _interval_k(atoms: Array, m: int) -> int | None:
@@ -120,14 +121,19 @@ def _interval_k(atoms: Array, m: int) -> int | None:
 
 
 def run_adaptive(params: ChainParams, config: AdaptConfig) -> AdaptTrace:
-    """Grow the atomistic region until eta1 drops below tau_gl."""
-    ref = reference(params)
+    """Grow the atomistic region until eta1 drops below tau_gl.
+
+    Each solve hands its reference to the next, which rebuilds it only when
+    the growing region outgrows the window.
+    """
+    ref = None
     atoms = np.empty(0, dtype=int)
     records: list[IterationRecord] = []
     status = "max-iterations"
     for it in range(1, config.max_iterations + 1):
         part = make_partition(params, atomistic=atoms)
         pair = solve_dual_pair(params, part, ref)
+        ref = pair.ref
         report = estimate(pair, use_gamma=config.use_gamma)
         tau_shown = config.tau_gl / config.tau_div ** (it - 1)
         records.append(
@@ -135,6 +141,7 @@ def run_adaptive(params: ChainParams, config: AdaptConfig) -> AdaptTrace:
                 iteration=it,
                 k=_interval_k(atoms, params.m),
                 n_atomistic=int(atoms.size),
+                m_window=report.m_window,
                 tau_at=tau_shown,
                 eta1=report.eta1,
                 eta2=report.eta2,
@@ -164,12 +171,13 @@ def run_adaptive(params: ChainParams, config: AdaptConfig) -> AdaptTrace:
 @dataclass(frozen=True)
 class FixedKResult:
     """Estimates (and optionally the exact error) on the interval region
-    -K+1 .. K."""
+    -K+1 .. K; ``ref`` is the reference the estimate was solved with."""
 
     m: int
     k: int
     report: EstimatorReport
     q_error: float | None
+    ref: Reference = field(repr=False, compare=False)
 
     @property
     def abs_q_error(self) -> float | None:
@@ -190,7 +198,8 @@ def fixed_k_run(
 ) -> FixedKResult:
     """One estimate on the fixed interval region of half-width K.
 
-    ``ref`` is the chain's atomistic reference, built here when not given.
+    ``ref`` is an atomistic reference of the chain, built here when not
+    given or not for this region's window.
     """
     part = interval_partition(params, k)
     pair = solve_dual_pair(params, part, ref)
@@ -198,4 +207,6 @@ def fixed_k_run(
     q_error = None
     if want_exact:
         q_error, _ = exact_goal_error(params, part, pair)
-    return FixedKResult(m=params.m, k=k, report=report, q_error=q_error)
+    return FixedKResult(
+        m=params.m, k=k, report=report, q_error=q_error, ref=pair.ref
+    )

@@ -32,14 +32,12 @@ import sys
 from dataclasses import asdict, dataclass
 
 from .adaptivity import AdaptConfig, FixedKResult, fixed_k_run, run_adaptive
-from .estimators import reference
 from .model import ChainParams
 
 MODES = ("adapt", "fixed-k", "sweep-k", "table1", "table2", "table3", "profile")
 
 TABLE2_K = (0, 2, 4, 6, 8, 10, 15, 20, 25, 30, 35, 40, 45, 50)
 TABLE3_TAU = tuple(10.0**-p for p in range(2, 15))
-EXACT_M_CEILING = 1_000_000
 # below this exact error, double precision noise dominates the reference
 PRECISION_FLOOR = 1e-13
 
@@ -252,16 +250,7 @@ def parse_run_spec(argv: list[str]) -> RunSpec:
         for m in spec.m:
             if k > m - 2:
                 err(f"--k {k} exceeds the largest region M - 2 = {m - 2}")
-    if mode in ("fixed-k", "table2", "table3"):
-        for m in spec.m:
-            if m > EXACT_M_CEILING:
-                err(
-                    f"mode {mode} solves the full atomistic system; "
-                    f"--m {m} exceeds the ceiling {EXACT_M_CEILING}"
-                )
-        if len(spec.m) != 1:
-            err(f"mode {mode} takes exactly one --m value")
-    if mode in ("adapt", "sweep-k", "profile") and len(spec.m) != 1:
+    if mode != "table1" and len(spec.m) != 1:
         err(f"mode {mode} takes exactly one --m value (table1 sweeps M)")
     return spec
 
@@ -348,13 +337,17 @@ def cmd_table1(spec: RunSpec):
     return header, rows, None
 
 
-def _table2_results(spec: RunSpec) -> list[FixedKResult]:
+def _sweep(spec: RunSpec, want_exact: bool) -> list[FixedKResult]:
+    """One fixed-K run per --k value, each handing its reference on."""
     params = spec.chain_params(spec.m[0])
-    ref = reference(params)
-    return [
-        fixed_k_run(params, k, want_exact=True, use_gamma=spec.gamma_split, ref=ref)
-        for k in spec.k
-    ]
+    results, ref = [], None
+    for k in spec.k:
+        res = fixed_k_run(
+            params, k, want_exact=want_exact, use_gamma=spec.gamma_split, ref=ref
+        )
+        results.append(res)
+        ref = res.ref
+    return results
 
 
 def cmd_table2(spec: RunSpec):
@@ -368,7 +361,7 @@ def cmd_table2(spec: RunSpec):
         "precision_floor",
     ]
     rows = []
-    for res in _table2_results(spec):
+    for res in _sweep(spec, want_exact=True):
         qe = res.abs_q_error
         rows.append(
             [
@@ -385,7 +378,7 @@ def cmd_table2(spec: RunSpec):
 
 
 def cmd_table3(spec: RunSpec):
-    results = _table2_results(spec)
+    results = _sweep(spec, want_exact=True)
     # the decade list is the default; an explicit --tau-gl narrows it to one row
     taus = TABLE3_TAU if spec.tau_gl is None else (spec.tau_gl,)
     header = ["tau", "k_opt", "k_eta1", "k_eta2"]
@@ -411,31 +404,25 @@ def cmd_table3(spec: RunSpec):
 
 def cmd_profile(spec: RunSpec):
     params = spec.chain_params(spec.m[0])
-    res = fixed_k_run(
+    rep = fixed_k_run(
         params, spec.k[0], want_exact=False, use_gamma=spec.gamma_split
-    )
-    m = spec.m[0]
-    at = res.report.eta2_at
-    el = res.report.eta2_el
-    tot = res.report.eta2_total()
+    ).report
+    atoms = rep.free_ids().tolist()
+    bonds = range(-rep.m_window + 1, rep.m_window)
     header = ["series", "i", "value"]
     rows = []
-    rows.extend(["at", int(i - m + 3), float(v)] for i, v in enumerate(at))
-    rows.extend(["el", int(i - m + 1), float(v)] for i, v in enumerate(el))
-    rows.extend(["tot", int(i - m + 3), float(v)] for i, v in enumerate(tot))
+    rows.extend(["at", i, float(v)] for i, v in zip(atoms, rep.eta2_at))
+    rows.extend(["el", i, float(v)] for i, v in zip(bonds, rep.eta2_el))
+    rows.extend(["tot", i, float(v)] for i, v in zip(atoms, rep.eta2_total()))
     return header, rows, None
 
 
 def cmd_sweep_k(spec: RunSpec):
-    params = spec.chain_params(spec.m[0])
-    ref = reference(params)
     header = ["k", "eta1", "eta2", "first_term", "sigma_bar"]
     rows = []
-    for k in spec.k:
-        rep = fixed_k_run(
-            params, k, want_exact=False, use_gamma=spec.gamma_split, ref=ref
-        ).report
-        rows.append([k, rep.eta1, rep.eta2, rep.first_term, rep.sigma_bar])
+    for res in _sweep(spec, want_exact=False):
+        rep = res.report
+        rows.append([res.k, rep.eta1, rep.eta2, rep.first_term, rep.sigma_bar])
     return header, rows, None
 
 

@@ -24,6 +24,12 @@ this module is built from those pieces:
 The scalars sigma (relative scaling of primal vs dual) and theta (shift of
 the test point along the dual direction) are chosen at their optimal values;
 degenerate optima fall back to safe values and set a flag on the report.
+
+All solves run on the partition's ``model.window`` chain.  Every vector
+here decays away from the defect and the atomistic region, so its products
+are local to the window, with one exception: y . M_a y grows like M^3
+through the wells b.  Its far-field part is summed in closed form
+(``Reference.ymy_far``), so the estimates are those of the whole chain.
 """
 
 from __future__ import annotations
@@ -43,21 +49,25 @@ _DEGENERATE_REL = 1e-14
 
 @dataclass(frozen=True)
 class Reference:
-    """Everything that depends on the chain but not on the partition.
+    """Everything that depends on the window but not on the partition.
 
-    The atomistic model and its reduced system ``M_a``, the Cholesky
-    factors of the bond matrix ``E_a`` (for the projection P) and of
-    ``M_a`` (for the exact-error oracles), and the goal vector on the free
-    atoms.  ``reference`` builds it once per chain; every blended solve on
-    that chain shares it.
+    ``params`` is the chain, ``window`` the chain actually solved (see
+    ``model.window``).  On the window: the atomistic model and its reduced
+    system ``M_a``, the Cholesky factors of the bond matrix ``E_a`` (for
+    the projection P) and of ``M_a`` (for the exact-error oracles), and the
+    goal vector on the free atoms.  ``ymy_far`` is what y . M_a y over the
+    chain adds to the same product over the window.  Every blended solve
+    whose partition has this window shares the reference.
     """
 
     params: ChainParams
+    window: ChainParams
     model: QuadraticModel
     system: LinearSystem
     ea_factor: BandedFactor
     ma_factor: BandedFactor
     goal: Array
+    ymy_far: float
 
 
 @dataclass(frozen=True)
@@ -68,7 +78,8 @@ class DualPair:
     solution measured from the wells (the internally solved form).  The
     residuals are those of the atomistic operator applied to the blended
     solutions, formed from the model difference ``ediff = E_a - E_ac``.
-    ``my`` and ``mg`` are ``M_a y`` and ``M_a g``.
+    ``my`` and ``mg`` are ``M_a y`` and ``M_a g``, and ``ymy`` is y . M_a y
+    over the whole chain.  Arrays live on the window's free atoms/bonds.
     """
 
     ref: Reference
@@ -87,6 +98,7 @@ class DualPair:
     npg: float
     my: Array
     mg: Array
+    ymy: float
 
 
 def goal_vector(params: ChainParams, free_index: Array) -> Array:
@@ -97,18 +109,47 @@ def goal_vector(params: ChainParams, free_index: Array) -> Array:
     return q
 
 
-def reference(params: ChainParams) -> Reference:
-    """Assemble, reduce and factor the atomistic model of one chain."""
+def _wells_ymy(params: ChainParams) -> tuple[int, int]:
+    """b . M_a b on the free atoms as exact integer coefficients of k0 a0^2
+    and (k1 + 2 k2) a0^2.
+
+    With s = M - 2 the free wells are +-a0 .. +-s a0, so the misfit part is
+    k0 a0^2 2 sum_{j<=s} j^2.  The bond differences of b, clamped atoms set
+    to zero, are a0 on every inner bond, 2 a0 across the defect and -s a0
+    next to each clamp; their E_a form is (k1 + 2 k2) a0^2 (2s^2 + 2s + 2)
+    (the k2 cross terms cancel for s >= 2).
+    """
+    s = params.m - 2
+    return s * (s + 1) * (2 * s + 1) // 3, 2 * s * s + 2 * s + 2
+
+
+def reference(params: ChainParams, part: Partition | None = None) -> Reference:
+    """Assemble, reduce and factor the atomistic model of the partition's
+    window (the window of an all-continuum partition when none is given)."""
+    if part is None:
+        part = model.make_partition(params)
+    win = model.window(params, part)
     # the atomistic flavor ignores the partition
-    amodel = model.assemble(params, None, "atomistic")
-    asys = model.reduce_system(params, amodel)
+    amodel = model.assemble(win, None, "atomistic")
+    asys = model.reduce_system(win, amodel)
+    ymy_far = 0.0
+    if win is not params:
+        # beyond the window u vanishes and y = b; the window's own clamp rows
+        # are part of both closed forms, so the difference is exact (up to
+        # the coupling of the window's edge u, below WINDOW_EPS)
+        (m0, mb), (w0, wb) = _wells_ymy(params), _wells_ymy(win)
+        ymy_far = params.a0**2 * (
+            params.k0 * (m0 - w0) + (params.k1 + 2.0 * params.k2) * (mb - wb)
+        )
     return Reference(
         params=params,
+        window=win,
         model=amodel,
         system=asys,
         ea_factor=banded.factor(amodel.e_mat),
         ma_factor=banded.factor(asys.mat),
-        goal=goal_vector(params, asys.free_index),
+        goal=goal_vector(win, asys.free_index),
+        ymy_far=ymy_far,
     )
 
 
@@ -126,17 +167,19 @@ def solve_dual_pair(
 ) -> DualPair:
     """Solve the blended primal and dual problems and prepare estimator data.
 
-    One Cholesky factorization serves both solves.  ``ref`` is the chain's
-    atomistic reference (built here when not given); it is never solved
-    here, production estimates only ever solve the blended model.
+    One Cholesky factorization serves both solves.  ``ref`` is an atomistic
+    reference of this chain; it is rebuilt here when not given or when its
+    window is not the partition's, so the result depends on (params, part)
+    alone.  It is never solved here, production estimates only ever solve
+    the blended model.
     """
-    if ref is None:
-        ref = reference(params)
-    elif ref.params != params:
+    if ref is not None and ref.params != params:
         raise ValueError(f"reference was built for {ref.params}, not {params}")
+    if ref is None or ref.window != model.window(params, part):
+        ref = reference(params, part)
     amodel = ref.model
-    acmodel = model.assemble(params, part, "ac")
-    acsys = model.reduce_system(params, acmodel)
+    acmodel = model.assemble(ref.window, part, "ac")
+    acsys = model.reduce_system(ref.window, acmodel)
 
     f_ac = banded.factor(acsys.mat)
     u = banded.solve(f_ac, acsys.rhs_wells)
@@ -170,6 +213,7 @@ def solve_dual_pair(
 
     pz_y = _project(ref.ea_factor, eac, z_y)
     pz_g = _project(ref.ea_factor, eac, z_g)
+    my = banded.matvec(ref.system.mat, y)
 
     return DualPair(
         ref=ref,
@@ -186,8 +230,9 @@ def solve_dual_pair(
         pz_g=pz_g,
         npy=banded.norm(ea, pz_y),
         npg=banded.norm(ea, pz_g),
-        my=banded.matvec(ref.system.mat, y),
+        my=my,
         mg=banded.matvec(ref.system.mat, g),
+        ymy=float(np.dot(y, my)) + ref.ymy_far,
     )
 
 
@@ -233,7 +278,7 @@ def theta_opt(pair: DualPair, r: Array) -> tuple[float, bool]:
     """
     a = float(np.dot(r, pair.y_free))
     b = float(np.dot(r, pair.g_free))
-    c = float(np.dot(pair.y_free, pair.my))
+    c = pair.ymy
     d = float(np.dot(pair.g_free, pair.my))
     f = float(np.dot(pair.g_free, pair.mg))
     den = b * d - a * f
@@ -250,7 +295,7 @@ def eta_low(pair: DualPair, r: Array, theta: float) -> float:
     clamped copy while the headline eta1 squares the raw value.
     """
     v0 = pair.y_free + theta * pair.g_free
-    nv2 = float(np.dot(pair.y_free, pair.my)) + 2.0 * theta * float(
+    nv2 = pair.ymy + 2.0 * theta * float(
         np.dot(pair.g_free, pair.my)
     ) + theta * theta * float(np.dot(pair.g_free, pair.mg))
     if nv2 <= 0.0:
@@ -265,11 +310,14 @@ class EstimatorReport:
     ``bound_low <= Q(e) <= bound_high`` is the guaranteed sandwich (its
     lower terms are clamped at zero before squaring); ``eta1`` is the raw
     max-magnitude version of the same two expressions, which is what the
-    sharp efficiency numbers quote.  ``eta2_at`` is indexed by free atom
-    (-M+3 .. M-2) and ``eta2_el`` by bond (-M+1 .. M-1).
+    sharp efficiency numbers quote.  ``m`` is the chain's half-size and
+    ``m_window`` that of the window it was solved on: ``eta2_at`` is indexed
+    by free atom of the window (``free_ids``, -m_window+3 .. m_window-2) and
+    ``eta2_el`` by bond (-m_window+1 .. m_window-1).
     """
 
     m: int
+    m_window: int
     eta1: float
     eta2: float
     first_term: float
@@ -286,6 +334,10 @@ class EstimatorReport:
     flags: tuple[str, ...]
     eta2_at: Array
     eta2_el: Array
+
+    def free_ids(self) -> Array:
+        """Atom ids of ``eta2_at`` and ``eta2_total``."""
+        return np.arange(-self.m_window + 3, self.m_window - 1)
 
     def eta2_total(self) -> Array:
         """Per-free-atom indicator: own at-term plus half of each adjacent bond."""
@@ -384,6 +436,7 @@ def estimate(pair: DualPair, use_gamma: bool = False) -> EstimatorReport:
     flags.extend(flags2)
     return EstimatorReport(
         m=pair.ref.params.m,
+        m_window=pair.ref.window.m,
         eta1=value1,
         eta2=value2,
         first_term=ft,
@@ -406,7 +459,8 @@ def estimate(pair: DualPair, use_gamma: bool = False) -> EstimatorReport:
 def exact_goal_error(
     params: ChainParams, part: Partition, pair: DualPair | None = None
 ) -> tuple[float, Array]:
-    """Solve the atomistic reference problem and return (Q(e), e).
+    """Solve the atomistic reference problem and return (Q(e), e), with e
+    on the free atoms of the pair's window.
 
     This is the oracle the estimators are judged against; production runs
     never need it.  The error solves M_a e = r directly with the primal

@@ -23,6 +23,12 @@ Index conventions used throughout: an atom id ``i`` maps to array position
 ``i + M - 1``; bond ``i`` connects atoms ``i`` and ``i + 1`` and maps to the
 same array position.  Boundary conditions clamp the two outermost atoms on
 each side, so the free unknowns are atoms ``-M+3 .. M-2``.
+
+Every field the estimators need decays exponentially away from the defect
+and the atomistic region, so solves run on a centred ``window`` chain: the
+same springs at a half-size that leaves the slowest decay below
+``WINDOW_EPS`` at its clamped ends.  The whole chain is the window's
+degenerate case.
 """
 
 from __future__ import annotations
@@ -38,6 +44,15 @@ from . import banded
 from .banded import Array, BandedSpdMatrix
 
 FLAVORS = ("atomistic", "ac")
+
+# truncation level of the window: the slowest decaying field falls below this
+# fraction of its size at the atomistic region by the window's clamped ends
+WINDOW_EPS = 1e-40
+
+
+def _default_bc(m: int, a0: float) -> tuple[float, float, float, float]:
+    """Clamped positions at the wells of the four outermost atoms."""
+    return (-m * a0, (-m + 1) * a0, (m - 1) * a0, m * a0)
 
 
 @dataclass(frozen=True)
@@ -75,10 +90,7 @@ class ChainParams:
         if not (math.isfinite(self.a0) and self.a0 > 0):
             raise ValueError(f"a0 must be positive and finite, got {self.a0}")
         if self.bc is None:
-            m, a0 = self.m, self.a0
-            object.__setattr__(
-                self, "bc", (-m * a0, (-m + 1) * a0, (m - 1) * a0, m * a0)
-            )
+            object.__setattr__(self, "bc", _default_bc(self.m, self.a0))
         elif len(self.bc) != 4:
             raise ValueError("bc must give positions for the 4 clamped atoms")
         elif not all(map(math.isfinite, self.bc)):
@@ -122,13 +134,9 @@ def well_positions(params: ChainParams, ids: Array | None = None) -> Array:
 
 @dataclass(frozen=True)
 class Partition:
-    """Atomistic/continuum flags of every atom of the full chain."""
+    """Atom ids treated atomistically, sorted; every other atom is continuum."""
 
-    m: int
-    delta_a: Array
-
-    def atomistic_ids(self) -> Array:
-        return np.flatnonzero(self.delta_a) - self.m + 1
+    atomistic: Array
 
 
 def make_partition(params: ChainParams, atomistic=()) -> Partition:
@@ -143,9 +151,60 @@ def make_partition(params: ChainParams, atomistic=()) -> Partition:
     if atom_arr.size and (atom_arr[0] < lo or atom_arr[-1] > hi):
         bad = atom_arr[0] if atom_arr[0] < lo else atom_arr[-1]
         raise ValueError(f"atomistic atom {bad} outside chain range [{lo}, {hi}]")
-    delta_a = np.zeros(2 * m, dtype=bool)
-    delta_a[atom_arr + m - 1] = True
-    return Partition(m=m, delta_a=delta_a)
+    return Partition(atomistic=atom_arr)
+
+
+def _flags(params: ChainParams, part: Partition) -> Array:
+    """Per-atom atomistic flags on the chain ``params`` describes."""
+    m, ids = params.m, part.atomistic
+    if ids.size and (ids[0] < -m + 1 or ids[-1] > m):
+        raise ValueError(f"partition reaches past the chain of half-size {m}")
+    da = np.zeros(2 * m, dtype=bool)
+    da[ids + m - 1] = True
+    return da
+
+
+def _decay_exponent(params: ChainParams) -> float:
+    """Smallest phi with every field decaying like exp(-phi |i|) or faster.
+
+    A root lam = exp(-phi) of lam + 1/lam = 2 + t decays the slower the
+    smaller t is.  The atomistic pentadiagonal symbol has s = 2 + t solving
+    k2 s^2 + k1 s = k0 + 2 k1 + 4 k2, so t = 2 k0 / (k12 + sqrt(k12^2 + 4 k0
+    k2)): stable at k2 = 0 (t = k0/k1) and never above the Cauchy-Born
+    far field's t = k0/k12, so it is the slower of the two.  The bond matrix
+    E_a that the projection P inverts has t = k1/k2, slower still only when
+    k0 > 4 k1 + 2 k1^2/k2.
+    """
+    k0, k1, k2, k12 = params.k0, params.k1, params.k2, params.k12
+    t = 2.0 * k0 / (k12 + math.sqrt(k12 * k12 + 4.0 * k0 * k2))
+    if k2 > 0.0:
+        t = min(t, k1 / k2)
+    return 2.0 * math.asinh(0.5 * math.sqrt(t))
+
+
+def window(params: ChainParams, part: Partition) -> ChainParams:
+    """The centred chain every solve on this partition runs on.
+
+    Half-size ``min(M, 2**ceil(log2(span + w)))`` (at least 4, so the
+    window is a chain with the defect free) with ``span`` the largest
+    |atom id| of the atomistic region and ``w = ceil(ln eps / ln lam)``
+    the distance over which the slowest decay falls below ``WINDOW_EPS``;
+    rounding up to a power of two lets a growing region keep its window.
+    The window clamps its ends at the wells, which is where the chain's
+    own atoms sit that far out, so a chain with a non-default ``bc``
+    (boundary layers at both ends) is its own window.
+    """
+    if params.bc != _default_bc(params.m, params.a0):
+        return params
+    ids = part.atomistic
+    span = int(max(-ids[0], ids[-1])) if ids.size else 0
+    w = math.ceil(math.log(1.0 / WINDOW_EPS) / _decay_exponent(params))
+    m_w = max(4, 1 << (span + w - 1).bit_length())
+    if m_w >= params.m:
+        return params
+    return ChainParams(
+        m=m_w, k0=params.k0, k1=params.k1, k2=params.k2, a0=params.a0
+    )
 
 
 def interval_partition(params: ChainParams, k: int) -> Partition:
@@ -227,12 +286,16 @@ def _misfit_diag_bands(params: ChainParams, da: Array) -> BandedSpdMatrix:
 def assemble(params: ChainParams, part: Partition, flavor: str) -> QuadraticModel:
     """Build the quadratic model of the requested flavor.
 
-    ``atomistic`` ignores the partition flags; ``ac`` blends by them.
+    ``atomistic`` ignores the partition; ``ac`` blends by its flags on the
+    chain ``params`` describes (the window, for the estimators).
     """
     if flavor not in FLAVORS:
         raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
     ids = atom_ids(params)
-    da = np.ones(2 * params.m) if flavor == "atomistic" else part.delta_a.astype(float)
+    if flavor == "atomistic":
+        da = np.ones(2 * params.m)
+    else:
+        da = _flags(params, part).astype(float)
     return QuadraticModel(
         flavor=flavor,
         ids=ids,
@@ -366,7 +429,7 @@ def _energy_blended(params: ChainParams, part: Partition, y: Array) -> float:
     k0, k2, a0, k12 = params.k0, params.k2, params.a0, params.k12
     quarter_k1 = 0.25 * params.k1
     n = 2 * params.m
-    da = part.delta_a
+    da = _flags(params, part)
     stretch = np.diff(y) - a0
     u = y - well_positions(params)
 

@@ -8,7 +8,7 @@ by running this file directly (about 40 s for the M = 1000 sweep):
     python3 tests/oracle_exact.py 1000 $(seq 0 50)
     python3 tests/oracle_exact.py 100 0 15 28 32   # M = 100 rows, EXACT_ETA1_M100
     python3 tests/oracle_exact.py 10000 0 28 32    # about 35 s
-    python3 tests/oracle_exact.py 100000 28 32     # about 3 min
+    python3 tests/oracle_exact.py 100000 0 28 32   # about 5 min, 1.4 GB
 
 and are correct to the 10 digits listed; the script prints rows in the
 form pasted below.  Tests compare production doubles against these, which
@@ -72,6 +72,7 @@ EXACT = {
     (10000, 0): (3.627632784e-02, 3.899207778e-02, 3.999783300e-02),
     (10000, 28): (4.263370130e-10, 5.915097674e-10, 7.813979614e-10),
     (10000, 32): (3.516274675e-11, 4.878560358e-11, 6.444690116e-11),
+    (100000, 0): (3.627632784e-02, 3.899207778e-02, 3.999783300e-02),
     (100000, 28): (4.263370130e-10, 5.915097674e-10, 7.813979614e-10),
     (100000, 32): (3.516274675e-11, 4.878560358e-11, 6.444690116e-11),
 }

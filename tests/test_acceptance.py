@@ -289,7 +289,7 @@ def test_criterion_7_error_profile():
     params = ChainParams(m=500)
     res = fixed_k_run(params, 20, want_exact=False)
     tot = res.report.eta2_total()
-    ids = np.arange(-params.m + 3, params.m - 1)
+    ids = res.report.free_ids()
 
     # decay fit over the outer continuum region right of the defect
     sel = (ids > 40) & (ids < 250)

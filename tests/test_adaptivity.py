@@ -1,9 +1,12 @@
 """Adaptive region growth: marking, growth, stopping, trace bookkeeping."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcfk.adaptivity import (
     AdaptConfig,
@@ -153,10 +156,13 @@ def test_trace_json_shape():
     assert set(d) == {"m", "status", "iterations"}
     assert d["m"] == 30 and d["status"] == trace.status
     for row, rec in zip(d["iterations"], trace.records):
-        assert set(row) == {"iteration", "k", "n_atomistic", "tau_at", "eta1", "eta2"}
+        assert set(row) == {
+            "iteration", "k", "n_atomistic", "m_window", "tau_at", "eta1", "eta2"
+        }
         assert row["iteration"] == rec.iteration
         assert row["k"] == rec.k
         assert row["n_atomistic"] == rec.n_atomistic
+        assert row["m_window"] == rec.m_window == 30
         assert row["tau_at"] == rec.tau_at
         assert row["eta1"] == rec.eta1
         assert row["eta2"] == rec.eta2
@@ -179,5 +185,53 @@ def test_fixed_k_run_exact_toggle():
 
 
 def test_zero_error_efficiency_guard():
-    res = FixedKResult(m=10, k=1, report=fixed_k_run(ChainParams(m=10), 1, want_exact=False).report, q_error=0.0)
+    res = dataclasses.replace(
+        fixed_k_run(ChainParams(m=10), 1, want_exact=False), q_error=0.0
+    )
+    assert isinstance(res, FixedKResult)
     assert res.efficiency(1.0) is None
+
+
+def test_north_star_window_does_not_grow_with_chain_length():
+    # a billion-atom chain adapts on the same window as a thousand-atom one,
+    # and its estimates are the oracle's long-chain values
+    traces = {
+        m: run_adaptive(ChainParams(m=m), AdaptConfig(tau_gl=1e-10))
+        for m in (1000, 10**6, 10**9)
+    }
+    windows = {m: [r.m_window for r in t.records] for m, t in traces.items()}
+    assert windows[10**9] == windows[10**6] == windows[1000]
+    assert max(windows[10**9]) < 1000
+    big = traces[10**9]
+    assert big.status == "converged"
+    assert [r.k for r in big.records] == [0, 28, 32]
+    for r, k in zip(big.records[1:], (28, 32)):
+        exact = EXACT[(100000, k)][1]
+        assert abs(r.eta1 - exact) <= 1e-8 * exact, (k, r.eta1)
+
+
+@st.composite
+def _adaptive_cases(draw):
+    """Springs of the estimator property test, M up to 1e5, a tolerance."""
+    params = ChainParams(
+        m=max(3, round(10 ** draw(st.floats(1.0, 5.0)))),
+        k0=draw(st.floats(0.2, 3.0)),
+        k1=draw(st.floats(0.5, 5.0)),
+        k2=draw(st.floats(0.0, 4.0)),
+    )
+    return params, 10 ** draw(st.floats(-13.0, -4.0))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(_adaptive_cases())
+def test_adaptive_regions_are_nested(case):
+    params, tau = case
+    full = run_adaptive(params, AdaptConfig(tau_gl=tau, max_iterations=6))
+    previous = np.empty(0, dtype=int)
+    for i in range(1, len(full.records) + 1):
+        trace = run_adaptive(params, AdaptConfig(tau_gl=tau, max_iterations=i))
+        assert trace.records == full.records[:i]
+        region = trace.final_atomistic
+        assert np.all(np.isin(previous, region)), i
+        previous = region
+    assert np.array_equal(previous, full.final_atomistic)

@@ -15,6 +15,8 @@ from qcfk.cli import (
     run,
 )
 
+from oracle_exact import EXACT
+
 
 # ---------------------------------------------------------------------------
 # parsing and defaults
@@ -79,7 +81,7 @@ def test_flag_toggles():
         ["fixed-k", "--m", "10", "--k", "9"],  # k > m - 2
         ["fixed-k", "--m", "10", "--k", "-1"],
         ["table2", "--m", "100,200"],
-        ["table2", "--m", "2000000"],  # exact solve ceiling
+        ["fixed-k", "--m", "10,20", "--k", "2"],
         ["table2", "--m", "12,x"],
         ["table2", "--format", "xml"],
         ["table2", "--no-such-flag"],
@@ -192,6 +194,32 @@ def test_profile_series_shapes():
     assert all(r[2] >= 0.0 for r in rows)
 
 
+def test_profile_ids_follow_the_window():
+    # the window chain is far shorter than the chain; the rows carry its ids
+    # and the interface peak sits where the region ends
+    spec = parse_run_spec(["profile", "--m", "100000", "--k", "20"])
+    _, rows = parse_csv(run(spec))
+    tot = [r for r in rows if r[0] == "tot"]
+    assert len(tot) < 2 * 100_000 - 4
+    assert [r[1] for r in tot] == list(range(tot[0][1], tot[0][1] + len(tot)))
+    assert tot[0][1] + tot[-1][1] == 1
+    peak = max(tot, key=lambda r: r[2])[1]
+    assert min(abs(peak - 20.5), abs(peak + 19.5)) <= 2.5
+
+
+def test_exact_modes_take_any_chain_length():
+    # |Q(e)| and eta2 do not depend on M to 10 digits, so a billion-atom
+    # table2 reproduces the longest frozen oracle rows
+    argv = ["table2", "--m", "1000000000", "--k", "0,28,32", "--format", "json"]
+    payload = json.loads(run(parse_run_spec(argv)))
+    cols = payload["columns"]
+    for row in payload["rows"]:
+        k = row[cols.index("k")]
+        qe, _, e2 = EXACT[(100000, k)]
+        assert abs(row[cols.index("q_error")] - qe) <= 1e-8 * qe, k
+        assert abs(row[cols.index("eta2")] - e2) <= 1e-8 * e2, k
+
+
 def test_table2_precision_floor_flags():
     spec = parse_run_spec(["table2"])
     header, rows = parse_csv(run(spec))
@@ -231,7 +259,9 @@ def test_adapt_json_shape():
     assert payload["columns"] == ["m", "iteration", "k", "tau_at", "eta1"]
     assert len(payload["rows"]) == len(payload["iterations"])
     for row in payload["iterations"]:
-        assert set(row) == {"iteration", "k", "n_atomistic", "tau_at", "eta1", "eta2"}
+        assert set(row) == {
+            "iteration", "k", "n_atomistic", "m_window", "tau_at", "eta1", "eta2"
+        }
     assert [r["k"] for r in payload["iterations"]] == [0, 28, 32]
 
 

@@ -5,10 +5,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qcfk import banded
+from qcfk import banded, model
 from qcfk.banded import BandedSpdMatrix
 from qcfk.model import (
     ChainParams,
@@ -401,20 +401,28 @@ def test_exact_goal_error_matches_dual_errors():
 
 
 def test_reference_is_shared_without_changing_results():
-    p = ChainParams(m=40)
-    ref = reference(p)
-    for k in (0, 3, 9):
-        part = interval_partition(p, k)
-        shared = solve_dual_pair(p, part, ref)
-        fresh = solve_dual_pair(p, part)
-        assert shared.ref is ref
-        assert estimate(shared).as_dict() == estimate(fresh).as_dict()
-        q_shared, _ = exact_goal_error(p, part, shared)
-        assert q_shared == exact_goal_error(p, part, fresh)[0]
-        with_ref = fixed_k_run(p, k, ref=ref)
-        without = fixed_k_run(p, k)
-        assert with_ref.q_error == without.q_error
-        assert with_ref.report.as_dict() == without.report.as_dict()
+    # at M = 1e5 the window is far shorter than the chain, and K = 250
+    # outgrows the window the smaller regions share
+    for m, ks in ((40, (0, 3, 9)), (100_000, (0, 28, 50, 250))):
+        p = ChainParams(m=m)
+        ref = reference(p)
+        windows = set()
+        for k in ks:
+            part = interval_partition(p, k)
+            shared = solve_dual_pair(p, part, ref)
+            fresh = solve_dual_pair(p, part)
+            assert (shared.ref is ref) == (ref.window == model.window(p, part))
+            assert estimate(shared).as_dict() == estimate(fresh).as_dict()
+            q_shared, _ = exact_goal_error(p, part, shared)
+            assert q_shared == exact_goal_error(p, part, fresh)[0]
+            with_ref = fixed_k_run(p, k, ref=ref)
+            without = fixed_k_run(p, k)
+            assert with_ref.q_error == without.q_error
+            assert with_ref.report.as_dict() == without.report.as_dict()
+            ref = shared.ref
+            windows.add(ref.window.m)
+        if m == 100_000:
+            assert len(windows) == 2 and max(windows) < m
 
 
 def test_reference_for_other_params_is_rejected():
@@ -446,3 +454,55 @@ def test_off_well_flag():
     pair = solve_dual_pair(p, interval_partition(p, 4))
     assert np.max(np.abs(pair.u_free)) <= 0.5 * p.a0
     assert "off-well" not in estimate(pair).flags
+
+
+@st.composite
+def _long_chains(draw):
+    """The property-test springs on chains up to M = 1e5, with an interval or
+    a scattered region near the defect."""
+    decade = draw(st.integers(1, 5))
+    m = draw(st.integers(max(3, 10 ** (decade - 1)), 10**decade))
+    params = ChainParams(
+        m=m,
+        k0=draw(st.floats(0.2, 3.0)),
+        k1=draw(st.floats(0.5, 5.0)),
+        k2=draw(st.floats(0.0, 4.0)),
+    )
+    if draw(st.booleans()):
+        return params, interval_partition(params, draw(st.integers(0, min(m - 2, 400))))
+    near = st.integers(max(-m + 1, -300), min(m, 300))
+    return params, make_partition(params, atomistic=draw(st.lists(near, max_size=40)))
+
+
+def _quantities(params, part):
+    pair = solve_dual_pair(params, part)
+    rep = estimate(pair)
+    qe, _ = exact_goal_error(params, part, pair)
+    values = (qe, rep.eta2, rep.first_term, rep.eta1, rep.bound_low, rep.bound_high)
+    return rep.m_window, values
+
+
+# the slowest atomistic decay the ranges allow, and springs whose slowest
+# decay is the bond matrix E_a's
+_SLOWEST = ChainParams(m=100_000, k0=0.2, k1=5.0, k2=4.0)
+_STIFF_NNN = ChainParams(m=100_000, k0=3.0, k1=0.5, k2=4.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_long_chains())
+@example((_SLOWEST, interval_partition(_SLOWEST, 400)))
+@example((_SLOWEST, make_partition(_SLOWEST, atomistic=[-300, -7, 0, 2, 299])))
+@example((_STIFF_NNN, interval_partition(_STIFF_NNN, 30)))
+def test_window_matches_whole_chain(case):
+    # the whole chain is the window's degenerate case: the same functions
+    # with the window rule replaced by "the chain itself"
+    params, part = case
+    m_window, windowed = _quantities(params, part)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "window", lambda params, part: params)
+        m_whole, whole = _quantities(params, part)
+    assert m_window <= m_whole == params.m
+    for name, got, want in zip(
+        ("q", "eta2", "first_term", "eta1", "bound_low", "bound_high"), windowed, whole
+    ):
+        assert abs(got - want) <= 1e-12 * abs(want), (name, got, want)

@@ -109,9 +109,9 @@ def test_well_positions_shift_across_defect():
 def test_interval_partition_flags():
     p = ChainParams(m=6)
     part = interval_partition(p, 2)
-    assert np.array_equal(part.atomistic_ids(), [-1, 0, 1, 2])
+    assert np.array_equal(part.atomistic, [-1, 0, 1, 2])
     full = interval_partition(p, 0)
-    assert full.atomistic_ids().size == 0
+    assert full.atomistic.size == 0
     with pytest.raises(ValueError):
         interval_partition(p, -1)
     with pytest.raises(ValueError):
