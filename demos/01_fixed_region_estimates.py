@@ -26,14 +26,11 @@ import numpy as np
 
 from qcfk import (
     ChainParams,
-    assemble,
     estimate,
     exact_goal_error,
     interval_partition,
-    reduce_system,
     solve_dual_pair,
 )
-from qcfk.model import solve_positions
 
 
 def main() -> None:
@@ -51,11 +48,11 @@ def main() -> None:
           f"{params.n_atoms - n_at} by the continuum model")
 
     # ------------------------------------------------------------------
-    # The blended solve and the dislocation it produces
+    # The blended primal/dual solve and the dislocation it produces
     # ------------------------------------------------------------------
-    system = reduce_system(params, assemble(params, part, "ac"))
-    y = solve_positions(system)
-    ids = system.free_index
+    pair = solve_dual_pair(params, part)
+    y = pair.y_free
+    ids = pair.ref.system.free_index
     near = (ids >= -2) & (ids <= 3)
     print("\npositions around the defect (antisymmetric, bond (0,1) stretched):")
     for i, yi in zip(ids[near], y[near]):
@@ -66,7 +63,6 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Exact error vs duality estimates
     # ------------------------------------------------------------------
-    pair = solve_dual_pair(params, part)
     report = estimate(pair)
     qe, _ = exact_goal_error(params, part, pair)
 

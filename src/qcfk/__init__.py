@@ -22,7 +22,6 @@ from .estimators import (
     Reference,
     estimate,
     exact_goal_error,
-    lemma1_check,
     reference,
     solve_dual_pair,
 )
@@ -32,7 +31,6 @@ from .model import (
     Partition,
     QuadraticModel,
     assemble,
-    energy_direct,
     interval_partition,
     make_partition,
     reduce_system,
@@ -55,12 +53,10 @@ __all__ = [
     "QuadraticModel",
     "Reference",
     "assemble",
-    "energy_direct",
     "estimate",
     "exact_goal_error",
     "fixed_k_run",
     "interval_partition",
-    "lemma1_check",
     "make_partition",
     "mark_atoms",
     "reduce_system",

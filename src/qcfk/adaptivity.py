@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,8 +47,9 @@ class AdaptConfig:
             raise ValueError(f"tau_gl must be positive and finite, got {self.tau_gl}")
         if not (1.0 < self.tau_div < math.inf):
             raise ValueError(f"tau_div must exceed 1 and be finite, got {self.tau_div}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        n = self.max_iterations
+        if not (isinstance(n, numbers.Integral) and n >= 1):
+            raise ValueError(f"max_iterations must be an integer >= 1, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -84,22 +86,8 @@ class AdaptTrace:
         return self.records[-1].eta1
 
     def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "status": self.status,
-            "iterations": [
-                {
-                    "iteration": r.iteration,
-                    "k": r.k,
-                    "n_atomistic": r.n_atomistic,
-                    "m_window": r.m_window,
-                    "tau_at": r.tau_at,
-                    "eta1": r.eta1,
-                    "eta2": r.eta2,
-                }
-                for r in self.records
-            ],
-        }
+        iterations = [asdict(r) for r in self.records]
+        return {"m": self.m, "status": self.status, "iterations": iterations}
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict())

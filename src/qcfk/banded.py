@@ -66,18 +66,6 @@ def zeros_like_band(n: int, bandwidth: int) -> Array:
     return np.zeros((bandwidth + 1, n))
 
 
-def to_dense(a: BandedSpdMatrix) -> Array:
-    """Expand to a full symmetric matrix (small problems and tests only)."""
-    n = a.n
-    out = np.zeros((n, n))
-    for d in range(min(a.bandwidth, n - 1) + 1):
-        vals = a.bands[d, : n - d]
-        idx = np.arange(n - d)
-        out[idx + d, idx] = vals
-        out[idx, idx + d] = vals
-    return out
-
-
 def matvec(a: BandedSpdMatrix, x: Array) -> Array:
     """Product A @ x using only the stored bands."""
     x = np.asarray(x, dtype=float)
@@ -132,8 +120,3 @@ def solve(f: BandedFactor, rhs: Array) -> Array:
     if f.bands.shape[0] == 1:
         return rhs / (f.bands[0] ** 2)
     return cho_solve_banded((f.bands, True), rhs)
-
-
-def factor_solve(a: BandedSpdMatrix, rhs: Array) -> Array:
-    """One-shot factor + solve."""
-    return solve(factor(a), rhs)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -227,21 +226,20 @@ def parse_run_spec(argv: list[str]) -> RunSpec:
         out=merged["out"],
     )
 
+    # config files bypass argparse's choices
     if spec.format not in ("csv", "json"):
         err(f"--format must be csv or json, got {spec.format!r}")
-    for m in spec.m:
-        if m < 3:
-            err(f"--m values must be >= 3, got {m}")
-    for name in ("k0", "k1", "k2", "a0", "tau_gl", "tau_div"):
-        value = getattr(spec, name)
-        if value is not None and not math.isfinite(value):
-            err(f"--{name.replace('_', '-')} must be finite, got {value}")
-    if not (spec.k0 > 0 and spec.k1 > 0 and spec.k2 >= 0 and spec.a0 > 0):
-        err("need k0 > 0, k1 > 0, k2 >= 0, a0 > 0")
-    if spec.tau_gl is not None and not (spec.tau_gl > 0):
-        err(f"--tau-gl must be positive, got {spec.tau_gl}")
-    if not (spec.tau_div > 1):
-        err(f"--tau-div must exceed 1, got {spec.tau_div}")
+    # the objects a run builds check their own inputs; table3's default
+    # decades are all valid tolerances, so its smallest one stands in for them
+    try:
+        for m in spec.m:
+            spec.chain_params(m)
+        AdaptConfig(
+            tau_gl=TABLE3_TAU[-1] if spec.tau_gl is None else spec.tau_gl,
+            tau_div=spec.tau_div,
+        )
+    except ValueError as exc:
+        err(str(exc))
     if mode in ("fixed-k", "profile") and len(spec.k) != 1:
         err(f"mode {mode} takes exactly one --k value")
     for k in spec.k:
@@ -271,32 +269,6 @@ def emit_csv(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt_cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def parse_csv(text: str) -> tuple[list[str], list[list]]:
-    """Inverse of emit_csv (round trip: emit(parse(emit(x))) == emit(x))."""
-    lines = [ln for ln in text.splitlines() if ln]
-    header = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        row = []
-        for cell in line.split(","):
-            if cell == "":
-                row.append(None)
-            elif cell == "true":
-                row.append(True)
-            elif cell == "false":
-                row.append(False)
-            else:
-                try:
-                    row.append(int(cell))
-                except ValueError:
-                    try:
-                        row.append(float(cell))
-                    except ValueError:
-                        row.append(cell)
-        rows.append(row)
-    return header, rows
 
 
 def emit_json(spec: RunSpec, header: list[str], rows: list[list], extra=None) -> str:
@@ -426,46 +398,21 @@ def cmd_sweep_k(spec: RunSpec):
     return header, rows, None
 
 
+# the report fields a fixed-k row carries, between the region and its flags
+_FIXED_K_FIELDS = (
+    "eta1", "eta2", "first_term", "sigma_bar", "theta_plus", "theta_minus",
+    "eta_upp_plus", "eta_upp_minus", "eta_low_plus", "eta_low_minus",
+    "bound_low", "bound_high",
+)
+
+
 def cmd_fixed_k(spec: RunSpec):
     params = spec.chain_params(spec.m[0])
     res = fixed_k_run(params, spec.k[0], want_exact=True, use_gamma=spec.gamma_split)
     rep = res.report
-    header = [
-        "k",
-        "q_error",
-        "eta1",
-        "eta2",
-        "first_term",
-        "sigma_bar",
-        "theta_plus",
-        "theta_minus",
-        "eta_upp_plus",
-        "eta_upp_minus",
-        "eta_low_plus",
-        "eta_low_minus",
-        "bound_low",
-        "bound_high",
-        "flags",
-    ]
-    rows = [
-        [
-            res.k,
-            res.abs_q_error,
-            rep.eta1,
-            rep.eta2,
-            rep.first_term,
-            rep.sigma_bar,
-            rep.theta_plus,
-            rep.theta_minus,
-            rep.eta_upp_plus,
-            rep.eta_upp_minus,
-            rep.eta_low_plus,
-            rep.eta_low_minus,
-            rep.bound_low,
-            rep.bound_high,
-            ";".join(rep.flags),
-        ]
-    ]
+    header = ["k", "q_error", *_FIXED_K_FIELDS, "flags"]
+    values = [getattr(rep, name) for name in _FIXED_K_FIELDS]
+    rows = [[res.k, res.abs_q_error, *values, ";".join(rep.flags)]]
     extra = {"report": rep.as_dict(), "q_error": res.q_error}
     return header, rows, extra
 

@@ -54,7 +54,7 @@ class Reference:
     ``params`` is the chain, ``window`` the chain actually solved (see
     ``model.window``).  On the window: the atomistic model and its reduced
     system ``M_a``, the Cholesky factors of the bond matrix ``E_a`` (for
-    the projection P) and of ``M_a`` (for the exact-error oracles), and the
+    the projection P) and of ``M_a`` (for the exact goal error), and the
     goal vector on the free atoms.  ``ymy_far`` is what y . M_a y over the
     chain adds to the same product over the window.  Every blended solve
     whose partition has this window shares the reference.
@@ -83,7 +83,6 @@ class DualPair:
     """
 
     ref: Reference
-    eac: BandedSpdMatrix
     ediff: BandedSpdMatrix
     y_free: Array
     u_free: Array
@@ -129,8 +128,8 @@ def reference(params: ChainParams, part: Partition | None = None) -> Reference:
     if part is None:
         part = model.make_partition(params)
     win = model.window(params, part)
-    # the atomistic flavor ignores the partition
-    amodel = model.assemble(win, None, "atomistic")
+    # the atomistic model is the blend that flags every atom of the window
+    amodel = model.assemble(win, Partition(atomistic=model.atom_ids(win)))
     asys = model.reduce_system(win, amodel)
     ymy_far = 0.0
     if win is not params:
@@ -178,7 +177,7 @@ def solve_dual_pair(
     if ref is None or ref.window != model.window(params, part):
         ref = reference(params, part)
     amodel = ref.model
-    acmodel = model.assemble(ref.window, part, "ac")
+    acmodel = model.assemble(ref.window, part)
     acsys = model.reduce_system(ref.window, acmodel)
 
     f_ac = banded.factor(acsys.mat)
@@ -187,13 +186,10 @@ def solve_dual_pair(
     y = u + acsys.wells_free
 
     # bond difference vectors of the lifted solutions
-    n = amodel.n_points
-    u_full = np.zeros(n)
+    u_full = acsys.lift.copy()
     u_full[2:-2] = u
-    for p in (0, 1, -2, -1):
-        u_full[p] = acsys.lift[p] - amodel.b_eq[p]
     z_y = model.d_apply(amodel, u_full + (amodel.b_eq - amodel.a_eq))
-    g_full = np.zeros(n)
+    g_full = np.zeros(amodel.n_points)
     g_full[2:-2] = g
     z_g = model.d_apply(amodel, g_full)
 
@@ -217,7 +213,6 @@ def solve_dual_pair(
 
     return DualPair(
         ref=ref,
-        eac=eac,
         ediff=ediff,
         y_free=y,
         u_free=u,
@@ -356,17 +351,6 @@ class EstimatorReport:
     def to_json(self) -> str:
         return json.dumps(self.as_dict())
 
-    @staticmethod
-    def from_dict(d: dict) -> "EstimatorReport":
-        return EstimatorReport(
-            **{
-                **d,
-                "flags": tuple(d["flags"]),
-                "eta2_at": np.asarray(d["eta2_at"], dtype=float),
-                "eta2_el": np.asarray(d["eta2_el"], dtype=float),
-            }
-        )
-
 
 def eta2_parts(pair: DualPair, use_gamma: bool = False):
     """Global product bound plus its per-atom / per-bond split.
@@ -462,45 +446,16 @@ def exact_goal_error(
     """Solve the atomistic reference problem and return (Q(e), e), with e
     on the free atoms of the pair's window.
 
-    This is the oracle the estimators are judged against; production runs
-    never need it.  The error solves M_a e = r directly with the primal
-    residual as right-hand side, which is algebraically the same as
-    subtracting the two displacement fields.  Because ``solve_dual_pair``
-    forms r from the model difference (E_a - E_ac) applied to the blended
-    solution, r carries no backward error of the blended solve, so e keeps
-    full relative accuracy when it is many orders smaller than the
-    displacements.
+    This is what the estimators are judged against: the exact CLI modes
+    report it, the adaptive loop never needs it.  The error solves
+    M_a e = r directly with the primal residual as right-hand side, which
+    is algebraically the same as subtracting the two displacement fields.
+    Because ``solve_dual_pair`` forms r from the model difference
+    (E_a - E_ac) applied to the blended solution, r carries no backward
+    error of the blended solve, so e keeps full relative accuracy when it
+    is many orders smaller than the displacements.
     """
     if pair is None:
         pair = solve_dual_pair(params, part)
     e = banded.solve(pair.ref.ma_factor, pair.residual_primal)
     return float(np.dot(pair.ref.goal, e)), e
-
-
-def dual_errors(pair: DualPair) -> tuple[Array, Array]:
-    """Exact primal and dual errors via residual-driven atomistic solves."""
-    fa = pair.ref.ma_factor
-    return banded.solve(fa, pair.residual_primal), banded.solve(fa, pair.residual_dual)
-
-
-def lemma1_check(
-    params: ChainParams, part: Partition, alpha: float, beta: float
-) -> float:
-    """Residual of the perturbation identity, scaled by the lhs magnitude.
-
-    Checks M (alpha e + beta e_hat) = -J^T D^T E_a P D [alpha (y + lift - a)
-    + beta g] on the free atoms; exact solves on both sides make this a
-    strict consistency test of the assembled operators (expect ~1e-9 or
-    smaller after scaling).
-    """
-    pair = solve_dual_pair(params, part)
-    ref = pair.ref
-    e, e_hat = dual_errors(pair)
-    lhs = banded.matvec(ref.system.mat, alpha * e + beta * e_hat)
-    pz = _project(ref.ea_factor, pair.eac, alpha * pair.z_y + beta * pair.z_g)
-    w = banded.matvec(ref.model.e_mat, pz)
-    rhs = -model.dt_apply(ref.model, w)[2:-2]
-    scale = float(np.max(np.abs(lhs)))
-    if scale == 0.0:
-        scale = 1.0
-    return float(np.max(np.abs(lhs - rhs))) / scale

@@ -7,17 +7,15 @@ springs ``k2``, and pinned to substrate wells by a quadratic on-site term
 label ``>= 1`` in wells ``i a0``, so the well spacing jumps by one ``a0``
 between atoms 0 and 1: that gap is the defect the error estimators track.
 
-Two model flavors share one quadratic-energy shape on the full chain
+The blended (ac) model has the quadratic energy
 
     E(y) = 1/2 (y - a)^T D^T E D (y - a) + 1/2 (y - b)^T K (y - b)
 
 with the bond difference map ``D``, a tridiagonal interaction matrix ``E``
-on bonds, and a diagonal misfit matrix ``K``:
-
-* ``atomistic``  - exact NN/NNN interactions everywhere,
-* ``ac``         - atoms flagged continuum use the local Cauchy-Born
-                   density ``k12 = k1 + 4 k2`` instead of the nonlocal NNN
-                   coupling; atoms flagged atomistic keep the exact model.
+on bonds, and a diagonal misfit matrix ``K``.  Atoms a partition flags
+atomistic keep the exact NN/NNN interactions; the others use the local
+Cauchy-Born density ``k12 = k1 + 4 k2`` instead of the nonlocal NNN
+coupling.  The atomistic model is the blend that flags every atom.
 
 Index conventions used throughout: an atom id ``i`` maps to array position
 ``i + M - 1``; bond ``i`` connects atoms ``i`` and ``i + 1`` and maps to the
@@ -35,15 +33,12 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import banded
 from .banded import Array, BandedSpdMatrix
-
-FLAVORS = ("atomistic", "ac")
 
 # truncation level of the window: the slowest decaying field falls below this
 # fraction of its size at the atomistic region by the window's clamped ends
@@ -91,9 +86,11 @@ class ChainParams:
             raise ValueError(f"a0 must be positive and finite, got {self.a0}")
         if self.bc is None:
             object.__setattr__(self, "bc", _default_bc(self.m, self.a0))
-        elif len(self.bc) != 4:
+        # a tuple of floats, so equal positions give equal, hashable params
+        object.__setattr__(self, "bc", tuple(map(float, self.bc)))
+        if len(self.bc) != 4:
             raise ValueError("bc must give positions for the 4 clamped atoms")
-        elif not all(map(math.isfinite, self.bc)):
+        if not all(map(math.isfinite, self.bc)):
             raise ValueError(f"bc positions must be finite, got {self.bc}")
 
     @property
@@ -145,13 +142,18 @@ def make_partition(params: ChainParams, atomistic=()) -> Partition:
     ``atomistic`` lists atom ids treated exactly; everything else is
     continuum.
     """
-    m = params.m
-    lo, hi = -m + 1, m
-    atom_arr = np.unique(np.asarray(list(atomistic), dtype=int))
-    if atom_arr.size and (atom_arr[0] < lo or atom_arr[-1] > hi):
-        bad = atom_arr[0] if atom_arr[0] < lo else atom_arr[-1]
-        raise ValueError(f"atomistic atom {bad} outside chain range [{lo}, {hi}]")
-    return Partition(atomistic=atom_arr)
+    lo, hi = -params.m + 1, params.m
+    ids = np.asarray(list(atomistic))
+    if ids.dtype.kind not in "iu":
+        ids = ids.astype(float)
+        whole = np.isfinite(ids) & (ids == np.round(ids))
+        if not whole.all():
+            bad = ids[~whole][0]
+            raise ValueError(f"atomistic atom ids must be integers, got {bad}")
+    if ids.size and (ids.min() < lo or ids.max() > hi):
+        bad = ids.min() if ids.min() < lo else ids.max()
+        raise ValueError(f"atomistic atom {int(bad)} outside chain range [{lo}, {hi}]")
+    return Partition(atomistic=np.unique(ids.astype(int)))
 
 
 def _flags(params: ChainParams, part: Partition) -> Array:
@@ -221,7 +223,6 @@ class QuadraticModel:
     ``ids`` labels the degrees of freedom by atom id.
     """
 
-    flavor: str
     ids: Array
     e_mat: BandedSpdMatrix
     k_mat: BandedSpdMatrix
@@ -283,21 +284,12 @@ def _misfit_diag_bands(params: ChainParams, da: Array) -> BandedSpdMatrix:
     return BandedSpdMatrix(bands)
 
 
-def assemble(params: ChainParams, part: Partition, flavor: str) -> QuadraticModel:
-    """Build the quadratic model of the requested flavor.
-
-    ``atomistic`` ignores the partition; ``ac`` blends by its flags on the
-    chain ``params`` describes (the window, for the estimators).
-    """
-    if flavor not in FLAVORS:
-        raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
+def assemble(params: ChainParams, part: Partition) -> QuadraticModel:
+    """Build the model blended by the partition's flags on the chain
+    ``params`` describes (the window, for the estimators)."""
     ids = atom_ids(params)
-    if flavor == "atomistic":
-        da = np.ones(2 * params.m)
-    else:
-        da = _flags(params, part).astype(float)
+    da = _flags(params, part).astype(float)
     return QuadraticModel(
-        flavor=flavor,
         ids=ids,
         e_mat=_nn_bond_bands(params, da),
         k_mat=_misfit_diag_bands(params, da),
@@ -330,16 +322,14 @@ def stiffness_bands(model: QuadraticModel) -> BandedSpdMatrix:
 class LinearSystem:
     """Reduced equilibrium system on the free (unclamped) degrees of freedom.
 
-    ``rhs`` is the load for absolute positions; ``rhs_wells`` is the same
-    load rewritten for well-relative displacements ``u = y - b``, which is
+    The unknowns are the well-relative displacements ``u = y - b``, which is
     the numerically quiet way to solve (positions are O(M a0) while the
-    physics lives at O(a0)).  ``lift`` is the full-length vector holding the
-    clamped boundary positions and zeros elsewhere.
+    physics lives at O(a0)); ``rhs_wells`` is their load.  ``lift`` is the
+    full-length displacement vector holding the clamped atoms' offsets from
+    their wells and zeros elsewhere.
     """
 
-    flavor: str
     mat: BandedSpdMatrix
-    rhs: Array
     rhs_wells: Array
     wells_free: Array
     lift: Array
@@ -358,144 +348,20 @@ def reduce_system(params: ChainParams, model: QuadraticModel) -> LinearSystem:
     bands[2, : n - 6] = full.bands[2][2 : n - 4]
     mat = BandedSpdMatrix(bands)
 
+    clamped = [0, 1, -2, -1]
     lift = np.zeros(n)
-    lift[[0, 1, -2, -1]] = params.bc
-
-    def load(shift: Array) -> Array:
-        w = d_apply(model, shift)
-        t = dt_apply(model, banded.matvec(model.e_mat, w))
-        return t
-
-    # absolute-position load: -J^T [D^T E D (lift - a) + K (lift - b)]
-    f_full = -(load(lift - model.a_eq) + banded.matvec(model.k_mat, lift - model.b_eq))
-    # well-relative load: substitute y = u + b and keep u as the unknown
-    w_bc = np.zeros(n)
-    for p in (0, 1, -2, -1):
-        w_bc[p] = lift[p] - model.b_eq[p]
-    fw_full = -(load(w_bc + model.b_eq - model.a_eq) + banded.matvec(model.k_mat, w_bc))
+    lift[clamped] = np.subtract(params.bc, model.b_eq[clamped])
+    # -J^T [D^T E D (lift + b - a) + K lift]: the load of y = u + b on u
+    w = d_apply(model, lift + model.b_eq - model.a_eq)
+    f_full = -(
+        dt_apply(model, banded.matvec(model.e_mat, w))
+        + banded.matvec(model.k_mat, lift)
+    )
 
     return LinearSystem(
-        flavor=model.flavor,
         mat=mat,
-        rhs=f_full[2:-2],
-        rhs_wells=fw_full[2:-2],
+        rhs_wells=f_full[2:-2],
         wells_free=model.b_eq[2:-2],
         lift=lift,
         free_index=model.ids[2:-2],
-    )
-
-
-def solve_displacements(system: LinearSystem) -> Array:
-    """Equilibrium displacements from the wells on the free points."""
-    return banded.factor_solve(system.mat, system.rhs_wells)
-
-
-def solve_positions(system: LinearSystem) -> Array:
-    """Equilibrium absolute positions on the free points."""
-    return solve_displacements(system) + system.wells_free
-
-
-def _check_wells(params: ChainParams, u: Array, what: str) -> None:
-    off = np.abs(u) > 0.5 * params.a0
-    if off.any():
-        warnings.warn(
-            f"{int(off.sum())} {what} sit more than a0/2 from their assigned "
-            f"wells; the harmonic well model is questionable there",
-            stacklevel=3,
-        )
-
-
-def _energy_atomistic(params: ChainParams, y: Array) -> float:
-    k0, k1, k2, a0 = params.k0, params.k1, params.k2, params.a0
-    u = y - well_positions(params)
-    nn = y[1:] - y[:-1] - a0
-    nnn = y[2:] - y[:-2] - 2.0 * a0
-    return float(
-        0.5 * k1 * np.dot(nn, nn)
-        + 0.5 * k2 * np.dot(nnn, nnn)
-        + 0.5 * k0 * np.dot(u, u)
-    )
-
-
-def _energy_blended(params: ChainParams, part: Partition, y: Array) -> float:
-    """Energy of the ac flavor by walking the bonds of the full chain.
-
-    Atomistic atoms contribute their exact per-atom NN/NNN/misfit share
-    (quarter weights on the bonds and spans they end).  A continuum bond
-    contributes the Cauchy-Born stretch energy plus half the misfit of
-    both end atoms; an interface bond contributes half a Cauchy-Born bond
-    energy and half the misfit of its continuum end.
-    """
-    k0, k2, a0, k12 = params.k0, params.k2, params.a0, params.k12
-    quarter_k1 = 0.25 * params.k1
-    n = 2 * params.m
-    da = _flags(params, part)
-    stretch = np.diff(y) - a0
-    u = y - well_positions(params)
-
-    at_lo, at_hi = da[:-1], da[1:]
-    cont_bond = ~at_lo & ~at_hi
-    iface = at_lo ^ at_hi
-
-    phi = 0.5 * k12 * stretch**2
-    total = float(phi[cont_bond].sum() + 0.5 * phi[iface].sum())
-
-    # continuum misfit, half an atom per bond end
-    p = np.flatnonzero(cont_bond)
-    total += 0.25 * k0 * float(np.dot(u[p], u[p]) + np.dot(u[p + 1], u[p + 1]))
-    p = np.flatnonzero(iface)
-    cont_end = np.where(at_lo[p], p + 1, p)
-    total += 0.25 * k0 * float(np.dot(u[cont_end], u[cont_end]))
-
-    # exact share of the atomistic atoms
-    ja = np.flatnonzero(da)
-    for j in ja:
-        if j - 1 >= 0:
-            total += quarter_k1 * stretch[j - 1] ** 2
-        if j <= n - 2:
-            total += quarter_k1 * stretch[j] ** 2
-        if j - 2 >= 0:
-            span = y[j] - y[j - 2] - 2.0 * a0
-            total += 0.25 * k2 * span * span
-        if j + 2 <= n - 1:
-            span = y[j + 2] - y[j] - 2.0 * a0
-            total += 0.25 * k2 * span * span
-    total += 0.5 * k0 * float(np.dot(u[ja], u[ja]))
-    return total
-
-
-def energy_direct(
-    params: ChainParams,
-    part: Partition,
-    flavor: str,
-    y: Array,
-    check_wells: bool = True,
-) -> float:
-    """Total energy evaluated term by term, bypassing the assembled matrices.
-
-    This is the bookkeeping route the matrix assembly must agree with
-    (``1/2 (y-a)^T D^T E D (y-a) + 1/2 (y-b)^T K (y-b)`` matches it to
-    round-off); keeping both routes makes each one testable against the
-    other.
-    """
-    if flavor not in FLAVORS:
-        raise ValueError(f"flavor must be one of {FLAVORS}, got {flavor!r}")
-    y = np.asarray(y, dtype=float)
-    if len(y) != 2 * params.m:
-        raise ValueError(f"expected {2 * params.m} atom positions, got {len(y)}")
-    if check_wells:
-        _check_wells(params, y - well_positions(params), "atoms")
-    if flavor == "atomistic":
-        return _energy_atomistic(params, y)
-    return _energy_blended(params, part, y)
-
-
-def energy_matrix(params: ChainParams, model: QuadraticModel, y: Array) -> float:
-    """Same energy through the assembled bands (cross-check for the above)."""
-    y = np.asarray(y, dtype=float)
-    w = d_apply(model, y - model.a_eq)
-    v = y - model.b_eq
-    return 0.5 * float(
-        np.dot(w, banded.matvec(model.e_mat, w))
-        + np.dot(v, banded.matvec(model.k_mat, v))
     )

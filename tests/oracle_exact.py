@@ -9,9 +9,14 @@ by running this file directly (about 40 s for the M = 1000 sweep):
     python3 tests/oracle_exact.py 100 0 15 28 32   # M = 100 rows, EXACT_ETA1_M100
     python3 tests/oracle_exact.py 10000 0 28 32    # about 35 s
     python3 tests/oracle_exact.py 100000 0 28 32   # about 5 min, 1.4 GB
+    python3 tests/oracle_exact.py 1000000 0 28 32 --window   # about 3 s
 
 and are correct to the 10 digits listed; the script prints rows in the
-form pasted below.  Tests compare production doubles against these, which
+form pasted below.  ``--window`` solves the production window at
+truncation level 1e-45 and adds the far field of y . M_a y in exact
+integers; it reproduces the full-chain M = 1e4 and 1e5 rows to all 10
+digits, and it alone reaches M = 1e6, whose whole chain would need
+about 14 GB.  Tests compare production doubles against these, which
 separates our round-off from the reference digits'.
 """
 
@@ -75,6 +80,9 @@ EXACT = {
     (100000, 0): (3.627632784e-02, 3.899207778e-02, 3.999783300e-02),
     (100000, 28): (4.263370130e-10, 5.915097674e-10, 7.813979614e-10),
     (100000, 32): (3.516274675e-11, 4.878560358e-11, 6.444690116e-11),
+    (1000000, 0): (3.627632784e-02, 3.899207778e-02, 3.999783300e-02),
+    (1000000, 28): (4.263370130e-10, 5.915097674e-10, 7.813979614e-10),
+    (1000000, 32): (3.516274675e-11, 4.878560358e-11, 6.444690116e-11),
 }
 
 # eta1 is the only quantity with a visible M dependence (7th digit);
@@ -82,11 +90,46 @@ EXACT = {
 EXACT_ETA1_M100 = {0: 3.899207061e-02, 15: 1.966107639e-06}
 
 
-def recompute(m, k_values, dps=40):
-    """Regenerate reference rows with mpmath (slow; regeneration tool only)."""
+# truncation level of the window mode, five decades below the production one
+WINDOW_EPS = 1e-45
+
+
+def _wells_ymy(m):
+    """b . M_a b over the free atoms of the chain of half-size m, summed in
+    exact integers (k0 = 1, k1 = k2 = 2, a0 = 1; clamped atoms count as 0)."""
+    b = [0, 0] + [i - 1 if i <= 0 else i for i in range(-m + 3, m - 1)] + [0, 0]
+    nn = sum((y - x) ** 2 for x, y in zip(b, b[1:]))
+    nnn = sum((y - x) ** 2 for x, y in zip(b, b[2:]))
+    return sum(x * x for x in b) + 2 * nn + 2 * nnn
+
+
+def _window(m, k):
+    """Half-size of the production window of the region -K+1 .. K at
+    truncation level WINDOW_EPS, and what y . M_a y over the whole chain adds
+    to the same product over that window: beyond it y = b to WINDOW_EPS."""
+    from unittest import mock
+
+    from qcfk import model
+
+    params = model.ChainParams(m=m)
+    with mock.patch.object(model, "WINDOW_EPS", WINDOW_EPS):
+        m_w = model.window(params, model.interval_partition(params, k)).m
+    return m_w, _wells_ymy(m) - _wells_ymy(m_w)
+
+
+def recompute(m, k_values, dps=40, window=False):
+    """Regenerate reference rows with mpmath (slow; regeneration tool only).
+
+    With ``window`` the rows of the chain of half-size m are computed on the
+    window of the largest K (see ``_window``), which no smaller region's
+    fields outgrow; otherwise on the whole chain.
+    """
     from mpmath import mp, mpf, sqrt
 
     mp.dps = dps
+    m_chain, far = m, 0
+    if window:
+        m, far = _window(m, max(k_values))
     k0, k1, k2, a0 = mpf(1), mpf(2), mpf(2), mpf(1)
     k12 = k1 + 4 * k2
     n_at, n_bond, n_free = 2 * m, 2 * m - 1, 2 * m - 4
@@ -99,7 +142,7 @@ def recompute(m, k_values, dps=40):
     def ea_bands():
         d = [k1 + 2 * k2] * n_bond
         d[0] = d[-1] = k1 + k2
-        return d, [k2] * (n_bond - 1)
+        return [d, [k2] * (n_bond - 1)]
 
     def eac_bands(k):
         da = [1 if (-k + 1 <= i <= k) else 0 for i in atoms]
@@ -111,91 +154,40 @@ def recompute(m, k_values, dps=40):
             if p <= n_bond - 2:
                 v += k2 * (da[p] + da[p + 2]) / 2
             d.append(v)
-        return d, [k2 * (da[p] + da[p + 2]) / 2 for p in range(n_bond - 1)]
+        return [d, [k2 * (da[p] + da[p + 2]) / 2 for p in range(n_bond - 1)]]
 
-    def tri_matvec(d, off, x):
-        y = [d[i] * x[i] for i in range(len(d))]
-        for i in range(len(d) - 1):
-            y[i] += off[i] * x[i + 1]
-            y[i + 1] += off[i] * x[i]
+    # symmetric band matrices are lists of bands: bands[d][j] is entry (j + d, j)
+    def band_matvec(bands, x):
+        y = [a * xi for a, xi in zip(bands[0], x)]
+        for d, off in enumerate(bands[1:], 1):
+            for i, a in enumerate(off):
+                y[i] += a * x[i + d]
+                y[i + d] += a * x[i]
         return y
 
-    def band2_matvec(d, o1, o2, x):
-        y = [d[i] * x[i] for i in range(len(d))]
-        for i in range(len(d) - 1):
-            y[i] += o1[i] * x[i + 1]
-            y[i + 1] += o1[i] * x[i]
-        for i in range(len(d) - 2):
-            y[i] += o2[i] * x[i + 2]
-            y[i + 2] += o2[i] * x[i]
+    def chol(bands):
+        """Lower Cholesky factor in the same layout."""
+        n, w = len(bands[0]), len(bands) - 1
+        lb = [list(band) for band in bands]
+        for j in range(n):
+            s = sum(lb[t][j - t] ** 2 for t in range(1, min(w, j) + 1))
+            lb[0][j] = sqrt(lb[0][j] - s)
+            for d in range(1, min(w, n - 1 - j) + 1):
+                terms = range(1, min(w - d, j) + 1)
+                s = sum(lb[d + t][j - t] * lb[t][j - t] for t in terms)
+                lb[d][j] = (lb[d][j] - s) / lb[0][j]
+        return lb
+
+    def chol_solve(lb, b):
+        n, w = len(lb[0]), len(lb) - 1
+        y = list(b)
+        for i in range(n):
+            s = sum(lb[t][i - t] * y[i - t] for t in range(1, min(w, i) + 1))
+            y[i] = (y[i] - s) / lb[0][i]
+        for i in reversed(range(n)):
+            s = sum(lb[t][i] * y[i + t] for t in range(1, min(w, n - 1 - i) + 1))
+            y[i] = (y[i] - s) / lb[0][i]
         return y
-
-    def chol_band2(d, o1, o2):
-        n = len(d)
-        l0, l1, l2 = [mpf(0)] * n, [mpf(0)] * (n - 1), [mpf(0)] * (n - 2)
-        for j in range(n):
-            s = d[j]
-            if j >= 1:
-                s -= l1[j - 1] ** 2
-            if j >= 2:
-                s -= l2[j - 2] ** 2
-            l0[j] = sqrt(s)
-            if j + 1 < n:
-                s = o1[j]
-                if j >= 1:
-                    s -= l1[j - 1] * l2[j - 1]
-                l1[j] = s / l0[j]
-            if j + 2 < n:
-                l2[j] = o2[j] / l0[j]
-        return l0, l1, l2
-
-    def chol_solve2(l0, l1, l2, b):
-        n = len(l0)
-        y = [mpf(0)] * n
-        for i in range(n):
-            s = b[i]
-            if i >= 1:
-                s -= l1[i - 1] * y[i - 1]
-            if i >= 2:
-                s -= l2[i - 2] * y[i - 2]
-            y[i] = s / l0[i]
-        x = [mpf(0)] * n
-        for i in range(n - 1, -1, -1):
-            s = y[i]
-            if i + 1 < n:
-                s -= l1[i] * x[i + 1]
-            if i + 2 < n:
-                s -= l2[i] * x[i + 2]
-            x[i] = s / l0[i]
-        return x
-
-    def chol_band1(d, off):
-        n = len(d)
-        l0, l1 = [mpf(0)] * n, [mpf(0)] * (n - 1)
-        for j in range(n):
-            s = d[j]
-            if j >= 1:
-                s -= l1[j - 1] ** 2
-            l0[j] = sqrt(s)
-            if j + 1 < n:
-                l1[j] = off[j] / l0[j]
-        return l0, l1
-
-    def chol_solve1(l0, l1, b):
-        n = len(l0)
-        y = [mpf(0)] * n
-        for i in range(n):
-            s = b[i]
-            if i >= 1:
-                s -= l1[i - 1] * y[i - 1]
-            y[i] = s / l0[i]
-        x = [mpf(0)] * n
-        for i in range(n - 1, -1, -1):
-            s = y[i]
-            if i + 1 < n:
-                s -= l1[i] * x[i + 1]
-            x[i] = s / l0[i]
-        return x
 
     def d_apply(x):
         return [x[i + 1] - x[i] for i in range(len(x) - 1)]
@@ -207,7 +199,8 @@ def recompute(m, k_values, dps=40):
             y[i + 1] += wi
         return y
 
-    def reduced(ed, eo):
+    def reduced(e):
+        ed, eo = e
         diag = [mpf(0)] * n_at
         o1 = [mpf(0)] * (n_at - 1)
         o2 = [mpf(0)] * (n_at - 2)
@@ -223,31 +216,31 @@ def recompute(m, k_values, dps=40):
         for p in range(n_at):
             diag[p] += k0
         t = [ybc[i] - a_vec[i] for i in range(n_at)]
-        w = dt_apply(tri_matvec(ed, eo, d_apply(t)))
+        w = dt_apply(band_matvec(e, d_apply(t)))
         f = [-(w[i] + k0 * (ybc[i] - b_vec[i])) for i in range(n_at)]
-        return diag[2:-2], o1[2 : n_at - 3], o2[2 : n_at - 4], f[2:-2]
+        return [diag[2:-2], o1[2 : n_at - 3], o2[2 : n_at - 4]], f[2:-2]
 
     def dot(u, v):
         return sum(ui * vi for ui, vi in zip(u, v))
 
-    ea_d, ea_o = ea_bands()
-    ad, a1, a2, fa = reduced(ea_d, ea_o)
-    fa_f = chol_band2(ad, a1, a2)
-    ea_f = chol_band1(ea_d, ea_o)
+    ea = ea_bands()
+    ma_bands, fa = reduced(ea)
+    fa_f = chol(ma_bands)
+    ea_f = chol(ea)
     q = [mpf(0)] * n_free
     q[m - 3], q[m - 2] = mpf(-1), mpf(1)
-    ya = chol_solve2(*fa_f, fa)
+    ya = chol_solve(fa_f, fa)
 
     rows = {}
     for k in k_values:
-        eac_d, eac_o = eac_bands(k)
-        cd, c1, c2, fac = reduced(eac_d, eac_o)
-        fc_f = chol_band2(cd, c1, c2)
-        yac = chol_solve2(*fc_f, fac)
-        gac = chol_solve2(*fc_f, q)
+        eac = eac_bands(k)
+        mac_bands, fac = reduced(eac)
+        fc_f = chol(mac_bands)
+        yac = chol_solve(fc_f, fac)
+        gac = chol_solve(fc_f, q)
         qe = dot(q, ya) - dot(q, yac)
 
-        ma = lambda v: band2_matvec(ad, a1, a2, v)
+        ma = lambda v: band_matvec(ma_bands, v)
         ra = [fa[i] - v for i, v in enumerate(ma(yac))]
         rha = [q[i] - v for i, v in enumerate(ma(gac))]
         first = dot(gac, ra)
@@ -257,47 +250,49 @@ def recompute(m, k_values, dps=40):
         zy = d_apply([jy[i] + ybc[i] - a_vec[i] for i in range(n_at)])
         zg = d_apply(jg)
         pz = lambda z: [
-            z[i] - v
-            for i, v in enumerate(chol_solve1(*ea_f, tri_matvec(eac_d, eac_o, z)))
+            z[i] - v for i, v in enumerate(chol_solve(ea_f, band_matvec(eac, z)))
         ]
         pzy, pzg = pz(zy), pz(zg)
-        enorm = lambda v: sqrt(dot(v, tri_matvec(ea_d, ea_o, v)))
+        enorm = lambda v: sqrt(dot(v, band_matvec(ea, v)))
         npy, npg = enorm(pzy), enorm(pzg)
         sig = sqrt(npg / npy)
         eup = enorm([sig * pzy[i] + pzg[i] / sig for i in range(n_bond)])
         eum = enorm([sig * pzy[i] - pzg[i] / sig for i in range(n_bond)])
-        ny2, ng2, gmy = dot(yac, ma(yac)), dot(gac, ma(gac)), dot(gac, ma(yac))
+        ny2 = dot(yac, ma(yac)) + far
+        ng2, gmy = dot(gac, ma(gac)), dot(gac, ma(yac))
         lows = []
         for sgn in (1, -1):
             r = [sig * ra[i] + sgn * rha[i] / sig for i in range(n_free)]
             av, bv = dot(r, yac), dot(r, gac)
             th = (av * gmy - bv * ny2) / (bv * gmy - av * ng2)
             v0 = [yac[i] + th * gac[i] for i in range(n_free)]
-            lows.append(dot(v0, r) / sqrt(dot(v0, ma(v0))))
+            lows.append(dot(v0, r) / sqrt(ny2 + 2 * th * gmy + th * th * ng2))
         elp, elm = lows
         eta1 = max(
             abs(first + elp**2 / 4 - eum**2 / 4),
             abs(first + eup**2 / 4 - elm**2 / 4),
         )
         eta2 = abs(first) + npy * npg
-        rows[(m, k)] = (abs(qe), eta1, eta2)
+        rows[(m_chain, k)] = (abs(qe), eta1, eta2)
     return rows
+
+
+def sci(x):
+    """10 significant digits as d.ddddddddde-XX, the form EXACT uses."""
+    from mpmath import mp
+
+    mant, _, exp = mp.nstr(
+        x, 10, strip_zeros=False, min_fixed=1, max_fixed=0,
+        show_zero_exponent=True,
+    ).partition("e")
+    return f"{mant}e{int(exp or 0):+03d}"
 
 
 if __name__ == "__main__":
     import sys
 
-    from mpmath import mp
-
-    def sci(x):
-        """10 significant digits as d.ddddddddde-XX, the form EXACT uses."""
-        mant, _, exp = mp.nstr(
-            x, 10, strip_zeros=False, min_fixed=1, max_fixed=0,
-            show_zero_exponent=True,
-        ).partition("e")
-        return f"{mant}e{int(exp or 0):+03d}"
-
-    args = [int(s) for s in sys.argv[1:]]
+    window = "--window" in sys.argv
+    args = [int(s) for s in sys.argv[1:] if s != "--window"]
     m, ks = (args[0], args[1:]) if args else (1000, [0, 20, 40])
-    for (mm, k), row in recompute(m, ks).items():
+    for (mm, k), row in recompute(m, ks, window=window).items():
         print(f"({mm}, {k}): ({', '.join(sci(v) for v in row)}),")

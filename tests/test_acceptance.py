@@ -4,10 +4,10 @@ Reference digits below are the published benchmark values for this chain
 family (7 significant figures), checked against the 40-digit recomputation
 in tests/oracle_exact.py.  The published values were produced in double
 precision and drift near the precision floor; where the oracle refutes a
-published entry (eta1 of the third adaptive iteration, |Q(e)| at K = 30,
-the K = 35 and K = 40 rows, and the tau = 1e-14 window sizes), the entry
-holds the oracle value rounded to 7 figures and a comment keeps the
-published digits.  The tolerances and
+published entry (eta1 of the third adaptive iteration, the M = 1e6
+adaptive eta1 row, |Q(e)| at K = 30, the K = 35 and K = 40 rows, and the
+tau = 1e-14 window sizes), the entry holds the oracle value rounded to 7
+figures and a comment keeps the published digits.  The tolerances and
 gates stay strict.
 """
 
@@ -18,28 +18,30 @@ import pytest
 
 from qcfk import banded
 from qcfk.adaptivity import AdaptConfig, fixed_k_run, run_adaptive
-from qcfk.estimators import (
-    dual_errors,
-    exact_goal_error,
-    first_term,
-    lemma1_check,
-    solve_dual_pair,
-)
+from qcfk.estimators import exact_goal_error, first_term, solve_dual_pair
 from qcfk.model import (
     ChainParams,
     assemble,
     atom_ids,
     d_apply,
     dt_apply,
-    energy_direct,
-    energy_matrix,
     interval_partition,
     reduce_system,
-    solve_positions,
     well_positions,
 )
 
-from oracle_dense import dense_solve, fd_gradient, random_partition, random_point
+from oracle_dense import (
+    dense_solve,
+    dual_errors,
+    energy_direct,
+    energy_matrix,
+    fd_gradient,
+    flavor_partition,
+    lemma1_check,
+    random_partition,
+    random_point,
+    solve_positions,
+)
 
 
 def _line(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -59,7 +61,9 @@ REF_ADAPT_ETA1 = {
     # published iteration-3 eta1 4.878540e-11; oracle EXACT[(100000, 32)]
     100_000: (3.899208e-02, 5.915099e-10, 4.878560e-11),
 }
-REF_ADAPT_ETA1_M1E6 = (3.899208e-02, 5.914422e-10, 4.871775e-11)
+# published (3.899208e-02, 5.914422e-10, 4.871775e-11); oracle
+# EXACT[(1000000, 0/28/32)]
+REF_ADAPT_ETA1_M1E6 = (3.899208e-02, 5.915098e-10, 4.878560e-11)
 
 # reference fixed-region table rows: k -> (|Q(e)|, eta1, eta2)
 REF_FIXED_K = {
@@ -228,7 +232,8 @@ def test_criterion_5_small_chain_oracles():
         part = interval_partition(params, k)
         flavor = ("atomistic", "ac")[int(rng.integers(0, 2))]
 
-        system = reduce_system(params, assemble(params, part, flavor))
+        model = assemble(params, flavor_partition(params, part, flavor))
+        system = reduce_system(params, model)
         y = solve_positions(system)
         y_ref = dense_solve(params, part, flavor)
         scale = np.max(np.abs(y_ref))
@@ -261,7 +266,7 @@ def test_criterion_6_energy_consistency():
         params = ChainParams(m=int(rng.integers(3, 12)))
         part = random_partition(rng, params)
         flavor = ("atomistic", "ac")[count % 2]
-        model = assemble(params, part, flavor)
+        model = assemble(params, flavor_partition(params, part, flavor))
         y = random_point(rng, model.n_points, well_positions(params, atom_ids(params)))
         count += 1
 

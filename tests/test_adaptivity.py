@@ -34,7 +34,9 @@ def test_config_validation():
         AdaptConfig(tau_gl=1e-10, max_iterations=0)
     for bad in (dict(tau_gl=float("nan")), dict(tau_gl=float("inf")),
                 dict(tau_gl=1e-10, tau_div=float("nan")),
-                dict(tau_gl=1e-10, tau_div=float("inf"))):
+                dict(tau_gl=1e-10, tau_div=float("inf")),
+                dict(tau_gl=1e-10, max_iterations=float("nan")),
+                dict(tau_gl=1e-10, max_iterations=2.5)):
         with pytest.raises(ValueError):
             AdaptConfig(**bad)
     c = AdaptConfig(tau_gl=1e-10)

@@ -10,12 +10,37 @@ from qcfk.cli import (
     TABLE3_TAU,
     emit_csv,
     main,
-    parse_csv,
     parse_run_spec,
     run,
 )
 
 from oracle_exact import EXACT
+
+
+def parse_csv(text: str) -> tuple[list[str], list[list]]:
+    """Inverse of emit_csv (round trip: emit(parse(emit(x))) == emit(x))."""
+    lines = [ln for ln in text.splitlines() if ln]
+    header = lines[0].split(",")
+    rows = []
+    for line in lines[1:]:
+        row = []
+        for cell in line.split(","):
+            if cell == "":
+                row.append(None)
+            elif cell == "true":
+                row.append(True)
+            elif cell == "false":
+                row.append(False)
+            else:
+                try:
+                    row.append(int(cell))
+                except ValueError:
+                    try:
+                        row.append(float(cell))
+                    except ValueError:
+                        row.append(cell)
+        rows.append(row)
+    return header, rows
 
 
 # ---------------------------------------------------------------------------

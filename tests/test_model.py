@@ -10,25 +10,27 @@ from qcfk.model import (
     atom_ids,
     d_apply,
     dt_apply,
-    energy_direct,
-    energy_matrix,
     interval_partition,
     lattice_sites,
     make_partition,
     reduce_system,
-    solve_displacements,
-    solve_positions,
     stiffness_bands,
     well_positions,
+    window,
 )
 
 from oracle_dense import (
-    clamped_energy,
     dense_solve,
     dense_system,
+    energy_direct,
+    energy_matrix,
     fd_gradient,
+    flavor_partition,
     random_partition,
     random_point,
+    solve_displacements,
+    solve_positions,
+    to_dense,
 )
 
 
@@ -88,6 +90,18 @@ def test_default_bc_pins_clamped_atoms_to_wells():
     assert p.bc[0] == -p.m * p.a0 and p.bc[-1] == p.m * p.a0
 
 
+def test_bc_list_equals_tuple_form():
+    # the default positions given as a list are the default: equal, hashable
+    # params, and a solve window as short as the tuple form's
+    bc = [-100000.0, -99999.0, 99999.0, 100000.0]
+    as_list = ChainParams(m=100000, bc=bc)
+    as_tuple = ChainParams(m=100000, bc=tuple(bc))
+    assert as_list == as_tuple and hash(as_list) == hash(as_tuple)
+    part = interval_partition(as_list, 28)
+    assert window(as_list, part) == window(as_tuple, part)
+    assert window(as_list, part).m < as_list.m
+
+
 def test_well_positions_shift_across_defect():
     p = ChainParams(m=4, a0=2.0)
     ids = atom_ids(p)
@@ -124,6 +138,11 @@ def test_make_partition_rejects_out_of_range():
         make_partition(p, atomistic=[6])
     with pytest.raises(ValueError, match="atomistic atom -9"):
         make_partition(p, atomistic=[-9, 0])
+    # ids are whole numbers, never truncated
+    for bad in ([2.5, -1.7], [0, float("nan")]):
+        with pytest.raises(ValueError, match="must be integers"):
+            make_partition(p, atomistic=bad)
+    assert make_partition(p, atomistic=[2.0, -1.0]).atomistic.tolist() == [-1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +153,8 @@ def test_atomistic_bond_matrix_small():
     # m = 3, k1 = k2 = 2: five bonds, NNN pairs add 2 k2 inside, k2 at the
     # outermost bonds, so the diagonal reads (4, 6, 6, 6, 4) with offdiag 2
     p = ChainParams(m=3)
-    model = assemble(p, interval_partition(p, 0), "atomistic")
-    dense = banded.to_dense(model.e_mat)
+    model = assemble(p, flavor_partition(p, interval_partition(p, 0), "atomistic"))
+    dense = to_dense(model.e_mat)
     expect = np.array(
         [
             [4.0, 2.0, 0.0, 0.0, 0.0],
@@ -148,18 +167,18 @@ def test_atomistic_bond_matrix_small():
     expect[4, 4] = 4.0
     assert np.allclose(dense, expect)
     # on-site misfit is k0 at every atom for the atomistic flavor
-    assert np.allclose(banded.to_dense(model.k_mat), np.eye(6) * p.k0)
+    assert np.allclose(to_dense(model.k_mat), np.eye(6) * p.k0)
 
 
 def test_blended_bond_matrix_pure_continuum():
     # no atomistic atoms: every bond carries the Cauchy-Born constant k12
     # and the NNN coupling vanishes
     p = ChainParams(m=4, k1=3.0, k2=0.25)
-    model = assemble(p, interval_partition(p, 0), "ac")
-    dense = banded.to_dense(model.e_mat)
+    model = assemble(p, interval_partition(p, 0))
+    dense = to_dense(model.e_mat)
     assert np.allclose(dense, np.eye(p.n_bonds) * p.k12)
     # chain-end atoms carry half the misfit weight in the continuum flavor
-    kd = np.diag(banded.to_dense(model.k_mat))
+    kd = np.diag(to_dense(model.k_mat))
     assert kd[0] == 0.5 * p.k0 and kd[-1] == 0.5 * p.k0
     assert np.all(kd[1:-1] == p.k0)
 
@@ -167,7 +186,7 @@ def test_blended_bond_matrix_pure_continuum():
 def test_d_apply_adjoint():
     rng = np.random.default_rng(31)
     p = ChainParams(m=8)
-    model = assemble(p, make_partition(p, atomistic=[-3, 0, 1, 2]), "ac")
+    model = assemble(p, make_partition(p, atomistic=[-3, 0, 1, 2]))
     for _ in range(20):
         v = rng.normal(size=model.n_points)
         w = rng.normal(size=model.n_points - 1)
@@ -204,7 +223,7 @@ def test_energy_matrix_matches_direct():
         part = random_partition(rng, p)
         for flavor in ("atomistic", "ac"):
             y = random_point(rng, 2 * p.m, well_positions(p, atom_ids(p)))
-            model = assemble(p, part, flavor)
+            model = assemble(p, flavor_partition(p, part, flavor))
             em = energy_matrix(p, model, y)
             ed = energy_direct(p, part, flavor, y)
             scale = max(abs(em), abs(ed), 1.0)
@@ -227,23 +246,10 @@ def test_energy_warns_off_well():
 def test_reduce_system_shapes_and_free_ids():
     p = ChainParams(m=6)
     part = interval_partition(p, 2)
-    sys_a = reduce_system(p, assemble(p, part, "atomistic"))
+    sys_a = reduce_system(p, assemble(p, flavor_partition(p, part, "atomistic")))
     assert sys_a.mat.n == p.n_free
     # free_index carries atom ids, not array offsets
     assert np.array_equal(sys_a.free_index, np.arange(-3, 5))
-
-
-def test_rhs_routes_consistent():
-    # the absolute-position load and the wells-relative load describe the
-    # same system: rhs - M b_free = rhs_wells
-    rng = np.random.default_rng(88)
-    for _ in range(30):
-        p = ChainParams(m=int(rng.integers(3, 16)))
-        part = random_partition(rng, p)
-        flavor = ("atomistic", "ac")[rng.integers(0, 2)]
-        system = reduce_system(p, assemble(p, part, flavor))
-        gap = system.rhs - banded.matvec(system.mat, system.wells_free)
-        assert np.allclose(gap, system.rhs_wells, atol=1e-9)
 
 
 def test_solutions_match_dense_oracle():
@@ -255,7 +261,7 @@ def test_solutions_match_dense_oracle():
         p = ChainParams(m=int(rng.integers(3, 14)))
         part = random_partition(rng, p)
         flavor = ("atomistic", "ac")[rng.integers(0, 2)]
-        system = reduce_system(p, assemble(p, part, flavor))
+        system = reduce_system(p, assemble(p, flavor_partition(p, part, flavor)))
         u = solve_displacements(system)
         y = solve_positions(system)
         y_dense = dense_solve(p, part, flavor)
@@ -271,10 +277,12 @@ def test_assembled_system_matches_dense_fd():
         p = ChainParams(m=int(rng.integers(3, 12)))
         part = random_partition(rng, p)
         flavor = ("atomistic", "ac")[rng.integers(0, 2)]
-        system = reduce_system(p, assemble(p, part, flavor))
+        system = reduce_system(p, assemble(p, flavor_partition(p, part, flavor)))
         h_dense, load_dense = dense_system(p, part, flavor)
-        assert np.allclose(banded.to_dense(system.mat), h_dense, atol=1e-9)
-        assert np.allclose(system.rhs, load_dense, atol=1e-9)
+        assert np.allclose(to_dense(system.mat), h_dense, atol=1e-9)
+        # the dense load is that of absolute positions y = u + b
+        load_wells = load_dense - h_dense @ system.wells_free
+        assert np.allclose(system.rhs_wells, load_wells, atol=1e-9)
 
 
 def test_stiffness_matches_quadratic_form():
@@ -283,7 +291,7 @@ def test_stiffness_matches_quadratic_form():
     for _ in range(20):
         part = random_partition(rng, p)
         flavor = ("atomistic", "ac")[rng.integers(0, 2)]
-        model = assemble(p, part, flavor)
+        model = assemble(p, flavor_partition(p, part, flavor))
         full = stiffness_bands(model)
         v = rng.normal(size=model.n_points)
         # 1/2 v' H v equals the energy of the shifted configuration minus
@@ -307,7 +315,7 @@ def test_displacements_antisymmetric_about_defect():
     # misfit, so the displacement field is antisymmetric
     for m, k in ((10, 0), (20, 4), (35, 7)):
         p = ChainParams(m=m)
-        system = reduce_system(p, assemble(p, interval_partition(p, k), "ac"))
+        system = reduce_system(p, assemble(p, interval_partition(p, k)))
         u = solve_displacements(system)
         assert np.max(np.abs(u + u[::-1])) < 1e-12
 
@@ -319,7 +327,7 @@ def test_fd_gradient_matches_assembled_residual():
         p = ChainParams(m=int(rng.integers(3, 10)))
         part = random_partition(rng, p)
         flavor = ("atomistic", "ac")[rng.integers(0, 2)]
-        model = assemble(p, part, flavor)
+        model = assemble(p, flavor_partition(p, part, flavor))
         y = random_point(rng, model.n_points, well_positions(p, atom_ids(p)))
 
         def ener(vec):
