@@ -12,6 +12,7 @@ from .adaptivity import (
     AdaptTrace,
     FixedKResult,
     fixed_k_run,
+    fixed_k_runs,
     mark_atoms,
     run_adaptive,
 )
@@ -21,9 +22,12 @@ from .estimators import (
     EstimatorReport,
     Reference,
     estimate,
+    estimate_stack,
     exact_goal_error,
+    exact_goal_errors,
     reference,
     solve_dual_pair,
+    solve_stacks,
 )
 from .model import (
     ChainParams,
@@ -54,8 +58,11 @@ __all__ = [
     "Reference",
     "assemble",
     "estimate",
+    "estimate_stack",
     "exact_goal_error",
+    "exact_goal_errors",
     "fixed_k_run",
+    "fixed_k_runs",
     "interval_partition",
     "make_partition",
     "mark_atoms",
@@ -63,5 +70,6 @@ __all__ = [
     "reference",
     "run_adaptive",
     "solve_dual_pair",
+    "solve_stacks",
     "__version__",
 ]

@@ -23,8 +23,10 @@ from .estimators import (
     EstimatorReport,
     Reference,
     estimate,
-    exact_goal_error,
+    estimate_stack,
+    exact_goal_errors,
     solve_dual_pair,
+    solve_stacks,
 )
 from .model import ChainParams, interval_partition, make_partition
 
@@ -177,6 +179,34 @@ class FixedKResult:
         return value / abs(self.q_error)
 
 
+def fixed_k_runs(
+    params: ChainParams,
+    ks,
+    want_exact: bool = True,
+    use_gamma: bool = False,
+    ref: Reference | None = None,
+) -> list[FixedKResult]:
+    """Estimates on the fixed interval regions of half-widths ``ks``, in
+    order; regions that share a window are solved as one stack.
+
+    ``ref`` is an atomistic reference of the chain, used for the regions
+    whose window it has and built here for the others.
+    """
+    results: list[FixedKResult | None] = [None] * len(ks)
+    parts = [interval_partition(params, k) for k in ks]
+    for rows, pair in solve_stacks(params, parts, ref):
+        reports = estimate_stack(pair, use_gamma=use_gamma)
+        q_errors = [None] * len(rows)
+        if want_exact:
+            q_errors = exact_goal_errors(pair)[0].tolist()
+        for i, report, q_error in zip(rows, reports, q_errors):
+            results[i] = FixedKResult(
+                m=params.m, k=ks[i], report=report, q_error=q_error, ref=pair.ref
+            )
+        del pair  # before the next stack is solved
+    return results
+
+
 def fixed_k_run(
     params: ChainParams,
     k: int,
@@ -184,17 +214,6 @@ def fixed_k_run(
     use_gamma: bool = False,
     ref: Reference | None = None,
 ) -> FixedKResult:
-    """One estimate on the fixed interval region of half-width K.
-
-    ``ref`` is an atomistic reference of the chain, built here when not
-    given or not for this region's window.
-    """
-    part = interval_partition(params, k)
-    pair = solve_dual_pair(params, part, ref)
-    report = estimate(pair, use_gamma=use_gamma)
-    q_error = None
-    if want_exact:
-        q_error, _ = exact_goal_error(params, part, pair)
-    return FixedKResult(
-        m=params.m, k=k, report=report, q_error=q_error, ref=pair.ref
-    )
+    """One estimate on the fixed interval region of half-width K (the
+    one-region case of ``fixed_k_runs``)."""
+    return fixed_k_runs(params, [k], want_exact, use_gamma, ref)[0]

@@ -2,10 +2,15 @@
 
 Every matrix in this package is symmetric with a small, fixed bandwidth
 (0, 1, or 2 subdiagonals), so we store only the lower bands and hand the
-heavy lifting to LAPACK via scipy.  Storage layout: ``bands[d, j]`` holds
-entry ``(j + d, j)`` of the matrix, i.e. row ``d`` is the d-th subdiagonal
+heavy lifting to LAPACK.  Storage layout: ``bands[d, j]`` holds entry
+``(j + d, j)`` of the matrix, i.e. row ``d`` is the d-th subdiagonal
 left-aligned, with the trailing ``d`` slots unused (kept at zero).  This is
 exactly the lower form LAPACK's ``dpbtrf`` expects.
+
+A stack of matrices of one size carries leading axes in front of the band
+rows, and vectors stack the same way in front of their one axis:
+``matvec``, ``quad_form``, ``norm`` and ``rowdot`` work row by row over
+those axes, with the same bits as one row at a time.
 """
 
 from __future__ import annotations
@@ -13,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve_banded
-from scipy.linalg.lapack import dpbtrf
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 Array = np.ndarray
 
@@ -32,26 +36,26 @@ class NotPositiveDefiniteError(ValueError):
 
 @dataclass(frozen=True)
 class BandedSpdMatrix:
-    """Lower bands of a symmetric matrix.
+    """Lower bands of a symmetric matrix, or of a stack of them.
 
     Positive definiteness is only assumed (and checked) when the matrix is
     factored; ``matvec`` and ``quad_form`` work for any symmetric band, and
     differences of these matrices reuse the type.
     """
 
-    bands: Array  # shape (bandwidth + 1, n)
+    bands: Array  # shape (..., bandwidth + 1, n)
 
     def __post_init__(self):
-        if self.bands.ndim != 2:
-            raise ValueError("bands must be a 2-d array of shape (bw + 1, n)")
+        if self.bands.ndim < 2:
+            raise ValueError("bands must have shape (..., bw + 1, n)")
 
     @property
     def n(self) -> int:
-        return self.bands.shape[1]
+        return self.bands.shape[-1]
 
     @property
     def bandwidth(self) -> int:
-        return self.bands.shape[0] - 1
+        return self.bands.shape[-2] - 1
 
 
 @dataclass(frozen=True)
@@ -61,39 +65,53 @@ class BandedFactor:
     bands: Array
 
 
-def zeros_like_band(n: int, bandwidth: int) -> Array:
-    """Fresh zero band storage for an n-by-n matrix."""
-    return np.zeros((bandwidth + 1, n))
+def zeros_like_band(n: int, bandwidth: int, stack: tuple[int, ...] = ()) -> Array:
+    """Fresh zero band storage for a stack of n-by-n matrices."""
+    return np.zeros(stack + (bandwidth + 1, n))
+
+
+def rowdot(a: Array, b: Array) -> Array:
+    """Dot products of matching rows of two stacks of vectors.
+
+    One matmul over the stack; each row's product has the bits of
+    ``np.dot`` on that row.  A pair of plain vectors gives a scalar.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 def matvec(a: BandedSpdMatrix, x: Array) -> Array:
-    """Product A @ x using only the stored bands."""
+    """Product A @ x using only the stored bands, row by row over stacks."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != a.n:
         raise ValueError(f"vector length {x.shape[-1]} != matrix dimension {a.n}")
-    out = a.bands[0] * x
-    for d in range(1, min(a.bandwidth, a.n - 1) + 1):
-        sub = a.bands[d, : a.n - d]
-        out[..., d:] += sub * x[..., : a.n - d]
-        out[..., : a.n - d] += sub * x[..., d:]
+    n, b = a.n, a.bands
+    out = b[..., 0, :] * x
+    for d in range(1, min(a.bandwidth, n - 1) + 1):
+        sub = b[..., d, : n - d]
+        out[..., d:] += sub * x[..., : n - d]
+        out[..., : n - d] += sub * x[..., d:]
     return out
 
 
-def quad_form(a: BandedSpdMatrix, v: Array) -> float:
-    """v^T A v."""
-    return float(np.dot(v, matvec(a, v)))
+def quad_form(a: BandedSpdMatrix, v: Array) -> Array:
+    """v^T A v for each row of v."""
+    return rowdot(v, matvec(a, v))
 
 
-def norm(a: BandedSpdMatrix, v: Array) -> float:
-    """Energy norm sqrt(v^T A v); tiny negative round-off is clamped to 0."""
+def norm(a: BandedSpdMatrix, v: Array) -> Array:
+    """Energy norm sqrt(v^T A v) of each row of v; tiny negative round-off
+    is clamped to 0."""
     q = quad_form(a, v)
-    if q < 0.0:
+    neg = q < 0.0
+    if neg.any():
         # allow only round-off level negativity relative to |A||v|^2
-        scale = float(np.max(np.abs(a.bands))) * float(np.dot(v, v))
-        if q < -1e-10 * max(scale, 1.0):
-            raise ValueError(f"quadratic form is negative ({q:.3e}); matrix not PSD")
-        q = 0.0
-    return float(np.sqrt(q))
+        scale = np.abs(a.bands).max(axis=(-2, -1)) * rowdot(v, v)
+        if (q < -1e-10 * np.maximum(scale, 1.0)).any():
+            raise ValueError(
+                f"quadratic form is negative ({q.min():.3e}); matrix not PSD"
+            )
+        q = np.where(neg, 0.0, q)
+    return np.sqrt(q)[()]
 
 
 def factor(a: BandedSpdMatrix) -> BandedFactor:
@@ -115,8 +133,24 @@ def factor(a: BandedSpdMatrix) -> BandedFactor:
 
 
 def solve(f: BandedFactor, rhs: Array) -> Array:
-    """Solve A x = rhs given the factor of A."""
+    """Solve A x = rhs given the factor of A.
+
+    ``rhs`` is one vector or an (n, k) block of columns; LAPACK solves each
+    column on its own, so a block gives the bits of column-by-column solves.
+    The factor is finite by construction, so only ``rhs`` is checked.
+    """
     rhs = np.asarray(rhs, dtype=float)
+    n = f.bands.shape[1]
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
+        raise ValueError(
+            f"right-hand side of shape {rhs.shape} for a matrix of size {n}"
+        )
+    if not np.isfinite(rhs).all():
+        raise ValueError("right-hand side must be finite")
     if f.bands.shape[0] == 1:
-        return rhs / (f.bands[0] ** 2)
-    return cho_solve_banded((f.bands, True), rhs)
+        d = f.bands[0] ** 2
+        return rhs / (d if rhs.ndim == 1 else d[:, None])
+    x, info = dpbtrs(f.bands, rhs, lower=1)
+    if info != 0:
+        raise ValueError(f"dpbtrs rejected argument {-info}")
+    return x

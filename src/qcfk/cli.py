@@ -30,7 +30,13 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 
-from .adaptivity import AdaptConfig, FixedKResult, fixed_k_run, run_adaptive
+from .adaptivity import (
+    AdaptConfig,
+    FixedKResult,
+    fixed_k_run,
+    fixed_k_runs,
+    run_adaptive,
+)
 from .model import ChainParams
 
 MODES = ("adapt", "fixed-k", "sweep-k", "table1", "table2", "table3", "profile")
@@ -310,16 +316,9 @@ def cmd_table1(spec: RunSpec):
 
 
 def _sweep(spec: RunSpec, want_exact: bool) -> list[FixedKResult]:
-    """One fixed-K run per --k value, each handing its reference on."""
+    """Fixed-K runs over every --k value, solved as stacks."""
     params = spec.chain_params(spec.m[0])
-    results, ref = [], None
-    for k in spec.k:
-        res = fixed_k_run(
-            params, k, want_exact=want_exact, use_gamma=spec.gamma_split, ref=ref
-        )
-        results.append(res)
-        ref = res.ref
-    return results
+    return fixed_k_runs(params, spec.k, want_exact, use_gamma=spec.gamma_split)
 
 
 def cmd_table2(spec: RunSpec):

@@ -30,21 +30,32 @@ here decays away from the defect and the atomistic region, so its products
 are local to the window, with one exception: y . M_a y grows like M^3
 through the wells b.  Its far-field part is summed in closed form
 (``Reference.ymy_far``), so the estimates are those of the whole chain.
+
+Many partitions of one chain are solved as stacks: ``solve_stacks`` groups
+them by window, and each group is assembled, solved and estimated in one
+pass whose arrays carry a leading row per partition (``estimate_stack``,
+``exact_goal_errors``).  One region is the stack of one, so a region gives
+the same bits alone or in a stack.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import banded, model
-from .banded import Array, BandedFactor, BandedSpdMatrix
+from .banded import Array, BandedFactor, BandedSpdMatrix, rowdot
 from .model import ChainParams, LinearSystem, Partition, QuadraticModel
 
 # dimensionless cutoffs deciding when an optimum is too flat to trust
 _DEGENERATE_REL = 1e-14
+# most regions solved in one stack: at its peak a stack holds about 20
+# window-length arrays per row, and taller stacks buy little speed
+_STACK_MAX = 7
 
 
 @dataclass(frozen=True)
@@ -74,30 +85,102 @@ class Reference:
 class DualPair:
     """Primal/dual blended solutions plus everything the estimators reuse.
 
-    ``y_free`` are absolute positions on the free atoms, ``u_free`` the same
-    solution measured from the wells (the internally solved form).  The
-    residuals are those of the atomistic operator applied to the blended
-    solutions, formed from the model difference ``ediff = E_a - E_ac``.
-    ``my`` and ``mg`` are ``M_a y`` and ``M_a g``, and ``ymy`` is y . M_a y
-    over the whole chain.  Arrays live on the window's free atoms/bonds.
+    ``part`` is the partition solved.  ``y_free`` are absolute positions on
+    the free atoms, ``u_free`` the same solution measured from the wells
+    (the internally solved form).  The residuals are those of the atomistic
+    operator applied to the blended solutions, formed from the model
+    difference ``ediff = E_a - E_ac``; ``ez_y`` and ``ez_g`` are ``ediff``
+    applied to the bond differences ``z_y`` and ``z_g``.  ``ymy`` is
+    y . M_a y over the whole chain, ``gmy`` and ``gmg`` are g . M_a y and
+    g . M_a g.  Arrays live on the window's free atoms/bonds.
+
+    A stack of regions that share ``ref`` holds a tuple of partitions and a
+    leading axis on every other field but ``ref``, one row per region;
+    ``row(i)`` is region i alone.
     """
 
     ref: Reference
-    ediff: BandedSpdMatrix
+    part: Partition | tuple[Partition, ...]
     y_free: Array
     u_free: Array
     g_free: Array
     residual_primal: Array
     residual_dual: Array
-    z_y: Array
-    z_g: Array
+    ez_y: Array
+    ez_g: Array
     pz_y: Array
     pz_g: Array
     npy: float
     npg: float
-    my: Array
-    mg: Array
     ymy: float
+    gmy: float
+    gmg: float
+
+    # the estimators only use ediff and z through ez_y and ez_g, so the
+    # three are formed again on request rather than held by every row
+    @property
+    def ediff(self) -> BandedSpdMatrix:
+        """E_a - E_ac on the window."""
+        eac = model.assemble(self.ref.window, self.part).e_mat
+        return BandedSpdMatrix(self.ref.model.e_mat.bands - eac.bands)
+
+    @property
+    def z_y(self) -> Array:
+        """Bond differences of the primal solution y - a."""
+        return _bond_differences(self.ref, self.u_free, self.g_free)[0]
+
+    @property
+    def z_g(self) -> Array:
+        """Bond differences of the dual solution g."""
+        return _bond_differences(self.ref, self.u_free, self.g_free)[1]
+
+    def row(self, i: int) -> "DualPair":
+        """Region ``i`` of a stack, sharing its arrays."""
+        pair = DualPair(
+            self.ref,
+            self.part[i],
+            *[getattr(self, name)[i] for name in _VECTORS],
+            *[getattr(self, name)[i].item() for name in _SCALARS],
+        )
+        if len(self.part) == 1:
+            # kept for the one-region estimators (see _stack_of_one); not a
+            # field, so dataclasses.replace() drops it with the old values
+            object.__setattr__(pair, "_stack", self)
+        return pair
+
+
+# the DualPair fields after ``ref`` and ``part``, in order
+_VECTORS = (
+    "y_free", "u_free", "g_free", "residual_primal", "residual_dual",
+    "ez_y", "ez_g", "pz_y", "pz_g",
+)
+_SCALARS = ("npy", "npg", "ymy", "gmy", "gmg")
+
+
+def _stack_of_one(pair: DualPair) -> DualPair:
+    """One region's pair as a stack of one, sharing its arrays."""
+    stack = getattr(pair, "_stack", None)
+    if stack is not None:
+        return stack
+    scalars = np.array([[getattr(pair, name)] for name in _SCALARS])
+    return DualPair(
+        pair.ref,
+        (pair.part,),
+        *[getattr(pair, name)[None] for name in _VECTORS],
+        *scalars,
+    )
+
+
+def _bond_differences(ref: Reference, u: Array, g: Array) -> Array:
+    """Bond difference vectors of the primal and dual solutions lifted to
+    the whole window: z_y of y - a (clamped atoms at their positions) and
+    z_g of g (zero on clamped atoms), stacked on a new leading axis."""
+    lifted = np.zeros((2,) + u.shape[:-1] + (ref.model.n_points,))
+    lifted[0] = ref.system.lift
+    lifted[0, ..., 2:-2] = u
+    lifted[0] += ref.model.b_eq - ref.model.a_eq
+    lifted[1, ..., 2:-2] = g
+    return model.d_apply(lifted)
 
 
 def goal_vector(params: ChainParams, free_index: Array) -> Array:
@@ -153,50 +236,56 @@ def reference(params: ChainParams, part: Partition | None = None) -> Reference:
 
 
 def _project(ea_factor: BandedFactor, eac: BandedSpdMatrix, z: Array) -> Array:
-    """P z = z - E_a^{-1} E_ac z on bond difference vectors.
+    """P z = z - E_a^{-1} E_ac z on bond difference vectors, row by row.
 
     P annihilates differences the two models treat identically, so P z is
-    supported near the atomistic/continuum interfaces.
+    supported near the atomistic/continuum interfaces.  Every row is one
+    column of a single solve with E_a.
     """
-    return z - banded.solve(ea_factor, banded.matvec(eac, z))
+    ecz = banded.matvec(eac, z)
+    pz = banded.solve(ea_factor, ecz.reshape(-1, ecz.shape[-1]).T).T.reshape(z.shape)
+    return np.subtract(z, pz, out=pz)
 
 
-def solve_dual_pair(
-    params: ChainParams, part: Partition, ref: Reference | None = None
-) -> DualPair:
-    """Solve the blended primal and dual problems and prepare estimator data.
+def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
+    """Solve the blended primal and dual problems of partitions that share
+    the window of ``ref``, as one stack.
 
-    One Cholesky factorization serves both solves.  ``ref`` is an atomistic
-    reference of this chain; it is rebuilt here when not given or when its
-    window is not the partition's, so the result depends on (params, part)
-    alone.  It is never solved here, production estimates only ever solve
-    the blended model.
+    Each blended matrix is factored once and solves its primal and dual
+    loads together.  The reference is never solved here: production
+    estimates only ever solve the blended model.
     """
-    if ref is not None and ref.params != params:
-        raise ValueError(f"reference was built for {ref.params}, not {params}")
-    if ref is None or ref.window != model.window(params, part):
-        ref = reference(params, part)
     amodel = ref.model
-    acmodel = model.assemble(ref.window, part)
+    acmodel = model.assemble(ref.window, parts)
     acsys = model.reduce_system(ref.window, acmodel)
-
-    f_ac = banded.factor(acsys.mat)
-    u = banded.solve(f_ac, acsys.rhs_wells)
-    g = banded.solve(f_ac, ref.goal)
-    y = u + acsys.wells_free
-
-    # bond difference vectors of the lifted solutions
-    u_full = acsys.lift.copy()
-    u_full[2:-2] = u
-    z_y = model.d_apply(amodel, u_full + (amodel.b_eq - amodel.a_eq))
-    g_full = np.zeros(amodel.n_points)
-    g_full[2:-2] = g
-    z_g = model.d_apply(amodel, g_full)
-
-    ea = amodel.e_mat
     eac = acmodel.e_mat
-    ediff = BandedSpdMatrix(ea.bands - eac.bands)
+    # a stack holds several window-length arrays per row: drop each as soon
+    # as it is used up
+    del acmodel
+    nf = len(acsys.free_index)
 
+    # row 0 the primal load and solution, row 1 the dual (goal) ones
+    loads = np.empty((2, nf))
+    loads[1] = ref.goal
+    u = np.empty((len(parts), nf))
+    yg = np.empty((2, len(parts), nf))
+    for i in range(len(parts)):
+        loads[0] = acsys.rhs_wells[i]
+        mat = BandedSpdMatrix(acsys.mat.bands[i])
+        u[i], yg[1, i] = banded.solve(banded.factor(mat), loads.T).T
+    del mat
+    np.add(u, acsys.wells_free, out=yg[0])
+    del acsys
+    myg = banded.matvec(ref.system.mat, yg)
+    ymy = rowdot(yg[0], myg[0]) + ref.ymy_far
+    gmy, gmg = rowdot(yg[1], myg)
+    del myg
+
+    z = _bond_differences(ref, u, yg[1])
+    pz = _project(ref.ea_factor, eac, z)
+    nrm = banded.norm(amodel.e_mat, pz)
+    ediff = BandedSpdMatrix(amodel.e_mat.bands - eac.bands)
+    del eac
     # atomistic residuals of the blended solutions.  Since the blended
     # equations f_ac - M_ac u = 0 and q - M_ac g = 0 hold exactly, f_a - M_a u
     # equals -J^T D^T (E_a - E_ac) z_y and q - M_a g equals -J^T D^T
@@ -204,42 +293,81 @@ def solve_dual_pair(
     # This form never sees the blended solve's backward error, and E_a - E_ac
     # is exactly zero inside the window, so the residuals keep full relative
     # accuracy however small the modeling error is.
-    res_y = -model.dt_apply(amodel, banded.matvec(ediff, z_y))[2:-2]
-    res_g = -model.dt_apply(amodel, banded.matvec(ediff, z_g))[2:-2]
-
-    pz_y = _project(ref.ea_factor, eac, z_y)
-    pz_g = _project(ref.ea_factor, eac, z_g)
-    my = banded.matvec(ref.system.mat, y)
+    ez = banded.matvec(ediff, z)
+    del ediff, z
+    res = model.dt_apply(ez)[..., 2:-2]
+    np.negative(res, out=res)
 
     return DualPair(
         ref=ref,
-        ediff=ediff,
-        y_free=y,
+        part=tuple(parts),
+        y_free=yg[0],
         u_free=u,
-        g_free=g,
-        residual_primal=res_y,
-        residual_dual=res_g,
-        z_y=z_y,
-        z_g=z_g,
-        pz_y=pz_y,
-        pz_g=pz_g,
-        npy=banded.norm(ea, pz_y),
-        npg=banded.norm(ea, pz_g),
-        my=my,
-        mg=banded.matvec(ref.system.mat, g),
-        ymy=float(np.dot(y, my)) + ref.ymy_far,
+        g_free=yg[1],
+        residual_primal=res[0],
+        residual_dual=res[1],
+        ez_y=ez[0],
+        ez_g=ez[1],
+        pz_y=pz[0],
+        pz_g=pz[1],
+        npy=nrm[0],
+        npg=nrm[1],
+        ymy=ymy,
+        gmy=gmy,
+        gmg=gmg,
     )
+
+
+def solve_stacks(
+    params: ChainParams, parts: Sequence[Partition], ref: Reference | None = None
+) -> Iterator[tuple[list[int], DualPair]]:
+    """Solve many partitions of one chain, stack by stack.
+
+    Partitions that share a ``model.window`` share its reference and are
+    solved together, at most ``_STACK_MAX`` to a stack.  Yields the
+    positions in ``parts`` of each stack's rows with the stacked pair; one
+    stack is alive at a time when the caller drops each before the next.
+    ``ref`` is an atomistic reference of this chain, used for the
+    partitions whose window it has; the others get theirs built here.
+    """
+    if ref is not None and ref.params != params:
+        raise ValueError(f"reference was built for {ref.params}, not {params}")
+    groups: dict[ChainParams, list[int]] = {}
+    for i, part in enumerate(parts):
+        groups.setdefault(model.window(params, part), []).append(i)
+    for win, rows in groups.items():
+        wref = ref
+        if ref is None or ref.window != win:
+            wref = reference(params, parts[rows[0]])
+        for start in range(0, len(rows), _STACK_MAX):
+            chunk = rows[start : start + _STACK_MAX]
+            yield chunk, _solve_stack(wref, [parts[i] for i in chunk])
+
+
+def solve_dual_pair(
+    params: ChainParams, part: Partition, ref: Reference | None = None
+) -> DualPair:
+    """Solve the blended primal and dual problems and prepare estimator data.
+
+    The stack of one region (see ``solve_stacks``): ``ref`` is rebuilt when
+    not given or when its window is not the partition's, so the result
+    depends on (params, part) alone.
+    """
+    ((_, pair),) = solve_stacks(params, [part], ref)
+    return pair.row(0)
 
 
 def first_term(pair: DualPair) -> float:
     """Computable part g . R(y) of the goal error identity."""
-    return float(np.dot(pair.g_free, pair.residual_primal))
+    return rowdot(pair.g_free, pair.residual_primal)
 
 
-def _norms_degenerate(pair: DualPair) -> bool:
-    """True when either projected norm vanishes next to the other."""
-    scale = max(pair.npy, pair.npg)
-    return scale == 0.0 or min(pair.npy, pair.npg) <= _DEGENERATE_REL * scale
+def _sigma(npy: float, npg: float) -> float | None:
+    """sqrt(npg / npy), or None when either norm vanishes next to the other."""
+    scale = max(npy, npg)
+    if scale == 0.0 or min(npy, npg) <= _DEGENERATE_REL * scale:
+        return None
+    return math.sqrt(npg / npy)
 
 
 def sigma_opt(pair: DualPair) -> float | None:
@@ -248,20 +376,42 @@ def sigma_opt(pair: DualPair) -> float | None:
     This sigma minimises the upper parallelogram bound; scaling is the only
     thing it affects, so any positive value would still give valid bounds.
     """
-    if _norms_degenerate(pair):
-        return None
-    return float(np.sqrt(pair.npg / pair.npy))
+    return _sigma(pair.npy, pair.npg)
 
 
-def residual_combo(pair: DualPair, sigma: float, sign: int) -> Array:
-    """Weighted residual sigma R(y) +/- sigma^-1 R_hat(g)."""
-    return sigma * pair.residual_primal + (sign / sigma) * pair.residual_dual
+# the + and - parallelogram combinations, as a leading axis
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 
-def eta_upp(pair: DualPair, sigma: float, sign: int) -> float:
-    """Upper parallelogram term ||sigma P z_y +/- sigma^-1 P z_g||_{E_a}."""
-    combo = sigma * pair.pz_y + (sign / sigma) * pair.pz_g
+def residual_combo(pair: DualPair, sigma, sign) -> Array:
+    """Weighted residual sigma R(y) +/- sigma^-1 R_hat(g).
+
+    Row by row over a stack (``sigma`` one value per row); ``sign`` may be
+    ``_SIGNS`` for both combinations at once.
+    """
+    sigma = np.asarray(sigma)[..., None]
+    combo = (sign / sigma) * pair.residual_dual
+    combo += sigma * pair.residual_primal
+    return combo
+
+
+def eta_upp(pair: DualPair, sigma, sign) -> float:
+    """Upper parallelogram term ||sigma P z_y +/- sigma^-1 P z_g||_{E_a},
+    row by row as ``residual_combo``."""
+    sigma = np.asarray(sigma)[..., None]
+    combo = (sign / sigma) * pair.pz_g
+    combo += sigma * pair.pz_y
     return banded.norm(pair.ref.model.e_mat, combo)
+
+
+def _theta(a: float, b: float, c: float, d: float, f: float) -> tuple[float, bool]:
+    """theta_opt from the products a = r.y, b = r.g, c = y.My, d = g.My,
+    f = g.Mg."""
+    den = b * d - a * f
+    scale = abs(b * d) + abs(a * f)
+    if scale == 0.0 or abs(den) <= _DEGENERATE_REL * scale:
+        return 0.0, True
+    return (a * d - b * c) / den, False
 
 
 def theta_opt(pair: DualPair, r: Array) -> tuple[float, bool]:
@@ -271,16 +421,16 @@ def theta_opt(pair: DualPair, r: Array) -> tuple[float, bool]:
     condition in the M-inner products of y and g; when its denominator
     vanishes the ratio is flat in theta and 0 is as good as any value.
     """
-    a = float(np.dot(r, pair.y_free))
-    b = float(np.dot(r, pair.g_free))
-    c = pair.ymy
-    d = float(np.dot(pair.g_free, pair.my))
-    f = float(np.dot(pair.g_free, pair.mg))
-    den = b * d - a * f
-    scale = abs(b * d) + abs(a * f)
-    if scale == 0.0 or abs(den) <= _DEGENERATE_REL * scale:
-        return 0.0, True
-    return (a * d - b * c) / den, False
+    a, b = float(rowdot(r, pair.y_free)), float(rowdot(r, pair.g_free))
+    return _theta(a, b, pair.ymy, pair.gmy, pair.gmg)
+
+
+def _low(v0r: float, theta: float, c: float, d: float, f: float) -> float:
+    """eta_low from v0r = r . v0 and the M-products of y and g (as _theta)."""
+    nv2 = c + 2.0 * theta * d + theta * theta * f
+    if nv2 <= 0.0:
+        return 0.0
+    return v0r / math.sqrt(nv2)
 
 
 def eta_low(pair: DualPair, r: Array, theta: float) -> float:
@@ -289,13 +439,8 @@ def eta_low(pair: DualPair, r: Array, theta: float) -> float:
     Unlike eta_upp this may come out negative; the sandwich bounds square a
     clamped copy while the headline eta1 squares the raw value.
     """
-    v0 = pair.y_free + theta * pair.g_free
-    nv2 = pair.ymy + 2.0 * theta * float(
-        np.dot(pair.g_free, pair.my)
-    ) + theta * theta * float(np.dot(pair.g_free, pair.mg))
-    if nv2 <= 0.0:
-        return 0.0
-    return float(np.dot(v0, r)) / float(np.sqrt(nv2))
+    v0r = float(rowdot(pair.y_free + theta * pair.g_free, r))
+    return _low(v0r, theta, pair.ymy, pair.gmy, pair.gmg)
 
 
 @dataclass(frozen=True)
@@ -353,7 +498,8 @@ class EstimatorReport:
 
 
 def eta2_parts(pair: DualPair, use_gamma: bool = False):
-    """Global product bound plus its per-atom / per-bond split.
+    """Global product bound plus its per-atom / per-bond split, and the
+    gamma flag, as ``estimate`` reports them for one region.
 
     The bond terms use the identity ||P z||_{E_a}^2 = sum_i (P z)_i
     ((E_a - E_ac) z)_i, so the plain split sums to (||P z_y||^2 +
@@ -361,101 +507,136 @@ def eta2_parts(pair: DualPair, use_gamma: bool = False):
     gamma = npg / npy, which leaves the global value at the product
     npy * npg but balances the two series locally.
     """
-    flags = []
-    ft = first_term(pair)
-    value = abs(ft) + pair.npy * pair.npg
+    rep = estimate(pair, use_gamma)
+    flags = [f for f in rep.flags if f == "gamma-degenerate"]
+    return rep.eta2, rep.eta2_at, rep.eta2_el, rep.eta2_weighted, flags
+
+
+def estimate_stack(pair: DualPair, use_gamma: bool = False) -> list[EstimatorReport]:
+    """Run the full eta1 + eta2 pipeline on a stack, one report per row.
+
+    The array work is one row-wise call over the stack for both sign
+    combinations; the scalar optima and bounds then follow row by row.
+    Degenerate rows run the array work at sigma 1 and drop it.
+    """
+    # past a0/2 from its well an atom leaves the harmonic well model's range
+    off_well = np.abs(pair.u_free).max(axis=-1) > 0.5 * pair.ref.params.a0
+    ft = first_term(pair).tolist()
+    npy, npg = pair.npy.tolist(), pair.npg.tolist()
+    ymy, gmy, gmg = pair.ymy.tolist(), pair.gmy.tolist(), pair.gmg.tolist()
+    rows = range(len(ft))
+    sigmas = [_sigma(npy[i], npg[i]) for i in rows]
+    sigma = np.array([1.0 if s is None else s for s in sigmas])
+    # leading axis 0 is the sign: + and - parallelogram combinations
+    r = residual_combo(pair, sigma, _SIGNS)
+    a, b = rowdot(r, pair.y_free).tolist(), rowdot(r, pair.g_free).tolist()
+    prods = [(ymy[i], gmy[i], gmg[i]) for i in rows]
+    thetas = [[_theta(a[s][i], b[s][i], *prods[i]) for i in rows] for s in (0, 1)]
+    theta = [[t for t, _ in row] for row in thetas]
+    v0 = np.array(theta)[..., None] * pair.g_free
+    v0 += pair.y_free
+    v0r = rowdot(v0, r).tolist()
+    del r, v0
+    low = [[_low(v0r[s][i], theta[s][i], *prods[i]) for i in rows] for s in (0, 1)]
+    upp = eta_upp(pair, sigma, _SIGNS).tolist()
+
+    # eta2 split; the plain one is the gamma split at gamma = 1
+    gammas = [
+        npg[i] / npy[i] if use_gamma and sigmas[i] is not None else 1.0 for i in rows
+    ]
+    gamma = np.array(gammas)[:, None]
     at = np.abs(pair.g_free * pair.residual_primal)
-    ely = pair.pz_y * banded.matvec(pair.ediff, pair.z_y)
-    elg = pair.pz_g * banded.matvec(pair.ediff, pair.z_g)
-    if use_gamma:
-        if _norms_degenerate(pair):
-            gamma = 1.0
-            flags.append("gamma-degenerate")
+    el = np.abs(pair.pz_y * pair.ez_y)
+    el *= 0.5 * gamma
+    el_g = np.abs(pair.pz_g * pair.ez_g)
+    el_g *= 0.5 / gamma
+    el += el_g
+    del el_g
+
+    reports = []
+    for i, f in enumerate(ft):
+        flags = ["off-well"] if off_well[i] else []
+        sig = sigmas[i]
+        if sig is None:
+            flags.append("sigma-degenerate")
+            th_p = th_m = up_p = up_m = lo_p = lo_m = 0.0
+            bound_low = bound_high = f
+            value1 = abs(f)
         else:
-            gamma = pair.npg / pair.npy
-        el = 0.5 * gamma * np.abs(ely) + 0.5 / gamma * np.abs(elg)
-        weighted = abs(ft) + 0.5 * gamma * pair.npy**2 + 0.5 / gamma * pair.npg**2
-    else:
-        el = 0.5 * np.abs(ely) + 0.5 * np.abs(elg)
+            (th_p, deg_p), (th_m, deg_m) = thetas[0][i], thetas[1][i]
+            up_p, up_m, lo_p, lo_m = upp[0][i], upp[1][i], low[0][i], low[1][i]
+            if deg_p:
+                flags.append("theta-plus-degenerate")
+            if deg_m:
+                flags.append("theta-minus-degenerate")
+            if lo_p < 0.0 or lo_m < 0.0:
+                flags.append("lower-bound-clamped")
+            bound_low = f + 0.25 * max(lo_p, 0.0) ** 2 - 0.25 * up_m**2
+            bound_high = f + 0.25 * up_p**2 - 0.25 * max(lo_m, 0.0) ** 2
+            value1 = max(
+                abs(f + 0.25 * lo_p**2 - 0.25 * up_m**2),
+                abs(f + 0.25 * up_p**2 - 0.25 * lo_m**2),
+            )
         weighted = None
-    return value, at, el, weighted, flags
+        if use_gamma:
+            if sig is None:
+                flags.append("gamma-degenerate")
+            g = gammas[i]
+            weighted = abs(f) + 0.5 * g * npy[i] ** 2 + 0.5 / g * npg[i] ** 2
+        reports.append(
+            EstimatorReport(
+                m=pair.ref.params.m,
+                m_window=pair.ref.window.m,
+                eta1=value1,
+                eta2=abs(f) + npy[i] * npg[i],
+                first_term=f,
+                sigma_bar=sig,
+                theta_plus=th_p,
+                theta_minus=th_m,
+                eta_upp_plus=up_p,
+                eta_upp_minus=up_m,
+                eta_low_plus=lo_p,
+                eta_low_minus=lo_m,
+                bound_low=bound_low,
+                bound_high=bound_high,
+                eta2_at=at[i],
+                eta2_el=el[i],
+                eta2_weighted=weighted,
+                flags=tuple(flags),
+            )
+        )
+    return reports
 
 
 def estimate(pair: DualPair, use_gamma: bool = False) -> EstimatorReport:
-    """Run the full eta1 + eta2 pipeline on a solved primal/dual pair."""
-    flags: list[str] = []
-    # past a0/2 from its well an atom leaves the harmonic well model's range
-    if np.max(np.abs(pair.u_free)) > 0.5 * pair.ref.params.a0:
-        flags.append("off-well")
-    ft = first_term(pair)
-    sigma = sigma_opt(pair)
-    if sigma is None:
-        flags.append("sigma-degenerate")
-        theta_p = theta_m = 0.0
-        upp_p = upp_m = low_p = low_m = 0.0
-        bound_low = bound_high = ft
-        value1 = abs(ft)
-    else:
-        r_p = residual_combo(pair, sigma, +1)
-        r_m = residual_combo(pair, sigma, -1)
-        theta_p, deg_p = theta_opt(pair, r_p)
-        theta_m, deg_m = theta_opt(pair, r_m)
-        if deg_p:
-            flags.append("theta-plus-degenerate")
-        if deg_m:
-            flags.append("theta-minus-degenerate")
-        upp_p = eta_upp(pair, sigma, +1)
-        upp_m = eta_upp(pair, sigma, -1)
-        low_p = eta_low(pair, r_p, theta_p)
-        low_m = eta_low(pair, r_m, theta_m)
-        if low_p < 0.0 or low_m < 0.0:
-            flags.append("lower-bound-clamped")
-        bound_low = ft + 0.25 * max(low_p, 0.0) ** 2 - 0.25 * upp_m**2
-        bound_high = ft + 0.25 * upp_p**2 - 0.25 * max(low_m, 0.0) ** 2
-        value1 = max(
-            abs(ft + 0.25 * low_p**2 - 0.25 * upp_m**2),
-            abs(ft + 0.25 * upp_p**2 - 0.25 * low_m**2),
-        )
-    value2, at, el, weighted, flags2 = eta2_parts(pair, use_gamma)
-    flags.extend(flags2)
-    return EstimatorReport(
-        m=pair.ref.params.m,
-        m_window=pair.ref.window.m,
-        eta1=value1,
-        eta2=value2,
-        first_term=ft,
-        sigma_bar=sigma,
-        theta_plus=theta_p,
-        theta_minus=theta_m,
-        eta_upp_plus=upp_p,
-        eta_upp_minus=upp_m,
-        eta_low_plus=low_p,
-        eta_low_minus=low_m,
-        bound_low=bound_low,
-        bound_high=bound_high,
-        eta2_at=at,
-        eta2_el=el,
-        eta2_weighted=weighted,
-        flags=tuple(flags),
-    )
+    """Run the full eta1 + eta2 pipeline on a solved primal/dual pair (the
+    stack of one, see ``estimate_stack``)."""
+    return estimate_stack(_stack_of_one(pair), use_gamma)[0]
+
+
+def exact_goal_errors(pair: DualPair) -> tuple[Array, Array]:
+    """Solve the atomistic reference problem of every row of a stack and
+    return (Q(e), e) per row, with e on the free atoms of the window.
+
+    This is what the estimators are judged against: the exact CLI modes
+    report it, the adaptive loop never needs it.  The error solves
+    M_a e = r directly with the primal residual as right-hand side, which
+    is algebraically the same as subtracting the two displacement fields,
+    and every row is one column of a single solve.  Because
+    ``solve_stacks`` forms r from the model difference (E_a - E_ac)
+    applied to the blended solution, r carries no backward error of the
+    blended solve, so e keeps full relative accuracy when it is many
+    orders smaller than the displacements.
+    """
+    e = banded.solve(pair.ref.ma_factor, pair.residual_primal.T).T
+    return rowdot(pair.ref.goal, e), e
 
 
 def exact_goal_error(
     params: ChainParams, part: Partition, pair: DualPair | None = None
 ) -> tuple[float, Array]:
-    """Solve the atomistic reference problem and return (Q(e), e), with e
-    on the free atoms of the pair's window.
-
-    This is what the estimators are judged against: the exact CLI modes
-    report it, the adaptive loop never needs it.  The error solves
-    M_a e = r directly with the primal residual as right-hand side, which
-    is algebraically the same as subtracting the two displacement fields.
-    Because ``solve_dual_pair`` forms r from the model difference
-    (E_a - E_ac) applied to the blended solution, r carries no backward
-    error of the blended solve, so e keeps full relative accuracy when it
-    is many orders smaller than the displacements.
-    """
+    """(Q(e), e) of one region, the stack of one of ``exact_goal_errors``."""
     if pair is None:
         pair = solve_dual_pair(params, part)
-    e = banded.solve(pair.ref.ma_factor, pair.residual_primal)
-    return float(np.dot(pair.ref.goal, e)), e
+    q, e = exact_goal_errors(_stack_of_one(pair))
+    return float(q[0]), e[0]

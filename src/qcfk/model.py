@@ -27,12 +27,19 @@ and the atomistic region, so solves run on a centred ``window`` chain: the
 same springs at a half-size that leaves the slowest decay below
 ``WINDOW_EPS`` at its clamped ends.  The whole chain is the window's
 degenerate case.
+
+``assemble`` and ``reduce_system`` also take a sequence of partitions of
+one chain: every blended band matrix and load then carries a leading axis
+with one row per partition, and what the partitions share (ids, wells,
+clamps) stays one array.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +50,8 @@ from .banded import Array, BandedSpdMatrix
 # truncation level of the window: the slowest decaying field falls below this
 # fraction of its size at the atomistic region by the window's clamped ends
 WINDOW_EPS = 1e-40
+# clamps this many ulps of M a0 from the wells count as the default ones
+_BC_ULPS = 4
 
 
 def _default_bc(m: int, a0: float) -> tuple[float, float, float, float]:
@@ -156,14 +165,18 @@ def make_partition(params: ChainParams, atomistic=()) -> Partition:
     return Partition(atomistic=np.unique(ids.astype(int)))
 
 
-def _flags(params: ChainParams, part: Partition) -> Array:
-    """Per-atom atomistic flags on the chain ``params`` describes."""
-    m, ids = params.m, part.atomistic
-    if ids.size and (ids[0] < -m + 1 or ids[-1] > m):
-        raise ValueError(f"partition reaches past the chain of half-size {m}")
-    da = np.zeros(2 * m, dtype=bool)
-    da[ids + m - 1] = True
-    return da
+def _flags(params: ChainParams, part: Partition | Sequence[Partition]) -> Array:
+    """Per-atom atomistic flags on the chain ``params`` describes, one row
+    per partition when given a sequence of them."""
+    parts = [part] if isinstance(part, Partition) else part
+    m = params.m
+    da = np.zeros((len(parts), 2 * m), dtype=bool)
+    for row, p in zip(da, parts):
+        ids = p.atomistic
+        if ids.size and (ids[0] < -m + 1 or ids[-1] > m):
+            raise ValueError(f"partition reaches past the chain of half-size {m}")
+        row[ids + m - 1] = True
+    return da[0] if isinstance(part, Partition) else da
 
 
 def _decay_exponent(params: ChainParams) -> float:
@@ -194,9 +207,13 @@ def window(params: ChainParams, part: Partition) -> ChainParams:
     rounding up to a power of two lets a growing region keep its window.
     The window clamps its ends at the wells, which is where the chain's
     own atoms sit that far out, so a chain with a non-default ``bc``
-    (boundary layers at both ends) is its own window.
+    (boundary layers at both ends) is its own window.  Clamps within
+    ``_BC_ULPS`` ulps of ``M a0`` of the wells are the default ones typed
+    by hand, not a boundary layer.
     """
-    if params.bc != _default_bc(params.m, params.a0):
+    tol = _BC_ULPS * math.ulp(params.m * params.a0)
+    default = _default_bc(params.m, params.a0)
+    if any(abs(b - d) > tol for b, d in zip(params.bc, default)):
         return params
     ids = part.atomistic
     span = int(max(-ids[0], ids[-1])) if ids.size else 0
@@ -213,14 +230,16 @@ def interval_partition(params: ChainParams, k: int) -> Partition:
     """Partition with atoms -K+1 .. K atomistic (K = 0: none)."""
     if k < 0 or k > params.m - 2:
         raise ValueError(f"k must be in [0, {params.m - 2}], got {k}")
-    return make_partition(params, atomistic=range(-k + 1, k + 1))
+    k = operator.index(k)
+    return Partition(atomistic=np.arange(-k + 1, k + 1))
 
 
 @dataclass(frozen=True)
 class QuadraticModel:
     """Assembled quadratic energy 1/2|D(y-a)|_E^2 + 1/2|y-b|_K^2.
 
-    ``ids`` labels the degrees of freedom by atom id.
+    ``ids`` labels the degrees of freedom by atom id.  A stack of models
+    (one per partition of a sequence) stacks ``e_mat`` and ``k_mat``.
     """
 
     ids: Array
@@ -234,16 +253,16 @@ class QuadraticModel:
         return len(self.ids)
 
 
-def d_apply(model: QuadraticModel, v: Array) -> Array:
-    """Bond difference map: row j is v[j+1] - v[j]."""
+def d_apply(v: Array) -> Array:
+    """Bond difference map: entry j is v[j+1] - v[j], over the last axis."""
     return np.diff(v)
 
 
-def dt_apply(model: QuadraticModel, w: Array) -> Array:
-    """Adjoint of d_apply."""
-    out = np.zeros(model.n_points)
-    out[:-1] -= w
-    out[1:] += w
+def dt_apply(w: Array) -> Array:
+    """Adjoint of d_apply, over the last axis."""
+    out = np.zeros(w.shape[:-1] + (w.shape[-1] + 1,))
+    out[..., :-1] -= w
+    out[..., 1:] += w
     return out
 
 
@@ -256,15 +275,17 @@ def _nn_bond_bands(params: ChainParams, da: Array) -> BandedSpdMatrix:
     are dropped entirely.
     """
     k1, k2, k12 = params.k1, params.k2, params.k12
-    nb = len(da) - 1
+    nb = da.shape[-1] - 1
     dc = 1.0 - da
-    bands = banded.zeros_like_band(nb, 1)
-    diag = bands[0]
-    diag += 0.5 * k12 * (dc[:-1] + dc[1:]) + 0.5 * k1 * (da[:-1] + da[1:])
-    pair = da[0 : nb - 1] + da[2 : nb + 1]  # NNN pair over bonds (p, p+1)
-    diag[1:] += 0.5 * k2 * pair
-    diag[:-1] += 0.5 * k2 * pair
-    bands[1, : nb - 1] = 0.5 * k2 * pair
+    bands = banded.zeros_like_band(nb, 1, da.shape[:-1])
+    diag = bands[..., 0, :]
+    diag += 0.5 * k12 * (dc[..., :-1] + dc[..., 1:]) + 0.5 * k1 * (
+        da[..., :-1] + da[..., 1:]
+    )
+    pair = da[..., 0 : nb - 1] + da[..., 2 : nb + 1]  # NNN pair over bonds (p, p+1)
+    diag[..., 1:] += 0.5 * k2 * pair
+    diag[..., :-1] += 0.5 * k2 * pair
+    bands[..., 1, : nb - 1] = 0.5 * k2 * pair
     return BandedSpdMatrix(bands)
 
 
@@ -275,18 +296,20 @@ def _misfit_diag_bands(params: ChainParams, da: Array) -> BandedSpdMatrix:
     bounds one bond, so it carries half weight, consistent with the
     bond-by-bond continuum misfit of the blended energy.
     """
-    n = len(da)
-    bands = banded.zeros_like_band(n, 0)
-    bands[0] = params.k0
-    for p in (0, n - 1):
-        if not da[p]:
-            bands[0, p] = 0.5 * params.k0
+    n = da.shape[-1]
+    bands = banded.zeros_like_band(n, 0, da.shape[:-1])
+    bands[..., 0, :] = params.k0
+    # the step n - 1 picks the two end atoms
+    bands[..., 0, :: n - 1] = np.where(da[..., :: n - 1], params.k0, 0.5 * params.k0)
     return BandedSpdMatrix(bands)
 
 
-def assemble(params: ChainParams, part: Partition) -> QuadraticModel:
+def assemble(
+    params: ChainParams, part: Partition | Sequence[Partition]
+) -> QuadraticModel:
     """Build the model blended by the partition's flags on the chain
-    ``params`` describes (the window, for the estimators)."""
+    ``params`` describes (the window, for the estimators); a sequence of
+    partitions gives the stack of their models."""
     ids = atom_ids(params)
     da = _flags(params, part).astype(float)
     return QuadraticModel(
@@ -301,20 +324,22 @@ def assemble(params: ChainParams, part: Partition) -> QuadraticModel:
 def stiffness_bands(model: QuadraticModel) -> BandedSpdMatrix:
     """Full Hessian D^T E D + K as a pentadiagonal band matrix."""
     n = model.n_points
-    ed = model.e_mat.bands[0]
-    eo = model.e_mat.bands[1, : n - 2]
+    ed = model.e_mat.bands[..., 0, :]
+    eo = model.e_mat.bands[..., 1, : n - 2]
 
-    bands = banded.zeros_like_band(n, 2)
-    diag, off1, off2 = bands[0], bands[1, : n - 1], bands[2, : n - 2]
-    diag[:-1] += ed
-    diag[1:] += ed
-    diag[1:-1] -= 2.0 * eo
+    bands = banded.zeros_like_band(n, 2, ed.shape[:-1])
+    diag = bands[..., 0, :]
+    off1 = bands[..., 1, : n - 1]
+    off2 = bands[..., 2, : n - 2]
+    diag[..., :-1] += ed
+    diag[..., 1:] += ed
+    diag[..., 1:-1] -= 2.0 * eo
     off1 -= ed
-    off1[1:] += eo
-    off1[:-1] += eo
+    off1[..., 1:] += eo
+    off1[..., :-1] += eo
     off2 -= eo
 
-    diag += model.k_mat.bands[0]
+    diag += model.k_mat.bands[..., 0, :]
     return BandedSpdMatrix(bands)
 
 
@@ -326,7 +351,8 @@ class LinearSystem:
     the numerically quiet way to solve (positions are O(M a0) while the
     physics lives at O(a0)); ``rhs_wells`` is their load.  ``lift`` is the
     full-length displacement vector holding the clamped atoms' offsets from
-    their wells and zeros elsewhere.
+    their wells and zeros elsewhere.  The system of a stacked model stacks
+    ``mat`` and ``rhs_wells``.
     """
 
     mat: BandedSpdMatrix
@@ -341,26 +367,25 @@ def reduce_system(params: ChainParams, model: QuadraticModel) -> LinearSystem:
     n = model.n_points
     if n < 6:
         raise ValueError("need at least 6 points to have free unknowns")
-    full = stiffness_bands(model)
-    bands = banded.zeros_like_band(n - 4, 2)
-    bands[0] = full.bands[0][2:-2]
-    bands[1, : n - 5] = full.bands[1][2 : n - 3]
-    bands[2, : n - 6] = full.bands[2][2 : n - 4]
+    full = stiffness_bands(model).bands
+    bands = banded.zeros_like_band(n - 4, 2, full.shape[:-2])
+    bands[..., 0, :] = full[..., 0, 2:-2]
+    bands[..., 1, : n - 5] = full[..., 1, 2 : n - 3]
+    bands[..., 2, : n - 6] = full[..., 2, 2 : n - 4]
     mat = BandedSpdMatrix(bands)
 
     clamped = [0, 1, -2, -1]
     lift = np.zeros(n)
     lift[clamped] = np.subtract(params.bc, model.b_eq[clamped])
     # -J^T [D^T E D (lift + b - a) + K lift]: the load of y = u + b on u
-    w = d_apply(model, lift + model.b_eq - model.a_eq)
+    w = d_apply(lift + model.b_eq - model.a_eq)
     f_full = -(
-        dt_apply(model, banded.matvec(model.e_mat, w))
-        + banded.matvec(model.k_mat, lift)
+        dt_apply(banded.matvec(model.e_mat, w)) + banded.matvec(model.k_mat, lift)
     )
 
     return LinearSystem(
         mat=mat,
-        rhs_wells=f_full[2:-2],
+        rhs_wells=f_full[..., 2:-2],
         wells_free=model.b_eq[2:-2],
         lift=lift,
         free_index=model.ids[2:-2],

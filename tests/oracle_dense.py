@@ -241,7 +241,7 @@ def energy_direct(
 def energy_matrix(params: ChainParams, model: QuadraticModel, y: Array) -> float:
     """Same energy through the assembled bands (cross-check for the above)."""
     y = np.asarray(y, dtype=float)
-    w = d_apply(model, y - model.a_eq)
+    w = d_apply(y - model.a_eq)
     v = y - model.b_eq
     return 0.5 * float(
         np.dot(w, banded.matvec(model.e_mat, w))
@@ -272,7 +272,7 @@ def lemma1_check(
     eac = assemble(ref.window, part).e_mat
     pz = _project(ref.ea_factor, eac, alpha * pair.z_y + beta * pair.z_g)
     w = banded.matvec(ref.model.e_mat, pz)
-    rhs = -dt_apply(ref.model, w)[2:-2]
+    rhs = -dt_apply(w)[2:-2]
     scale = float(np.max(np.abs(lhs)))
     if scale == 0.0:
         scale = 1.0

@@ -123,3 +123,47 @@ def test_matrix_rhs_solve():
     got = banded.solve(f, rhs)
     dense = np.linalg.solve(to_dense(a), rhs)
     assert np.allclose(got, dense, atol=1e-10)
+
+
+def test_solve_rejects_bad_right_hand_sides():
+    rng = np.random.default_rng(7)
+    f = banded.factor(random_spd(rng, 12, 2))
+    for bad in (np.nan, np.inf, -np.inf):
+        rhs = np.ones(12)
+        rhs[5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            banded.solve(f, rhs)
+        with pytest.raises(ValueError, match="finite"):
+            banded.solve(f, np.column_stack([np.ones(12), rhs]))
+    for shape in ((11,), (13, 2), (12, 2, 1)):
+        with pytest.raises(ValueError, match="right-hand side"):
+            banded.solve(f, np.ones(shape))
+
+
+def test_block_solve_equals_column_solves_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for n, bw, k in ((1020, 2, 2), (2047, 1, 28), (30, 2, 5), (9, 0, 3)):
+        f = banded.factor(random_spd(rng, n, bw))
+        # columns of very different sizes, as the primal and dual loads are
+        rhs = rng.standard_normal((n, k)) * np.logspace(-30, 3, k)
+        block = banded.solve(f, rhs)
+        for j in range(k):
+            assert np.array_equal(block[:, j], banded.solve(f, rhs[:, j]))
+
+
+def test_stacked_matvec_and_norm_equal_row_by_row_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for n, bw in ((1023, 1), (1020, 2), (7, 2), (4, 0)):
+        mats = [random_spd(rng, n, bw) for _ in range(5)]
+        stack = BandedSpdMatrix(np.stack([a.bands for a in mats]))
+        x = rng.standard_normal((2, 5, n))
+        got = banded.matvec(stack, x)
+        norms = banded.norm(mats[0], x)
+        for s in range(2):
+            for i, a in enumerate(mats):
+                assert np.array_equal(got[s, i], banded.matvec(a, x[s, i]))
+                assert norms[s, i] == banded.norm(mats[0], x[s, i])
+                assert banded.rowdot(x[s], x[s])[i] == np.dot(x[s, i], x[s, i])
+        # one matrix against a stack of vectors
+        one = banded.matvec(mats[1], x)
+        assert np.array_equal(one[1, 3], banded.matvec(mats[1], x[1, 3]))

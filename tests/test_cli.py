@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from qcfk import cli
+from qcfk.adaptivity import fixed_k_run
 from qcfk.cli import (
     TABLE2_K,
     TABLE3_TAU,
@@ -264,6 +266,24 @@ def test_table3_row_shape():
     assert rows[0][0] == 1e-2
     assert rows[0][1] == 4
     assert rows[-1][1] is None
+
+
+def test_sweeps_equal_a_loop_of_single_runs(monkeypatch):
+    # the sweep modes solve their K values as stacks; one fixed_k_run per K
+    # must print the same rows, digit for digit
+    argvs = [
+        ["table3", "--format", "json"],
+        ["sweep-k", "--format", "json"],
+        ["sweep-k", "--m", "100000", "--k", "0,50,250,300,600", "--gamma-split"],
+    ]
+    stacked = [run(parse_run_spec(argv)) for argv in argvs]
+
+    def one_by_one(params, ks, want_exact=True, use_gamma=False):
+        return [fixed_k_run(params, k, want_exact, use_gamma) for k in ks]
+
+    monkeypatch.setattr(cli, "fixed_k_runs", one_by_one)
+    assert [run(parse_run_spec(argv)) for argv in argvs] == stacked
+    assert len(json.loads(stacked[0])["rows"]) == len(TABLE3_TAU)
 
 
 def test_table3_single_tau_override():

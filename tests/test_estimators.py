@@ -22,13 +22,16 @@ from qcfk.estimators import (
     eta_low,
     eta_upp,
     eta2_parts,
+    estimate_stack,
     exact_goal_error,
+    exact_goal_errors,
     first_term,
     goal_vector,
     reference,
     residual_combo,
     sigma_opt,
     solve_dual_pair,
+    solve_stacks,
     theta_opt,
 )
 from qcfk.adaptivity import fixed_k_run
@@ -524,3 +527,66 @@ def test_window_matches_whole_chain(case):
         ("q", "eta2", "first_term", "eta1", "bound_low", "bound_high"), windowed, whole
     ):
         assert abs(got - want) <= 1e-12 * abs(want), (name, got, want)
+
+
+@st.composite
+def _partition_sets(draw):
+    """One chain of the property-test springs and up to 12 partitions of it,
+    intervals and scattered regions of different spans: some share a window,
+    some do not, and a shared window can hold more regions than one stack."""
+    m = draw(st.integers(3, 100_000))
+    params = ChainParams(
+        m=m,
+        k0=draw(st.floats(0.2, 3.0)),
+        k1=draw(st.floats(0.5, 5.0)),
+        k2=draw(st.floats(0.0, 4.0)),
+    )
+    reach = min(m - 2, 600)
+    interval = st.integers(0, reach).map(lambda k: interval_partition(params, k))
+    near = st.lists(st.integers(-reach + 1, reach), max_size=30)
+    scattered = near.map(lambda ids: make_partition(params, atomistic=ids))
+    return params, draw(st.lists(interval | scattered, min_size=1, max_size=12))
+
+
+_DEFAULT_1E5 = ChainParams(m=100_000)
+
+
+def _pair_arrays(pair):
+    """Every array and scalar of a one-region pair, by name."""
+    names = [f.name for f in dataclasses.fields(pair) if f.name not in ("ref", "part")]
+    out = {name: getattr(pair, name) for name in names}
+    out.update(ediff=pair.ediff.bands, z_y=pair.z_y, z_g=pair.z_g)
+    out["part"] = pair.part.atomistic
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_partition_sets())
+@example(
+    (
+        _DEFAULT_1E5,
+        [interval_partition(_DEFAULT_1E5, k) for k in (50, 250, 0, 300, *range(2, 16, 2))]
+        + [make_partition(_DEFAULT_1E5, atomistic=[-260, 3, 0])]
+        + [interval_partition(_DEFAULT_1E5, 50)],
+    )
+)
+def test_stack_equals_one_region_at_a_time(case):
+    # K = 50 and 250 at M = 1e5 on the default springs straddle a window
+    # doubling (512 and 1024); the 512 window holds more regions than a stack
+    params, parts = case
+    seen = []
+    for rows, stack in solve_stacks(params, parts):
+        reports = {gamma: estimate_stack(stack, gamma) for gamma in (False, True)}
+        q, e = exact_goal_errors(stack)
+        seen += rows
+        for j, i in enumerate(rows):
+            got, want = stack.row(j), solve_dual_pair(params, parts[i])
+            assert got.ref.window == want.ref.window == model.window(params, parts[i])
+            want_arrays = _pair_arrays(want)
+            for name, value in _pair_arrays(got).items():
+                assert np.array_equal(value, want_arrays[name]), name
+            for gamma, reps in reports.items():
+                assert reps[j].as_dict() == estimate(want, gamma).as_dict()
+            q_want, e_want = exact_goal_error(params, parts[i], want)
+            assert q[j] == q_want and np.array_equal(e[j], e_want)
+    assert sorted(seen) == list(range(len(parts)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qcfk import banded
+from qcfk.estimators import estimate, solve_dual_pair
 from qcfk.model import (
     ChainParams,
     assemble,
@@ -102,6 +103,26 @@ def test_bc_list_equals_tuple_form():
     assert window(as_list, part).m < as_list.m
 
 
+def test_hand_typed_default_clamps_keep_the_window():
+    # clamps within a few ulps of M a0 of the wells are the default typed by
+    # hand: params keep them as given, and they solve on the default's window
+    # to the default's estimate
+    typed = ChainParams(m=100000, a0=0.1, bc=(-10000.0, -9999.9, 9999.9, 10000.0))
+    default = ChainParams(m=100000, a0=0.1)
+    assert typed.bc != default.bc and typed.bc[1] == -9999.9
+    part = interval_partition(typed, 28)
+    assert window(typed, part) == window(default, part)
+    assert window(typed, part).m == 512
+    got = estimate(solve_dual_pair(typed, part)).as_dict()
+    assert got == estimate(solve_dual_pair(default, part)).as_dict()
+    # a boundary layer of 1e-9 a0 is not round-off: the chain is its own window
+    for i in range(4):
+        bc = list(default.bc)
+        bc[i] += 1e-9 * default.a0
+        shifted = ChainParams(m=100000, a0=0.1, bc=bc)
+        assert window(shifted, part) is shifted
+
+
 def test_well_positions_shift_across_defect():
     p = ChainParams(m=4, a0=2.0)
     ids = atom_ids(p)
@@ -130,6 +151,18 @@ def test_interval_partition_flags():
         interval_partition(p, -1)
     with pytest.raises(ValueError):
         interval_partition(p, p.m - 1)
+
+
+def test_interval_partition_equals_the_listed_range():
+    p = ChainParams(m=60)
+    for k in (0, 1, 7, 58, np.int64(12)):
+        got = interval_partition(p, k).atomistic
+        want = make_partition(p, range(-k + 1, k + 1)).atomistic
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    with pytest.raises(ValueError, match=r"k must be in \[0, 58\], got 59"):
+        interval_partition(p, 59)
+    with pytest.raises(TypeError):
+        interval_partition(p, 2.5)
 
 
 def test_make_partition_rejects_out_of_range():
@@ -183,6 +216,45 @@ def test_blended_bond_matrix_pure_continuum():
     assert np.all(kd[1:-1] == p.k0)
 
 
+def test_stacked_assembly_equals_one_by_one():
+    # a sequence of partitions stacks the band matrices and loads row by row,
+    # bit for bit, and shares everything that does not depend on the split;
+    # the regions reach both chain ends, where the misfit weight changes
+    rng = np.random.default_rng(5)
+    p = ChainParams(m=40, k0=0.7, k1=1.5, k2=2.5)
+    parts = [
+        interval_partition(p, 0),
+        interval_partition(p, 38),
+        make_partition(p, [-39, 3, 40]),
+        random_partition(rng, p),
+    ]
+    stacked = assemble(p, parts)
+    ssys = reduce_system(p, stacked)
+    for i, part in enumerate(parts):
+        one = assemble(p, part)
+        osys = reduce_system(p, one)
+        assert np.array_equal(stacked.e_mat.bands[i], one.e_mat.bands)
+        assert np.array_equal(stacked.k_mat.bands[i], one.k_mat.bands)
+        assert np.array_equal(ssys.mat.bands[i], osys.mat.bands)
+        assert np.array_equal(ssys.rhs_wells[i], osys.rhs_wells)
+        for name in ("ids", "a_eq", "b_eq"):
+            assert np.array_equal(getattr(stacked, name), getattr(one, name))
+        for name in ("wells_free", "lift", "free_index"):
+            assert np.array_equal(getattr(ssys, name), getattr(osys, name))
+
+
+def test_difference_maps_work_row_by_row():
+    rng = np.random.default_rng(32)
+    v = rng.normal(size=(2, 3, 9))
+    w = rng.normal(size=(2, 3, 8))
+    dv, dtw = d_apply(v), dt_apply(w)
+    assert dv.shape == w.shape and dtw.shape == v.shape
+    for s in range(2):
+        for i in range(3):
+            assert np.array_equal(dv[s, i], d_apply(v[s, i]))
+            assert np.array_equal(dtw[s, i], dt_apply(w[s, i]))
+
+
 def test_d_apply_adjoint():
     rng = np.random.default_rng(31)
     p = ChainParams(m=8)
@@ -190,7 +262,7 @@ def test_d_apply_adjoint():
     for _ in range(20):
         v = rng.normal(size=model.n_points)
         w = rng.normal(size=model.n_points - 1)
-        assert np.isclose(np.dot(d_apply(model, v), w), np.dot(v, dt_apply(model, w)))
+        assert np.isclose(np.dot(d_apply(v), w), np.dot(v, dt_apply(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +378,8 @@ def test_stiffness_matches_quadratic_form():
 
 def _grad_at_b(model):
     # gradient of the quadratic energy at y = b: D' E D (b - a) + K (b - b)
-    z = d_apply(model, model.b_eq - model.a_eq)
-    return dt_apply(model, banded.matvec(model.e_mat, z))
+    z = d_apply(model.b_eq - model.a_eq)
+    return dt_apply(banded.matvec(model.e_mat, z))
 
 
 def test_displacements_antisymmetric_about_defect():
@@ -334,8 +406,8 @@ def test_fd_gradient_matches_assembled_residual():
             return energy_direct(p, part, flavor, vec, check_wells=False)
 
         g_fd = fd_gradient(ener, y)
-        z = d_apply(model, y - model.a_eq)
-        g_an = dt_apply(model, banded.matvec(model.e_mat, z))
+        z = d_apply(y - model.a_eq)
+        g_an = dt_apply(banded.matvec(model.e_mat, z))
         g_an += banded.matvec(model.k_mat, y - model.b_eq)
         scale = np.max(np.abs(g_an)) + 1.0
         assert np.max(np.abs(g_fd - g_an)) / scale < 1e-9
