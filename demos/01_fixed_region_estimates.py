@@ -51,7 +51,7 @@ def main() -> None:
     # The blended primal/dual solve and the dislocation it produces
     # ------------------------------------------------------------------
     pair = solve_dual_pair(params, part)
-    y = pair.y_free
+    y = pair.y_free[0]
     ids = pair.ref.system.free_index
     near = (ids >= -2) & (ids <= 3)
     print("\npositions around the defect (antisymmetric, bond (0,1) stretched):")

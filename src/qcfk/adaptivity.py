@@ -21,7 +21,6 @@ import numpy as np
 from .banded import Array
 from .estimators import (
     EstimatorReport,
-    Reference,
     estimate,
     estimate_stack,
     exact_goal_errors,
@@ -100,7 +99,7 @@ def mark_atoms(report: EstimatorReport, tau_at: float) -> Array:
     return report.free_ids()[report.eta2_total() >= tau_at]
 
 
-def _interval_k(atoms: Array, m: int) -> int | None:
+def _interval_k(atoms: Array) -> int | None:
     """Half-width K if the set is exactly -K+1 .. K, else None."""
     if atoms.size == 0:
         return 0
@@ -129,7 +128,7 @@ def run_adaptive(params: ChainParams, config: AdaptConfig) -> AdaptTrace:
         records.append(
             IterationRecord(
                 iteration=it,
-                k=_interval_k(atoms, params.m),
+                k=_interval_k(atoms),
                 n_atomistic=int(atoms.size),
                 m_window=report.m_window,
                 tau_at=tau_shown,
@@ -161,13 +160,12 @@ def run_adaptive(params: ChainParams, config: AdaptConfig) -> AdaptTrace:
 @dataclass(frozen=True)
 class FixedKResult:
     """Estimates (and optionally the exact error) on the interval region
-    -K+1 .. K; ``ref`` is the reference the estimate was solved with."""
+    -K+1 .. K."""
 
     m: int
     k: int
     report: EstimatorReport
     q_error: float | None
-    ref: Reference = field(repr=False, compare=False)
 
     @property
     def abs_q_error(self) -> float | None:
@@ -180,40 +178,26 @@ class FixedKResult:
 
 
 def fixed_k_runs(
-    params: ChainParams,
-    ks,
-    want_exact: bool = True,
-    use_gamma: bool = False,
-    ref: Reference | None = None,
+    params: ChainParams, ks, want_exact: bool = True, use_gamma: bool = False
 ) -> list[FixedKResult]:
     """Estimates on the fixed interval regions of half-widths ``ks``, in
-    order; regions that share a window are solved as one stack.
-
-    ``ref`` is an atomistic reference of the chain, used for the regions
-    whose window it has and built here for the others.
-    """
+    order; regions that share a window are solved as one stack."""
     results: list[FixedKResult | None] = [None] * len(ks)
     parts = [interval_partition(params, k) for k in ks]
-    for rows, pair in solve_stacks(params, parts, ref):
+    for rows, pair in solve_stacks(params, parts):
         reports = estimate_stack(pair, use_gamma=use_gamma)
         q_errors = [None] * len(rows)
         if want_exact:
             q_errors = exact_goal_errors(pair)[0].tolist()
         for i, report, q_error in zip(rows, reports, q_errors):
-            results[i] = FixedKResult(
-                m=params.m, k=ks[i], report=report, q_error=q_error, ref=pair.ref
-            )
+            results[i] = FixedKResult(params.m, ks[i], report, q_error)
         del pair  # before the next stack is solved
     return results
 
 
 def fixed_k_run(
-    params: ChainParams,
-    k: int,
-    want_exact: bool = True,
-    use_gamma: bool = False,
-    ref: Reference | None = None,
+    params: ChainParams, k: int, want_exact: bool = True, use_gamma: bool = False
 ) -> FixedKResult:
     """One estimate on the fixed interval region of half-width K (the
     one-region case of ``fixed_k_runs``)."""
-    return fixed_k_runs(params, [k], want_exact, use_gamma, ref)[0]
+    return fixed_k_runs(params, [k], want_exact, use_gamma)[0]

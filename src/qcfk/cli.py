@@ -26,6 +26,7 @@ precision and echoes the resolved run spec.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -137,6 +138,8 @@ def _read_config(path: str, err) -> dict:
     return out
 
 
+# built once: building the parser costs several times a whole parse
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="qcfk",

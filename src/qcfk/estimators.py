@@ -83,24 +83,23 @@ class Reference:
 
 @dataclass(frozen=True)
 class DualPair:
-    """Primal/dual blended solutions plus everything the estimators reuse.
+    """Primal/dual blended solutions plus everything the estimators reuse,
+    for a stack of regions that share ``ref``.
 
-    ``part`` is the partition solved.  ``y_free`` are absolute positions on
-    the free atoms, ``u_free`` the same solution measured from the wells
-    (the internally solved form).  The residuals are those of the atomistic
-    operator applied to the blended solutions, formed from the model
-    difference ``ediff = E_a - E_ac``; ``ez_y`` and ``ez_g`` are ``ediff``
-    applied to the bond differences ``z_y`` and ``z_g``.  ``ymy`` is
-    y . M_a y over the whole chain, ``gmy`` and ``gmg`` are g . M_a y and
-    g . M_a g.  Arrays live on the window's free atoms/bonds.
-
-    A stack of regions that share ``ref`` holds a tuple of partitions and a
-    leading axis on every other field but ``ref``, one row per region;
-    ``row(i)`` is region i alone.
+    ``parts`` holds the partitions solved, and every other field but ``ref``
+    a leading axis with one row per partition; a single region is the stack
+    of one.  ``y_free`` are absolute positions on the free atoms, ``u_free``
+    the same solution measured from the wells (the internally solved form).
+    The residuals are those of the atomistic operator applied to the
+    blended solutions, formed from the model difference E_a - E_ac;
+    ``ez_y`` and ``ez_g`` are that difference applied to the bond
+    differences z_y of y - a and z_g of g.  ``ymy`` is y . M_a y over the
+    whole chain, ``gmy`` and ``gmg`` are g . M_a y and g . M_a g.  Arrays
+    live on the window's free atoms/bonds.
     """
 
     ref: Reference
-    part: Partition | tuple[Partition, ...]
+    parts: tuple[Partition, ...]
     y_free: Array
     u_free: Array
     g_free: Array
@@ -110,65 +109,19 @@ class DualPair:
     ez_g: Array
     pz_y: Array
     pz_g: Array
-    npy: float
-    npg: float
-    ymy: float
-    gmy: float
-    gmg: float
+    npy: Array
+    npg: Array
+    ymy: Array
+    gmy: Array
+    gmg: Array
 
-    # the estimators only use ediff and z through ez_y and ez_g, so the
-    # three are formed again on request rather than held by every row
-    @property
-    def ediff(self) -> BandedSpdMatrix:
-        """E_a - E_ac on the window."""
-        eac = model.assemble(self.ref.window, self.part).e_mat
-        return BandedSpdMatrix(self.ref.model.e_mat.bands - eac.bands)
 
-    @property
-    def z_y(self) -> Array:
-        """Bond differences of the primal solution y - a."""
-        return _bond_differences(self.ref, self.u_free, self.g_free)[0]
-
-    @property
-    def z_g(self) -> Array:
-        """Bond differences of the dual solution g."""
-        return _bond_differences(self.ref, self.u_free, self.g_free)[1]
-
-    def row(self, i: int) -> "DualPair":
-        """Region ``i`` of a stack, sharing its arrays."""
-        pair = DualPair(
-            self.ref,
-            self.part[i],
-            *[getattr(self, name)[i] for name in _VECTORS],
-            *[getattr(self, name)[i].item() for name in _SCALARS],
+def _one_region(pair: DualPair, stacked: str) -> None:
+    """Reject a stack of more than one region where one is expected."""
+    if len(pair.parts) != 1:
+        raise ValueError(
+            f"pair holds {len(pair.parts)} regions; use {stacked} for a stack"
         )
-        if len(self.part) == 1:
-            # kept for the one-region estimators (see _stack_of_one); not a
-            # field, so dataclasses.replace() drops it with the old values
-            object.__setattr__(pair, "_stack", self)
-        return pair
-
-
-# the DualPair fields after ``ref`` and ``part``, in order
-_VECTORS = (
-    "y_free", "u_free", "g_free", "residual_primal", "residual_dual",
-    "ez_y", "ez_g", "pz_y", "pz_g",
-)
-_SCALARS = ("npy", "npg", "ymy", "gmy", "gmg")
-
-
-def _stack_of_one(pair: DualPair) -> DualPair:
-    """One region's pair as a stack of one, sharing its arrays."""
-    stack = getattr(pair, "_stack", None)
-    if stack is not None:
-        return stack
-    scalars = np.array([[getattr(pair, name)] for name in _SCALARS])
-    return DualPair(
-        pair.ref,
-        (pair.part,),
-        *[getattr(pair, name)[None] for name in _VECTORS],
-        *scalars,
-    )
 
 
 def _bond_differences(ref: Reference, u: Array, g: Array) -> Array:
@@ -183,7 +136,7 @@ def _bond_differences(ref: Reference, u: Array, g: Array) -> Array:
     return model.d_apply(lifted)
 
 
-def goal_vector(params: ChainParams, free_index: Array) -> Array:
+def goal_vector(free_index: Array) -> Array:
     """Load vector of Q(y) = y_1 - y_0 on the free atoms."""
     q = np.zeros(len(free_index))
     q[np.searchsorted(free_index, 0)] = -1.0
@@ -230,7 +183,7 @@ def reference(params: ChainParams, part: Partition | None = None) -> Reference:
         system=asys,
         ea_factor=banded.factor(amodel.e_mat),
         ma_factor=banded.factor(asys.mat),
-        goal=goal_vector(win, asys.free_index),
+        goal=goal_vector(asys.free_index),
         ymy_far=ymy_far,
     )
 
@@ -300,7 +253,7 @@ def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
 
     return DualPair(
         ref=ref,
-        part=tuple(parts),
+        parts=tuple(parts),
         y_free=yg[0],
         u_free=u,
         g_free=yg[1],
@@ -349,34 +302,22 @@ def solve_dual_pair(
 ) -> DualPair:
     """Solve the blended primal and dual problems and prepare estimator data.
 
-    The stack of one region (see ``solve_stacks``): ``ref`` is rebuilt when
-    not given or when its window is not the partition's, so the result
-    depends on (params, part) alone.
+    Returns the stack of one region (see ``solve_stacks``): ``ref`` is
+    rebuilt when not given or when its window is not the partition's, so
+    the result depends on (params, part) alone.
     """
     ((_, pair),) = solve_stacks(params, [part], ref)
-    return pair.row(0)
-
-
-def first_term(pair: DualPair) -> float:
-    """Computable part g . R(y) of the goal error identity."""
-    return rowdot(pair.g_free, pair.residual_primal)
+    return pair
 
 
 def _sigma(npy: float, npg: float) -> float | None:
-    """sqrt(npg / npy), or None when either norm vanishes next to the other."""
+    """Balance scalar sqrt(npg / npy), which minimises the upper bound; None
+    when either norm vanishes next to the other.  Any positive value would
+    still give valid bounds: sigma only scales them."""
     scale = max(npy, npg)
     if scale == 0.0 or min(npy, npg) <= _DEGENERATE_REL * scale:
         return None
     return math.sqrt(npg / npy)
-
-
-def sigma_opt(pair: DualPair) -> float | None:
-    """Balance scalar sqrt(||P z_g|| / ||P z_y||); None when either norm vanishes.
-
-    This sigma minimises the upper parallelogram bound; scaling is the only
-    thing it affects, so any positive value would still give valid bounds.
-    """
-    return _sigma(pair.npy, pair.npg)
 
 
 # the + and - parallelogram combinations, as a leading axis
@@ -395,7 +336,7 @@ def residual_combo(pair: DualPair, sigma, sign) -> Array:
     return combo
 
 
-def eta_upp(pair: DualPair, sigma, sign) -> float:
+def eta_upp(pair: DualPair, sigma, sign) -> Array:
     """Upper parallelogram term ||sigma P z_y +/- sigma^-1 P z_g||_{E_a},
     row by row as ``residual_combo``."""
     sigma = np.asarray(sigma)[..., None]
@@ -405,8 +346,10 @@ def eta_upp(pair: DualPair, sigma, sign) -> float:
 
 
 def _theta(a: float, b: float, c: float, d: float, f: float) -> tuple[float, bool]:
-    """theta_opt from the products a = r.y, b = r.g, c = y.My, d = g.My,
-    f = g.Mg."""
+    """(theta, degenerate): the stationary point of the lower-bound ratio
+    over test points y + theta g, from the products a = r.y, b = r.g,
+    c = y.My, d = g.My, f = g.Mg.  When the denominator of this 2x2 rational
+    condition vanishes the ratio is flat in theta and 0 is as good as any."""
     den = b * d - a * f
     scale = abs(b * d) + abs(a * f)
     if scale == 0.0 or abs(den) <= _DEGENERATE_REL * scale:
@@ -414,33 +357,14 @@ def _theta(a: float, b: float, c: float, d: float, f: float) -> tuple[float, boo
     return (a * d - b * c) / den, False
 
 
-def theta_opt(pair: DualPair, r: Array) -> tuple[float, bool]:
-    """Stationary point of the lower-bound ratio over test points y + theta g.
-
-    Returns (theta, degenerate).  The optimum solves a 2x2 rational
-    condition in the M-inner products of y and g; when its denominator
-    vanishes the ratio is flat in theta and 0 is as good as any value.
-    """
-    a, b = float(rowdot(r, pair.y_free)), float(rowdot(r, pair.g_free))
-    return _theta(a, b, pair.ymy, pair.gmy, pair.gmg)
-
-
 def _low(v0r: float, theta: float, c: float, d: float, f: float) -> float:
-    """eta_low from v0r = r . v0 and the M-products of y and g (as _theta)."""
+    """Lower parallelogram term r . v0 / ||v0||_M at v0 = y + theta g, from
+    v0r = r . v0 and the M-products (as ``_theta``).  It may be negative:
+    the sandwich squares a clamped copy, eta1 the raw value."""
     nv2 = c + 2.0 * theta * d + theta * theta * f
     if nv2 <= 0.0:
         return 0.0
     return v0r / math.sqrt(nv2)
-
-
-def eta_low(pair: DualPair, r: Array, theta: float) -> float:
-    """Lower parallelogram term r . v0 / ||v0||_M at v0 = y + theta g.
-
-    Unlike eta_upp this may come out negative; the sandwich bounds square a
-    clamped copy while the headline eta1 squares the raw value.
-    """
-    v0r = float(rowdot(pair.y_free + theta * pair.g_free, r))
-    return _low(v0r, theta, pair.ymy, pair.gmy, pair.gmg)
 
 
 @dataclass(frozen=True)
@@ -497,21 +421,6 @@ class EstimatorReport:
         return json.dumps(self.as_dict())
 
 
-def eta2_parts(pair: DualPair, use_gamma: bool = False):
-    """Global product bound plus its per-atom / per-bond split, and the
-    gamma flag, as ``estimate`` reports them for one region.
-
-    The bond terms use the identity ||P z||_{E_a}^2 = sum_i (P z)_i
-    ((E_a - E_ac) z)_i, so the plain split sums to (||P z_y||^2 +
-    ||P z_g||^2) / 2.  With ``use_gamma`` the two halves are reweighted by
-    gamma = npg / npy, which leaves the global value at the product
-    npy * npg but balances the two series locally.
-    """
-    rep = estimate(pair, use_gamma)
-    flags = [f for f in rep.flags if f == "gamma-degenerate"]
-    return rep.eta2, rep.eta2_at, rep.eta2_el, rep.eta2_weighted, flags
-
-
 def estimate_stack(pair: DualPair, use_gamma: bool = False) -> list[EstimatorReport]:
     """Run the full eta1 + eta2 pipeline on a stack, one report per row.
 
@@ -521,7 +430,8 @@ def estimate_stack(pair: DualPair, use_gamma: bool = False) -> list[EstimatorRep
     """
     # past a0/2 from its well an atom leaves the harmonic well model's range
     off_well = np.abs(pair.u_free).max(axis=-1) > 0.5 * pair.ref.params.a0
-    ft = first_term(pair).tolist()
+    # the computable part g . R(y) of the goal error identity
+    ft = rowdot(pair.g_free, pair.residual_primal).tolist()
     npy, npg = pair.npy.tolist(), pair.npg.tolist()
     ymy, gmy, gmg = pair.ymy.tolist(), pair.gmy.tolist(), pair.gmg.tolist()
     rows = range(len(ft))
@@ -540,7 +450,9 @@ def estimate_stack(pair: DualPair, use_gamma: bool = False) -> list[EstimatorRep
     low = [[_low(v0r[s][i], theta[s][i], *prods[i]) for i in rows] for s in (0, 1)]
     upp = eta_upp(pair, sigma, _SIGNS).tolist()
 
-    # eta2 split; the plain one is the gamma split at gamma = 1
+    # eta2 split: since ||P z||^2 = sum_i (P z)_i ((E_a - E_ac) z)_i, the plain
+    # bond terms sum to (npy^2 + npg^2) / 2; weighting the halves by gamma =
+    # npg / npy and 1 / gamma makes each sum npy npg / 2 (plain: gamma = 1)
     gammas = [
         npg[i] / npy[i] if use_gamma and sigmas[i] is not None else 1.0 for i in rows
     ]
@@ -609,9 +521,10 @@ def estimate_stack(pair: DualPair, use_gamma: bool = False) -> list[EstimatorRep
 
 
 def estimate(pair: DualPair, use_gamma: bool = False) -> EstimatorReport:
-    """Run the full eta1 + eta2 pipeline on a solved primal/dual pair (the
-    stack of one, see ``estimate_stack``)."""
-    return estimate_stack(_stack_of_one(pair), use_gamma)[0]
+    """Run the full eta1 + eta2 pipeline on a solved primal/dual pair of one
+    region (see ``estimate_stack``)."""
+    _one_region(pair, "estimate_stack")
+    return estimate_stack(pair, use_gamma)[0]
 
 
 def exact_goal_errors(pair: DualPair) -> tuple[Array, Array]:
@@ -638,5 +551,6 @@ def exact_goal_error(
     """(Q(e), e) of one region, the stack of one of ``exact_goal_errors``."""
     if pair is None:
         pair = solve_dual_pair(params, part)
-    q, e = exact_goal_errors(_stack_of_one(pair))
+    _one_region(pair, "exact_goal_errors")
+    q, e = exact_goal_errors(pair)
     return float(q[0]), e[0]

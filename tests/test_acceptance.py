@@ -18,7 +18,7 @@ import pytest
 
 from qcfk import banded
 from qcfk.adaptivity import AdaptConfig, fixed_k_run, run_adaptive
-from qcfk.estimators import exact_goal_error, first_term, solve_dual_pair
+from qcfk.estimators import estimate, exact_goal_error, solve_dual_pair
 from qcfk.model import (
     ChainParams,
     assemble,
@@ -242,14 +242,13 @@ def test_criterion_5_small_chain_oracles():
         pair = solve_dual_pair(params, part)
         qe, e = exact_goal_error(params, part, pair)
         _, e_hat = dual_errors(pair)
-        rhs = first_term(pair) + float(
-            np.dot(e_hat, banded.matvec(pair.ref.system.mat, e))
-        )
-        iscale = max(abs(qe), abs(first_term(pair)), 1e-300)
+        ft = estimate(pair).first_term
+        rhs = ft + float(np.dot(e_hat[0], banded.matvec(pair.ref.system.mat, e)))
+        iscale = max(abs(qe), abs(ft), 1e-300)
         worst_identity = max(worst_identity, abs(qe - rhs) / iscale)
 
         alpha, beta = rng.normal(size=2)
-        worst_lemma = max(worst_lemma, lemma1_check(params, part, alpha, beta))
+        worst_lemma = max(worst_lemma, lemma1_check(params, part, alpha, beta).ratio)
     ok = worst_solve <= 1e-9 and worst_identity <= 1e-10 and worst_lemma <= 1e-9
     _line(5, "random small-chain oracle agreement", ok,
           f"50 instances, solve {worst_solve:.1e}, identity {worst_identity:.1e}, "

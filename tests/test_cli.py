@@ -127,6 +127,19 @@ def test_rejected_argv(argv):
     assert exc.value.code == 2
 
 
+def test_parser_is_built_once(capsys):
+    # a rejected argv between two good parses still exits with its message,
+    # and leaves the shared parser as it was
+    good = ["table2", "--m", "200", "--k", "1,2", "--format", "json"]
+    first = parse_run_spec(good)
+    with pytest.raises(SystemExit) as exc:
+        parse_run_spec(["fixed-k", "--m", "100"])
+    assert exc.value.code == 2
+    assert "mode fixed-k needs --k" in capsys.readouterr().err
+    assert parse_run_spec(good) == first
+    assert cli._build_parser() is cli._build_parser()
+
+
 # ---------------------------------------------------------------------------
 # config files
 

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcfk import banded, model
+from qcfk.banded import BandedSpdMatrix
 from qcfk.model import (
     ChainParams,
     assemble,
@@ -19,24 +20,19 @@ from qcfk.model import (
 from qcfk.estimators import (
     EstimatorReport,
     estimate,
-    eta_low,
     eta_upp,
-    eta2_parts,
     estimate_stack,
     exact_goal_error,
     exact_goal_errors,
-    first_term,
     goal_vector,
     reference,
     residual_combo,
-    sigma_opt,
     solve_dual_pair,
     solve_stacks,
-    theta_opt,
 )
 from qcfk.adaptivity import fixed_k_run
 
-from oracle_dense import dual_errors, lemma1_check, to_dense
+from oracle_dense import dual_errors, ediff, lemma1_check, to_dense, z_g, z_y
 from oracle_exact import EXACT, EXACT_ETA1_M100, recompute, sci
 
 
@@ -90,7 +86,7 @@ def test_goal_vector_is_defect_bond_difference():
     p = ChainParams(m=6)
     part = interval_partition(p, 0)
     system = reduce_system(p, assemble(p, part))
-    g = goal_vector(p, system.free_index)
+    g = goal_vector(system.free_index)
     expect = np.zeros(p.n_free)
     expect[np.searchsorted(system.free_index, 0)] = -1.0
     expect[np.searchsorted(system.free_index, 1)] = 1.0
@@ -103,8 +99,8 @@ def test_projection_matches_dense_inverse():
     p = ChainParams(m=10)
     pair = solve_dual_pair(p, interval_partition(p, 2))
     ea = to_dense(pair.ref.model.e_mat)
-    eac = ea - to_dense(pair.ediff)
-    for z, pz in ((pair.z_y, pair.pz_y), (pair.z_g, pair.pz_g)):
+    eac = ea - to_dense(BandedSpdMatrix(ediff(pair).bands[0]))
+    for z, pz in ((z_y(pair)[0], pair.pz_y[0]), (z_g(pair)[0], pair.pz_g[0])):
         dense = z - np.linalg.solve(ea, eac @ z)
         assert np.allclose(pz, dense, atol=1e-12)
 
@@ -115,55 +111,59 @@ def test_seminorm_identity():
         p = ChainParams(m=m)
         pair = solve_dual_pair(p, interval_partition(p, k))
         for z, pz, nrm in (
-            (pair.z_y, pair.pz_y, pair.npy),
-            (pair.z_g, pair.pz_g, pair.npg),
+            (z_y(pair), pair.pz_y, pair.npy),
+            (z_g(pair), pair.pz_g, pair.npg),
         ):
-            split = float(np.dot(pz, banded.matvec(pair.ediff, z)))
-            assert np.isclose(nrm**2, split, rtol=1e-10, atol=1e-300)
+            split = float(np.dot(pz[0], banded.matvec(ediff(pair), z)[0]))
+            assert np.isclose(nrm[0] ** 2, split, rtol=1e-10, atol=1e-300)
 
 
 def test_parallelogram_law_for_upper_bounds():
     p = ChainParams(m=60)
     pair = solve_dual_pair(p, interval_partition(p, 6))
-    s = sigma_opt(pair)
-    lhs = eta_upp(pair, s, +1) ** 2 + eta_upp(pair, s, -1) ** 2
-    rhs = 2.0 * (s**2 * pair.npy**2 + pair.npg**2 / s**2)
+    rep = estimate(pair)
+    s, npy, npg = rep.sigma_bar, pair.npy[0], pair.npg[0]
+    lhs = rep.eta_upp_plus**2 + rep.eta_upp_minus**2
+    rhs = 2.0 * (s**2 * npy**2 + npg**2 / s**2)
     assert np.isclose(lhs, rhs, rtol=1e-10)
 
 
 def test_sigma_opt_minimizes_upper_bound():
     p = ChainParams(m=50)
     pair = solve_dual_pair(p, interval_partition(p, 4))
-    s = sigma_opt(pair)
-    assert np.isclose(s, np.sqrt(pair.npg / pair.npy), rtol=1e-12)
-    for sign in (+1, -1):
-        best = eta_upp(pair, s, sign)
+    rep = estimate(pair)
+    s = rep.sigma_bar
+    assert np.isclose(s, np.sqrt(pair.npg[0] / pair.npy[0]), rtol=1e-12)
+    for sign, best in ((+1, rep.eta_upp_plus), (-1, rep.eta_upp_minus)):
+        assert eta_upp(pair, s, sign)[0] == best
         for f in (0.5, 0.9, 1.1, 2.0):
-            assert eta_upp(pair, s * f, sign) >= best - 1e-15
+            assert eta_upp(pair, s * f, sign)[0] >= best - 1e-15
 
 
 def test_theta_opt_is_stationary():
     for (m, k) in [(30, 3), (50, 5), (100, 12)]:
         p = ChainParams(m=m)
         pair = solve_dual_pair(p, interval_partition(p, k))
-        s = sigma_opt(pair)
-        y, g, mat = pair.y_free, pair.g_free, pair.ref.system.mat
+        rep = estimate(pair)
+        assert not any(f.startswith("theta-") for f in rep.flags)
+        y, g, mat = pair.y_free[0], pair.g_free[0], pair.ref.system.mat
 
         def phi(r, th):
             v = y + th * g
             return float(np.dot(r, v) / np.sqrt(np.dot(v, banded.matvec(mat, v))))
 
-        for sign in (+1, -1):
-            r = residual_combo(pair, s, sign)
-            th, deg = theta_opt(pair, r)
-            assert not deg
+        for sign, th, low in (
+            (+1, rep.theta_plus, rep.eta_low_plus),
+            (-1, rep.theta_minus, rep.eta_low_minus),
+        ):
+            r = residual_combo(pair, rep.sigma_bar, sign)[0]
             sc = max(abs(th), 1.0)
             h = 1e-4 * sc
             d_at = abs(phi(r, th + h) - phi(r, th - h)) / (2 * h)
             d_off = abs(phi(r, th + 0.1 * sc + h) - phi(r, th + 0.1 * sc - h)) / (2 * h)
             assert d_at <= 1e-4 * d_off
             # eta_low reports exactly phi at the stationary point
-            assert np.isclose(eta_low(pair, r, th), phi(r, th), rtol=1e-12)
+            assert np.isclose(low, phi(r, th), rtol=1e-12)
 
 
 def test_goal_error_identity():
@@ -174,10 +174,9 @@ def test_goal_error_identity():
         pair = solve_dual_pair(p, part)
         qe, e = exact_goal_error(p, part, pair)
         _, e_hat = dual_errors(pair)
-        rhs = first_term(pair) + float(
-            np.dot(e_hat, banded.matvec(pair.ref.system.mat, e))
-        )
-        scale = max(abs(qe), abs(first_term(pair)), 1e-300)
+        ft = estimate(pair).first_term
+        rhs = ft + float(np.dot(e_hat[0], banded.matvec(pair.ref.system.mat, e)))
+        scale = max(abs(qe), abs(ft), 1e-300)
         assert abs(qe - rhs) <= 1e-10 * scale
 
 
@@ -186,7 +185,19 @@ def test_lemma_identity_residual_small():
         p = ChainParams(m=m)
         part = interval_partition(p, k)
         for alpha, beta in [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, -2.0)]:
-            assert lemma1_check(p, part, alpha, beta) <= 1e-9
+            assert lemma1_check(p, part, alpha, beta).ratio <= 1e-9
+
+
+def test_lemma_identity_at_precision_floor():
+    # with the model error at round-off, max|lhs| is itself round-off and
+    # the ratio says nothing (it reads up to 0.09 at M = 300, K = 100); the
+    # absolute mismatch stays at the round-off of forming E_ac z
+    for (m, k) in [(200, 50), (300, 100)]:
+        p = ChainParams(m=m)
+        part = interval_partition(p, k)
+        for alpha, beta in [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, -2.0)]:
+            check = lemma1_check(p, part, alpha, beta)
+            assert check.mismatch <= 16 * check.floor, (m, k, alpha, beta)
 
 
 def _fully_atomistic(p: ChainParams):
@@ -202,7 +213,7 @@ def test_residuals_vanish_when_model_is_exact():
     scale = np.max(np.abs(pair.ref.system.rhs_wells))
     assert np.max(np.abs(pair.residual_primal)) <= 1e-12 * scale
     assert np.max(np.abs(pair.residual_dual)) <= 1e-12
-    assert pair.npy <= 1e-12 and pair.npg <= 1e-12
+    assert pair.npy[0] <= 1e-12 and pair.npg[0] <= 1e-12
 
 
 def test_interval_partition_keeps_boundary_blended():
@@ -234,16 +245,15 @@ def test_zero_residual_pair_takes_degenerate_branch():
     # by zero; the estimate falls back to the first term alone
     p = ChainParams(m=12)
     pair = solve_dual_pair(p, _fully_atomistic(p))
-    pair = dataclasses.replace(pair, npy=0.0, npg=0.0)
-    assert sigma_opt(pair) is None
-    rep = estimate(pair)
+    zero = np.zeros(1)
+    rep = estimate(dataclasses.replace(pair, npy=zero, npg=zero))
     assert "sigma-degenerate" in rep.flags
     assert rep.sigma_bar is None
     assert rep.eta1 == abs(rep.first_term)
     assert rep.bound_low == rep.first_term == rep.bound_high
     # one-sided degeneracy triggers the same guard
-    pair2 = dataclasses.replace(solve_dual_pair(p, _fully_atomistic(p)), npy=0.0)
-    assert sigma_opt(pair2) is None
+    rep2 = estimate(dataclasses.replace(pair, npy=zero))
+    assert rep2.sigma_bar is None and "sigma-degenerate" in rep2.flags
 
 
 # ---------------------------------------------------------------------------
@@ -253,47 +263,48 @@ def test_zero_residual_pair_takes_degenerate_branch():
 def test_eta2_split_sums_to_global():
     p = ChainParams(m=100)
     pair = solve_dual_pair(p, interval_partition(p, 8))
-    value, at, el, weighted, flags = eta2_parts(pair)
-    assert weighted is None and flags == []
+    rep = estimate(pair)
+    at, el, ft = rep.eta2_at, rep.eta2_el, rep.first_term
+    assert rep.eta2_weighted is None and "gamma-degenerate" not in rep.flags
     assert at.shape == (2 * p.m - 4,)
     assert el.shape == (2 * p.m - 1,)
     # |g . R| <= sum at; the signed bond sums recover the squared norms,
     # and taking magnitudes before summing can only grow the total
-    assert abs(first_term(pair)) <= at.sum() + 1e-15
-    ely = pair.pz_y * banded.matvec(pair.ediff, pair.z_y)
-    elg = pair.pz_g * banded.matvec(pair.ediff, pair.z_g)
-    assert np.isclose(ely.sum(), pair.npy**2, rtol=1e-10)
-    assert np.isclose(elg.sum(), pair.npg**2, rtol=1e-10)
-    half_norms = 0.5 * (pair.npy**2 + pair.npg**2)
+    assert abs(ft) <= at.sum() + 1e-15
+    npy, npg = pair.npy[0], pair.npg[0]
+    ely = pair.pz_y * banded.matvec(ediff(pair), z_y(pair))
+    elg = pair.pz_g * banded.matvec(ediff(pair), z_g(pair))
+    assert np.isclose(ely.sum(), npy**2, rtol=1e-10)
+    assert np.isclose(elg.sum(), npg**2, rtol=1e-10)
+    half_norms = 0.5 * (npy**2 + npg**2)
     assert el.sum() >= half_norms * (1.0 - 1e-12)
-    assert value <= abs(first_term(pair)) + at.sum() + el.sum()
+    assert rep.eta2 <= abs(ft) + at.sum() + el.sum()
 
 
 def test_eta2_gamma_rebalances_locals_only():
     p = ChainParams(m=100)
     pair = solve_dual_pair(p, interval_partition(p, 8))
-    v0, at0, el0, w0, _ = eta2_parts(pair, use_gamma=False)
-    v1, at1, el1, w1, flags = eta2_parts(pair, use_gamma=True)
-    assert flags == []
-    assert v1 == v0
-    assert np.array_equal(at1, at0)
-    gamma = pair.npg / pair.npy
-    assert not np.isclose(gamma, 1.0)
-    assert not np.allclose(el1, el0)
+    plain, gam = estimate(pair, use_gamma=False), estimate(pair, use_gamma=True)
+    assert "gamma-degenerate" not in gam.flags
+    assert gam.eta2 == plain.eta2
+    assert np.array_equal(gam.eta2_at, plain.eta2_at)
+    npy, npg = pair.npy[0], pair.npg[0]
+    assert not np.isclose(npg / npy, 1.0)
+    assert not np.allclose(gam.eta2_el, plain.eta2_el)
     # reweighting balances the two halves: the signed sums both land on the
     # product npy*npg, so the magnitude sum dominates it
-    assert el1.sum() >= pair.npy * pair.npg * (1.0 - 1e-12)
+    assert gam.eta2_el.sum() >= npy * npg * (1.0 - 1e-12)
     # the weighted global equals the plain product bound away from degeneracy
-    assert np.isclose(w1, v1, rtol=1e-10)
+    assert np.isclose(gam.eta2_weighted, gam.eta2, rtol=1e-10)
 
 
 def test_eta2_gamma_degenerate_flag():
     p = ChainParams(m=10)
     pair = solve_dual_pair(p, _fully_atomistic(p))
-    pair = dataclasses.replace(pair, npy=0.0, npg=0.0)
-    _, _, _, w, flags = eta2_parts(pair, use_gamma=True)
-    assert "gamma-degenerate" in flags
-    assert w is not None and np.isfinite(w)
+    zero = np.zeros(1)
+    rep = estimate(dataclasses.replace(pair, npy=zero, npg=zero), use_gamma=True)
+    assert "gamma-degenerate" in rep.flags
+    assert rep.eta2_weighted is not None and np.isfinite(rep.eta2_weighted)
 
 
 def test_eta2_total_index_alignment():
@@ -411,7 +422,7 @@ def test_exact_goal_error_matches_dual_errors():
     assert np.isclose(np.dot(pair.ref.goal, e), qe)
     # both oracles solve with the same M_a factor
     e2, _ = dual_errors(pair)
-    assert np.array_equal(e, e2)
+    assert np.array_equal(e, e2[0])
     # standalone call agrees
     qe2, _ = exact_goal_error(p, part)
     assert np.isclose(qe, qe2, rtol=1e-12)
@@ -436,10 +447,6 @@ def test_reference_is_shared_without_changing_results():
             assert estimate(shared).as_dict() == estimate(fresh).as_dict()
             q_shared, _ = exact_goal_error(p, part, shared)
             assert q_shared == exact_goal_error(p, part, fresh)[0]
-            with_ref = fixed_k_run(p, k, ref=ref)
-            without = fixed_k_run(p, k)
-            assert with_ref.q_error == without.q_error
-            assert with_ref.report.as_dict() == without.report.as_dict()
             ref = shared.ref
             windows.add(ref.window.m)
         if m == 100_000:
@@ -451,8 +458,17 @@ def test_reference_for_other_params_is_rejected():
     other = ChainParams(m=40, k2=1.0)
     with pytest.raises(ValueError, match="reference was built for"):
         solve_dual_pair(other, interval_partition(other, 2), ref)
-    with pytest.raises(ValueError, match="reference was built for"):
-        fixed_k_run(ChainParams(m=41), 2, ref=ref)
+
+
+def test_one_region_functions_reject_a_stack():
+    p = ChainParams(m=40)
+    parts = [interval_partition(p, k) for k in (2, 5)]
+    ((_, stack),) = solve_stacks(p, parts)
+    assert len(stack.parts) == 2
+    with pytest.raises(ValueError, match="estimate_stack"):
+        estimate(stack)
+    with pytest.raises(ValueError, match="exact_goal_errors"):
+        exact_goal_error(p, parts[0], stack)
 
 
 def test_reference_and_pair_are_frozen():
@@ -551,12 +567,12 @@ def _partition_sets(draw):
 _DEFAULT_1E5 = ChainParams(m=100_000)
 
 
-def _pair_arrays(pair):
-    """Every array and scalar of a one-region pair, by name."""
-    names = [f.name for f in dataclasses.fields(pair) if f.name not in ("ref", "part")]
-    out = {name: getattr(pair, name) for name in names}
-    out.update(ediff=pair.ediff.bands, z_y=pair.z_y, z_g=pair.z_g)
-    out["part"] = pair.part.atomistic
+def _pair_rows(pair, j):
+    """Row ``j`` of every array and scalar of a stacked pair, by name."""
+    names = [f.name for f in dataclasses.fields(pair) if f.name not in ("ref", "parts")]
+    out = {name: getattr(pair, name)[j] for name in names}
+    out.update(ediff=ediff(pair).bands[j], z_y=z_y(pair)[j], z_g=z_g(pair)[j])
+    out["part"] = pair.parts[j].atomistic
     return out
 
 
@@ -580,11 +596,11 @@ def test_stack_equals_one_region_at_a_time(case):
         q, e = exact_goal_errors(stack)
         seen += rows
         for j, i in enumerate(rows):
-            got, want = stack.row(j), solve_dual_pair(params, parts[i])
-            assert got.ref.window == want.ref.window == model.window(params, parts[i])
-            want_arrays = _pair_arrays(want)
-            for name, value in _pair_arrays(got).items():
-                assert np.array_equal(value, want_arrays[name]), name
+            want = solve_dual_pair(params, parts[i])
+            assert stack.ref.window == want.ref.window == model.window(params, parts[i])
+            want_rows = _pair_rows(want, 0)
+            for name, value in _pair_rows(stack, j).items():
+                assert np.array_equal(value, want_rows[name]), name
             for gamma, reps in reports.items():
                 assert reps[j].as_dict() == estimate(want, gamma).as_dict()
             q_want, e_want = exact_goal_error(params, parts[i], want)
