@@ -9,7 +9,7 @@ exactly the lower form LAPACK's ``dpbtrf`` expects.
 
 A stack of matrices of one size carries leading axes in front of the band
 rows, and vectors stack the same way in front of their one axis:
-``matvec``, ``quad_form``, ``norm`` and ``rowdot`` work row by row over
+``matvec``, ``norm`` and ``rowdot`` work row by row over
 those axes, with the same bits as one row at a time.
 """
 
@@ -39,7 +39,7 @@ class BandedSpdMatrix:
     """Lower bands of a symmetric matrix, or of a stack of them.
 
     Positive definiteness is only assumed (and checked) when the matrix is
-    factored; ``matvec`` and ``quad_form`` work for any symmetric band, and
+    factored; ``matvec`` and ``norm`` work for any symmetric band, and
     differences of these matrices reuse the type.
     """
 
@@ -93,15 +93,11 @@ def matvec(a: BandedSpdMatrix, x: Array) -> Array:
     return out
 
 
-def quad_form(a: BandedSpdMatrix, v: Array) -> Array:
-    """v^T A v for each row of v."""
-    return rowdot(v, matvec(a, v))
-
-
-def norm(a: BandedSpdMatrix, v: Array) -> Array:
-    """Energy norm sqrt(v^T A v) of each row of v; tiny negative round-off
-    is clamped to 0."""
-    q = quad_form(a, v)
+def norm(a: BandedSpdMatrix, v: Array, av: Array) -> Array:
+    """Energy norm sqrt(v^T A v) of each row of v, given ``av`` = A v
+    (however the caller formed it); tiny negative round-off is clamped to 0,
+    a clearly negative form raises."""
+    q = rowdot(v, av)
     neg = q < 0.0
     if neg.any():
         # allow only round-off level negativity relative to |A||v|^2

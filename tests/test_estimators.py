@@ -32,7 +32,17 @@ from qcfk.estimators import (
 )
 from qcfk.adaptivity import fixed_k_run
 
-from oracle_dense import dual_errors, ediff, lemma1_check, to_dense, z_g, z_y
+from oracle_dense import (
+    dual_errors,
+    ediff,
+    enorm,
+    lemma1_check,
+    ma_products,
+    projections,
+    to_dense,
+    z_g,
+    z_y,
+)
 from oracle_exact import EXACT, EXACT_ETA1_M100, recompute, sci
 
 
@@ -364,6 +374,55 @@ def test_sandwich_and_eta2_bound_hold_for_random_chains(case):
     assume(abs(qe) >= 1e-13)
     assert rep.bound_low <= qe <= rep.bound_high
     assert abs(qe) <= rep.eta2
+
+
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_chains())
+@example((ChainParams(m=100_000), interval_partition(ChainParams(m=100_000), 28)))
+@example(
+    (
+        ChainParams(m=5000, k0=0.2, k1=5.0, k2=4.0),
+        make_partition(ChainParams(m=5000), atomistic=[-40, -3, 0, 1, 2, 9, 77]),
+    )
+)
+def test_model_difference_products_match_direct_forms(case):
+    # the library forms P z = E_a^-1 ez, ||P z||^2 = P z . ez, the upper
+    # terms from the ez combination and the M_a products from the residuals;
+    # the oracle takes z - E_a^-1 E_ac z and matvecs with E_a and M_a.  They
+    # agree to round-off: two solves with E_a (condition number at most
+    # 1 + 4 k2 / k1) for P z, its E_a norm (|E_a| <= 4 max|band|) for the
+    # norms, and a few ulps per matvec entry plus a pairwise-summed dot
+    # product for the M_a products.
+    params, part = case
+    pair = solve_dual_pair(params, part)
+    ea = pair.ref.model.e_mat
+    cond = 1.0 + 4.0 * params.k2 / params.k1
+    grow = np.sqrt(4.0 * np.abs(ea.bands).max() * ea.n)
+    zs = (z_y(pair), z_g(pair))
+    for z, pz, pz_direct, nrm in zip(
+        zs, (pair.pz_y, pair.pz_g), projections(pair), (pair.npy, pair.npg)
+    ):
+        tol = 8.0 * EPS * cond * np.abs(z).max()
+        assert np.abs(pz - pz_direct).max() <= tol
+        assert abs(nrm[0] - enorm(ea, pz_direct)[0]) <= grow * tol
+    rep = estimate(pair)
+    if rep.sigma_bar is not None:
+        s = rep.sigma_bar
+        py, pg = projections(pair)
+        tol = 8.0 * EPS * cond * (s * np.abs(zs[0]).max() + np.abs(zs[1]).max() / s)
+        for sign, got in ((1, rep.eta_upp_plus), (-1, rep.eta_upp_minus)):
+            assert abs(got - enorm(ea, s * py + sign / s * pg)[0]) <= grow * tol
+    abs_ma = BandedSpdMatrix(np.abs(pair.ref.system.mat.bands))
+    y, g = np.abs(pair.y_free), np.abs(pair.g_free)
+    n = y.shape[-1]
+    for got, direct, (a, b) in zip(
+        (pair.ymy, pair.gmy, pair.gmg), ma_products(pair), ((y, y), (g, y), (g, g))
+    ):
+        scale = banded.rowdot(a, banded.matvec(abs_ma, b))
+        assert abs(got[0] - direct[0]) <= (8.0 + np.log2(n)) * EPS * scale[0]
 
 
 def test_eta1_equals_worse_signed_combination():

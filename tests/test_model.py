@@ -1,12 +1,18 @@
 """Chain geometry, partitions, assembly, and energy bookkeeping."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcfk import banded
 from qcfk.estimators import estimate, solve_dual_pair
 from qcfk.model import (
+    WINDOW_EPS,
     ChainParams,
+    _decay_exponent,
     assemble,
     atom_ids,
     d_apply,
@@ -26,6 +32,7 @@ from oracle_dense import (
     energy_direct,
     energy_matrix,
     fd_gradient,
+    quad_form,
     flavor_partition,
     random_partition,
     random_point,
@@ -112,7 +119,8 @@ def test_hand_typed_default_clamps_keep_the_window():
     assert typed.bc != default.bc and typed.bc[1] == -9999.9
     part = interval_partition(typed, 28)
     assert window(typed, part) == window(default, part)
-    assert window(typed, part).m == 512
+    # span 28 pads to the floor of 64
+    assert window(typed, part).m == _decay_width(default) + 64
     got = estimate(solve_dual_pair(typed, part)).as_dict()
     assert got == estimate(solve_dual_pair(default, part)).as_dict()
     # a boundary layer of 1e-9 a0 is not round-off: the chain is its own window
@@ -121,6 +129,61 @@ def test_hand_typed_default_clamps_keep_the_window():
         bc[i] += 1e-9 * default.a0
         shifted = ChainParams(m=100000, a0=0.1, bc=bc)
         assert window(shifted, part) is shifted
+
+
+def _decay_width(params: ChainParams) -> int:
+    """w of the window rule: the slowest decay falls below WINDOW_EPS over it."""
+    return math.ceil(math.log(1.0 / WINDOW_EPS) / _decay_exponent(params))
+
+
+# spring boxes the suite's property tests and the benchmark's workloads draw
+PROPERTY_SPRINGS = {"k0": (0.2, 3.0), "k1": (0.5, 5.0), "k2": (0.0, 4.0)}
+BENCH_SPRINGS = {"k0": (0.5, 2.0), "k1": (1.0, 4.0), "k2": (0.5, 3.0)}
+
+
+@st.composite
+def _springs(draw, box=PROPERTY_SPRINGS):
+    return {k: draw(st.floats(lo, hi)) for k, (lo, hi) in box.items()}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_springs(), st.integers(0, 100_000), st.booleans())
+def test_window_pads_only_the_span(springs, span, left):
+    # the window holds the region and the decay width, and pads the span to
+    # a power of two at least 64: never more than max(span, 64) atoms over
+    params = ChainParams(m=10**9, **springs)
+    part = make_partition(params, [-span if left else span])
+    w = _decay_width(params)
+    m_w = window(params, part).m
+    assert m_w >= span + w
+    assert m_w - (span + w) <= max(span, 64)
+    # capped at the chain: a chain no longer than the window is its own
+    short = ChainParams(m=m_w, **springs)
+    assert window(short, part) is short
+    assert window(ChainParams(m=m_w + 1, **springs), part).m == m_w
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.one_of(_springs(PROPERTY_SPRINGS), _springs(BENCH_SPRINGS)),
+    st.integers(52, 10**6),
+)
+def test_table2_regions_share_one_window(springs, m):
+    # the paper's K = 0..50 sweep solves on one window, so it builds one
+    # atomistic reference
+    params = ChainParams(m=m, **springs)
+    wins = {window(params, interval_partition(params, k)) for k in range(51)}
+    assert len(wins) == 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_springs(), st.integers(3, 20_000), st.integers(1, 4000))
+def test_growing_region_rebuilds_its_window_log_times(springs, m, k_max):
+    params = ChainParams(m=m, **springs)
+    k_max = min(k_max, m - 2)
+    wins = [window(params, interval_partition(params, k)) for k in range(k_max + 1)]
+    changes = sum(a != b for a, b in zip(wins, wins[1:]))
+    assert changes <= math.ceil(math.log2(max(k_max, 1))) + 1
 
 
 def test_well_positions_shift_across_defect():
@@ -372,7 +435,7 @@ def test_stiffness_matches_quadratic_form():
         e1 = energy_matrix(p, model, model.b_eq + v)
         grad_term = np.dot(v, _grad_at_b(model))
         assert np.isclose(
-            e1 - e0 - grad_term, 0.5 * banded.quad_form(full, v), rtol=1e-9
+            e1 - e0 - grad_term, 0.5 * quad_form(full, v), rtol=1e-9
         )
 
 
