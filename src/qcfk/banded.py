@@ -112,12 +112,6 @@ def norm(a: BandedSpdMatrix, v: Array, av: Array) -> Array:
 
 def factor(a: BandedSpdMatrix) -> BandedFactor:
     """Cholesky factorization; raises NotPositiveDefiniteError with the pivot."""
-    if a.bandwidth == 0:
-        d = a.bands[0]
-        bad = np.flatnonzero(d <= 0.0)
-        if bad.size:
-            raise NotPositiveDefiniteError(int(bad[0]) + 1)
-        return BandedFactor(np.sqrt(d)[np.newaxis, :])
     # trim band rows that lie entirely outside the matrix
     ab = np.asarray_chkfinite(a.bands[: min(a.bandwidth, a.n - 1) + 1])
     cb, info = dpbtrf(ab, lower=1)
@@ -143,9 +137,6 @@ def solve(f: BandedFactor, rhs: Array) -> Array:
         )
     if not np.isfinite(rhs).all():
         raise ValueError("right-hand side must be finite")
-    if f.bands.shape[0] == 1:
-        d = f.bands[0] ** 2
-        return rhs / (d if rhs.ndim == 1 else d[:, None])
     x, info = dpbtrs(f.bands, rhs, lower=1)
     if info != 0:
         raise ValueError(f"dpbtrs rejected argument {-info}")

@@ -17,10 +17,12 @@ Modes:
                  1e-2 .. 1e-14 unless --tau-gl names a single one
 * ``profile``  - per-atom and per-bond indicator series for one region
 
-Config files hold ``key = value`` lines using the long option names with
-underscores; command line flags win over the file.  CSV output rounds
-floats to scientific notation with six fractional digits, JSON keeps full
-precision and echoes the resolved run spec.
+Config files hold ``key = value`` lines whose keys are the long option
+names, with dashes or underscores; the on/off options take yes/no words.
+Each line becomes the option it names, parsed ahead of the command line,
+so command line flags win over the file.  CSV output rounds floats to
+scientific notation with six fractional digits, JSON keeps full precision
+and echoes the resolved run spec.
 """
 
 from __future__ import annotations
@@ -47,19 +49,20 @@ TABLE3_TAU = tuple(10.0**-p for p in range(2, 15))
 # below this exact error, double precision noise dominates the reference
 PRECISION_FLOOR = 1e-13
 
-_CONFIG_KEYS = {
-    "m": str,
-    "k": str,
-    "k0": float,
-    "k1": float,
-    "k2": float,
-    "a0": float,
-    "tau_gl": float,
-    "tau_div": float,
-    "symmetrize": bool,
-    "gamma_split": bool,
-    "format": str,
-    "out": str,
+# option -> add_argument keywords; config file keys are these names too
+_OPTIONS = {
+    "m": dict(help="chain half-size M, or a comma separated list"),
+    "k": dict(help="atomistic half-width K, or a comma separated list"),
+    "k0": dict(type=float, default=1.0, help="substrate well stiffness"),
+    "k1": dict(type=float, default=2.0, help="nearest-neighbour spring"),
+    "k2": dict(type=float, default=2.0, help="next-nearest-neighbour spring"),
+    "a0": dict(type=float, default=1.0, help="lattice spacing"),
+    "tau_gl": dict(type=float, help="global tolerance"),
+    "tau_div": dict(type=float, default=10.0, help="local threshold divisor"),
+    "symmetrize": dict(action="store_true"),
+    "gamma_split": dict(action="store_true"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "out": dict(help="write output to this path instead of stdout"),
 }
 
 
@@ -91,30 +94,20 @@ class RunSpec:
 
 def _parse_int_list(text: str, what: str, err) -> tuple[int, ...]:
     try:
-        vals = tuple(int(part) for part in str(text).split(","))
+        vals = tuple(int(part) for part in text.split(","))
     except ValueError:
         err(f"{what} expects a comma separated list of integers, got {text!r}")
-    if not vals:
-        err(f"{what} must not be empty")
     return vals
 
 
-def _parse_bool(text: str, key: str, err) -> bool:
-    low = str(text).strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    err(f"config key {key} expects a boolean, got {text!r}")
-
-
-def _read_config(path: str, err) -> dict:
+def _read_config(path: str, err) -> list[str]:
+    """The options a config file names, as command line arguments."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as exc:
         err(f"cannot read config file: {exc}")
-    out = {}
+    argv = []
     for ln, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -123,19 +116,16 @@ def _read_config(path: str, err) -> dict:
             err(f"{path}:{ln}: expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             err(f"{path}:{ln}: unknown config key {key!r}")
-        kind = _CONFIG_KEYS[key]
-        if kind is bool:
-            out[key] = _parse_bool(value, key, err)
-        elif kind is float:
-            try:
-                out[key] = float(value)
-            except ValueError:
-                err(f"{path}:{ln}: key {key!r} expects a number, got {value!r}")
-        else:
-            out[key] = value
-    return out
+        flag = "--" + key.replace("_", "-")
+        if _OPTIONS[key].get("action") != "store_true":
+            argv.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes", "on"):
+            argv.append(flag)
+        elif value.lower() not in ("0", "false", "no", "off"):
+            err(f"{path}:{ln}: config key {key!r} expects yes or no, got {value!r}")
+    return argv
 
 
 # built once: building the parser costs several times a whole parse
@@ -146,20 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Defect-opening error estimates for a blended NN/NNN chain",
     )
     p.add_argument("mode", choices=MODES)
-    p.add_argument("--m", help="chain half-size M, or a comma separated list")
-    p.add_argument("--k", help="atomistic half-width K, or a comma separated list")
-    p.add_argument("--k0", type=float, help="substrate well stiffness")
-    p.add_argument("--k1", type=float, help="nearest-neighbour spring")
-    p.add_argument("--k2", type=float, help="next-nearest-neighbour spring")
-    p.add_argument("--a0", type=float, help="lattice spacing")
-    p.add_argument("--tau-gl", type=float, dest="tau_gl", help="global tolerance")
-    p.add_argument(
-        "--tau-div", type=float, dest="tau_div", help="local threshold divisor"
-    )
-    p.add_argument("--symmetrize", action="store_true", default=None)
-    p.add_argument("--gamma-split", action="store_true", default=None, dest="gamma_split")
-    p.add_argument("--format", choices=("csv", "json"))
-    p.add_argument("--out", help="write output to this path instead of stdout")
+    for name, kwargs in _OPTIONS.items():
+        p.add_argument("--" + name.replace("_", "-"), dest=name, **kwargs)
     p.add_argument("--config", help="key = value file with the same options")
     return p
 
@@ -169,30 +147,11 @@ def parse_run_spec(argv: list[str]) -> RunSpec:
     parser = _build_parser()
     args = parser.parse_args(argv)
     err = parser.error
-
-    merged = {
-        "m": None,
-        "k": None,
-        "k0": 1.0,
-        "k1": 2.0,
-        "k2": 2.0,
-        "a0": 1.0,
-        "tau_gl": None,
-        "tau_div": 10.0,
-        "symmetrize": False,
-        "gamma_split": False,
-        "format": "csv",
-        "out": None,
-    }
     if args.config:
-        merged.update(_read_config(args.config, err))
-    for key in merged:
-        val = getattr(args, key)
-        if val is not None:
-            merged[key] = val
+        args = parser.parse_args(_read_config(args.config, err) + list(argv))
 
     mode = args.mode
-    if merged["m"] is None:
+    if args.m is None:
         if mode == "table1":
             m_list = (100, 1000, 10_000, 100_000, 1_000_000)
         elif mode == "profile":
@@ -200,8 +159,8 @@ def parse_run_spec(argv: list[str]) -> RunSpec:
         else:
             m_list = (1000,)
     else:
-        m_list = _parse_int_list(merged["m"], "--m", err)
-    if merged["k"] is None:
+        m_list = _parse_int_list(args.m, "--m", err)
+    if args.k is None:
         if mode in ("table2", "sweep-k"):
             k_list = TABLE2_K
         elif mode == "table3":
@@ -213,31 +172,18 @@ def parse_run_spec(argv: list[str]) -> RunSpec:
         else:
             k_list = ()
     else:
-        k_list = _parse_int_list(merged["k"], "--k", err)
+        k_list = _parse_int_list(args.k, "--k", err)
 
-    tau_gl = merged["tau_gl"]
+    tau_gl = args.tau_gl
     if tau_gl is None and mode != "table3":
         tau_gl = 1e-10
 
-    spec = RunSpec(
-        mode=mode,
-        m=m_list,
-        k=k_list,
-        k0=float(merged["k0"]),
-        k1=float(merged["k1"]),
-        k2=float(merged["k2"]),
-        a0=float(merged["a0"]),
-        tau_gl=None if tau_gl is None else float(tau_gl),
-        tau_div=float(merged["tau_div"]),
-        symmetrize=bool(merged["symmetrize"]),
-        gamma_split=bool(merged["gamma_split"]),
-        format=str(merged["format"]),
-        out=merged["out"],
-    )
+    # every other parsed option is already the spec field of its name
+    fields = vars(args)
+    del fields["config"]
+    fields.update(m=m_list, k=k_list, tau_gl=tau_gl)
+    spec = RunSpec(**fields)
 
-    # config files bypass argparse's choices
-    if spec.format not in ("csv", "json"):
-        err(f"--format must be csv or json, got {spec.format!r}")
     # the objects a run builds check their own inputs; table3's default
     # decades are all valid tolerances, so its smallest one stands in for them
     try:

@@ -175,11 +175,9 @@ def _wells_ymy(params: ChainParams) -> tuple[int, int]:
     return s * (s + 1) * (2 * s + 1) // 3, 2 * s * s + 2 * s + 2
 
 
-def reference(params: ChainParams, part: Partition | None = None) -> Reference:
+def reference(params: ChainParams, part: Partition) -> Reference:
     """Assemble, reduce and factor the atomistic model of the partition's
-    window (the window of an all-continuum partition when none is given)."""
-    if part is None:
-        part = model.make_partition(params)
+    window."""
     win = model.window(params, part)
     # the atomistic model is the blend that flags every atom of the window
     amodel = model.assemble(win, Partition(atomistic=model.atom_ids(win)))
@@ -239,7 +237,7 @@ def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
     # atomistic residuals of the blended solutions.  Since the blended
     # equations f_ac - M_ac u = 0 and q - M_ac g = 0 hold exactly, f_a - M_a u
     # equals -J^T D^T (E_a - E_ac) z_y and q - M_a g equals -J^T D^T
-    # (E_a - E_ac) z_g (the misfit matrices differ only on clamped atoms).
+    # (E_a - E_ac) z_g (both models pin every free atom with k0).
     # This form never sees the blended solve's backward error, and E_a - E_ac
     # is exactly zero inside the window, so the residuals keep full relative
     # accuracy however small the modeling error is.

@@ -9,13 +9,15 @@ between atoms 0 and 1: that gap is the defect the error estimators track.
 
 The blended (ac) model has the quadratic energy
 
-    E(y) = 1/2 (y - a)^T D^T E D (y - a) + 1/2 (y - b)^T K (y - b)
+    E(y) = 1/2 (y - a)^T D^T E D (y - a) + k0/2 |y - b|^2
 
-with the bond difference map ``D``, a tridiagonal interaction matrix ``E``
-on bonds, and a diagonal misfit matrix ``K``.  Atoms a partition flags
-atomistic keep the exact NN/NNN interactions; the others use the local
-Cauchy-Born density ``k12 = k1 + 4 k2`` instead of the nonlocal NNN
-coupling.  The atomistic model is the blend that flags every atom.
+with the bond difference map ``D`` and a tridiagonal interaction matrix
+``E`` on bonds, up to a constant: a continuum atom at a chain end bounds
+one bond and carries half the misfit, but the chain ends are clamped.
+Atoms a partition flags atomistic keep the exact NN/NNN interactions; the
+others use the local Cauchy-Born density ``k12 = k1 + 4 k2`` instead of
+the nonlocal NNN coupling.  The atomistic model is the blend that flags
+every atom.
 
 Index conventions used throughout: an atom id ``i`` maps to array position
 ``i + M - 1``; bond ``i`` connects atoms ``i`` and ``i + 1`` and maps to the
@@ -111,23 +113,10 @@ class ChainParams:
     def n_atoms(self) -> int:
         return 2 * self.m
 
-    @property
-    def n_bonds(self) -> int:
-        return 2 * self.m - 1
-
-    @property
-    def n_free(self) -> int:
-        return 2 * self.m - 4
-
 
 def atom_ids(params: ChainParams) -> Array:
     """All atom labels -M+1 .. M in order."""
     return np.arange(-params.m + 1, params.m + 1)
-
-
-def lattice_sites(params: ChainParams) -> Array:
-    """Reference positions a_i = i a0 (bond stretch is measured from these)."""
-    return atom_ids(params) * params.a0
 
 
 def well_positions(params: ChainParams, ids: Array | None = None) -> Array:
@@ -237,15 +226,14 @@ def interval_partition(params: ChainParams, k: int) -> Partition:
 
 @dataclass(frozen=True)
 class QuadraticModel:
-    """Assembled quadratic energy 1/2|D(y-a)|_E^2 + 1/2|y-b|_K^2.
+    """Assembled quadratic energy 1/2|D(y-a)|_E^2 + k0/2 |y-b|^2.
 
     ``ids`` labels the degrees of freedom by atom id.  A stack of models
-    (one per partition of a sequence) stacks ``e_mat`` and ``k_mat``.
+    (one per partition of a sequence) stacks ``e_mat``.
     """
 
     ids: Array
     e_mat: BandedSpdMatrix
-    k_mat: BandedSpdMatrix
     a_eq: Array
     b_eq: Array
 
@@ -290,21 +278,6 @@ def _nn_bond_bands(params: ChainParams, da: Array) -> BandedSpdMatrix:
     return BandedSpdMatrix(bands)
 
 
-def _misfit_diag_bands(params: ChainParams, da: Array) -> BandedSpdMatrix:
-    """On-site misfit matrix for the full chain.
-
-    Interior atoms carry the full k0.  A continuum atom at a chain end only
-    bounds one bond, so it carries half weight, consistent with the
-    bond-by-bond continuum misfit of the blended energy.
-    """
-    n = da.shape[-1]
-    bands = banded.zeros_like_band(n, 0, da.shape[:-1])
-    bands[..., 0, :] = params.k0
-    # the step n - 1 picks the two end atoms
-    bands[..., 0, :: n - 1] = np.where(da[..., :: n - 1], params.k0, 0.5 * params.k0)
-    return BandedSpdMatrix(bands)
-
-
 def assemble(
     params: ChainParams, part: Partition | Sequence[Partition]
 ) -> QuadraticModel:
@@ -316,14 +289,13 @@ def assemble(
     return QuadraticModel(
         ids=ids,
         e_mat=_nn_bond_bands(params, da),
-        k_mat=_misfit_diag_bands(params, da),
         a_eq=ids * params.a0,
         b_eq=well_positions(params, ids),
     )
 
 
-def stiffness_bands(model: QuadraticModel) -> BandedSpdMatrix:
-    """Full Hessian D^T E D + K as a pentadiagonal band matrix."""
+def stiffness_bands(params: ChainParams, model: QuadraticModel) -> BandedSpdMatrix:
+    """Full Hessian D^T E D + k0 I as a pentadiagonal band matrix."""
     n = model.n_points
     ed = model.e_mat.bands[..., 0, :]
     eo = model.e_mat.bands[..., 1, : n - 2]
@@ -340,7 +312,7 @@ def stiffness_bands(model: QuadraticModel) -> BandedSpdMatrix:
     off1[..., :-1] += eo
     off2 -= eo
 
-    diag += model.k_mat.bands[..., 0, :]
+    diag += params.k0
     return BandedSpdMatrix(bands)
 
 
@@ -368,7 +340,7 @@ def reduce_system(params: ChainParams, model: QuadraticModel) -> LinearSystem:
     n = model.n_points
     if n < 6:
         raise ValueError("need at least 6 points to have free unknowns")
-    full = stiffness_bands(model).bands
+    full = stiffness_bands(params, model).bands
     bands = banded.zeros_like_band(n - 4, 2, full.shape[:-2])
     bands[..., 0, :] = full[..., 0, 2:-2]
     bands[..., 1, : n - 5] = full[..., 1, 2 : n - 3]
@@ -378,11 +350,10 @@ def reduce_system(params: ChainParams, model: QuadraticModel) -> LinearSystem:
     clamped = [0, 1, -2, -1]
     lift = np.zeros(n)
     lift[clamped] = np.subtract(params.bc, model.b_eq[clamped])
-    # -J^T [D^T E D (lift + b - a) + K lift]: the load of y = u + b on u
+    # -J^T D^T E D (lift + b - a): the load of y = u + b on u (the misfit
+    # k0 lift lives on the clamped atoms only)
     w = d_apply(lift + model.b_eq - model.a_eq)
-    f_full = -(
-        dt_apply(banded.matvec(model.e_mat, w)) + banded.matvec(model.k_mat, lift)
-    )
+    f_full = -dt_apply(banded.matvec(model.e_mat, w))
 
     return LinearSystem(
         mat=mat,

@@ -28,7 +28,6 @@ from qcfk.model import (
     ChainParams,
     LinearSystem,
     Partition,
-    QuadraticModel,
     _flags,
     assemble,
     atom_ids,
@@ -242,14 +241,27 @@ def energy_direct(
     return _energy_blended(params, part, y)
 
 
-def energy_matrix(params: ChainParams, model: QuadraticModel, y: Array) -> float:
-    """Same energy through the assembled bands (cross-check for the above)."""
+def misfit(params: ChainParams, part: Partition, flavor: str) -> Array:
+    """On-site misfit weights K of the model ``flavor`` names, per atom of
+    the whole chain: k0, but half of it on a continuum chain-end atom,
+    which bounds only one bond.  The library pins every atom with k0: the
+    chain ends are clamped, so their weight never reaches a solve."""
+    at_end = _flags(params, flavor_partition(params, part, flavor))[[0, -1]]
+    k = np.full(2 * params.m, params.k0)
+    k[[0, -1]] = np.where(at_end, 1.0, 0.5) * params.k0
+    return k
+
+
+def energy_matrix(params: ChainParams, part: Partition, flavor: str, y: Array) -> float:
+    """Same energy through the assembled bond matrix and ``misfit``
+    (cross-check for the above)."""
+    model = assemble(params, flavor_partition(params, part, flavor))
     y = np.asarray(y, dtype=float)
     w = d_apply(y - model.a_eq)
     v = y - model.b_eq
     return 0.5 * float(
         np.dot(w, banded.matvec(model.e_mat, w))
-        + np.dot(v, banded.matvec(model.k_mat, v))
+        + np.dot(v, misfit(params, part, flavor) * v)
     )
 
 

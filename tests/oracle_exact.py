@@ -290,7 +290,10 @@ def sci(x):
 
 if __name__ == "__main__":
     import sys
+    from pathlib import Path
 
+    # run as a script, outside pytest's path setup, --window needs qcfk
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     window = "--window" in sys.argv
     args = [int(s) for s in sys.argv[1:] if s != "--window"]
     m, ks = (args[0], args[1:]) if args else (1000, [0, 20, 40])

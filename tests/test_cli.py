@@ -182,6 +182,8 @@ def test_config_file_accepts_dashed_keys(tmp_path):
         "tau_gl\n",
         "tau_gl = not-a-number\n",
         "symmetrize = maybe\n",
+        "format = xml\n",
+        "config = other.cfg\n",
     ],
 )
 def test_config_file_rejects_bad_lines(tmp_path, content):

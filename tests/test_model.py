@@ -18,7 +18,6 @@ from qcfk.model import (
     d_apply,
     dt_apply,
     interval_partition,
-    lattice_sites,
     make_partition,
     reduce_system,
     stiffness_bands,
@@ -32,6 +31,7 @@ from oracle_dense import (
     energy_direct,
     energy_matrix,
     fd_gradient,
+    misfit,
     quad_form,
     flavor_partition,
     random_partition,
@@ -74,15 +74,13 @@ def test_params_validation():
             ChainParams(m=10, **bad)
     with pytest.raises(ValueError, match="integer"):
         ChainParams(m=50.5)
-    assert ChainParams(m=np.int64(10)).n_free == 16
+    assert ChainParams(m=np.int64(10)).n_atoms == 20
 
 
 def test_params_derived_counts():
     p = ChainParams(m=7, k1=3.0, k2=0.5)
     assert p.k12 == 3.0 + 4 * 0.5
     assert p.n_atoms == 14
-    assert p.n_bonds == 13
-    assert p.n_free == 10
     ids = atom_ids(p)
     assert ids[0] == -6 and ids[-1] == 7
     assert len(ids) == 14
@@ -190,7 +188,7 @@ def test_well_positions_shift_across_defect():
     p = ChainParams(m=4, a0=2.0)
     ids = atom_ids(p)
     b = well_positions(p, ids)
-    a = lattice_sites(p)
+    a = ids * p.a0
     # left of the defect the wells sit one spacing below the lattice site
     left = ids <= 0
     assert np.array_equal(b[left], a[left] - p.a0)
@@ -262,8 +260,6 @@ def test_atomistic_bond_matrix_small():
     )
     expect[4, 4] = 4.0
     assert np.allclose(dense, expect)
-    # on-site misfit is k0 at every atom for the atomistic flavor
-    assert np.allclose(to_dense(model.k_mat), np.eye(6) * p.k0)
 
 
 def test_blended_bond_matrix_pure_continuum():
@@ -272,17 +268,17 @@ def test_blended_bond_matrix_pure_continuum():
     p = ChainParams(m=4, k1=3.0, k2=0.25)
     model = assemble(p, interval_partition(p, 0))
     dense = to_dense(model.e_mat)
-    assert np.allclose(dense, np.eye(p.n_bonds) * p.k12)
-    # chain-end atoms carry half the misfit weight in the continuum flavor
-    kd = np.diag(to_dense(model.k_mat))
-    assert kd[0] == 0.5 * p.k0 and kd[-1] == 0.5 * p.k0
-    assert np.all(kd[1:-1] == p.k0)
+    assert np.allclose(dense, np.eye(2 * p.m - 1) * p.k12)
+    # the Hessian adds the misfit k0 on every atom's diagonal
+    d = np.diff(np.eye(2 * p.m), axis=0)
+    hess = to_dense(stiffness_bands(p, model))
+    assert np.allclose(hess, d.T @ dense @ d + p.k0 * np.eye(2 * p.m))
 
 
 def test_stacked_assembly_equals_one_by_one():
     # a sequence of partitions stacks the band matrices and loads row by row,
     # bit for bit, and shares everything that does not depend on the split;
-    # the regions reach both chain ends, where the misfit weight changes
+    # the regions reach both chain ends
     rng = np.random.default_rng(5)
     p = ChainParams(m=40, k0=0.7, k1=1.5, k2=2.5)
     parts = [
@@ -297,7 +293,6 @@ def test_stacked_assembly_equals_one_by_one():
         one = assemble(p, part)
         osys = reduce_system(p, one)
         assert np.array_equal(stacked.e_mat.bands[i], one.e_mat.bands)
-        assert np.array_equal(stacked.k_mat.bands[i], one.k_mat.bands)
         assert np.array_equal(ssys.mat.bands[i], osys.mat.bands)
         assert np.array_equal(ssys.rhs_wells[i], osys.rhs_wells)
         for name in ("ids", "a_eq", "b_eq"):
@@ -343,7 +338,7 @@ def test_energy_at_wells_and_lattice():
     # at y = a only the misfit contributes: m atoms on the left sit one
     # spacing from their wells, each worth 1/2 k0 a0^2
     p = ChainParams(m=7, k0=3.0, a0=2.0)
-    a = lattice_sites(p)
+    a = atom_ids(p) * p.a0
     got = energy_direct(
         p, interval_partition(p, 0), "atomistic", a, check_wells=False
     )
@@ -358,8 +353,7 @@ def test_energy_matrix_matches_direct():
         part = random_partition(rng, p)
         for flavor in ("atomistic", "ac"):
             y = random_point(rng, 2 * p.m, well_positions(p, atom_ids(p)))
-            model = assemble(p, flavor_partition(p, part, flavor))
-            em = energy_matrix(p, model, y)
+            em = energy_matrix(p, part, flavor, y)
             ed = energy_direct(p, part, flavor, y)
             scale = max(abs(em), abs(ed), 1.0)
             worst = max(worst, abs(em - ed) / scale)
@@ -382,9 +376,18 @@ def test_reduce_system_shapes_and_free_ids():
     p = ChainParams(m=6)
     part = interval_partition(p, 2)
     sys_a = reduce_system(p, assemble(p, flavor_partition(p, part, "atomistic")))
-    assert sys_a.mat.n == p.n_free
+    assert sys_a.mat.n == 2 * p.m - 4
     # free_index carries atom ids, not array offsets
     assert np.array_equal(sys_a.free_index, np.arange(-3, 5))
+
+
+def _chain(rng, m: int, offset: bool) -> ChainParams:
+    """Chain of half-size m, clamped at its wells or, with ``offset``, up to
+    a0/2 off each of them, which loads the free atoms through the lift."""
+    p = ChainParams(m=m)
+    if not offset:
+        return p
+    return ChainParams(m=m, bc=np.add(p.bc, rng.uniform(-0.5, 0.5, 4) * p.a0))
 
 
 def test_solutions_match_dense_oracle():
@@ -392,8 +395,8 @@ def test_solutions_match_dense_oracle():
     # (exact for quadratics at h = 1) solved with numpy.linalg.solve
     rng = np.random.default_rng(13579)
     worst = 0.0
-    for _ in range(40):
-        p = ChainParams(m=int(rng.integers(3, 14)))
+    for i in range(40):
+        p = _chain(rng, int(rng.integers(3, 14)), offset=i % 2 == 1)
         part = random_partition(rng, p)
         flavor = ("atomistic", "ac")[rng.integers(0, 2)]
         system = reduce_system(p, assemble(p, flavor_partition(p, part, flavor)))
@@ -408,8 +411,8 @@ def test_solutions_match_dense_oracle():
 
 def test_assembled_system_matches_dense_fd():
     rng = np.random.default_rng(24680)
-    for _ in range(25):
-        p = ChainParams(m=int(rng.integers(3, 12)))
+    for i in range(25):
+        p = _chain(rng, int(rng.integers(3, 12)), offset=i % 2 == 1)
         part = random_partition(rng, p)
         flavor = ("atomistic", "ac")[rng.integers(0, 2)]
         system = reduce_system(p, assemble(p, flavor_partition(p, part, flavor)))
@@ -427,12 +430,15 @@ def test_stiffness_matches_quadratic_form():
         part = random_partition(rng, p)
         flavor = ("atomistic", "ac")[rng.integers(0, 2)]
         model = assemble(p, flavor_partition(p, part, flavor))
-        full = stiffness_bands(model)
+        full = stiffness_bands(p, model)
         v = rng.normal(size=model.n_points)
+        # H pins the clamped end atoms with k0 where a continuum end has k0/2
+        # in the energy; no solve sees them, so v leaves them at their wells
+        v[[0, -1]] = 0.0
         # 1/2 v' H v equals the energy of the shifted configuration minus
         # linear and constant parts; check against energy differences
-        e0 = energy_matrix(p, model, model.b_eq)
-        e1 = energy_matrix(p, model, model.b_eq + v)
+        e0 = energy_matrix(p, part, flavor, model.b_eq)
+        e1 = energy_matrix(p, part, flavor, model.b_eq + v)
         grad_term = np.dot(v, _grad_at_b(model))
         assert np.isclose(
             e1 - e0 - grad_term, 0.5 * quad_form(full, v), rtol=1e-9
@@ -471,6 +477,6 @@ def test_fd_gradient_matches_assembled_residual():
         g_fd = fd_gradient(ener, y)
         z = d_apply(y - model.a_eq)
         g_an = dt_apply(banded.matvec(model.e_mat, z))
-        g_an += banded.matvec(model.k_mat, y - model.b_eq)
+        g_an += misfit(p, part, flavor) * (y - model.b_eq)
         scale = np.max(np.abs(g_an)) + 1.0
         assert np.max(np.abs(g_fd - g_an)) / scale < 1e-9
