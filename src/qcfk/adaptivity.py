@@ -27,7 +27,7 @@ from .estimators import (
     solve_dual_pair,
     solve_stacks,
 )
-from .model import ChainParams, interval_partition, make_partition
+from .model import ChainParams, Partition, interval_partition
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,8 @@ def run_adaptive(params: ChainParams, config: AdaptConfig) -> AdaptTrace:
     records: list[IterationRecord] = []
     status = "max-iterations"
     for it in range(1, config.max_iterations + 1):
-        part = make_partition(params, atomistic=atoms)
+        # union1d and arange keep the ids sorted, unique and on the chain
+        part = Partition(atomistic=atoms)
         pair = solve_dual_pair(params, part, ref)
         ref = pair.ref
         report = estimate(pair, use_gamma=config.use_gamma)

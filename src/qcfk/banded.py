@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
 
 Array = np.ndarray
 
@@ -60,7 +60,7 @@ class BandedSpdMatrix:
 
 @dataclass(frozen=True)
 class BandedFactor:
-    """Cholesky factor in the same lower-band layout."""
+    """Cholesky factor in the same lower-band layout (L D L^T if tridiagonal)."""
 
     bands: Array
 
@@ -114,11 +114,15 @@ def factor(a: BandedSpdMatrix) -> BandedFactor:
     """Cholesky factorization; raises NotPositiveDefiniteError with the pivot."""
     # trim band rows that lie entirely outside the matrix
     ab = np.asarray_chkfinite(a.bands[: min(a.bandwidth, a.n - 1) + 1])
-    cb, info = dpbtrf(ab, lower=1)
+    if len(ab) == 2:  # tridiagonal: a scalar loop, no per-row BLAS calls
+        cb = ab.copy()
+        *_, info = dpttrf(cb[0], cb[1, :-1], overwrite_d=1, overwrite_e=1)
+    else:
+        cb, info = dpbtrf(ab, lower=1)
     if info > 0:
         raise NotPositiveDefiniteError(info)
     if info < 0:
-        raise ValueError(f"dpbtrf rejected argument {-info}")
+        raise ValueError(f"LAPACK factor rejected argument {-info}")
     return BandedFactor(cb)
 
 
@@ -137,7 +141,10 @@ def solve(f: BandedFactor, rhs: Array) -> Array:
         )
     if not np.isfinite(rhs).all():
         raise ValueError("right-hand side must be finite")
-    x, info = dpbtrs(f.bands, rhs, lower=1)
+    if len(f.bands) == 2:
+        x, info = dpttrs(f.bands[0], f.bands[1, :-1], rhs)
+    else:
+        x, info = dpbtrs(f.bands, rhs, lower=1)
     if info != 0:
-        raise ValueError(f"dpbtrs rejected argument {-info}")
+        raise ValueError(f"LAPACK solve rejected argument {-info}")
     return x

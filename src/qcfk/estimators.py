@@ -33,11 +33,13 @@ the two ez.  The M_a products need no matvec either: M_a y = (f_a + M_a b)
 - R(y), with f_a + M_a b stored once in the ``Reference``, and
 M_a g = q - R_hat(g).
 
-All solves run on the partition's ``model.window`` chain.  Every vector
-here decays away from the defect and the atomistic region, so its products
-are local to the window, with one exception: y . M_a y grows like M^3
-through the wells b.  Its far-field part is summed in closed form
-(``Reference.ymy_far``), so the estimates are those of the whole chain.
+Every product is taken on the partition's ``model.window`` chain; only the
+blended solves run on its shorter ``model.core``, whose solutions extend
+over the window in closed form.  Every vector here decays away from the
+defect and the atomistic region, so its products are local to the window,
+with one exception: y . M_a y grows like M^3 through the wells b.  Its
+far-field part is summed in closed form (``Reference.ymy_far``), so the
+estimates are those of the whole chain.
 
 Many partitions of one chain are solved as stacks: ``solve_stacks`` groups
 them by window, and each group is assembled, solved and estimated in one
@@ -71,14 +73,17 @@ _STACK_MAX = 7
 class Reference:
     """Everything that depends on the window but not on the partition.
 
-    ``params`` is the chain, ``window`` the chain actually solved (see
-    ``model.window``).  On the window: the atomistic model and its reduced
-    system ``M_a``, the Cholesky factor of the bond matrix ``E_a`` (for
-    the projection P), the goal vector on the free atoms, and ``fa_mb`` =
+    ``params`` is the chain, ``window`` the chain every output lives on
+    (see ``model.window``).  On the window: the atomistic model and its
+    reduced system ``M_a``, the factor of the bond matrix ``E_a`` (for the
+    projection P), the goal vector on the free atoms, and ``fa_mb`` =
     f_a + M_a b on them (so that M_a y = fa_mb - R(y)).  ``ymy_far`` is
     what y . M_a y over the chain adds to the same product over the window.
-    Every blended solve whose partition has this window shares the
-    reference.
+    Blended solves run on ``core`` (``model.core``) less ``fold`` = k12 mu
+    on its edge diagonal entries; ``decay`` extends them over the window's
+    free atoms past each core end, where E_a - E_ac is that of an
+    all-continuum region, ``ediff_far``.  Every blended solve whose
+    partition has this window shares the reference.
     """
 
     params: ChainParams
@@ -89,6 +94,10 @@ class Reference:
     goal: Array
     fa_mb: Array
     ymy_far: float
+    core: ChainParams
+    fold: float
+    decay: Array
+    ediff_far: Array
 
     @functools.cached_property
     def ma_factor(self) -> BandedFactor:
@@ -177,7 +186,7 @@ def _wells_ymy(params: ChainParams) -> tuple[int, int]:
 
 def reference(params: ChainParams, part: Partition) -> Reference:
     """Assemble, reduce and factor the atomistic model of the partition's
-    window."""
+    window, and lay out the core its blended solves run on."""
     win = model.window(params, part)
     # the atomistic model is the blend that flags every atom of the window
     amodel = model.assemble(win, Partition(atomistic=model.atom_ids(win)))
@@ -191,6 +200,11 @@ def reference(params: ChainParams, part: Partition) -> Reference:
         ymy_far = params.a0**2 * (
             params.k0 * (m0 - w0) + (params.k1 + 2.0 * params.k2) * (mb - wb)
         )
+    core, mu = model.core(params, win)
+    # u_edge mu^d at d atoms past the core, less its reflection in the
+    # window's clamp at d = n, which only the window's last atoms feel
+    n = win.m - core.m + 1
+    d = np.arange(1.0, n)
     return Reference(
         params=params,
         window=win,
@@ -200,6 +214,10 @@ def reference(params: ChainParams, part: Partition) -> Reference:
         goal=goal_vector(asys.free_index),
         fa_mb=asys.rhs_wells + banded.matvec(asys.mat, asys.wells_free),
         ymy_far=ymy_far,
+        core=core,
+        fold=params.k12 * mu,
+        decay=(mu**d - mu ** (2 * n - d)) / (1.0 - mu ** (2 * n)),
+        ediff_far=amodel.e_mat.bands - [[params.k12], [0.0]],
     )
 
 
@@ -207,41 +225,47 @@ def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
     """Solve the blended primal and dual problems of partitions that share
     the window of ``ref``, as one stack.
 
-    Each blended matrix is factored once and solves its primal and dual
-    loads together.  The reference is never solved here: production
-    estimates only ever solve the blended model.
+    Each blended matrix is factored once, on the core, and solves its
+    primal and dual loads together.  The reference is never solved here:
+    production estimates only ever solve the blended model.
     """
-    amodel = ref.model
-    acmodel = model.assemble(ref.window, parts)
-    acsys = model.reduce_system(ref.window, acmodel)
-    ediff = BandedSpdMatrix(amodel.e_mat.bands - acmodel.e_mat.bands)
+    acmodel = model.assemble(ref.core, parts)
+    acsys = model.reduce_system(ref.core, acmodel)
+    core = slice(len(ref.decay), len(ref.decay) + acmodel.e_mat.n)
+    ediff = np.repeat(ref.ediff_far[None], len(parts), axis=0)
+    ea = ref.model.e_mat.bands[..., core]
+    np.subtract(ea, acmodel.e_mat.bands, out=ediff[..., core])
     # a stack holds several window-length arrays per row: drop each as soon
     # as it is used up
     del acmodel
-    nf = len(acsys.free_index)
+    acsys.mat.bands[..., 0, [0, -1]] -= ref.fold
+    off, nf = core.start, len(acsys.free_index)
 
     # row 0 the primal load and solution, row 1 the dual (goal) ones
     loads = np.empty((2, nf))
-    loads[1] = ref.goal
-    u = np.empty((len(parts), nf))
-    yg = np.empty((2, len(parts), nf))
+    loads[1] = ref.goal[off : off + nf]
+    ug = np.empty((2, len(parts), len(ref.goal)))
+    core_ug = ug[..., off : off + nf]
     for i in range(len(parts)):
         loads[0] = acsys.rhs_wells[i]
         mat = BandedSpdMatrix(acsys.mat.bands[i])
-        u[i], yg[1, i] = banded.solve(banded.factor(mat), loads.T).T
-    del mat
-    np.add(u, acsys.wells_free, out=yg[0])
-    del acsys
+        core_ug[:, i] = banded.solve(banded.factor(mat), loads.T).T
+    del mat, acsys
+    # the exterior is continuum and unloaded: both solutions decay past it
+    np.multiply(core_ug[..., :1], ref.decay[::-1], out=ug[..., :off])
+    np.multiply(core_ug[..., -1:], ref.decay, out=ug[..., off + nf :])
+    u, g = ug
+    y = u + ref.system.wells_free
 
-    z = _bond_differences(ref, u, yg[1])
+    z = _bond_differences(ref, u, g)
     # atomistic residuals of the blended solutions.  Since the blended
     # equations f_ac - M_ac u = 0 and q - M_ac g = 0 hold exactly, f_a - M_a u
     # equals -J^T D^T (E_a - E_ac) z_y and q - M_a g equals -J^T D^T
     # (E_a - E_ac) z_g (both models pin every free atom with k0).
     # This form never sees the blended solve's backward error, and E_a - E_ac
-    # is exactly zero inside the window, so the residuals keep full relative
-    # accuracy however small the modeling error is.
-    ez = banded.matvec(ediff, z)
+    # is exactly zero inside the atomistic region, so the residuals keep full
+    # relative accuracy however small the modeling error is.
+    ez = banded.matvec(BandedSpdMatrix(ediff), z)
     del ediff, z
     res = model.dt_apply(ez)[..., 2:-2]
     np.negative(res, out=res)
@@ -249,18 +273,18 @@ def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
     # every row is one column of a single solve with E_a, and E_a P z = ez
     pz = banded.solve(ref.ea_factor, ez.reshape(-1, ez.shape[-1]).T)
     pz = pz.T.reshape(ez.shape)
-    nrm = banded.norm(amodel.e_mat, pz, ez)
+    nrm = banded.norm(ref.model.e_mat, pz, ez)
     my = ref.fa_mb - res[0]
-    ymy = rowdot(yg[0], my) + ref.ymy_far
-    gmy = rowdot(yg[1], my)
-    gmg = rowdot(yg[1], ref.goal - res[1])
+    ymy = rowdot(y, my) + ref.ymy_far
+    gmy = rowdot(g, my)
+    gmg = rowdot(g, ref.goal - res[1])
 
     return DualPair(
         ref=ref,
         parts=tuple(parts),
-        y_free=yg[0],
+        y_free=y,
         u_free=u,
-        g_free=yg[1],
+        g_free=g,
         residual_primal=res[0],
         residual_dual=res[1],
         ez_y=ez[0],
@@ -289,12 +313,12 @@ def solve_stacks(
     """
     if ref is not None and ref.params != params:
         raise ValueError(f"reference was built for {ref.params}, not {params}")
-    groups: dict[ChainParams, list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for i, part in enumerate(parts):
-        groups.setdefault(model.window(params, part), []).append(i)
-    for win, rows in groups.items():
+        groups.setdefault(model.window_size(params, part), []).append(i)
+    for m_w, rows in groups.items():
         wref = ref
-        if ref is None or ref.window != win:
+        if ref is None or ref.window.m != m_w:
             wref = reference(params, parts[rows[0]])
         for start in range(0, len(rows), _STACK_MAX):
             chunk = rows[start : start + _STACK_MAX]

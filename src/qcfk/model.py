@@ -28,7 +28,8 @@ Every field the estimators need decays exponentially away from the defect
 and the atomistic region, so solves run on a centred ``window`` chain: the
 same springs at a half-size that leaves the slowest decay below
 ``WINDOW_EPS`` at its clamped ends.  The whole chain is the window's
-degenerate case.
+degenerate case.  Blended solves run on its shorter ``core``, the continuum
+exterior folded into one diagonal entry per end.
 
 ``assemble`` and ``reduce_system`` also take a sequence of partitions of
 one chain: every blended band matrix and load then carries a leading axis
@@ -42,7 +43,7 @@ import math
 import numbers
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -54,6 +55,8 @@ from .banded import Array, BandedSpdMatrix
 WINDOW_EPS = 1e-40
 # clamps this many ulps of M a0 from the wells count as the default ones
 _BC_ULPS = 4
+# atoms the core of a window keeps past the padded span (see ``core``)
+_CORE_MARGIN = 5
 
 
 def _default_bc(m: int, a0: float) -> tuple[float, float, float, float]:
@@ -186,6 +189,21 @@ def _decay_exponent(params: ChainParams) -> float:
     return 2.0 * math.asinh(0.5 * math.sqrt(t))
 
 
+def window_size(params: ChainParams, part: Partition) -> int:
+    """Half-size of the partition's ``window``, without building it."""
+    tol = _BC_ULPS * math.ulp(params.m * params.a0)
+    default = _default_bc(params.m, params.a0)
+    if any(abs(b - d) > tol for b, d in zip(params.bc, default)):
+        return params.m
+    ids = part.atomistic
+    span = int(max(-ids[0], ids[-1])) if ids.size else 0
+    return min(params.m, _decay_width(params) + (1 << max(6, (span - 1).bit_length())))
+
+
+def _decay_width(params: ChainParams) -> int:
+    return math.ceil(math.log(1.0 / WINDOW_EPS) / _decay_exponent(params))
+
+
 def window(params: ChainParams, part: Partition) -> ChainParams:
     """The centred chain every solve on this partition runs on.
 
@@ -201,19 +219,29 @@ def window(params: ChainParams, part: Partition) -> ChainParams:
     own window.  Clamps within ``_BC_ULPS`` ulps of ``M a0`` of the wells
     are the default ones typed by hand, not a boundary layer.
     """
-    tol = _BC_ULPS * math.ulp(params.m * params.a0)
-    default = _default_bc(params.m, params.a0)
-    if any(abs(b - d) > tol for b, d in zip(params.bc, default)):
-        return params
-    ids = part.atomistic
-    span = int(max(-ids[0], ids[-1])) if ids.size else 0
-    w = math.ceil(math.log(1.0 / WINDOW_EPS) / _decay_exponent(params))
-    m_w = w + (1 << max(6, (span - 1).bit_length()))
-    if m_w >= params.m:
-        return params
-    return ChainParams(
-        m=m_w, k0=params.k0, k1=params.k1, k2=params.k2, a0=params.a0
-    )
+    m_w = window_size(params, part)
+    return params if m_w == params.m else replace(params, m=m_w, bc=None)
+
+
+def core(params: ChainParams, win: ChainParams) -> tuple[ChainParams, float]:
+    """(core, mu): the centred chain the blended solves on window ``win``
+    run on, and the decay ratio of the continuum exterior folded into it.
+
+    Past the core every atom is continuum and unloaded, so the solution
+    there is u_edge mu^d, mu + 1/mu = 2 + k0/k12 with mu < 1, and folding
+    it in exactly leaves d - k12 mu on the first and last free diagonal
+    entries (a discrete Dirichlet-to-Neumann boundary).  Rows past a free
+    edge atom c are pure continuum, coupled to c by -k12 alone, when atoms
+    c-2 .. c+1 are (NNN pairs reach two atoms).  A region whose span pads
+    to ``pad`` (see ``window``) may hold -pad, as ids run -M+1 .. M, so the
+    first free atom -m+3 must be -pad-2: m = pad + 5.  A chain that is its
+    own window, or no longer than its core, is solved whole (mu = 0).
+    """
+    m = win.m - _decay_width(params) + _CORE_MARGIN
+    if win.m == params.m or m >= win.m:
+        return win, 0.0
+    t = 0.5 * params.k0 / params.k12
+    return replace(params, m=m, bc=None), 1.0 / (1.0 + t + math.sqrt(t * (2.0 + t)))
 
 
 def interval_partition(params: ChainParams, k: int) -> Partition:

@@ -13,7 +13,9 @@ identity of the estimators live here too; the library keeps only
 ``exact_goal_error``, which the exact CLI modes report.  So do the direct
 forms of the estimator products that the library takes from the model
 difference instead: the projection z - E_a^{-1} E_ac z, the E_a norm and
-the M_a products by matvec.
+the M_a products by matvec.  ``window_pair`` is the blended solve over the
+whole window, with its truncated exterior, that the library's folded core
+solve must reproduce.
 """
 
 import warnings
@@ -22,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from qcfk import banded
-from qcfk.banded import BandedFactor, BandedSpdMatrix
-from qcfk.estimators import DualPair, _bond_differences, solve_dual_pair
+from qcfk.banded import BandedFactor, BandedSpdMatrix, rowdot
+from qcfk.estimators import DualPair, Reference, _bond_differences, solve_dual_pair
 from qcfk.model import (
     ChainParams,
     LinearSystem,
@@ -34,6 +36,7 @@ from qcfk.model import (
     d_apply,
     dt_apply,
     make_partition,
+    reduce_system,
     well_positions,
 )
 
@@ -358,3 +361,42 @@ def lemma1_check(
     if scale == 0.0:
         scale = 1.0
     return LemmaCheck(mismatch / scale, mismatch, floor)
+
+
+def window_pair(ref: Reference, parts) -> DualPair:
+    """The pair of the regions ``parts`` with every blended solve over the
+    whole window of ``ref``, clamped at its ends, and every product from
+    the model difference as the library forms it."""
+    acmodel = assemble(ref.window, parts)
+    acsys = reduce_system(ref.window, acmodel)
+    diff = BandedSpdMatrix(ref.model.e_mat.bands - acmodel.e_mat.bands)
+    u, g = np.empty((2, len(parts), len(ref.goal)))
+    for i in range(len(parts)):
+        mat = BandedSpdMatrix(acsys.mat.bands[i])
+        loads = np.column_stack([acsys.rhs_wells[i], ref.goal])
+        u[i], g[i] = factor_solve(mat, loads).T
+    y = u + acsys.wells_free
+    ez = banded.matvec(diff, _bond_differences(ref, u, g))
+    res = -dt_apply(ez)[..., 2:-2]
+    pz = banded.solve(ref.ea_factor, ez.reshape(-1, ez.shape[-1]).T)
+    pz = pz.T.reshape(ez.shape)
+    nrm = banded.norm(ref.model.e_mat, pz, ez)
+    my = ref.fa_mb - res[0]
+    return DualPair(
+        ref=ref,
+        parts=tuple(parts),
+        y_free=y,
+        u_free=u,
+        g_free=g,
+        residual_primal=res[0],
+        residual_dual=res[1],
+        ez_y=ez[0],
+        ez_g=ez[1],
+        pz_y=pz[0],
+        pz_g=pz[1],
+        npy=nrm[0],
+        npg=nrm[1],
+        ymy=rowdot(y, my) + ref.ymy_far,
+        gmy=rowdot(g, my),
+        gmg=rowdot(g, ref.goal - res[1]),
+    )

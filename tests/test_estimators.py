@@ -40,6 +40,7 @@ from oracle_dense import (
     ma_products,
     projections,
     to_dense,
+    window_pair,
     z_g,
     z_y,
 )
@@ -611,6 +612,71 @@ def test_window_matches_whole_chain(case):
 
 
 @st.composite
+def _core_cases(draw):
+    """Springs of the property box on a chain that is its own window or far
+    longer, with a region that reaches the padded span at one end, at
+    both, or neither."""
+    params = ChainParams(
+        m=draw(st.sampled_from([40, 300, 100_000])),
+        k0=draw(st.floats(0.2, 3.0)),
+        k1=draw(st.floats(0.5, 5.0)),
+        k2=draw(st.floats(0.0, 4.0)),
+    )
+    pad = min(2 ** draw(st.integers(6, 8)), params.m - 2)
+    ids = draw(st.lists(st.integers(-pad + 1, pad - 1), max_size=20))
+    reach = draw(st.sampled_from([(-pad,), (pad,), (-pad, pad), ()]))
+    if not reach and draw(st.booleans()):
+        return params, interval_partition(params, draw(st.integers(0, pad)))
+    return params, make_partition(params, atomistic=[*ids, *reach])
+
+
+_DEFAULT_1E5 = ChainParams(m=100_000)
+_SLOW_K0 = ChainParams(m=100_000, k0=1e-3)
+
+
+def _close(got, want, scale, name):
+    err = np.max(np.abs(np.subtract(got, want)), initial=0.0)
+    assert err <= 1e-9 * scale, (name, err, scale)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_core_cases())
+@example((_DEFAULT_1E5, interval_partition(_DEFAULT_1E5, 64)))
+@example((_DEFAULT_1E5, make_partition(_DEFAULT_1E5, atomistic=range(-64, 65))))
+@example((_SLOW_K0, make_partition(_SLOW_K0, atomistic=[-64, 0, 64])))
+@example((_SLOW_K0, interval_partition(_SLOW_K0, 64)))
+def test_core_solve_matches_whole_window_solve(case):
+    # the folded exterior is exact: solving the blended model on the core
+    # gives what the whole window gives, up to round-off
+    params, part = case
+    got = solve_dual_pair(params, part)
+    want = window_pair(got.ref, [part])
+    for f in dataclasses.fields(want):
+        if f.name not in ("ref", "parts"):
+            ref_value = getattr(want, f.name)
+            _close(getattr(got, f.name), ref_value, np.max(np.abs(ref_value)), f.name)
+    for gamma in (False, True):
+        have, expect = estimate(got, gamma).as_dict(), estimate(want, gamma).as_dict()
+        assert have.keys() == expect.keys()
+        # the parallelogram terms enter the bounds squared: they are compared
+        # on the scale of the largest of them, the bounds on that of eta2.
+        # theta maximises a ratio that is flat at its optimum, so round-off
+        # moves it far more than the lower terms it sets, which are compared
+        terms = [k for k in expect if k.startswith(("eta_upp", "eta_low"))]
+        term_scale = max(abs(expect[k]) for k in terms)
+        for key, value in expect.items():
+            if key in ("theta_plus", "theta_minus"):
+                continue
+            if isinstance(value, (float, list)) and key != "flags":
+                scale = term_scale if key in terms else expect["eta2"]
+                if key == "sigma_bar":
+                    scale = value
+                _close(have[key], value, scale, key)
+            else:
+                assert have[key] == value, key
+
+
+@st.composite
 def _partition_sets(draw):
     """One chain of the property-test springs and up to 12 partitions of it,
     intervals and scattered regions of different spans: some share a window,
@@ -628,8 +694,6 @@ def _partition_sets(draw):
     scattered = near.map(lambda ids: make_partition(params, atomistic=ids))
     return params, draw(st.lists(interval | scattered, min_size=1, max_size=12))
 
-
-_DEFAULT_1E5 = ChainParams(m=100_000)
 
 
 def _pair_rows(pair, j):
