@@ -25,7 +25,6 @@ from .estimators import (
     estimate_stack,
     exact_goal_error,
     exact_goal_errors,
-    reference,
     solve_dual_pair,
     solve_stacks,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "make_partition",
     "mark_atoms",
     "reduce_system",
-    "reference",
     "run_adaptive",
     "solve_dual_pair",
     "solve_stacks",

@@ -112,18 +112,16 @@ def _interval_k(atoms: Array) -> int | None:
 def run_adaptive(params: ChainParams, config: AdaptConfig) -> AdaptTrace:
     """Grow the atomistic region until eta1 drops below tau_gl.
 
-    Each solve hands its reference to the next, which rebuilds it only when
-    the growing region outgrows the window.
+    A solve rebuilds the atomistic reference only when the growing region
+    outgrows its window (see ``solve_stacks``).
     """
-    ref = None
     atoms = np.empty(0, dtype=int)
     records: list[IterationRecord] = []
     status = "max-iterations"
     for it in range(1, config.max_iterations + 1):
         # union1d and arange keep the ids sorted, unique and on the chain
         part = Partition(atomistic=atoms)
-        pair = solve_dual_pair(params, part, ref)
-        ref = pair.ref
+        pair = solve_dual_pair(params, part)
         report = estimate(pair, use_gamma=config.use_gamma)
         tau_shown = config.tau_gl / config.tau_div ** (it - 1)
         records.append(

@@ -33,13 +33,13 @@ the two ez.  The M_a products need no matvec either: M_a y = (f_a + M_a b)
 - R(y), with f_a + M_a b stored once in the ``Reference``, and
 M_a g = q - R_hat(g).
 
-Every product is taken on the partition's ``model.window`` chain; only the
-blended solves run on its shorter ``model.core``, whose solutions extend
-over the window in closed form.  Every vector here decays away from the
-defect and the atomistic region, so its products are local to the window,
-with one exception: y . M_a y grows like M^3 through the wells b.  Its
-far-field part is summed in closed form (``Reference.ymy_far``), so the
-estimates are those of the whole chain.
+Every product is taken on the partition's window chain; only the blended
+solves run on its shorter core (both sized by ``model.sizes``), whose
+solutions extend over the window in closed form.  Every vector here decays
+away from the defect and the atomistic region, so its products are local
+to the window, with one exception: y . M_a y grows like M^3 through the
+wells b.  Its far-field part is summed in closed form
+(``Reference.ymy_far``), so the estimates are those of the whole chain.
 
 Many partitions of one chain are solved as stacks: ``solve_stacks`` groups
 them by window, and each group is assembled, solved and estimated in one
@@ -53,8 +53,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import weakref
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -67,6 +68,9 @@ _DEGENERATE_REL = 1e-14
 # most regions solved in one stack: at its peak a stack holds about 20
 # window-length arrays per row, and taller stacks buy little speed
 _STACK_MAX = 7
+# the last reference built, held weakly: a growing region finds it while its
+# previous pair is alive, and a sweep's groups never revisit a window
+_REFERENCES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -74,16 +78,17 @@ class Reference:
     """Everything that depends on the window but not on the partition.
 
     ``params`` is the chain, ``window`` the chain every output lives on
-    (see ``model.window``).  On the window: the atomistic model and its
+    (see ``model.sizes``).  On the window: the atomistic model and its
     reduced system ``M_a``, the factor of the bond matrix ``E_a`` (for the
     projection P), the goal vector on the free atoms, and ``fa_mb`` =
     f_a + M_a b on them (so that M_a y = fa_mb - R(y)).  ``ymy_far`` is
     what y . M_a y over the chain adds to the same product over the window.
-    Blended solves run on ``core`` (``model.core``) less ``fold`` = k12 mu
-    on its edge diagonal entries; ``decay`` extends them over the window's
-    free atoms past each core end, where E_a - E_ac is that of an
-    all-continuum region, ``ediff_far``.  Every blended solve whose
-    partition has this window shares the reference.
+    Blended solves run on ``core`` less ``fold`` = k12 mu on its edge
+    diagonal entries; ``decay`` extends them over the window's free atoms
+    past each core end, where E_a - E_ac is that of an all-continuum
+    region, ``ediff_far``.  Every blended solve whose partition has this
+    window shares the reference, and so does the next solve while a pair
+    solved on it is held, so its arrays are read-only.
     """
 
     params: ChainParams
@@ -103,7 +108,9 @@ class Reference:
     def ma_factor(self) -> BandedFactor:
         """Cholesky factor of ``M_a``, which only the exact goal error
         solves with: factored on first use."""
-        return banded.factor(self.system.mat)
+        ma = banded.factor(self.system.mat)
+        ma.bands.setflags(write=False)
+        return ma
 
 
 @dataclass(frozen=True)
@@ -184,28 +191,33 @@ def _wells_ymy(params: ChainParams) -> tuple[int, int]:
     return s * (s + 1) * (2 * s + 1) // 3, 2 * s * s + 2 * s + 2
 
 
-def reference(params: ChainParams, part: Partition) -> Reference:
-    """Assemble, reduce and factor the atomistic model of the partition's
-    window, and lay out the core its blended solves run on."""
-    win = model.window(params, part)
+def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
+    """Assemble, reduce and factor the atomistic model of the window of
+    half-size ``m_window``, and lay out the core of half-size ``m_core``
+    its blended solves run on (see ``model.sizes``)."""
+    win = params if m_window == params.m else replace(params, m=m_window, bc=None)
     # the atomistic model is the blend that flags every atom of the window
     amodel = model.assemble(win, Partition(atomistic=model.atom_ids(win)))
     asys = model.reduce_system(win, amodel)
-    ymy_far = 0.0
-    if win is not params:
-        # beyond the window u vanishes and y = b; the window's own clamp rows
-        # are part of both closed forms, so the difference is exact (up to
-        # the coupling of the window's edge u, below WINDOW_EPS)
-        (m0, mb), (w0, wb) = _wells_ymy(params), _wells_ymy(win)
-        ymy_far = params.a0**2 * (
-            params.k0 * (m0 - w0) + (params.k1 + 2.0 * params.k2) * (mb - wb)
-        )
-    core, mu = model.core(params, win)
+    # beyond the window u vanishes and y = b; the window's own clamp rows are
+    # part of both closed forms, so the difference is exact (up to the
+    # coupling of the window's edge u, below WINDOW_EPS): 0.0 on a whole chain
+    (m0, mb), (w0, wb) = _wells_ymy(params), _wells_ymy(win)
+    ymy_far = params.a0**2 * (
+        params.k0 * (m0 - w0) + (params.k1 + 2.0 * params.k2) * (mb - wb)
+    )
+    # past the core every atom is continuum and unloaded, so the solution
+    # there is u_edge mu^d, mu + 1/mu = 2 + k0/k12 with mu < 1; folding it in
+    # exactly leaves d - k12 mu on the first and last free diagonal entries
+    # (a discrete Dirichlet-to-Neumann boundary)
+    t = 0.5 * params.k0 / params.k12
+    mu = 0.0 if m_core == m_window else 1.0 / (1.0 + t + math.sqrt(t * (2.0 + t)))
+    core = win if m_core == m_window else replace(params, m=m_core, bc=None)
     # u_edge mu^d at d atoms past the core, less its reflection in the
     # window's clamp at d = n, which only the window's last atoms feel
-    n = win.m - core.m + 1
+    n = m_window - m_core + 1
     d = np.arange(1.0, n)
-    return Reference(
+    ref = Reference(
         params=params,
         window=win,
         model=amodel,
@@ -219,6 +231,13 @@ def reference(params: ChainParams, part: Partition) -> Reference:
         decay=(mu**d - mu ** (2 * n - d)) / (1.0 - mu ** (2 * n)),
         ediff_far=amodel.e_mat.bands - [[params.k12], [0.0]],
     )
+    # every solve on this window shares the reference: none may write to it
+    arrays = (ref.ea_factor.bands, ref.goal, ref.fa_mb, ref.decay, ref.ediff_far)
+    arrays += (asys.mat.bands, asys.rhs_wells, asys.wells_free, asys.lift, amodel.ids)
+    arrays += (asys.free_index, amodel.e_mat.bands, amodel.a_eq, amodel.b_eq)
+    for a in arrays:
+        a.setflags(write=False)
+    return ref
 
 
 def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
@@ -300,41 +319,33 @@ def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
 
 
 def solve_stacks(
-    params: ChainParams, parts: Sequence[Partition], ref: Reference | None = None
+    params: ChainParams, parts: Sequence[Partition]
 ) -> Iterator[tuple[list[int], DualPair]]:
     """Solve many partitions of one chain, stack by stack.
 
-    Partitions that share a ``model.window`` share its reference and are
+    Partitions with the same ``model.sizes`` share one reference and are
     solved together, at most ``_STACK_MAX`` to a stack.  Yields the
     positions in ``parts`` of each stack's rows with the stacked pair; one
     stack is alive at a time when the caller drops each before the next.
-    ``ref`` is an atomistic reference of this chain, used for the
-    partitions whose window it has; the others get theirs built here.
     """
-    if ref is not None and ref.params != params:
-        raise ValueError(f"reference was built for {ref.params}, not {params}")
-    groups: dict[int, list[int]] = {}
-    for i, part in enumerate(parts):
-        groups.setdefault(model.window_size(params, part), []).append(i)
-    for m_w, rows in groups.items():
-        wref = ref
-        if ref is None or ref.window.m != m_w:
-            wref = reference(params, parts[rows[0]])
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, size in enumerate(model.sizes(params, parts)):
+        groups.setdefault(size, []).append(i)
+    for size, rows in groups.items():
+        key = (params, *size)
+        ref = _REFERENCES.get(key)
+        if ref is None:
+            _REFERENCES.clear()
+            ref = _REFERENCES[key] = _reference(*key)
         for start in range(0, len(rows), _STACK_MAX):
             chunk = rows[start : start + _STACK_MAX]
-            yield chunk, _solve_stack(wref, [parts[i] for i in chunk])
+            yield chunk, _solve_stack(ref, [parts[i] for i in chunk])
 
 
-def solve_dual_pair(
-    params: ChainParams, part: Partition, ref: Reference | None = None
-) -> DualPair:
-    """Solve the blended primal and dual problems and prepare estimator data.
-
-    Returns the stack of one region (see ``solve_stacks``): ``ref`` is
-    rebuilt when not given or when its window is not the partition's, so
-    the result depends on (params, part) alone.
-    """
-    ((_, pair),) = solve_stacks(params, [part], ref)
+def solve_dual_pair(params: ChainParams, part: Partition) -> DualPair:
+    """Solve the blended primal and dual problems and prepare estimator data,
+    as the stack of one region (see ``solve_stacks``)."""
+    ((_, pair),) = solve_stacks(params, [part])
     return pair
 
 
@@ -579,9 +590,13 @@ def exact_goal_errors(pair: DualPair) -> tuple[Array, Array]:
 def exact_goal_error(
     params: ChainParams, part: Partition, pair: DualPair | None = None
 ) -> tuple[float, Array]:
-    """(Q(e), e) of one region, the stack of one of ``exact_goal_errors``."""
+    """(Q(e), e) of one region, the stack of one of ``exact_goal_errors``;
+    a given ``pair`` must have been solved for ``params`` and ``part``."""
     if pair is None:
         pair = solve_dual_pair(params, part)
     _one_region(pair, "exact_goal_errors")
+    same = np.array_equal(pair.parts[0].atomistic, part.atomistic)
+    if not same or pair.ref.params != params:
+        raise ValueError("pair was not solved for this chain and region")
     q, e = exact_goal_errors(pair)
     return float(q[0]), e[0]

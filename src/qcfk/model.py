@@ -25,11 +25,12 @@ same array position.  Boundary conditions clamp the two outermost atoms on
 each side, so the free unknowns are atoms ``-M+3 .. M-2``.
 
 Every field the estimators need decays exponentially away from the defect
-and the atomistic region, so solves run on a centred ``window`` chain: the
+and the atomistic region, so solves run on a centred window chain: the
 same springs at a half-size that leaves the slowest decay below
 ``WINDOW_EPS`` at its clamped ends.  The whole chain is the window's
-degenerate case.  Blended solves run on its shorter ``core``, the continuum
-exterior folded into one diagonal entry per end.
+degenerate case.  Blended solves run on its shorter core, the continuum
+exterior folded into one diagonal entry per end.  ``sizes`` gives both
+half-sizes of a partition.
 
 ``assemble`` and ``reduce_system`` also take a sequence of partitions of
 one chain: every blended band matrix and load then carries a leading axis
@@ -43,7 +44,7 @@ import math
 import numbers
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +56,7 @@ from .banded import Array, BandedSpdMatrix
 WINDOW_EPS = 1e-40
 # clamps this many ulps of M a0 from the wells count as the default ones
 _BC_ULPS = 4
-# atoms the core of a window keeps past the padded span (see ``core``)
+# atoms the core of a window keeps past the padded span (see ``sizes``)
 _CORE_MARGIN = 5
 
 
@@ -98,6 +99,11 @@ class ChainParams:
             )
         if not (math.isfinite(self.a0) and self.a0 > 0):
             raise ValueError(f"a0 must be positive and finite, got {self.a0}")
+        # Python numbers, so equal params compute the same bits and numpy
+        # integers cannot overflow the exact sums over the chain
+        object.__setattr__(self, "m", operator.index(self.m))
+        for name in ("k0", "k1", "k2", "a0"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.bc is None:
             object.__setattr__(self, "bc", _default_bc(self.m, self.a0))
         # a tuple of floats, so equal positions give equal, hashable params
@@ -189,59 +195,40 @@ def _decay_exponent(params: ChainParams) -> float:
     return 2.0 * math.asinh(0.5 * math.sqrt(t))
 
 
-def window_size(params: ChainParams, part: Partition) -> int:
-    """Half-size of the partition's ``window``, without building it."""
-    tol = _BC_ULPS * math.ulp(params.m * params.a0)
-    default = _default_bc(params.m, params.a0)
-    if any(abs(b - d) > tol for b, d in zip(params.bc, default)):
-        return params.m
-    ids = part.atomistic
-    span = int(max(-ids[0], ids[-1])) if ids.size else 0
-    return min(params.m, _decay_width(params) + (1 << max(6, (span - 1).bit_length())))
+def sizes(
+    params: ChainParams, part: Partition | Sequence[Partition]
+) -> tuple[int, int] | list[tuple[int, int]]:
+    """(m_window, m_core): the half-sizes of the centred chains every solve
+    on the partition runs on, one pair per partition of a sequence.
 
+    The window is ``min(M, w + pad)``: ``w = ceil(ln eps / ln lam)`` is the
+    distance over which the slowest decay falls below ``WINDOW_EPS``, and
+    ``pad = 2**max(6, ceil(log2 span))`` the largest |atom id| of the
+    region rounded up.  Only the span is padded, so a growing region
+    rebuilds its window O(log K) times, and the floor of 64 gives every
+    region of the paper's K <= 50 sweeps one window.  The window clamps its
+    ends at the wells, where the chain's own atoms sit that far out, so a
+    chain whose clamps lie more than ``_BC_ULPS`` ulps of ``M a0`` from the
+    wells (boundary layers at both ends) is its own window.
 
-def _decay_width(params: ChainParams) -> int:
-    return math.ceil(math.log(1.0 / WINDOW_EPS) / _decay_exponent(params))
-
-
-def window(params: ChainParams, part: Partition) -> ChainParams:
-    """The centred chain every solve on this partition runs on.
-
-    Half-size ``min(M, w + 2**max(6, ceil(log2 span)))`` with ``span`` the
-    largest |atom id| of the atomistic region and ``w = ceil(ln eps /
-    ln lam)`` the distance over which the slowest decay falls below
-    ``WINDOW_EPS``.  Only the span is rounded up to a power of two, so a
-    growing region keeps its window and rebuilds it O(log K) times, while
-    the decay width is never padded; the floor of 64 gives every region of
-    the paper's K <= 50 sweeps one window.  The window clamps its ends at
-    the wells, which is where the chain's own atoms sit that far out, so a
-    chain with a non-default ``bc`` (boundary layers at both ends) is its
-    own window.  Clamps within ``_BC_ULPS`` ulps of ``M a0`` of the wells
-    are the default ones typed by hand, not a boundary layer.
-    """
-    m_w = window_size(params, part)
-    return params if m_w == params.m else replace(params, m=m_w, bc=None)
-
-
-def core(params: ChainParams, win: ChainParams) -> tuple[ChainParams, float]:
-    """(core, mu): the centred chain the blended solves on window ``win``
-    run on, and the decay ratio of the continuum exterior folded into it.
-
-    Past the core every atom is continuum and unloaded, so the solution
-    there is u_edge mu^d, mu + 1/mu = 2 + k0/k12 with mu < 1, and folding
-    it in exactly leaves d - k12 mu on the first and last free diagonal
-    entries (a discrete Dirichlet-to-Neumann boundary).  Rows past a free
-    edge atom c are pure continuum, coupled to c by -k12 alone, when atoms
-    c-2 .. c+1 are (NNN pairs reach two atoms).  A region whose span pads
-    to ``pad`` (see ``window``) may hold -pad, as ids run -M+1 .. M, so the
+    The blended solves run on the core, the continuum exterior folded into
+    its edge diagonals.  Rows past a free edge atom c are pure continuum,
+    coupled to c by -k12 alone, when atoms c-2 .. c+1 are (NNN pairs reach
+    two atoms).  The region may hold -pad, as ids run -M+1 .. M, so the
     first free atom -m+3 must be -pad-2: m = pad + 5.  A chain that is its
-    own window, or no longer than its core, is solved whole (mu = 0).
+    own window, or no longer than its core, is solved whole.
     """
-    m = win.m - _decay_width(params) + _CORE_MARGIN
-    if win.m == params.m or m >= win.m:
-        return win, 0.0
-    t = 0.5 * params.k0 / params.k12
-    return replace(params, m=m, bc=None), 1.0 / (1.0 + t + math.sqrt(t * (2.0 + t)))
+    parts = [part] if isinstance(part, Partition) else part
+    m, tol = params.m, _BC_ULPS * math.ulp(params.m * params.a0)
+    whole = any(abs(b - d) > tol for b, d in zip(params.bc, _default_bc(m, params.a0)))
+    w = math.ceil(math.log(1.0 / WINDOW_EPS) / _decay_exponent(params))
+    out = []
+    for p in parts:
+        span = int(max(-p.atomistic[0], p.atomistic[-1])) if p.atomistic.size else 0
+        pad = 1 << max(6, (span - 1).bit_length())
+        windowed = not whole and w + pad < m
+        out.append((w + pad, pad + min(w, _CORE_MARGIN)) if windowed else (m, m))
+    return out[0] if isinstance(part, Partition) else out
 
 
 def interval_partition(params: ChainParams, k: int) -> Partition:

@@ -113,7 +113,7 @@ def _window(m, k):
 
     params = model.ChainParams(m=m)
     with mock.patch.object(model, "WINDOW_EPS", WINDOW_EPS):
-        m_w = model.window(params, model.interval_partition(params, k)).m
+        m_w, _ = model.sizes(params, model.interval_partition(params, k))
     return m_w, _wells_ymy(m) - _wells_ymy(m_w)
 
 

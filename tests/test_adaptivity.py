@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qcfk import estimators
 from qcfk.adaptivity import (
     AdaptConfig,
     AdaptTrace,
@@ -210,6 +211,23 @@ def test_north_star_window_does_not_grow_with_chain_length():
     for r, k in zip(big.records[1:], (28, 32)):
         exact = EXACT[(100000, k)][1]
         assert abs(r.eta1 - exact) <= 1e-8 * exact, (k, r.eta1)
+
+
+def test_adaptive_run_builds_one_reference_per_window(monkeypatch):
+    # each solve finds the reference the previous step's pair still holds,
+    # so the loop builds one per window it visits, not one per iteration
+    built = []
+    build = estimators._reference
+
+    def record(*key):
+        built.append(key)
+        return build(*key)
+
+    monkeypatch.setattr(estimators, "_reference", record)
+    trace = run_adaptive(ChainParams(m=10**6, k0=0.3), AdaptConfig(tau_gl=1e-12))
+    windows = [r.m_window for r in trace.records]
+    assert [m_window for _, m_window, _ in built] == sorted(set(windows))
+    assert len(windows) > len(built) > 1
 
 
 @st.composite

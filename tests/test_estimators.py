@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qcfk import banded, model
+from qcfk import banded, estimators, model
 from qcfk.banded import BandedSpdMatrix
 from qcfk.model import (
     ChainParams,
@@ -25,7 +25,6 @@ from qcfk.estimators import (
     exact_goal_error,
     exact_goal_errors,
     goal_vector,
-    reference,
     residual_combo,
     solve_dual_pair,
     solve_stacks,
@@ -497,33 +496,95 @@ def test_exact_goal_error_matches_dual_errors():
 # the per-chain atomistic reference
 
 
-def test_reference_is_shared_without_changing_results():
+def test_regions_of_one_window_share_its_reference():
     # at M = 1e5 the window is far shorter than the chain, and K = 250
-    # outgrows the window the smaller regions share
+    # outgrows the window the smaller regions share; at M = 40 the window is
+    # the chain itself
     for m, ks in ((40, (0, 3, 9)), (100_000, (0, 28, 50, 250))):
         p = ChainParams(m=m)
-        ref = reference(p, interval_partition(p, 0))
-        windows = set()
+        refs = {}
         for k in ks:
             part = interval_partition(p, k)
-            shared = solve_dual_pair(p, part, ref)
-            fresh = solve_dual_pair(p, part)
-            assert (shared.ref is ref) == (ref.window == model.window(p, part))
-            assert estimate(shared).as_dict() == estimate(fresh).as_dict()
-            q_shared, _ = exact_goal_error(p, part, shared)
-            assert q_shared == exact_goal_error(p, part, fresh)[0]
-            ref = shared.ref
-            windows.add(ref.window.m)
-        if m == 100_000:
-            assert len(windows) == 2 and max(windows) < m
+            ref = solve_dual_pair(p, part).ref
+            size = model.sizes(p, part)
+            assert (ref.window.m, ref.core.m) == size
+            assert refs.setdefault(size, ref) is ref
+            assert (ref.window is p) == (size[0] == m)
+        assert len(refs) == (1 if m == 40 else 2)
 
 
-def test_reference_for_other_params_is_rejected():
-    p = ChainParams(m=40)
-    ref = reference(p, interval_partition(p, 0))
-    other = ChainParams(m=40, k2=1.0)
-    with pytest.raises(ValueError, match="reference was built for"):
-        solve_dual_pair(other, interval_partition(other, 2), ref)
+def _arrays(obj):
+    """Every array of a dataclass and of the dataclasses it holds."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            yield f.name, value
+        elif dataclasses.is_dataclass(value):
+            yield from _arrays(value)
+
+
+def test_reference_arrays_are_read_only():
+    p = ChainParams(m=100_000)
+    ref = solve_dual_pair(p, interval_partition(p, 10)).ref
+    arrays = [*_arrays(ref), ("ma_factor", ref.ma_factor.bands)]
+    assert len(arrays) == 15 and all(a.size for _, a in arrays)
+    for name, a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+        assert not a.flags.writeable, name
+
+
+def test_cold_and_warm_references_give_the_same_bits():
+    # the warm reference served another region first, exact error included
+    p = ChainParams(m=100_000, k0=0.7, k2=1.5)
+    other, part = interval_partition(p, 30), make_partition(p, [-20, 0, 1, 7])
+    estimators._REFERENCES.clear()
+    first = solve_dual_pair(p, other)
+    exact_goal_error(p, other, first)
+    warm = solve_dual_pair(p, part)
+    assert warm.ref is first.ref and "ma_factor" in vars(warm.ref)
+    estimators._REFERENCES.clear()
+    cold = solve_dual_pair(p, part)
+    assert warm.ref is not cold.ref
+    for f in dataclasses.fields(cold):
+        if f.name not in ("ref", "parts"):
+            assert np.array_equal(getattr(warm, f.name), getattr(cold, f.name)), f.name
+    for gamma in (False, True):
+        assert estimate(warm, gamma).as_dict() == estimate(cold, gamma).as_dict()
+    q_warm, e_warm = exact_goal_error(p, part, warm)
+    q_cold, e_cold = exact_goal_error(p, part, cold)
+    assert q_warm == q_cold and np.array_equal(e_warm, e_cold)
+
+
+def test_reference_memo_holds_one_and_keeps_none_alive():
+    p = ChainParams(m=100_000)
+    pairs = []
+    # windows 360, 360, 424, 808, 360, 1320: only the last one built is
+    # found, so the return to 360 builds it anew
+    for k in (0, 10, 100, 300, 50, 700):
+        pairs.append(solve_dual_pair(p, interval_partition(p, k)))
+        (kept,) = estimators._REFERENCES.values()
+        assert kept is pairs[-1].ref
+    refs = [pair.ref for pair in pairs]
+    assert refs[1] is refs[0] and len({id(ref) for ref in refs}) == 5
+    # a run that holds no pair leaves no reference behind
+    del pairs, refs, kept
+    assert len(estimators._REFERENCES) == 0
+    fixed_k_run(p, 20)
+    assert len(estimators._REFERENCES) == 0
+
+
+def test_exact_goal_error_rejects_a_pair_of_another_region():
+    p = ChainParams(m=1000)
+    pair = solve_dual_pair(p, interval_partition(p, 10))
+    soft = ChainParams(m=1000, k0=0.5)
+    for params, k in ((p, 20), (soft, 10)):
+        with pytest.raises(ValueError, match="not solved for this chain and region"):
+            exact_goal_error(params, interval_partition(params, k), pair)
+    # an equal chain and region, built anew, is the same problem
+    same = make_partition(ChainParams(m=1000), range(-9, 11))
+    want, _ = exact_goal_error(p, interval_partition(p, 10))
+    assert exact_goal_error(ChainParams(m=1000), same, pair)[0] == want
 
 
 def test_one_region_functions_reject_a_stack():
@@ -602,7 +663,7 @@ def test_window_matches_whole_chain(case):
     params, part = case
     m_window, windowed = _quantities(params, part)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(model, "window", lambda params, part: params)
+        mp.setattr(model, "sizes", lambda params, parts: [(params.m,) * 2] * len(parts))
         m_whole, whole = _quantities(params, part)
     assert m_window <= m_whole == params.m
     for name, got, want in zip(
@@ -726,7 +787,8 @@ def test_stack_equals_one_region_at_a_time(case):
         seen += rows
         for j, i in enumerate(rows):
             want = solve_dual_pair(params, parts[i])
-            assert stack.ref.window == want.ref.window == model.window(params, parts[i])
+            assert stack.ref is want.ref
+            assert (want.ref.window.m, want.ref.core.m) == model.sizes(params, parts[i])
             want_rows = _pair_rows(want, 0)
             for name, value in _pair_rows(stack, j).items():
                 assert np.array_equal(value, want_rows[name]), name

@@ -20,9 +20,9 @@ from qcfk.model import (
     interval_partition,
     make_partition,
     reduce_system,
+    sizes,
     stiffness_bands,
     well_positions,
-    window,
 )
 
 from oracle_dense import (
@@ -77,6 +77,35 @@ def test_params_validation():
     assert ChainParams(m=np.int64(10)).n_atoms == 20
 
 
+def test_numpy_size_does_not_overflow_the_far_field_sums():
+    # b . M_a b sums ~M^3 / 3 exactly in integers: a numpy int64 M of 1e7
+    # would wrap around (numpy only warns) and shrink y . M_a y 250-fold
+    want = ChainParams(m=10**7)
+    p = ChainParams(m=np.int64(10**7))
+    assert type(p.m) is int and p == want
+    part = interval_partition(p, 10)
+    pair, want_pair = solve_dual_pair(p, part), solve_dual_pair(want, part)
+    assert pair.ref.ymy_far == want_pair.ref.ymy_far
+    assert math.isclose(pair.ref.ymy_far, 6.6666757e20, rel_tol=1e-7)
+    assert estimate(pair).as_dict() == estimate(want_pair).as_dict()
+
+
+def test_equal_params_compute_the_same_bits():
+    # k0 = 3 and k0 = 3.0 are equal params; as an int, k0 used to round
+    # y . M_a y differently in its last digit
+    as_int, as_float = ChainParams(m=10**6, k0=3), ChainParams(m=10**6, k0=3.0)
+    assert as_int == as_float
+    assert all(type(getattr(as_int, k)) is float for k in ("k0", "k1", "k2", "a0"))
+    part = interval_partition(as_int, 10)
+    got, want = solve_dual_pair(as_int, part), solve_dual_pair(as_float, part)
+    assert got.ref.ymy_far == want.ref.ymy_far == 2.00000299994953e18
+    assert estimate(got).as_dict() == estimate(want).as_dict()
+    # non-real values stay rejected
+    for bad in (dict(k0="1"), dict(a0="1"), dict(m="10"), dict(k2=1j)):
+        with pytest.raises((TypeError, ValueError)):
+            ChainParams(**{"m": 10, **bad})
+
+
 def test_params_derived_counts():
     p = ChainParams(m=7, k1=3.0, k2=0.5)
     assert p.k12 == 3.0 + 4 * 0.5
@@ -104,8 +133,8 @@ def test_bc_list_equals_tuple_form():
     as_tuple = ChainParams(m=100000, bc=tuple(bc))
     assert as_list == as_tuple and hash(as_list) == hash(as_tuple)
     part = interval_partition(as_list, 28)
-    assert window(as_list, part) == window(as_tuple, part)
-    assert window(as_list, part).m < as_list.m
+    assert sizes(as_list, part) == sizes(as_tuple, part)
+    assert sizes(as_list, part)[0] < as_list.m
 
 
 def test_hand_typed_default_clamps_keep_the_window():
@@ -116,9 +145,9 @@ def test_hand_typed_default_clamps_keep_the_window():
     default = ChainParams(m=100000, a0=0.1)
     assert typed.bc != default.bc and typed.bc[1] == -9999.9
     part = interval_partition(typed, 28)
-    assert window(typed, part) == window(default, part)
-    # span 28 pads to the floor of 64
-    assert window(typed, part).m == _decay_width(default) + 64
+    assert sizes(typed, part) == sizes(default, part)
+    # span 28 pads to the floor of 64, and the core keeps 5 atoms past it
+    assert sizes(typed, part) == (_decay_width(default) + 64, 64 + 5)
     got = estimate(solve_dual_pair(typed, part)).as_dict()
     assert got == estimate(solve_dual_pair(default, part)).as_dict()
     # a boundary layer of 1e-9 a0 is not round-off: the chain is its own window
@@ -126,7 +155,8 @@ def test_hand_typed_default_clamps_keep_the_window():
         bc = list(default.bc)
         bc[i] += 1e-9 * default.a0
         shifted = ChainParams(m=100000, a0=0.1, bc=bc)
-        assert window(shifted, part) is shifted
+        assert sizes(shifted, part) == (shifted.m, shifted.m)
+    assert solve_dual_pair(shifted, part).ref.window is shifted
 
 
 def _decay_width(params: ChainParams) -> int:
@@ -152,13 +182,15 @@ def test_window_pads_only_the_span(springs, span, left):
     params = ChainParams(m=10**9, **springs)
     part = make_partition(params, [-span if left else span])
     w = _decay_width(params)
-    m_w = window(params, part).m
+    m_w, m_core = sizes(params, part)
     assert m_w >= span + w
     assert m_w - (span + w) <= max(span, 64)
+    # the core drops the decay width but keeps the region and 5 atoms more
+    assert m_w - m_core == w - 5 and m_core >= span + 5
     # capped at the chain: a chain no longer than the window is its own
     short = ChainParams(m=m_w, **springs)
-    assert window(short, part) is short
-    assert window(ChainParams(m=m_w + 1, **springs), part).m == m_w
+    assert sizes(short, part) == (m_w, m_w)
+    assert sizes(ChainParams(m=m_w + 1, **springs), part) == (m_w, m_core)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -168,10 +200,12 @@ def test_window_pads_only_the_span(springs, span, left):
 )
 def test_table2_regions_share_one_window(springs, m):
     # the paper's K = 0..50 sweep solves on one window, so it builds one
-    # atomistic reference
+    # atomistic reference; a sequence of regions is sized region by region
     params = ChainParams(m=m, **springs)
-    wins = {window(params, interval_partition(params, k)) for k in range(51)}
-    assert len(wins) == 1
+    parts = [interval_partition(params, k) for k in range(51)]
+    wins = sizes(params, parts)
+    assert wins == [sizes(params, part) for part in parts]
+    assert len(set(wins)) == 1
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -179,7 +213,7 @@ def test_table2_regions_share_one_window(springs, m):
 def test_growing_region_rebuilds_its_window_log_times(springs, m, k_max):
     params = ChainParams(m=m, **springs)
     k_max = min(k_max, m - 2)
-    wins = [window(params, interval_partition(params, k)) for k in range(k_max + 1)]
+    wins = sizes(params, [interval_partition(params, k) for k in range(k_max + 1)])
     changes = sum(a != b for a, b in zip(wins, wins[1:]))
     assert changes <= math.ceil(math.log2(max(k_max, 1))) + 1
 
