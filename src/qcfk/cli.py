@@ -348,9 +348,8 @@ def cmd_sweep_k(spec: RunSpec):
 
 # the report fields a fixed-k row carries, between the region and its flags
 _FIXED_K_FIELDS = (
-    "eta1", "eta2", "first_term", "sigma_bar", "theta_plus", "theta_minus",
-    "eta_upp_plus", "eta_upp_minus", "eta_low_plus", "eta_low_minus",
-    "bound_low", "bound_high",
+    "eta1", "eta2", "first_term", "sigma_bar", "eta_upp_plus", "eta_upp_minus",
+    "eta_low_plus", "eta_low_minus", "bound_low", "bound_high",
 )
 
 

@@ -21,9 +21,13 @@ this module is built from those pieces:
                splits into per-atom and per-bond indicators that drive the
                adaptive refinement.
 
-The scalars sigma (relative scaling of primal vs dual) and theta (shift of
-the test point along the dual direction) are chosen at their optimal values;
-degenerate optima fall back to safe values and set a flag on the report.
+The scalar sigma (relative scaling of primal vs dual) takes its optimal
+value; a degenerate optimum leaves the first term alone and sets a flag on
+the report.  Each lower term is the Cauchy-Schwarz bound |r . v| /
+||v||_{M_a} at the best test vector v in the span of y and g, which needs
+no vector: with a, b = r . y, r . g and c, d, f = y . M_a y, g . M_a y,
+g . M_a g it is lo^2 = b^2/f + (a - b d/f)^2 / (c - d^2/f), the Schur
+complement form of the 2x2 Gram problem.
 
 Every product is taken from the model difference ez = (E_a - E_ac) z, which
 the residuals need anyway: P z = E_a^{-1} ez (one solve, no E_ac matvec and
@@ -39,7 +43,8 @@ solutions extend over the window in closed form.  Every vector here decays
 away from the defect and the atomistic region, so its products are local
 to the window, with one exception: y . M_a y grows like M^3 through the
 wells b.  Its far-field part is summed in closed form
-(``Reference.ymy_far``), so the estimates are those of the whole chain.
+(``Reference.ymy_far``), so the estimates are those of the whole chain;
+past a float it is inf, and the lower terms take their limit b^2/f.
 
 Many partitions of one chain are solved as stacks: ``solve_stacks`` groups
 them by window, and each group is assembled, solved and estimated in one
@@ -63,7 +68,7 @@ from . import banded, model
 from .banded import Array, BandedFactor, BandedSpdMatrix, rowdot
 from .model import ChainParams, LinearSystem, Partition, QuadraticModel
 
-# dimensionless cutoffs deciding when an optimum is too flat to trust
+# dimensionless cutoff deciding when sigma's optimum is degenerate
 _DEGENERATE_REL = 1e-14
 # most regions solved in one stack: at its peak a stack holds about 20
 # window-length arrays per row, and taller stacks buy little speed
@@ -201,11 +206,14 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
     asys = model.reduce_system(win, amodel)
     # beyond the window u vanishes and y = b; the window's own clamp rows are
     # part of both closed forms, so the difference is exact (up to the
-    # coupling of the window's edge u, below WINDOW_EPS): 0.0 on a whole chain
+    # coupling of the window's edge u, below WINDOW_EPS): 0.0 on a whole chain.
+    # Past M ~ 1e102 the sums exceed a float and saturate to inf
     (m0, mb), (w0, wb) = _wells_ymy(params), _wells_ymy(win)
-    ymy_far = params.a0**2 * (
-        params.k0 * (m0 - w0) + (params.k1 + 2.0 * params.k2) * (mb - wb)
-    )
+    try:
+        far0, farb = float(m0 - w0), float(mb - wb)
+    except OverflowError:
+        far0 = farb = math.inf
+    ymy_far = params.a0**2 * (params.k0 * far0 + (params.k1 + 2.0 * params.k2) * farb)
     # past the core every atom is continuum and unloaded, so the solution
     # there is u_edge mu^d, mu + 1/mu = 2 + k0/k12 with mu < 1; folding it in
     # exactly leaves d - k12 mu on the first and last free diagonal entries
@@ -387,36 +395,15 @@ def eta_upp(pair: DualPair, sigma, sign) -> Array:
     return banded.norm(pair.ref.model.e_mat, pz, ez)
 
 
-def _theta(a: float, b: float, c: float, d: float, f: float) -> tuple[float, bool]:
-    """(theta, degenerate): the stationary point of the lower-bound ratio
-    over test points y + theta g, from the products a = r.y, b = r.g,
-    c = y.My, d = g.My, f = g.Mg.  When the denominator of this 2x2 rational
-    condition vanishes the ratio is flat in theta and 0 is as good as any."""
-    den = b * d - a * f
-    scale = abs(b * d) + abs(a * f)
-    if scale == 0.0 or abs(den) <= _DEGENERATE_REL * scale:
-        return 0.0, True
-    return (a * d - b * c) / den, False
-
-
-def _low(v0r: float, theta: float, c: float, d: float, f: float) -> float:
-    """Lower parallelogram term r . v0 / ||v0||_M at v0 = y + theta g, from
-    v0r = r . v0 and the M-products (as ``_theta``).  It may be negative:
-    the sandwich squares a clamped copy, eta1 the raw value."""
-    nv2 = c + 2.0 * theta * d + theta * theta * f
-    if nv2 <= 0.0:
-        return 0.0
-    return v0r / math.sqrt(nv2)
-
-
 @dataclass(frozen=True)
 class EstimatorReport:
     """Everything one primal/dual estimate produces.
 
-    ``bound_low <= Q(e) <= bound_high`` is the guaranteed sandwich (its
-    lower terms are clamped at zero before squaring); ``eta1`` is the raw
-    max-magnitude version of the same two expressions, which is what the
-    sharp efficiency numbers quote.  ``m`` is the chain's half-size and
+    ``bound_low <= Q(e) <= bound_high`` is the guaranteed sandwich, each end
+    the first term plus a quarter of one squared parallelogram term less a
+    quarter of another; ``eta1`` is the end of larger magnitude, which is
+    what the sharp efficiency numbers quote.  The lower terms
+    ``eta_low_*`` are non-negative.  ``m`` is the chain's half-size and
     ``m_window`` that of the window it was solved on: ``eta2_at`` is indexed
     by free atom of the window (``free_ids``, -m_window+3 .. m_window-2) and
     ``eta2_el`` by bond (-m_window+1 .. m_window-1).
@@ -428,8 +415,6 @@ class EstimatorReport:
     eta2: float
     first_term: float
     sigma_bar: float | None
-    theta_plus: float
-    theta_minus: float
     eta_upp_plus: float
     eta_upp_minus: float
     eta_low_plus: float
@@ -467,30 +452,32 @@ def estimate_stack(pair: DualPair, use_gamma: bool = False) -> list[EstimatorRep
     """Run the full eta1 + eta2 pipeline on a stack, one report per row.
 
     The array work is one row-wise call over the stack for both sign
-    combinations; the scalar optima and bounds then follow row by row.
-    Degenerate rows run the array work at sigma 1 and drop it.
+    combinations.  Degenerate rows run it at sigma 1 and drop it, which
+    leaves their bounds and eta1 on the first term alone.
     """
     # past a0/2 from its well an atom leaves the harmonic well model's range
     off_well = np.abs(pair.u_free).max(axis=-1) > 0.5 * pair.ref.params.a0
     # the computable part g . R(y) of the goal error identity
-    ft = rowdot(pair.g_free, pair.residual_primal).tolist()
+    ft = rowdot(pair.g_free, pair.residual_primal)
     npy, npg = pair.npy.tolist(), pair.npg.tolist()
-    ymy, gmy, gmg = pair.ymy.tolist(), pair.gmy.tolist(), pair.gmg.tolist()
     rows = range(len(ft))
     sigmas = [_sigma(npy[i], npg[i]) for i in rows]
     sigma = np.array([1.0 if s is None else s for s in sigmas])
     # leading axis 0 is the sign: + and - parallelogram combinations
     r = residual_combo(pair, sigma, _SIGNS)
-    a, b = rowdot(r, pair.y_free).tolist(), rowdot(r, pair.g_free).tolist()
-    prods = [(ymy[i], gmy[i], gmg[i]) for i in rows]
-    thetas = [[_theta(a[s][i], b[s][i], *prods[i]) for i in rows] for s in (0, 1)]
-    theta = [[t for t, _ in row] for row in thetas]
-    v0 = np.array(theta)[..., None] * pair.g_free
-    v0 += pair.y_free
-    v0r = rowdot(v0, r).tolist()
-    del r, v0
-    low = [[_low(v0r[s][i], theta[s][i], *prods[i]) for i in rows] for s in (0, 1)]
-    upp = eta_upp(pair, sigma, _SIGNS).tolist()
+    a, b = rowdot(r, pair.y_free), rowdot(r, pair.g_free)
+    del r
+    # squared lower terms: the largest (r . v)^2 / ||v||^2_{M_a} over v in the
+    # span of y and g, in Schur form.  b^2/f is the bound at v = g, and y adds
+    # what is left of it once g is projected out; where nothing is left (or
+    # y . M_a y is past a float) the bound at v = g is the exact one
+    c, d, f = pair.ymy, pair.gmy, pair.gmg
+    schur = c - d * d / f
+    low2 = b * b / f
+    rest = (a - b * d / f) ** 2
+    low2 += np.divide(rest, schur, out=np.zeros_like(rest), where=schur > 0.0)
+    lo2_p, lo2_m = low2.tolist()
+    up_p, up_m = eta_upp(pair, sigma, _SIGNS).tolist()
 
     # eta2 split: since ||P z||^2 = sum_i (P z)_i ((E_a - E_ac) z)_i, the plain
     # bond terms sum to (npy^2 + npg^2) / 2; weighting the halves by gamma =
@@ -508,49 +495,34 @@ def estimate_stack(pair: DualPair, use_gamma: bool = False) -> list[EstimatorRep
     del el_g
 
     reports = []
-    for i, f in enumerate(ft):
+    for i, first in enumerate(ft.tolist()):
         flags = ["off-well"] if off_well[i] else []
+        terms = lo2_p[i], lo2_m[i], up_p[i], up_m[i]
         sig = sigmas[i]
         if sig is None:
             flags.append("sigma-degenerate")
-            th_p = th_m = up_p = up_m = lo_p = lo_m = 0.0
-            bound_low = bound_high = f
-            value1 = abs(f)
-        else:
-            (th_p, deg_p), (th_m, deg_m) = thetas[0][i], thetas[1][i]
-            up_p, up_m, lo_p, lo_m = upp[0][i], upp[1][i], low[0][i], low[1][i]
-            if deg_p:
-                flags.append("theta-plus-degenerate")
-            if deg_m:
-                flags.append("theta-minus-degenerate")
-            if lo_p < 0.0 or lo_m < 0.0:
-                flags.append("lower-bound-clamped")
-            bound_low = f + 0.25 * max(lo_p, 0.0) ** 2 - 0.25 * up_m**2
-            bound_high = f + 0.25 * up_p**2 - 0.25 * max(lo_m, 0.0) ** 2
-            value1 = max(
-                abs(f + 0.25 * lo_p**2 - 0.25 * up_m**2),
-                abs(f + 0.25 * up_p**2 - 0.25 * lo_m**2),
-            )
+            terms = 0.0, 0.0, 0.0, 0.0
+        lp, lm, up, um = terms
+        bound_low = first + 0.25 * lp - 0.25 * um**2
+        bound_high = first + 0.25 * up**2 - 0.25 * lm
         weighted = None
         if use_gamma:
             if sig is None:
                 flags.append("gamma-degenerate")
             g = gammas[i]
-            weighted = abs(f) + 0.5 * g * npy[i] ** 2 + 0.5 / g * npg[i] ** 2
+            weighted = abs(first) + 0.5 * g * npy[i] ** 2 + 0.5 / g * npg[i] ** 2
         reports.append(
             EstimatorReport(
                 m=pair.ref.params.m,
                 m_window=pair.ref.window.m,
-                eta1=value1,
-                eta2=abs(f) + npy[i] * npg[i],
-                first_term=f,
+                eta1=max(abs(bound_low), abs(bound_high)),
+                eta2=abs(first) + npy[i] * npg[i],
+                first_term=first,
                 sigma_bar=sig,
-                theta_plus=th_p,
-                theta_minus=th_m,
-                eta_upp_plus=up_p,
-                eta_upp_minus=up_m,
-                eta_low_plus=lo_p,
-                eta_low_minus=lo_m,
+                eta_upp_plus=up,
+                eta_upp_minus=um,
+                eta_low_plus=math.sqrt(lp),
+                eta_low_minus=math.sqrt(lm),
                 bound_low=bound_low,
                 bound_high=bound_high,
                 eta2_at=at[i],

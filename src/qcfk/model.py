@@ -233,6 +233,8 @@ def sizes(
 
 def interval_partition(params: ChainParams, k: int) -> Partition:
     """Partition with atoms -K+1 .. K atomistic (K = 0: none)."""
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 0 or k > params.m - 2:
         raise ValueError(f"k must be in [0, {params.m - 2}], got {k}")
     k = operator.index(k)

@@ -13,9 +13,11 @@ identity of the estimators live here too; the library keeps only
 ``exact_goal_error``, which the exact CLI modes report.  So do the direct
 forms of the estimator products that the library takes from the model
 difference instead: the projection z - E_a^{-1} E_ac z, the E_a norm and
-the M_a products by matvec.  ``window_pair`` is the blended solve over the
-whole window, with its truncated exterior, that the library's folded core
-solve must reproduce.
+the M_a products by matvec, and the lower parallelogram terms in the
+paper's form at the stationary theta (``theta_lower_terms``), which the
+library takes in closed Schur form.  ``window_pair`` is the blended solve
+over the whole window, with its truncated exterior, that the library's
+folded core solve must reproduce.
 """
 
 import warnings
@@ -314,6 +316,23 @@ def ma_products(pair: DualPair) -> tuple[Array, Array, Array]:
     my, mg = banded.matvec(mat, pair.y_free), banded.matvec(mat, pair.g_free)
     ymy = banded.rowdot(pair.y_free, my) + pair.ref.ymy_far
     return ymy, banded.rowdot(pair.g_free, my), banded.rowdot(pair.g_free, mg)
+
+
+def theta_lower_terms(pair: DualPair, sigma: float) -> tuple[float, float]:
+    """The + and - lower parallelogram terms of the first row in the paper's
+    form: r . v / ||v||_{M_a} at v = y + theta g, with r = sigma R(y) +/-
+    sigma^-1 R_hat(g) and theta the stationary point of that ratio, every
+    M_a product by matvec.  Signed; the library reports the magnitude."""
+    ymy, gmy, gmg = (float(x[0]) for x in ma_products(pair))
+    y, g = pair.y_free[0], pair.g_free[0]
+    lows = []
+    for sign in (1.0, -1.0):
+        r = sigma * pair.residual_primal[0] + sign / sigma * pair.residual_dual[0]
+        a, b = float(np.dot(r, y)), float(np.dot(r, g))
+        theta = (a * gmy - b * ymy) / (b * gmy - a * gmg)
+        nv2 = ymy + 2.0 * theta * gmy + theta * theta * gmg
+        lows.append(float(np.dot(r, y + theta * g)) / np.sqrt(nv2))
+    return lows[0], lows[1]
 
 
 def dual_errors(pair: DualPair) -> tuple[Array, Array]:

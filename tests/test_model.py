@@ -256,8 +256,10 @@ def test_interval_partition_equals_the_listed_range():
         assert got.dtype == want.dtype and np.array_equal(got, want)
     with pytest.raises(ValueError, match=r"k must be in \[0, 58\], got 59"):
         interval_partition(p, 59)
-    with pytest.raises(TypeError):
-        interval_partition(p, 2.5)
+    # K is an integer, as atom ids are
+    for bad in (2.5, float("nan"), "3"):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            interval_partition(p, bad)
 
 
 def test_make_partition_rejects_out_of_range():
