@@ -29,6 +29,7 @@ from qcfk import (
     estimate,
     exact_goal_error,
     interval_partition,
+    on_window,
     solve_dual_pair,
 )
 
@@ -51,7 +52,7 @@ def main() -> None:
     # The blended primal/dual solve and the dislocation it produces
     # ------------------------------------------------------------------
     pair = solve_dual_pair(params, part)
-    y = pair.y_free[0]
+    y = on_window(pair, "u_free")[0] + pair.ref.system.wells_free
     ids = pair.ref.system.free_index
     near = (ids >= -2) & (ids <= 3)
     print("\npositions around the defect (antisymmetric, bond (0,1) stretched):")

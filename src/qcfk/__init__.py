@@ -25,6 +25,7 @@ from .estimators import (
     estimate_stack,
     exact_goal_error,
     exact_goal_errors,
+    on_window,
     solve_dual_pair,
     solve_stacks,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "interval_partition",
     "make_partition",
     "mark_atoms",
+    "on_window",
     "reduce_system",
     "run_adaptive",
     "solve_dual_pair",

@@ -190,7 +190,6 @@ def fixed_k_runs(
             q_errors = exact_goal_errors(pair)[0].tolist()
         for i, report, q_error in zip(rows, reports, q_errors):
             results[i] = FixedKResult(params.m, ks[i], report, q_error)
-        del pair  # before the next stack is solved
     return results
 
 

@@ -37,14 +37,26 @@ the two ez.  The M_a products need no matvec either: M_a y = (f_a + M_a b)
 - R(y), with f_a + M_a b stored once in the ``Reference``, and
 M_a g = q - R_hat(g).
 
-Every product is taken on the partition's window chain; only the blended
-solves run on its shorter core (both sized by ``model.sizes``), whose
-solutions extend over the window in closed form.  Every vector here decays
-away from the defect and the atomistic region, so its products are local
-to the window, with one exception: y . M_a y grows like M^3 through the
-wells b.  Its far-field part is summed in closed form
-(``Reference.ymy_far``), so the estimates are those of the whole chain;
-past a float it is inf, and the lower terms take their limit b^2/f.
+What runs where.  Every step per region runs on the core of the
+partition's window (both sized by ``model.sizes``): the blended solves, the
+residuals, P z and every product, on the core's atoms and bonds.  Past the
+core every atom is continuum and unloaded, so u and g there are their edge
+values times mu^d, and every other field is an edge value (or, for P z, an
+edge value and the core's end value) times a fixed profile.  Those
+profiles are geometric, so their dot products are closed forms, which the
+``Reference`` holds per unit edge value; each array of a ``DualPair``
+carries a few exterior coordinates after its core entries, and every
+product over the window is one dot product over the core.  No step per
+region touches a window-length array, and the reference itself is built
+from closed forms.  The window stays the frame outputs are reported on,
+and the check: ``on_window`` extends a field over it, which the eta2
+indicators do when read (marking, the fixed-k report, the profile), and
+so does the residual the exact goal error solves with, on the window's
+atomistic system.  Every vector here decays away from the defect and the
+atomistic region, with one exception: y . M_a y grows like M^3 through the
+wells b.  The part u does not touch is summed in closed form, in exact
+integers, so the estimates are those of the whole chain; past a float it
+is inf, and the lower terms take their limit b^2/f.
 
 Many partitions of one chain are solved as stacks: ``solve_stacks`` groups
 them by window, and each group is assembled, solved and estimated in one
@@ -59,8 +71,8 @@ import functools
 import json
 import math
 import weakref
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, fields, replace
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -70,9 +82,11 @@ from .model import ChainParams, LinearSystem, Partition, QuadraticModel
 
 # dimensionless cutoff deciding when sigma's optimum is degenerate
 _DEGENERATE_REL = 1e-14
-# most regions solved in one stack: at its peak a stack holds about 20
-# window-length arrays per row, and taller stacks buy little speed
-_STACK_MAX = 7
+# smallest normal float: a reported value below it has lost its digits
+_TINY = np.finfo(float).tiny
+# most bytes one stack holds: about 20 core-length arrays per row, and the
+# window-length residual and error of the exact goal error
+_STACK_BYTES = 1 << 24
 # the last reference built, held weakly: a growing region finds it while its
 # previous pair is alive, and a sweep's groups never revisit a window
 _REFERENCES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -82,32 +96,82 @@ _REFERENCES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 class Reference:
     """Everything that depends on the window but not on the partition.
 
-    ``params`` is the chain, ``window`` the chain every output lives on
-    (see ``model.sizes``).  On the window: the atomistic model and its
-    reduced system ``M_a``, the factor of the bond matrix ``E_a`` (for the
-    projection P), the goal vector on the free atoms, and ``fa_mb`` =
-    f_a + M_a b on them (so that M_a y = fa_mb - R(y)).  ``ymy_far`` is
-    what y . M_a y over the chain adds to the same product over the window.
-    Blended solves run on ``core`` less ``fold`` = k12 mu on its edge
-    diagonal entries; ``decay`` extends them over the window's free atoms
-    past each core end, where E_a - E_ac is that of an all-continuum
-    region, ``ediff_far``.  Every blended solve whose partition has this
-    window shares the reference, and so does the next solve while a pair
-    solved on it is held, so its arrays are read-only.
+    ``params`` is the chain, ``window`` the chain every output is reported
+    on and ``core`` the chain the blended solves run on (see
+    ``model.sizes``), ``off`` atoms shorter at each end.  The blended solves
+    fold the continuum exterior into ``fold`` = k12 mu on the core's edge
+    diagonal entries, where mu + 1/mu = 2 + k0/k12, mu < 1 and q = 1 - mu:
+    past the core u and g are their edge values times mu^d.  ``lam`` is the
+    decaying root of E_a's symbol.  ``ymy_far`` is what y . M_a y over the
+    chain adds to the same product over the window.
+
+    The rest lives on the core, with the exterior in closed form per unit
+    edge value, side by side (left, right).  ``frame`` is the window's free
+    atoms the core's arrays hold, and ``wells``, ``fa`` and ``goal_frame``
+    are b, f_a + M_a b (so that M_a y = fa - R(y)) and the goal vector on
+    them, each followed by the four exterior coordinates (see
+    ``DualPair``).  ``edge3`` is u 1, 2 and 3 atoms past a unit edge value,
+    ``base`` the bond differences of lift + b - a on the core's bonds and
+    one more each side, ``ediff_rim`` the E_a - E_ac bands that couple the
+    core to the exterior bond next to each end, and ``ea_core`` E_a on the
+    core's bonds.  ``rim`` holds (E_a - E_ac) z at those exterior bonds and
+    the load P z there puts on the core's end rows, and ``pz_factor`` is
+    the core's E_a with the exterior folded into both end diagonals.
+    ``ext_res`` holds u . R and b . R over the exterior per unit edge
+    value, ``ext_pz`` pi . rho and h . rho, with rho = (E_a - E_ac) z and
+    P z = e pi - c h for an edge value e and a core end value c of P z;
+    ``ymy_tail`` is the part of y . M_a y that u does not touch, less
+    b . fa over the frame.  ``tails`` holds those profiles over the window,
+    which ``on_window`` appends.  The window's atomistic model,
+    its reduced system ``M_a`` and the goal vector on its free atoms are
+    built on first use.  Every solve on this window shares the reference,
+    and so does the next solve while a pair solved on it is held, so its
+    arrays are read-only.
     """
 
     params: ChainParams
     window: ChainParams
-    model: QuadraticModel
-    system: LinearSystem
-    ea_factor: BandedFactor
-    goal: Array
-    fa_mb: Array
-    ymy_far: float
     core: ChainParams
+    off: int
     fold: float
-    decay: Array
-    ediff_far: Array
+    mu: float
+    q: float
+    lam: float
+    ymy_far: float
+    frame: slice
+    wells: Array
+    fa: Array
+    goal_frame: Array
+    edge3: Array
+    base: Array
+    ediff_rim: Array
+    ea_core: Array
+    rim: Array
+    pz_factor: BandedFactor
+    ext_res: Array
+    ext_pz: Array
+    ymy_tail: float
+
+    @functools.cached_property
+    def _atomistic(self) -> tuple[QuadraticModel, LinearSystem]:
+        return _atomistic(self.window)
+
+    @property
+    def model(self) -> QuadraticModel:
+        """The window's atomistic model: the blend that flags every atom."""
+        return self._atomistic[0]
+
+    @property
+    def system(self) -> LinearSystem:
+        """The window's reduced atomistic system ``M_a``."""
+        return self._atomistic[1]
+
+    @functools.cached_property
+    def goal(self) -> Array:
+        """The goal vector on the window's free atoms."""
+        goal = goal_vector(self.system.free_index)
+        goal.setflags(write=False)
+        return goal
 
     @functools.cached_property
     def ma_factor(self) -> BandedFactor:
@@ -117,6 +181,49 @@ class Reference:
         ma.bands.setflags(write=False)
         return ma
 
+    @functools.cached_property
+    def tails(self) -> dict[str, Array]:
+        """The exterior profiles per unit edge value over the window, (left,
+        right) in window order: ``dec`` (u) and ``res`` (the residual) on
+        the free atoms past the core's own, ``rho``, ``pi`` and ``h`` on the
+        exterior bonds.  The left side is the right one mirrored: the bond
+        differences and so rho and pi change sign."""
+        mu, q, k2, n_ext = self.mu, self.q, self.params.k2, self.frame.start
+        mu_d = mu ** np.arange(1.0, self.off + 1)  # mu^(d-1) for the bonds d >= 2
+        lam_d = abs(self.lam) ** np.arange(1.0, self.off + 1)
+        lam_d[::2] *= -1.0  # lam <= 0
+        pc = _particular(self.params, mu, q)
+        right = np.array([mu_d * (-k2 * q**3), pc * (mu_d - lam_d), -lam_d])
+        atoms = np.array([mu_d[2 : n_ext + 2], k2 * q**4 * mu_d[: n_ext]])
+        atoms = np.array([atoms[:, ::-1], atoms]).transpose(1, 0, 2)
+        left = right[:, ::-1] * [[-1.0], [-1.0], [1.0]]
+        bonds = np.array([left, right]).transpose(1, 0, 2)
+        for a in (atoms, bonds):
+            a.setflags(write=False)
+        return dict(dec=atoms[0], res=atoms[1], rho=bonds[0], pi=bonds[1], h=bonds[2])
+
+
+def _atomistic(win: ChainParams) -> tuple[QuadraticModel, LinearSystem]:
+    """The atomistic model of the chain ``win`` and its reduced system,
+    read-only."""
+    amodel = model.assemble(win, Partition(atomistic=model.atom_ids(win)))
+    asys = model.reduce_system(win, amodel)
+    for a in (amodel.ids, amodel.e_mat.bands, amodel.a_eq, amodel.b_eq, asys.mat.bands):
+        a.setflags(write=False)
+    for a in (asys.rhs_wells, asys.wells_free, asys.lift, asys.free_index):
+        a.setflags(write=False)
+    return amodel, asys
+
+
+def _particular(params: ChainParams, mu: float, q: float) -> float:
+    """pi_d / mu^(d-1) of the particular solution of E_a pi = rho on the
+    exterior, rho_d = -k2 q^3 mu^(d-1): E_a's symbol at mu is
+    k1 + 2 k2 + k2 (mu + 1/mu)."""
+    k2 = params.k2
+    if mu == 0.0:  # no exterior, or one too stiff to reach
+        return 0.0
+    return -k2 * q**3 * mu / ((params.k1 + 2.0 * k2) * mu + k2 * (mu * mu + 1.0))
+
 
 @dataclass(frozen=True)
 class DualPair:
@@ -125,20 +232,29 @@ class DualPair:
 
     ``parts`` holds the partitions solved, and every other field but ``ref``
     a leading axis with one row per partition; a single region is the stack
-    of one.  ``y_free`` are absolute positions on the free atoms, ``u_free``
-    the same solution measured from the wells (the internally solved form).
+    of one.  Arrays live on the core: per-atom ones on the window's free
+    atoms ``ref.frame`` and then four exterior coordinates, per-bond ones on
+    the core's bonds and then two, so that each product over the window is
+    one dot product over them (``on_window`` extends a field over the
+    window instead).  With u, R and b the exterior profiles per unit edge
+    value (see ``Reference``), u and g take (e, 0) per side for their edge
+    value e and the residuals e (u . R, b . R), while b, f_a + M_a b and the
+    goal take (0, 1), (k0 u . b, 0) and (0, 0) (``ref.wells``, ``ref.fa``
+    and ``ref.goal_frame``).  Per bond side ez takes e and P z
+    e pi . rho - c h . rho, c the core's end value of P z.  ``u_free`` is
+    the blended solution measured from the wells, ``g_free`` the dual one.
     The residuals are those of the atomistic operator applied to the
     blended solutions, formed from the model difference E_a - E_ac;
     ``ez_y`` and ``ez_g`` are that difference applied to the bond
     differences z_y of y - a and z_g of g, and ``pz_y``, ``pz_g`` their
-    projections P z = E_a^{-1} ez with E_a norms ``npy``, ``npg``.  ``ymy``
-    is y . M_a y over the whole chain, ``gmy`` and ``gmg`` are g . M_a y
-    and g . M_a g.  Arrays live on the window's free atoms/bonds.
+    projections P z = E_a^{-1} ez with E_a norms ``npy``, ``npg``.  ``ymy`` is
+    y . M_a y over the whole chain, ``gmy`` and ``gmg`` are g . M_a y and
+    g . M_a g.  ``differs`` is whether E_a - E_ac is nonzero at all, so that
+    the exact error is.
     """
 
     ref: Reference
     parts: tuple[Partition, ...]
-    y_free: Array
     u_free: Array
     g_free: Array
     residual_primal: Array
@@ -152,6 +268,7 @@ class DualPair:
     ymy: Array
     gmy: Array
     gmg: Array
+    differs: Array
 
 
 def _one_region(pair: DualPair, stacked: str) -> None:
@@ -160,18 +277,6 @@ def _one_region(pair: DualPair, stacked: str) -> None:
         raise ValueError(
             f"pair holds {len(pair.parts)} regions; use {stacked} for a stack"
         )
-
-
-def _bond_differences(ref: Reference, u: Array, g: Array) -> Array:
-    """Bond difference vectors of the primal and dual solutions lifted to
-    the whole window: z_y of y - a (clamped atoms at their positions) and
-    z_g of g (zero on clamped atoms), stacked on a new leading axis."""
-    lifted = np.zeros((2,) + u.shape[:-1] + (ref.model.n_points,))
-    lifted[0] = ref.system.lift
-    lifted[0, ..., 2:-2] = u
-    lifted[0] += ref.model.b_eq - ref.model.a_eq
-    lifted[1, ..., 2:-2] = g
-    return model.d_apply(lifted)
 
 
 def goal_vector(free_index: Array) -> Array:
@@ -197,125 +302,233 @@ def _wells_ymy(params: ChainParams) -> tuple[int, int]:
 
 
 def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
-    """Assemble, reduce and factor the atomistic model of the window of
-    half-size ``m_window``, and lay out the core of half-size ``m_core``
-    its blended solves run on (see ``model.sizes``)."""
+    """Lay out the window of half-size ``m_window`` and the core of half-size
+    ``m_core`` its blended solves run on (see ``model.sizes``), and take
+    the exterior between the two in closed form.
+
+    Past the core every atom is continuum and unloaded, and the exterior
+    reaches the window's clamps only where its fields have fallen below
+    ``WINDOW_EPS``, so it is taken as semi-infinite.  Right of the core, d
+    atoms past its free edge atom, u = e mu^d for an edge value e; the
+    bond d (atoms d, d + 1) has z = -e q mu^d, q = 1 - mu, and (E_a - E_ac)
+    z = e rho_d = -e k2 q^3 mu^(d-1) for d >= 2 (E_a - E_ac has -2 k2 on its
+    diagonal and k2 beside it), so the residual at atom d >= 3 is
+    e k2 q^4 mu^(d-2).  P z there solves E_a x = e rho with the core's end
+    bond value c coupled in by k2: x = e pi - c h, pi_d = P (mu^(d-1) -
+    lam^(d-1)) and h_d = -lam^(d-1), with lam the decaying root of E_a's
+    symbol, k2 lam^2 + (k1 + 2 k2) lam + k2 = 0.  Folding x into the core's
+    end row adds k2 lam to its diagonal and -k2 P (mu - lam) e to its load.
+    The left side is the mirror image.
+    """
     win = params if m_window == params.m else replace(params, m=m_window, bc=None)
-    # the atomistic model is the blend that flags every atom of the window
-    amodel = model.assemble(win, Partition(atomistic=model.atom_ids(win)))
-    asys = model.reduce_system(win, amodel)
+    core = win if m_core == m_window else replace(params, m=m_core, bc=None)
+    k0, k1, k2, a0 = params.k0, params.k1, params.k2, params.a0
     # beyond the window u vanishes and y = b; the window's own clamp rows are
     # part of both closed forms, so the difference is exact (up to the
     # coupling of the window's edge u, below WINDOW_EPS): 0.0 on a whole chain.
     # Past M ~ 1e102 the sums exceed a float and saturate to inf
     (m0, mb), (w0, wb) = _wells_ymy(params), _wells_ymy(win)
+    off, nbc = m_window - m_core, 2 * m_core - 1
+    # the core's atoms that are not the window's free atoms: its clamps on
+    # a whole chain, one of them when the exterior is a single atom
+    lo = max(0, 2 - off)
+    s = m_core - lo
     try:
         far0, farb = float(m0 - w0), float(mb - wb)
+        # k0 b . b over the chain beyond the frame, and the rest of b . M_a b
+        tail0, tailb = float(m0 - s * (s + 1) * (2 * s + 1) // 3), float(mb)
     except OverflowError:
-        far0 = farb = math.inf
-    ymy_far = params.a0**2 * (params.k0 * far0 + (params.k1 + 2.0 * params.k2) * farb)
-    # past the core every atom is continuum and unloaded, so the solution
-    # there is u_edge mu^d, mu + 1/mu = 2 + k0/k12 with mu < 1; folding it in
-    # exactly leaves d - k12 mu on the first and last free diagonal entries
-    # (a discrete Dirichlet-to-Neumann boundary)
-    t = 0.5 * params.k0 / params.k12
-    mu = 0.0 if m_core == m_window else 1.0 / (1.0 + t + math.sqrt(t * (2.0 + t)))
-    core = win if m_core == m_window else replace(params, m=m_core, bc=None)
-    # u_edge mu^d at d atoms past the core, less its reflection in the
-    # window's clamp at d = n, which only the window's last atoms feel
-    n = m_window - m_core + 1
-    d = np.arange(1.0, n)
+        far0 = farb = tail0 = tailb = math.inf
+    ymy_far = a0**2 * (k0 * far0 + (k1 + 2.0 * k2) * farb)
+    # b . M_a b = sum b (k0 b + clamp terms) - b . f_a, and b . f_a is
+    # -a0 (E_a D b) at the defect bond, where D b is a0, 2 a0, a0
+    ymy_tail = a0**2 * (k0 * tail0 + (k1 + 2.0 * k2) * tailb - 2.0 * (k1 + 3.0 * k2))
+    base = np.zeros((2, 1, nbc + 2))
+    ediff_rim = np.zeros((2, nbc + 2))
+    edge3, rim = np.zeros(3), np.zeros((2, 2))
+    ext_res, ext_pz, ext_fa = np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(4)
+    mu = lam = 0.0
+    q = 1.0
+    if off:
+        # past the core the blended solution is u_edge mu^d, mu + 1/mu =
+        # 2 + 2t; folding it in leaves d - k12 mu on the core's first and last
+        # free diagonal entries (a discrete Dirichlet-to-Neumann boundary).
+        # q = 1 - mu is formed without cancelling as mu nears 1 (and mu = 0
+        # where t overflows)
+        t = 0.5 * k0 / params.k12
+        r = math.sqrt(t) * math.sqrt(2.0 + t)
+        mu = 1.0 / (1.0 + t + r)
+        q = 1.0 - mu if mu < 0.5 else (t + r) * mu
+        lam = -2.0 * k2 / (k1 + 2.0 * k2 + math.sqrt(k1 * params.k12))
+        # E_a on the core's bonds, each with both NNN pairs, and the
+        # coupling of the last to the next, as the window assembles them
+        ea_core = np.empty((2, nbc))
+        ea_core[0], ea_core[1] = (k1 + k2) + k2, k2
+        pz_core = ea_core.copy()
+        pz_core[0, :: nbc - 1] += k2 * lam
+        ids = model.atom_ids(core)[lo : 2 * m_core - lo]
+        wells = model.well_positions(params, ids)
+        # f_a + M_a b is k0 b away from the chain's clamps
+        fa = k0 * wells
+        pc = _particular(params, mu, q)
+        # sums over d >= 3 of mu^d, d mu^d and the like, by the right edge
+        # atom's id E: sum (E + d) mu^d = mu^3 x / q^2
+        x = (m_core - 2) * q + 3.0 - 2.0 * mu
+        g_ = k2 * q**3 * mu**4 / (1.0 + mu)
+        db = a0 * mu**3 * x / (q * q)
+        ws = a0 * k2 * q * q * mu * x
+        lam_mu = lam * mu / (1.0 - lam * mu)
+        k1_ = -k2 * q**3 * pc * (mu * mu / (q * (1.0 + mu)) - lam_mu)
+        k2_ = k2 * q**3 * lam_mu
+        ext_res[:] = [[g_, -ws], [g_, ws]]
+        ext_pz[:] = [[k1_, -k2_], [k1_, k2_]]
+        ext_fa[::2] = -k0 * db, k0 * db
+        rho2, psi = -k2 * q**3 * mu, k2 * pc * (mu - lam)
+        rim[:] = [[-rho2, rho2], [-psi, psi]]
+        edge3[:] = mu ** np.arange(1.0, 4.0)
+        ediff_rim[1, 0] = k2
+        goal_frame = np.zeros(len(ids))
+    else:
+        # the core is the window: the window's own model, no exterior
+        atomistic = amodel, asys = _atomistic(win)
+        ea_core = pz_core = amodel.e_mat.bands
+        wells = asys.wells_free
+        fa = asys.rhs_wells + banded.matvec(asys.mat, wells)
+        base[0, 0, 1:-1] = np.diff(asys.lift)
+        base[0, 0, [0, -1]] = asys.lift[[0, -1]] * [1.0, -1.0]
+        goal_frame = np.zeros(len(wells))
+        ymy_tail = ymy_far
+    # the bond differences of b - a, added to z_y apart from u so that no u
+    # below one ulp of a0 is lost: a0 across the defect bond, whose wells are
+    # 2 a0 apart
+    base[0, 0, m_core] += a0
+    goal_frame[[m_core - 1 - lo, m_core - lo]] = -1.0, 1.0
+    # the exterior coordinates of b, fa and the goal
+    wells = np.concatenate([wells, [0.0, 1.0, 0.0, 1.0]])
+    fa = np.concatenate([fa, ext_fa])
+    goal_frame = np.concatenate([goal_frame, np.zeros(4)])
+    pz_factor = banded.factor(BandedSpdMatrix(pz_core))
+    # every solve on this window shares the reference: none may write to it
+    arrays = (wells, fa, goal_frame, edge3, base, ediff_rim, ea_core, rim, ext_res)
+    for a in (*arrays, ext_pz, pz_factor.bands):
+        a.setflags(write=False)
+    n_ext = max(0, off - 2)  # free atoms past the core's own (its clamps)
     ref = Reference(
         params=params,
         window=win,
-        model=amodel,
-        system=asys,
-        ea_factor=banded.factor(amodel.e_mat),
-        goal=goal_vector(asys.free_index),
-        fa_mb=asys.rhs_wells + banded.matvec(asys.mat, asys.wells_free),
-        ymy_far=ymy_far,
         core=core,
+        off=off,
         fold=params.k12 * mu,
-        decay=(mu**d - mu ** (2 * n - d)) / (1.0 - mu ** (2 * n)),
-        ediff_far=amodel.e_mat.bands - [[params.k12], [0.0]],
+        mu=mu,
+        q=q,
+        lam=lam,
+        ymy_far=ymy_far,
+        frame=slice(n_ext, 2 * m_window - 4 - n_ext),
+        wells=wells,
+        fa=fa,
+        goal_frame=goal_frame,
+        edge3=edge3,
+        base=base,
+        ediff_rim=ediff_rim,
+        ea_core=ea_core,
+        rim=rim,
+        pz_factor=pz_factor,
+        ext_res=ext_res,
+        ext_pz=ext_pz,
+        ymy_tail=ymy_tail,
     )
-    # every solve on this window shares the reference: none may write to it
-    arrays = (ref.ea_factor.bands, ref.goal, ref.fa_mb, ref.decay, ref.ediff_far)
-    arrays += (asys.mat.bands, asys.rhs_wells, asys.wells_free, asys.lift, amodel.ids)
-    arrays += (asys.free_index, amodel.e_mat.bands, amodel.a_eq, amodel.b_eq)
-    for a in arrays:
-        a.setflags(write=False)
+    if not off:  # built already
+        ref.__dict__["_atomistic"] = atomistic
     return ref
 
 
 def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
     """Solve the blended primal and dual problems of partitions that share
-    the window of ``ref``, as one stack.
+    the window of ``ref``, as one stack, and take every product on the
+    core.
 
-    Each blended matrix is factored once, on the core, and solves its
+    Each blended matrix is factored and solved once, on the core, for its
     primal and dual loads together.  The reference is never solved here:
     production estimates only ever solve the blended model.
     """
     acmodel = model.assemble(ref.core, parts)
     acsys = model.reduce_system(ref.core, acmodel)
-    core = slice(len(ref.decay), len(ref.decay) + acmodel.e_mat.n)
-    ediff = np.repeat(ref.ediff_far[None], len(parts), axis=0)
-    ea = ref.model.e_mat.bands[..., core]
-    np.subtract(ea, acmodel.e_mat.bands, out=ediff[..., core])
-    # a stack holds several window-length arrays per row: drop each as soon
-    # as it is used up
-    del acmodel
-    acsys.mat.bands[..., 0, [0, -1]] -= ref.fold
-    off, nf = core.start, len(acsys.free_index)
+    nbc = acmodel.e_mat.n
+    ediff = np.empty((len(parts),) + ref.ediff_rim.shape)
+    ediff[...] = ref.ediff_rim
+    np.subtract(ref.ea_core, acmodel.e_mat.bands, out=ediff[..., 1:-1])
+    differs = ediff.any(axis=(-2, -1))
+    diag = acsys.mat.bands[..., 0, :]
+    diag[..., 0] -= ref.fold
+    diag[..., -1] -= ref.fold
+    nf = len(acsys.free_index)
 
     # row 0 the primal load and solution, row 1 the dual (goal) ones
-    loads = np.empty((2, nf))
-    loads[1] = ref.goal[off : off + nf]
-    ug = np.empty((2, len(parts), len(ref.goal)))
-    core_ug = ug[..., off : off + nf]
-    for i in range(len(parts)):
-        loads[0] = acsys.rhs_wells[i]
-        mat = BandedSpdMatrix(acsys.mat.bands[i])
-        core_ug[:, i] = banded.solve(banded.factor(mat), loads.T).T
-    del mat, acsys
-    # the exterior is continuum and unloaded: both solutions decay past it
-    np.multiply(core_ug[..., :1], ref.decay[::-1], out=ug[..., :off])
-    np.multiply(core_ug[..., -1:], ref.decay, out=ug[..., off + nf :])
-    u, g = ug
-    y = u + ref.system.wells_free
+    loads = np.empty((len(parts), 2, nf))
+    loads[:, 0] = acsys.rhs_wells
+    lo = 2 - ref.off + ref.frame.start
+    loads[:, 1] = ref.goal_frame[2 - lo : 2 - lo + nf]
+    # the core's atoms and one more each side, where the continuum exterior
+    # has decayed from the edge atoms (3 and nf + 2)
+    ug = np.empty((2, len(parts), nf + 6))
+    ug[..., 3:-3] = banded.solve_each(acsys.mat, loads).transpose(1, 0, 2)
+    np.multiply(ug[..., 3:4], ref.edge3[::-1], out=ug[..., :3])
+    np.multiply(ug[..., -4:-3], ref.edge3, out=ug[..., -3:])
+    edges = ug[..., 3 : nf + 3 : nf - 1]
 
-    z = _bond_differences(ref, u, g)
     # atomistic residuals of the blended solutions.  Since the blended
     # equations f_ac - M_ac u = 0 and q - M_ac g = 0 hold exactly, f_a - M_a u
     # equals -J^T D^T (E_a - E_ac) z_y and q - M_a g equals -J^T D^T
     # (E_a - E_ac) z_g (both models pin every free atom with k0).
     # This form never sees the blended solve's backward error, and E_a - E_ac
     # is exactly zero inside the atomistic region, so the residuals keep full
-    # relative accuracy however small the modeling error is.
+    # relative accuracy however small the modeling error is.  The bonds next
+    # to the core take their exterior values
+    z = np.diff(ug)
+    z += ref.base
     ez = banded.matvec(BandedSpdMatrix(ediff), z)
-    del ediff, z
-    res = model.dt_apply(ez)[..., 2:-2]
-    np.negative(res, out=res)
+    np.multiply(edges, ref.rim[0], out=ez[..., :: nbc + 1])
+    # on the frame (the core's atoms less ``lo`` at each end), then the
+    # exterior coordinates: (e, 0) per side for u and g, e (u . R, b . R)
+    # for the residuals
+    nc = nf + 4 - 2 * lo
+    atoms = np.empty((2, 2, len(parts), nc + 4))
+    u, g = atoms[0]
+    res = atoms[1]
+    atoms[0, ..., :nc] = ug[..., 1 + lo : nf + 5 - lo]
+    atoms[0, ..., nc::2] = edges
+    atoms[0, ..., nc + 1 :: 2] = 0.0
+    np.subtract(ez[..., 1 + lo : nc + 1 + lo], ez[..., lo : nc + lo], out=res[..., :nc])
+    res[..., nc:] = (edges[..., None] * ref.ext_res).reshape(2, len(parts), 4)
     # P z = E_a^{-1} ez, supported near the atomistic/continuum interfaces;
-    # every row is one column of a single solve with E_a, and E_a P z = ez
-    pz = banded.solve(ref.ea_factor, ez.reshape(-1, ez.shape[-1]).T)
-    pz = pz.T.reshape(ez.shape)
-    nrm = banded.norm(ref.model.e_mat, pz, ez)
-    my = ref.fa_mb - res[0]
-    ymy = rowdot(y, my) + ref.ymy_far
+    # every row is one column of a single solve with the folded core E_a,
+    # and E_a P z = ez.  On the core's bonds, then one exterior coordinate
+    # per side: e for ez and e pi . rho - c h . rho for P z
+    bonds = np.empty((2, 2, len(parts), nbc + 2))
+    pz, ez_c = bonds
+    ez_c[..., :nbc] = ez[..., 1:-1]
+    ez_c[..., nbc:] = edges
+    rhs = ez[..., 1:-1].copy()
+    rhs[..., :: nbc - 1] -= edges * ref.rim[1]
+    sol = banded.solve(ref.pz_factor, rhs.reshape(-1, nbc).T)
+    pz[..., :nbc] = sol.T.reshape(rhs.shape)
+    ends = pz[..., : nbc : nbc - 1]
+    pz[..., nbc:] = edges * ref.ext_pz[:, 0] - ends * ref.ext_pz[:, 1]
+    nrm = banded.norm(BandedSpdMatrix(ref.ea_core), pz, ez_c)
+    my = ref.fa - res[0]
+    ymy = rowdot(u + ref.wells, my) + ref.ymy_tail
     gmy = rowdot(g, my)
-    gmg = rowdot(g, ref.goal - res[1])
+    gmg = rowdot(g, ref.goal_frame - res[1])
 
     return DualPair(
         ref=ref,
         parts=tuple(parts),
-        y_free=y,
         u_free=u,
         g_free=g,
         residual_primal=res[0],
         residual_dual=res[1],
-        ez_y=ez[0],
-        ez_g=ez[1],
+        ez_y=ez_c[0],
+        ez_g=ez_c[1],
         pz_y=pz[0],
         pz_g=pz[1],
         npy=nrm[0],
@@ -323,7 +536,34 @@ def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
         ymy=ymy,
         gmy=gmy,
         gmg=gmg,
+        differs=differs,
     )
+
+
+# field -> (the field whose edge values scale its exterior, its exterior
+# profile, its exterior coordinates)
+_EXTERIOR = {
+    "u_free": ("u_free", "dec", 4),
+    "g_free": ("g_free", "dec", 4),
+    "residual_primal": ("u_free", "res", 4),
+    "residual_dual": ("g_free", "res", 4),
+    "ez_y": ("u_free", "rho", 2),
+    "ez_g": ("g_free", "rho", 2),
+    "pz_y": ("u_free", "pi", 2),
+    "pz_g": ("g_free", "pi", 2),
+}
+
+
+def on_window(pair: DualPair, name: str, rows=slice(None)) -> Array:
+    """The per-atom or per-bond field ``name`` of a pair's ``rows``, over
+    the window's free atoms or bonds: the core's values with the exterior
+    in closed form on both sides."""
+    src, profile, n_ext = _EXTERIOR[name]
+    core = getattr(pair, name)[rows, :-n_ext]
+    ext = getattr(pair, src)[rows, -4::2, None] * pair.ref.tails[profile]
+    if profile == "pi":  # less the core's end values times h
+        ext -= core[..., :: core.shape[-1] - 1, None] * pair.ref.tails["h"]
+    return np.concatenate([ext[..., 0, :], core, ext[..., 1, :]], axis=-1)
 
 
 def solve_stacks(
@@ -332,9 +572,8 @@ def solve_stacks(
     """Solve many partitions of one chain, stack by stack.
 
     Partitions with the same ``model.sizes`` share one reference and are
-    solved together, at most ``_STACK_MAX`` to a stack.  Yields the
-    positions in ``parts`` of each stack's rows with the stacked pair; one
-    stack is alive at a time when the caller drops each before the next.
+    solved together, as many to a stack as ``_STACK_BYTES`` holds.  Yields
+    the positions in ``parts`` of each stack's rows with the stacked pair.
     """
     groups: dict[tuple[int, int], list[int]] = {}
     for i, size in enumerate(model.sizes(params, parts)):
@@ -345,8 +584,10 @@ def solve_stacks(
         if ref is None:
             _REFERENCES.clear()
             ref = _REFERENCES[key] = _reference(*key)
-        for start in range(0, len(rows), _STACK_MAX):
-            chunk = rows[start : start + _STACK_MAX]
+        m_window, m_core = size
+        height = max(1, _STACK_BYTES // (8 * (40 * m_core + 4 * m_window)))
+        for start in range(0, len(rows), height):
+            chunk = rows[start : start + height]
             yield chunk, _solve_stack(ref, [parts[i] for i in chunk])
 
 
@@ -381,8 +622,8 @@ def _combo(sigma, sign, primal: Array, dual: Array) -> Array:
 
 
 def residual_combo(pair: DualPair, sigma, sign) -> Array:
-    """Weighted residual sigma R(y) +/- sigma^-1 R_hat(g), row by row (see
-    ``_combo``)."""
+    """Weighted residual sigma R(y) +/- sigma^-1 R_hat(g) on the core, row
+    by row (see ``_combo``)."""
     return _combo(sigma, sign, pair.residual_primal, pair.residual_dual)
 
 
@@ -392,7 +633,38 @@ def eta_upp(pair: DualPair, sigma, sign) -> Array:
     combination of ``ez_y`` and ``ez_g``."""
     pz = _combo(sigma, sign, pair.pz_y, pair.pz_g)
     ez = _combo(sigma, sign, pair.ez_y, pair.ez_g)
-    return banded.norm(pair.ref.model.e_mat, pz, ez)
+    return banded.norm(BandedSpdMatrix(pair.ref.ea_core), pz, ez)
+
+
+def _indicators(pair: DualPair, row: int, gamma: float) -> tuple[Array, Array]:
+    """The eta2 split of one row over the window: per free atom |g R(y)|,
+    per bond the gamma-weighted halves |P z_y . ez_y| and |P z_g . ez_g|
+    (see ``estimate_stack``), the exterior's in closed form."""
+    ref = pair.ref
+    tails, u, g = ref.tails, pair.u_free[row], pair.g_free[row]
+    e = np.array([u[-4::2], g[-4::2]])  # edge values, (u, g) by side
+    n, nc = ref.frame.start, len(u) - 4
+    at = np.empty(nc + 2 * n)
+    np.multiply(g[:nc], pair.residual_primal[row, :nc], out=at[n : n + nc])
+    ext = np.abs(e[0] * e[1])[:, None] * np.abs(tails["dec"] * tails["res"])
+    at[:n], at[n + nc :] = ext
+    np.abs(at, out=at)
+    off, nbc = ref.off, pair.pz_y.shape[-1] - 2
+    el = np.empty((2, nbc + 2 * off))
+    pz = pair.pz_y[row, :nbc], pair.pz_g[row, :nbc]
+    np.multiply(pz[0], pair.ez_y[row, :nbc], out=el[0, off : off + nbc])
+    np.multiply(pz[1], pair.ez_g[row, :nbc], out=el[1, off : off + nbc])
+    # (e pi - c h) . (e rho), the fields' exterior P z and ez, with c their
+    # core end values
+    ends = np.array([pz[0][:: nbc - 1], pz[1][:: nbc - 1]])
+    e = e[..., None]
+    ext = e * tails["pi"] - ends[..., None] * tails["h"]
+    ext *= e * tails["rho"]
+    el[:, :off], el[:, off + nbc :] = ext[:, 0], ext[:, 1]
+    np.abs(el, out=el)
+    el[0] *= 0.5 * gamma
+    el[1] *= 0.5 / gamma
+    return at, el[0] + el[1]
 
 
 @dataclass(frozen=True)
@@ -404,9 +676,10 @@ class EstimatorReport:
     quarter of another; ``eta1`` is the end of larger magnitude, which is
     what the sharp efficiency numbers quote.  The lower terms
     ``eta_low_*`` are non-negative.  ``m`` is the chain's half-size and
-    ``m_window`` that of the window it was solved on: ``eta2_at`` is indexed
-    by free atom of the window (``free_ids``, -m_window+3 .. m_window-2) and
-    ``eta2_el`` by bond (-m_window+1 .. m_window-1).
+    ``m_window`` that of the window it is reported on: ``eta2_at`` is
+    indexed by free atom of the window (``free_ids``, -m_window+3 ..
+    m_window-2) and ``eta2_el`` by bond (-m_window+1 .. m_window-1).  Both
+    are formed on first read, by ``indicators``.
     """
 
     m: int
@@ -423,8 +696,21 @@ class EstimatorReport:
     bound_high: float
     eta2_weighted: float | None
     flags: tuple[str, ...]
-    eta2_at: Array
-    eta2_el: Array
+    indicators: Callable[[], tuple[Array, Array]] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def _eta2_split(self) -> tuple[Array, Array]:
+        return self.indicators()
+
+    @property
+    def eta2_at(self) -> Array:
+        """Per-free-atom residual term |g_i R_i(y)|."""
+        return self._eta2_split[0]
+
+    @property
+    def eta2_el(self) -> Array:
+        """Per-bond projection term."""
+        return self._eta2_split[1]
 
     def free_ids(self) -> Array:
         """Atom ids of ``eta2_at`` and ``eta2_total``."""
@@ -436,7 +722,7 @@ class EstimatorReport:
         return self.eta2_at + 0.5 * (el[1:-2] + el[2:-1])
 
     def as_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out = {f.name: getattr(self, f.name) for f in fields(self)[:-1]}
         out.update(
             flags=list(self.flags),
             eta2_at=self.eta2_at.tolist(),
@@ -451,12 +737,16 @@ class EstimatorReport:
 def estimate_stack(pair: DualPair, use_gamma: bool = False) -> list[EstimatorReport]:
     """Run the full eta1 + eta2 pipeline on a stack, one report per row.
 
-    The array work is one row-wise call over the stack for both sign
-    combinations.  Degenerate rows run it at sigma 1 and drop it, which
-    leaves their bounds and eta1 on the first term alone.
+    The array work is one row-wise call over the stack's core arrays for
+    both sign combinations, whose exterior coordinates carry the exterior.
+    Degenerate rows run it at sigma 1 and drop it, which leaves their
+    bounds and eta1 on the first term alone.  The eta2 indicators are
+    extended over the window only when a report's are read.
     """
-    # past a0/2 from its well an atom leaves the harmonic well model's range
-    off_well = np.abs(pair.u_free).max(axis=-1) > 0.5 * pair.ref.params.a0
+    ref = pair.ref
+    # past a0/2 from its well an atom leaves the harmonic well model's range;
+    # the exterior decays from the core's edge atoms
+    off_well = np.abs(pair.u_free).max(axis=-1) > 0.5 * ref.params.a0
     # the computable part g . R(y) of the goal error identity
     ft = rowdot(pair.g_free, pair.residual_primal)
     npy, npg = pair.npy.tolist(), pair.npg.tolist()
@@ -465,7 +755,7 @@ def estimate_stack(pair: DualPair, use_gamma: bool = False) -> list[EstimatorRep
     sigma = np.array([1.0 if s is None else s for s in sigmas])
     # leading axis 0 is the sign: + and - parallelogram combinations
     r = residual_combo(pair, sigma, _SIGNS)
-    a, b = rowdot(r, pair.y_free), rowdot(r, pair.g_free)
+    a, b = rowdot(r, pair.u_free + ref.wells), rowdot(r, pair.g_free)
     del r
     # squared lower terms: the largest (r . v)^2 / ||v||^2_{M_a} over v in the
     # span of y and g, in Schur form.  b^2/f is the bound at v = g, and y adds
@@ -485,14 +775,6 @@ def estimate_stack(pair: DualPair, use_gamma: bool = False) -> list[EstimatorRep
     gammas = [
         npg[i] / npy[i] if use_gamma and sigmas[i] is not None else 1.0 for i in rows
     ]
-    gamma = np.array(gammas)[:, None]
-    at = np.abs(pair.g_free * pair.residual_primal)
-    el = np.abs(pair.pz_y * pair.ez_y)
-    el *= 0.5 * gamma
-    el_g = np.abs(pair.pz_g * pair.ez_g)
-    el_g *= 0.5 / gamma
-    el += el_g
-    del el_g
 
     reports = []
     for i, first in enumerate(ft.tolist()):
@@ -511,10 +793,15 @@ def estimate_stack(pair: DualPair, use_gamma: bool = False) -> list[EstimatorRep
                 flags.append("gamma-degenerate")
             g = gammas[i]
             weighted = abs(first) + 0.5 * g * npy[i] ** 2 + 0.5 / g * npg[i] ** 2
+        # a model that differs has a nonzero error: a value below the normal
+        # floats has lost its digits to underflow
+        small = min(abs(first), npy[i] * npg[i], abs(bound_low), abs(bound_high))
+        if pair.differs[i] and small < _TINY:
+            flags.append("underflow")
         reports.append(
             EstimatorReport(
-                m=pair.ref.params.m,
-                m_window=pair.ref.window.m,
+                m=ref.params.m,
+                m_window=ref.window.m,
                 eta1=max(abs(bound_low), abs(bound_high)),
                 eta2=abs(first) + npy[i] * npg[i],
                 first_term=first,
@@ -525,10 +812,9 @@ def estimate_stack(pair: DualPair, use_gamma: bool = False) -> list[EstimatorRep
                 eta_low_minus=math.sqrt(lm),
                 bound_low=bound_low,
                 bound_high=bound_high,
-                eta2_at=at[i],
-                eta2_el=el[i],
                 eta2_weighted=weighted,
                 flags=tuple(flags),
+                indicators=functools.partial(_indicators, pair, i, gammas[i]),
             )
         )
     return reports
@@ -547,17 +833,17 @@ def exact_goal_errors(pair: DualPair) -> tuple[Array, Array]:
 
     This is what the estimators are judged against: the exact CLI modes
     report it, the adaptive loop never needs it.  The error solves
-    M_a e = r directly with the primal residual as right-hand side, which
-    is algebraically the same as subtracting the two displacement fields,
-    and every row is one column of a single solve.  Because
-    ``solve_stacks`` forms r from the model difference (E_a - E_ac)
+    M_a e = r directly with the primal residual, extended over the window,
+    as right-hand side, which is algebraically the same as subtracting the
+    two displacement fields, and every row is one column of a single solve.
+    Because ``solve_stacks`` forms r from the model difference (E_a - E_ac)
     applied to the blended solution, r carries no backward error of the
     blended solve, so e keeps full relative accuracy when it is many
     orders smaller than the displacements.
     """
-    e = banded.solve(pair.ref.ma_factor, pair.residual_primal.T).T
+    r = on_window(pair, "residual_primal")
+    e = banded.solve(pair.ref.ma_factor, r.T).T
     return rowdot(pair.ref.goal, e), e
-
 
 def exact_goal_error(
     params: ChainParams, part: Partition, pair: DualPair | None = None

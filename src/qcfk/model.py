@@ -27,10 +27,10 @@ each side, so the free unknowns are atoms ``-M+3 .. M-2``.
 Every field the estimators need decays exponentially away from the defect
 and the atomistic region, so solves run on a centred window chain: the
 same springs at a half-size that leaves the slowest decay below
-``WINDOW_EPS`` at its clamped ends.  The whole chain is the window's
-degenerate case.  Blended solves run on its shorter core, the continuum
-exterior folded into one diagonal entry per end.  ``sizes`` gives both
-half-sizes of a partition.
+``WINDOW_EPS`` at its clamped ends: the frame outputs are reported on.
+The whole chain is the window's degenerate case.  The work runs on its
+shorter core, the continuum exterior in closed form.  ``sizes`` gives
+both half-sizes of a partition.
 
 ``assemble`` and ``reduce_system`` also take a sequence of partitions of
 one chain: every blended band matrix and load then carries a leading axis
@@ -58,6 +58,9 @@ WINDOW_EPS = 1e-40
 _BC_ULPS = 4
 # atoms the core of a window keeps past the padded span (see ``sizes``)
 _CORE_MARGIN = 5
+# largest lattice spacing: the lower bounds square products that grow like
+# a0^3, which must stay well inside the float range
+A0_MAX = 1e50
 
 
 def _default_bc(m: int, a0: float) -> tuple[float, float, float, float]:
@@ -97,8 +100,10 @@ class ChainParams:
                 f"spring constants must be finite with k0 > 0, k1 > 0, k2 >= 0, "
                 f"got {springs}"
             )
-        if not (math.isfinite(self.a0) and self.a0 > 0):
-            raise ValueError(f"a0 must be positive and finite, got {self.a0}")
+        if not 0 < self.a0 <= A0_MAX:
+            raise ValueError(
+                f"a0 must be positive and at most {A0_MAX:g}, got {self.a0}"
+            )
         # Python numbers, so equal params compute the same bits and numpy
         # integers cannot overflow the exact sums over the chain
         object.__setattr__(self, "m", operator.index(self.m))
@@ -184,12 +189,13 @@ def _decay_exponent(params: ChainParams) -> float:
     smaller t is.  The atomistic pentadiagonal symbol has s = 2 + t solving
     k2 s^2 + k1 s = k0 + 2 k1 + 4 k2, so t = 2 k0 / (k12 + sqrt(k12^2 + 4 k0
     k2)): stable at k2 = 0 (t = k0/k1) and never above the Cauchy-Born
-    far field's t = k0/k12, so it is the slower of the two.  The bond matrix
-    E_a that the projection P inverts has t = k1/k2, slower still only when
-    k0 > 4 k1 + 2 k1^2/k2.
+    far field's t = k0/k12, so it is the slower of the two.  It is formed
+    from the ratios k0/k12 and k2/k12, which no spring size overflows.  The
+    bond matrix E_a that the projection P inverts has t = k1/k2, slower
+    still only when k0 > 4 k1 + 2 k1^2/k2.
     """
-    k0, k1, k2, k12 = params.k0, params.k1, params.k2, params.k12
-    t = 2.0 * k0 / (k12 + math.sqrt(k12 * k12 + 4.0 * k0 * k2))
+    k0, k1, k2 = params.k0 / params.k12, params.k1, params.k2
+    t = 2.0 * k0 / (1.0 + math.sqrt(1.0 + 4.0 * k0 * (k2 / params.k12)))
     if k2 > 0.0:
         t = min(t, k1 / k2)
     return 2.0 * math.asinh(0.5 * math.sqrt(t))
@@ -211,8 +217,8 @@ def sizes(
     chain whose clamps lie more than ``_BC_ULPS`` ulps of ``M a0`` from the
     wells (boundary layers at both ends) is its own window.
 
-    The blended solves run on the core, the continuum exterior folded into
-    its edge diagonals.  Rows past a free edge atom c are pure continuum,
+    The solves and products run on the core, the continuum exterior folded
+    into its edge diagonals.  Rows past a free edge atom c are pure continuum,
     coupled to c by -k12 alone, when atoms c-2 .. c+1 are (NNN pairs reach
     two atoms).  The region may hold -pad, as ids run -M+1 .. M, so the
     first free atom -m+3 must be -pad-2: m = pad + 5.  A chain that is its
@@ -221,7 +227,9 @@ def sizes(
     parts = [part] if isinstance(part, Partition) else part
     m, tol = params.m, _BC_ULPS * math.ulp(params.m * params.a0)
     whole = any(abs(b - d) > tol for b, d in zip(params.bc, _default_bc(m, params.a0)))
-    w = math.ceil(math.log(1.0 / WINDOW_EPS) / _decay_exponent(params))
+    # a decay too slow for a float to resolve reaches past any chain
+    phi = _decay_exponent(params)
+    w = math.ceil(math.log(1.0 / WINDOW_EPS) / phi) if phi > 0.0 else m
     out = []
     for p in parts:
         span = int(max(-p.atomistic[0], p.atomistic[-1])) if p.atomistic.size else 0

@@ -15,9 +15,11 @@ forms of the estimator products that the library takes from the model
 difference instead: the projection z - E_a^{-1} E_ac z, the E_a norm and
 the M_a products by matvec, and the lower parallelogram terms in the
 paper's form at the stationary theta (``theta_lower_terms``), which the
-library takes in closed Schur form.  ``window_pair`` is the blended solve
+library takes in closed Schur form.  The library keeps its fields on the
+core and takes the exterior in closed form; ``window`` extends them over
+the window, and ``window_pair`` is the blended solve and every product
 over the whole window, with its truncated exterior, that the library's
-folded core solve must reproduce.
+core path must reproduce.
 """
 
 import warnings
@@ -27,7 +29,13 @@ import numpy as np
 
 from qcfk import banded
 from qcfk.banded import BandedFactor, BandedSpdMatrix, rowdot
-from qcfk.estimators import DualPair, Reference, _bond_differences, solve_dual_pair
+from qcfk.estimators import (
+    DualPair,
+    Reference,
+    _reference,
+    on_window,
+    solve_dual_pair,
+)
 from qcfk.model import (
     ChainParams,
     LinearSystem,
@@ -276,14 +284,38 @@ def ediff(pair: DualPair) -> BandedSpdMatrix:
     return BandedSpdMatrix(pair.ref.model.e_mat.bands - eac.bands)
 
 
+def window(pair: DualPair, name: str) -> Array:
+    """A field of the pair over the window, one row per region; ``y_free``
+    is u plus the wells."""
+    if name == "y_free":
+        return on_window(pair, "u_free") + pair.ref.system.wells_free
+    return on_window(pair, name)
+
+
+def bond_differences(ref: Reference, u: Array, g: Array) -> Array:
+    """Bond difference vectors of primal and dual solutions on the window's
+    free atoms, lifted to the whole window: z_y of y - a (clamped atoms at
+    their positions) and z_g of g (zero on clamped atoms), stacked on a new
+    leading axis."""
+    lifted = np.zeros((2,) + u.shape[:-1] + (ref.model.n_points,))
+    lifted[0] = ref.system.lift
+    lifted[0, ..., 2:-2] = u
+    lifted[1, ..., 2:-2] = g
+    z = d_apply(lifted)
+    # b - a is -a0 left of the defect and 0 right of it: a jump of a0 across
+    # bond 0, taken apart from u so that no u below one ulp of a0 is lost
+    z[0, ..., ref.model.ids[:-1] == 0] += ref.params.a0
+    return z
+
+
 def z_y(pair: DualPair) -> Array:
     """Bond differences of the primal solution y - a, one row per region."""
-    return _bond_differences(pair.ref, pair.u_free, pair.g_free)[0]
+    return bond_differences(pair.ref, window(pair, "u_free"), window(pair, "g_free"))[0]
 
 
 def z_g(pair: DualPair) -> Array:
     """Bond differences of the dual solution g, one row per region."""
-    return _bond_differences(pair.ref, pair.u_free, pair.g_free)[1]
+    return bond_differences(pair.ref, window(pair, "u_free"), window(pair, "g_free"))[1]
 
 
 def project(ea_factor: BandedFactor, eac: BandedSpdMatrix, z: Array) -> Array:
@@ -306,16 +338,18 @@ def quad_form(a: BandedSpdMatrix, v: Array) -> Array:
 def projections(pair: DualPair) -> tuple[Array, Array]:
     """P z_y and P z_g by the direct projection, one row per region."""
     eac = assemble(pair.ref.window, pair.parts).e_mat
-    return tuple(project(pair.ref.ea_factor, eac, z) for z in (z_y(pair), z_g(pair)))
+    ea_factor = banded.factor(pair.ref.model.e_mat)
+    return tuple(project(ea_factor, eac, z) for z in (z_y(pair), z_g(pair)))
 
 
 def ma_products(pair: DualPair) -> tuple[Array, Array, Array]:
     """(y . M_a y over the whole chain, g . M_a y, g . M_a g) by matvec,
     one value per region."""
     mat = pair.ref.system.mat
-    my, mg = banded.matvec(mat, pair.y_free), banded.matvec(mat, pair.g_free)
-    ymy = banded.rowdot(pair.y_free, my) + pair.ref.ymy_far
-    return ymy, banded.rowdot(pair.g_free, my), banded.rowdot(pair.g_free, mg)
+    y, g = window(pair, "y_free"), window(pair, "g_free")
+    my, mg = banded.matvec(mat, y), banded.matvec(mat, g)
+    ymy = banded.rowdot(y, my) + pair.ref.ymy_far
+    return ymy, banded.rowdot(g, my), banded.rowdot(g, mg)
 
 
 def theta_lower_terms(pair: DualPair, sigma: float) -> tuple[float, float]:
@@ -324,10 +358,11 @@ def theta_lower_terms(pair: DualPair, sigma: float) -> tuple[float, float]:
     sigma^-1 R_hat(g) and theta the stationary point of that ratio, every
     M_a product by matvec.  Signed; the library reports the magnitude."""
     ymy, gmy, gmg = (float(x[0]) for x in ma_products(pair))
-    y, g = pair.y_free[0], pair.g_free[0]
+    y, g = window(pair, "y_free")[0], window(pair, "g_free")[0]
+    res_y, res_g = (window(pair, n)[0] for n in ("residual_primal", "residual_dual"))
     lows = []
     for sign in (1.0, -1.0):
-        r = sigma * pair.residual_primal[0] + sign / sigma * pair.residual_dual[0]
+        r = sigma * res_y + sign / sigma * res_g
         a, b = float(np.dot(r, y)), float(np.dot(r, g))
         theta = (a * gmy - b * ymy) / (b * gmy - a * gmg)
         nv2 = ymy + 2.0 * theta * gmy + theta * theta * gmg
@@ -340,7 +375,8 @@ def dual_errors(pair: DualPair) -> tuple[Array, Array]:
     one row per region."""
     fa = pair.ref.ma_factor
     return tuple(
-        banded.solve(fa, r.T).T for r in (pair.residual_primal, pair.residual_dual)
+        banded.solve(fa, window(pair, name).T).T
+        for name in ("residual_primal", "residual_dual")
     )
 
 
@@ -371,7 +407,7 @@ def lemma1_check(
     lhs = banded.matvec(ref.system.mat, alpha * e + beta * e_hat)
     eac = assemble(ref.window, part).e_mat
     z = alpha * z_y(pair)[0] + beta * z_g(pair)[0]
-    pz = project(ref.ea_factor, eac, z)
+    pz = project(banded.factor(ref.model.e_mat), eac, z)
     w = banded.matvec(ref.model.e_mat, pz)
     rhs = -dt_apply(w)[2:-2]
     mismatch = float(np.max(np.abs(lhs - rhs)))
@@ -385,7 +421,9 @@ def lemma1_check(
 def window_pair(ref: Reference, parts) -> DualPair:
     """The pair of the regions ``parts`` with every blended solve over the
     whole window of ``ref``, clamped at its ends, and every product from
-    the model difference as the library forms it."""
+    the model difference on the window, as the library forms them on the
+    core.  Its reference takes the window as its own core, so every field
+    lives on the window and the library estimates it as it is."""
     acmodel = assemble(ref.window, parts)
     acsys = reduce_system(ref.window, acmodel)
     diff = BandedSpdMatrix(ref.model.e_mat.bands - acmodel.e_mat.bands)
@@ -395,27 +433,31 @@ def window_pair(ref: Reference, parts) -> DualPair:
         loads = np.column_stack([acsys.rhs_wells[i], ref.goal])
         u[i], g[i] = factor_solve(mat, loads).T
     y = u + acsys.wells_free
-    ez = banded.matvec(diff, _bond_differences(ref, u, g))
+    ez = banded.matvec(diff, bond_differences(ref, u, g))
     res = -dt_apply(ez)[..., 2:-2]
-    pz = banded.solve(ref.ea_factor, ez.reshape(-1, ez.shape[-1]).T)
+    ea_factor = banded.factor(ref.model.e_mat)
+    pz = banded.solve(ea_factor, ez.reshape(-1, ez.shape[-1]).T)
     pz = pz.T.reshape(ez.shape)
     nrm = banded.norm(ref.model.e_mat, pz, ez)
-    my = ref.fa_mb - res[0]
+    asys = ref.system
+    my = asys.rhs_wells + banded.matvec(asys.mat, asys.wells_free) - res[0]
+    # no exterior: every exterior coordinate is zero
+    ext = np.zeros((len(parts), 4))
     return DualPair(
-        ref=ref,
+        ref=_reference(ref.params, ref.window.m, ref.window.m),
         parts=tuple(parts),
-        y_free=y,
-        u_free=u,
-        g_free=g,
-        residual_primal=res[0],
-        residual_dual=res[1],
-        ez_y=ez[0],
-        ez_g=ez[1],
-        pz_y=pz[0],
-        pz_g=pz[1],
+        u_free=np.hstack([u, ext]),
+        g_free=np.hstack([g, ext]),
+        residual_primal=np.hstack([res[0], ext]),
+        residual_dual=np.hstack([res[1], ext]),
+        ez_y=np.hstack([ez[0], ext[:, :2]]),
+        ez_g=np.hstack([ez[1], ext[:, :2]]),
+        pz_y=np.hstack([pz[0], ext[:, :2]]),
+        pz_g=np.hstack([pz[1], ext[:, :2]]),
         npy=nrm[0],
         npg=nrm[1],
         ymy=rowdot(y, my) + ref.ymy_far,
         gmy=rowdot(g, my),
         gmg=rowdot(g, ref.goal - res[1]),
+        differs=(diff.bands != 0.0).any(axis=(-2, -1)),
     )

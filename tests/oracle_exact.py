@@ -20,6 +20,8 @@ about 14 GB.  Tests compare production doubles against these, which
 separates our round-off from the reference digits'.
 """
 
+import math
+
 EXACT = {
     (1000, 0): (3.627632784e-02, 3.899207778e-02, 3.999783300e-02),
     (1000, 1): (1.096375161e-01, 1.243981412e-01, 1.965087151e-01),
@@ -106,14 +108,19 @@ def _wells_ymy(m):
 def _window(m, k):
     """Half-size of the production window of the region -K+1 .. K at
     truncation level WINDOW_EPS, and what y . M_a y over the whole chain adds
-    to the same product over that window: beyond it y = b to WINDOW_EPS."""
-    from unittest import mock
+    to the same product over that window: beyond it y = b to WINDOW_EPS.
 
-    from qcfk import model
-
-    params = model.ChainParams(m=m)
-    with mock.patch.object(model, "WINDOW_EPS", WINDOW_EPS):
-        m_w, _ = model.sizes(params, model.interval_partition(params, k))
+    The window rule, restated here so that this mode checks the library
+    rather than reusing it: every field decays like lam^|i| or faster, with
+    lam + 1/lam = 2 + t.  For the default springs (k0 = 1, k12 = 10,
+    k2 = 2) the atomistic symbol gives the slowest decay, t = 2 k0 / (k12 +
+    sqrt(k12^2 + 4 k0 k2)).  The window holds the decay width w =
+    ceil(ln(1/eps) / phi), phi = -ln lam = 2 asinh(sqrt(t)/2), past the
+    region's span rounded up to a power of two (at least 64), unless the
+    chain is shorter."""
+    t = 2.0 / (10.0 + math.sqrt(108.0))
+    w = math.ceil(math.log(1.0 / WINDOW_EPS) / (2.0 * math.asinh(0.5 * math.sqrt(t))))
+    m_w = min(m, w + (1 << max(6, (k - 1).bit_length())))
     return m_w, _wells_ymy(m) - _wells_ymy(m_w)
 
 
@@ -290,10 +297,7 @@ def sci(x):
 
 if __name__ == "__main__":
     import sys
-    from pathlib import Path
 
-    # run as a script, outside pytest's path setup, --window needs qcfk
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     window = "--window" in sys.argv
     args = [int(s) for s in sys.argv[1:] if s != "--window"]
     m, ks = (args[0], args[1:]) if args else (1000, [0, 20, 40])

@@ -12,6 +12,7 @@ from qcfk import banded, estimators, model
 from qcfk.banded import BandedSpdMatrix
 from qcfk.model import (
     ChainParams,
+    Partition,
     assemble,
     interval_partition,
     make_partition,
@@ -25,7 +26,7 @@ from qcfk.estimators import (
     exact_goal_error,
     exact_goal_errors,
     goal_vector,
-    residual_combo,
+    on_window,
     solve_dual_pair,
     solve_stacks,
 )
@@ -40,6 +41,7 @@ from oracle_dense import (
     projections,
     theta_lower_terms,
     to_dense,
+    window,
     window_pair,
     z_g,
     z_y,
@@ -132,7 +134,7 @@ def test_projection_matches_dense_inverse():
     pair = solve_dual_pair(p, interval_partition(p, 2))
     ea = to_dense(pair.ref.model.e_mat)
     eac = ea - to_dense(BandedSpdMatrix(ediff(pair).bands[0]))
-    for z, pz in ((z_y(pair)[0], pair.pz_y[0]), (z_g(pair)[0], pair.pz_g[0])):
+    for z, pz in ((z_y(pair)[0], window(pair, "pz_y")[0]), (z_g(pair)[0], window(pair, "pz_g")[0])):
         dense = z - np.linalg.solve(ea, eac @ z)
         assert np.allclose(pz, dense, atol=1e-12)
 
@@ -143,8 +145,8 @@ def test_seminorm_identity():
         p = ChainParams(m=m)
         pair = solve_dual_pair(p, interval_partition(p, k))
         for z, pz, nrm in (
-            (z_y(pair), pair.pz_y, pair.npy),
-            (z_g(pair), pair.pz_g, pair.npg),
+            (z_y(pair), window(pair, "pz_y"), pair.npy),
+            (z_g(pair), window(pair, "pz_g"), pair.npg),
         ):
             split = float(np.dot(pz[0], banded.matvec(ediff(pair), z)[0]))
             assert np.isclose(nrm[0] ** 2, split, rtol=1e-10, atol=1e-300)
@@ -182,7 +184,8 @@ def test_lower_terms_are_the_best_test_vector_over_span_of_y_and_g():
         p = ChainParams(m=m)
         pair = solve_dual_pair(p, interval_partition(p, k))
         rep = estimate(pair)
-        y, g, mat = pair.y_free[0], pair.g_free[0], pair.ref.system.mat
+        y, g, mat = window(pair, "y_free")[0], window(pair, "g_free")[0], pair.ref.system.mat
+        res_y, res_g = (window(pair, n)[0] for n in ("residual_primal", "residual_dual"))
         v = y + thetas[:, None] * g
         nv = np.sqrt(banded.rowdot(v, banded.matvec(mat, v)) + pair.ref.ymy_far)
         lows = (rep.eta_low_plus, rep.eta_low_minus)
@@ -190,7 +193,7 @@ def test_lower_terms_are_the_best_test_vector_over_span_of_y_and_g():
         for sign, low, want in zip((1, -1), lows, wants):
             assert low >= 0.0
             assert abs(low - abs(want)) <= 1e-12 * low, (m, k, sign)
-            r = residual_combo(pair, rep.sigma_bar, sign)[0]
+            r = rep.sigma_bar * res_y + sign / rep.sigma_bar * res_g
             assert np.max(np.abs(v @ r) / nv) <= low * (1.0 + 1e-12), (m, k, sign)
 
 
@@ -249,7 +252,7 @@ def test_interval_partition_keeps_boundary_blended():
     # residual concentrates there instead of vanishing
     p = ChainParams(m=12)
     pair = solve_dual_pair(p, interval_partition(p, p.m - 2))
-    res = np.abs(pair.residual_primal)
+    res = np.abs(window(pair, "residual_primal"))
     assert res.max() > 1e-3
     assert np.all(res[2:-2] <= 1e-12 * res.max())
 
@@ -300,8 +303,8 @@ def test_eta2_split_sums_to_global():
     # and taking magnitudes before summing can only grow the total
     assert abs(ft) <= at.sum() + 1e-15
     npy, npg = pair.npy[0], pair.npg[0]
-    ely = pair.pz_y * banded.matvec(ediff(pair), z_y(pair))
-    elg = pair.pz_g * banded.matvec(ediff(pair), z_g(pair))
+    ely = window(pair, "pz_y") * banded.matvec(ediff(pair), z_y(pair))
+    elg = window(pair, "pz_g") * banded.matvec(ediff(pair), z_g(pair))
     assert np.isclose(ely.sum(), npy**2, rtol=1e-10)
     assert np.isclose(elg.sum(), npg**2, rtol=1e-10)
     half_norms = 0.5 * (npy**2 + npg**2)
@@ -425,9 +428,8 @@ def test_model_difference_products_match_direct_forms(case):
     cond = 1.0 + 4.0 * params.k2 / params.k1
     grow = np.sqrt(4.0 * np.abs(ea.bands).max() * ea.n)
     zs = (z_y(pair), z_g(pair))
-    for z, pz, pz_direct, nrm in zip(
-        zs, (pair.pz_y, pair.pz_g), projections(pair), (pair.npy, pair.npg)
-    ):
+    pzs = (window(pair, "pz_y"), window(pair, "pz_g"))
+    for z, pz, pz_direct, nrm in zip(zs, pzs, projections(pair), (pair.npy, pair.npg)):
         tol = 8.0 * EPS * cond * np.abs(z).max()
         assert np.abs(pz - pz_direct).max() <= tol
         assert abs(nrm[0] - enorm(ea, pz_direct)[0]) <= grow * tol
@@ -439,7 +441,7 @@ def test_model_difference_products_match_direct_forms(case):
         for sign, got in ((1, rep.eta_upp_plus), (-1, rep.eta_upp_minus)):
             assert abs(got - enorm(ea, s * py + sign / s * pg)[0]) <= grow * tol
     abs_ma = BandedSpdMatrix(np.abs(pair.ref.system.mat.bands))
-    y, g = np.abs(pair.y_free), np.abs(pair.g_free)
+    y, g = np.abs(window(pair, "y_free")), np.abs(window(pair, "g_free"))
     n = y.shape[-1]
     for got, direct, (a, b) in zip(
         (pair.ymy, pair.gmy, pair.gmg), ma_products(pair), ((y, y), (g, y), (g, g))
@@ -466,14 +468,8 @@ def test_eta1_equals_worse_signed_combination():
 
 
 def _report_from_dict(d: dict) -> EstimatorReport:
-    return EstimatorReport(
-        **{
-            **d,
-            "flags": tuple(d["flags"]),
-            "eta2_at": np.asarray(d["eta2_at"], dtype=float),
-            "eta2_el": np.asarray(d["eta2_el"], dtype=float),
-        }
-    )
+    split = tuple(np.asarray(d.pop(key), dtype=float) for key in ("eta2_at", "eta2_el"))
+    return EstimatorReport(**{**d, "flags": tuple(d["flags"])}, indicators=lambda: split)
 
 
 def test_report_json_round_trip():
@@ -547,8 +543,10 @@ def _arrays(obj):
 def test_reference_arrays_are_read_only():
     p = ChainParams(m=100_000)
     ref = solve_dual_pair(p, interval_partition(p, 10)).ref
-    arrays = [*_arrays(ref), ("ma_factor", ref.ma_factor.bands)]
-    assert len(arrays) == 15 and all(a.size for _, a in arrays)
+    # the window's model, system, goal and profiles are built on first use
+    arrays = [*_arrays(ref), ("ma_factor", ref.ma_factor.bands), ("goal", ref.goal)]
+    arrays += [*_arrays(ref.model), *_arrays(ref.system), *ref.tails.items()]
+    assert len(arrays) == 27 and all(a.size for _, a in arrays)
     for name, a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0.0
@@ -641,6 +639,20 @@ def test_off_well_flag():
     assert "off-well" not in estimate(pair).flags
 
 
+def test_underflow_flag():
+    # at K = 4096 the model error at the interfaces lies below the smallest
+    # float: the residuals, the first term and both bounds come out exactly
+    # 0.0, and the report says so instead of reporting a zero error
+    p = ChainParams(m=10**6)
+    rep = fixed_k_run(p, 4096, want_exact=False).report
+    assert rep.eta1 == 0.0 and "underflow" in rep.flags
+    # a model that is exact has a zero error, and no flag
+    q = ChainParams(m=12)
+    exact = estimate(solve_dual_pair(q, _fully_atomistic(q)))
+    assert exact.eta1 <= 1e-14 and "underflow" not in exact.flags
+    assert "underflow" not in fixed_k_run(p, 28).report.flags
+
+
 @st.composite
 def _long_chains(draw):
     """The property-test springs on chains up to M = 1e5, with an interval or
@@ -721,6 +733,9 @@ def _close(got, want, scale, name):
     assert err <= 1e-9 * scale, (name, err, scale)
 
 
+_PAIR_SCALARS = ("npy", "npg", "ymy", "gmy", "gmg")
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_core_cases())
 @example((_DEFAULT_1E5, interval_partition(_DEFAULT_1E5, 64)))
@@ -729,32 +744,84 @@ def _close(got, want, scale, name):
 @example((_SLOW_K0, interval_partition(_SLOW_K0, 64)))
 @example((_SLOW_K0, interval_partition(_SLOW_K0, 65)))
 def test_core_solve_matches_whole_window_solve(case):
-    # the folded exterior is exact: solving the blended model on the core
-    # gives what the whole window gives, up to round-off
+    # the folded exterior is exact: the core's fields, extended over the
+    # window in closed form, and every product are what solving the blended
+    # model on the whole window gives, up to round-off
     params, part = case
     got = solve_dual_pair(params, part)
     want = window_pair(got.ref, [part])
-    for f in dataclasses.fields(want):
-        if f.name not in ("ref", "parts"):
-            ref_value = getattr(want, f.name)
-            _close(getattr(got, f.name), ref_value, np.max(np.abs(ref_value)), f.name)
+    for name in estimators._EXTERIOR:
+        ref_value = window(want, name)
+        _close(window(got, name), ref_value, np.max(np.abs(ref_value)), name)
+    for name in _PAIR_SCALARS:
+        ref_value = getattr(want, name)
+        _close(getattr(got, name), ref_value, np.max(np.abs(ref_value)), name)
+    assert np.array_equal(got.differs, want.differs)
+
+
+@st.composite
+def _wide_core_cases(draw):
+    """The core cases with k0 log-uniform down to 1e-3, where the window is
+    up to 150 times the core."""
+    params, part = draw(_core_cases())
+    k0 = 10.0 ** draw(st.floats(-3.0, np.log10(3.0)))
+    params = dataclasses.replace(params, k0=k0)
+    return params, Partition(atomistic=part.atomistic)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_wide_core_cases())
+@example((_SLOW_K0, interval_partition(_SLOW_K0, 65)))
+@example((_DEFAULT_1E5, make_partition(_DEFAULT_1E5, atomistic=[-64, 3])))
+def test_core_path_matches_window_oracle(case):
+    # every pair scalar, every report field, Q(e) and the extended eta2
+    # indicators of the core path against the whole-window oracle.  The
+    # parallelogram terms enter the bounds squared, and a term at the
+    # precision floor is round-off of sqrt(eps) times the largest one: they
+    # are compared squared, on the scale of the largest square
+    params, part = case
+    got = solve_dual_pair(params, part)
+    want = window_pair(got.ref, [part])
+    assert got.ref.window.m == want.ref.core.m == want.ref.window.m
+    for name in _PAIR_SCALARS:
+        _close(getattr(got, name), getattr(want, name), abs(getattr(want, name)[0]), name)
+    (q_got,), (e_got,) = exact_goal_errors(got)
+    (q_want,), (e_want,) = exact_goal_errors(want)
+    _close(q_got, q_want, abs(q_want), "q")
+    _close(e_got, e_want, np.max(np.abs(e_want)), "e")
     for gamma in (False, True):
-        have, expect = estimate(got, gamma).as_dict(), estimate(want, gamma).as_dict()
-        assert have.keys() == expect.keys()
-        # the parallelogram terms enter the bounds squared: they are compared
-        # on the scale of the largest of them, the bounds on that of eta2.
-        # at K = 65 on the slow substrate the + lower term sits at the
-        # precision floor (5e-20 against 3e-3), and on that scale it agrees
-        terms = [k for k in expect if k.startswith(("eta_upp", "eta_low"))]
-        term_scale = max(abs(expect[k]) for k in terms)
-        for key, value in expect.items():
-            if isinstance(value, (float, list)) and key != "flags":
-                scale = term_scale if key in terms else expect["eta2"]
-                if key == "sigma_bar":
-                    scale = value
-                _close(have[key], value, scale, key)
-            else:
-                assert have[key] == value, key
+        have, expect = estimate(got, gamma), estimate(want, gamma)
+        assert have.flags == expect.flags and have.m_window == expect.m_window
+        terms = ("eta_upp_plus", "eta_upp_minus", "eta_low_plus", "eta_low_minus")
+        term_scale = max(getattr(expect, t) ** 2 for t in terms)
+        for t in terms:
+            _close(getattr(have, t) ** 2, getattr(expect, t) ** 2, term_scale, t)
+        for key in ("eta1", "eta2", "first_term", "bound_low", "bound_high"):
+            _close(getattr(have, key), getattr(expect, key), expect.eta2, key)
+        if expect.sigma_bar is not None:
+            _close(have.sigma_bar, expect.sigma_bar, expect.sigma_bar, "sigma_bar")
+        if gamma:
+            _close(have.eta2_weighted, expect.eta2_weighted, expect.eta2, "weighted")
+        for key in ("eta2_at", "eta2_el"):
+            value = getattr(expect, key)
+            _close(getattr(have, key), value, np.max(np.abs(value)), key)
+
+
+def test_a_solved_stack_holds_no_window_length_array():
+    # on a slow substrate the window is 150 times the core: every array of a
+    # solved stack, and every array it is a view of, is core-sized
+    p = ChainParams(m=10**9, k0=1e-3)
+    parts = [interval_partition(p, k) for k in (0, 10, 50)]
+    ((_, pair),) = solve_stacks(p, parts)
+    core, win = 2 * pair.ref.core.m, 2 * pair.ref.window.m
+    assert win > 100 * core
+    for f in dataclasses.fields(pair):
+        value = getattr(pair, f.name)
+        while isinstance(value, np.ndarray):
+            assert value.shape[-1] <= core + 6 and value.size <= 4 * 3 * (core + 6), f.name
+            value = value.base
+    # the window is the frame the extensions report on
+    assert on_window(pair, "pz_y").shape == (3, win - 1)
 
 
 @st.composite

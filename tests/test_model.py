@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from qcfk import banded
 from qcfk.estimators import estimate, solve_dual_pair
+from qcfk.adaptivity import fixed_k_run
 from qcfk.model import (
+    A0_MAX,
     WINDOW_EPS,
     ChainParams,
     _decay_exponent,
@@ -75,6 +77,34 @@ def test_params_validation():
     with pytest.raises(ValueError, match="integer"):
         ChainParams(m=50.5)
     assert ChainParams(m=np.int64(10)).n_atoms == 20
+
+
+def test_huge_springs_size_and_solve():
+    # k1 = 1e300 squared to inf in the decay exponent and divided by zero in
+    # sizes; its ratios are a soft substrate, k0/k12 = 1e-300, whose decay
+    # reaches past any chain: the chain is its own window, and it solves
+    p = ChainParams(m=1000, k1=1e300)
+    part = interval_partition(p, 5)
+    assert sizes(p, part) == (1000, 1000)
+    assert sizes(ChainParams(m=10**9, k1=1e300), part) == (10**9, 10**9)
+    run = fixed_k_run(p, 5)
+    rep = run.report
+    values = (run.q_error, rep.eta1, rep.eta2, rep.bound_low, rep.bound_high)
+    assert all(map(math.isfinite, values))
+
+
+def test_lattice_spacing_has_a_limit():
+    # a0 = 1e200 overflowed squaring it for y . M_a y; spacings past the
+    # limit are rejected where they enter, and the limit itself computes
+    with pytest.raises(ValueError, match="at most 1e\\+50"):
+        ChainParams(m=1000, a0=1e200)
+    run = fixed_k_run(ChainParams(m=1000, a0=A0_MAX), 5)
+    rep = run.report
+    values = (run.q_error, rep.eta1, rep.eta2, rep.bound_low, rep.bound_high)
+    assert all(map(math.isfinite, values))
+    # the model is linear in a0 and the clamps together
+    base = fixed_k_run(ChainParams(m=1000), 5)
+    assert math.isclose(run.q_error, A0_MAX * base.q_error, rel_tol=1e-12)
 
 
 def test_numpy_size_does_not_overflow_the_far_field_sums():
