@@ -639,32 +639,18 @@ def eta_upp(pair: DualPair, sigma, sign) -> Array:
 def _indicators(pair: DualPair, row: int, gamma: float) -> tuple[Array, Array]:
     """The eta2 split of one row over the window: per free atom |g R(y)|,
     per bond the gamma-weighted halves |P z_y . ez_y| and |P z_g . ez_g|
-    (see ``estimate_stack``), the exterior's in closed form."""
-    ref = pair.ref
-    tails, u, g = ref.tails, pair.u_free[row], pair.g_free[row]
-    e = np.array([u[-4::2], g[-4::2]])  # edge values, (u, g) by side
-    n, nc = ref.frame.start, len(u) - 4
-    at = np.empty(nc + 2 * n)
-    np.multiply(g[:nc], pair.residual_primal[row, :nc], out=at[n : n + nc])
-    ext = np.abs(e[0] * e[1])[:, None] * np.abs(tails["dec"] * tails["res"])
-    at[:n], at[n + nc :] = ext
-    np.abs(at, out=at)
-    off, nbc = ref.off, pair.pz_y.shape[-1] - 2
-    el = np.empty((2, nbc + 2 * off))
-    pz = pair.pz_y[row, :nbc], pair.pz_g[row, :nbc]
-    np.multiply(pz[0], pair.ez_y[row, :nbc], out=el[0, off : off + nbc])
-    np.multiply(pz[1], pair.ez_g[row, :nbc], out=el[1, off : off + nbc])
-    # (e pi - c h) . (e rho), the fields' exterior P z and ez, with c their
-    # core end values
-    ends = np.array([pz[0][:: nbc - 1], pz[1][:: nbc - 1]])
-    e = e[..., None]
-    ext = e * tails["pi"] - ends[..., None] * tails["h"]
-    ext *= e * tails["rho"]
-    el[:, :off], el[:, off + nbc :] = ext[:, 0], ext[:, 1]
-    np.abs(el, out=el)
-    el[0] *= 0.5 * gamma
-    el[1] *= 0.5 / gamma
-    return at, el[0] + el[1]
+    (see ``estimate_stack``)."""
+    rows = slice(row, row + 1)
+    g, r, pzy, ezy, pzg, ezg = (
+        on_window(pair, name, rows)[0]
+        for name in ("g_free", "residual_primal", "pz_y", "ez_y", "pz_g", "ez_g")
+    )
+    el = np.abs(pzy * ezy)
+    el *= 0.5 * gamma
+    el_g = np.abs(pzg * ezg)
+    el_g *= 0.5 / gamma
+    el += el_g
+    return np.abs(g * r), el
 
 
 @dataclass(frozen=True)
