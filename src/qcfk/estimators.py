@@ -101,8 +101,9 @@ class Reference:
     ``model.sizes``), ``off`` atoms shorter at each end.  The blended solves
     fold the continuum exterior into ``fold`` = k12 mu on the core's edge
     diagonal entries, where mu + 1/mu = 2 + k0/k12, mu < 1 and q = 1 - mu:
-    past the core u and g are their edge values times mu^d.  ``lam`` is the
-    decaying root of E_a's symbol.  ``ymy_far`` is what y . M_a y over the
+    past the core u and g are their edge values times mu^d.  ``c`` scales
+    (E_a - E_ac) z there, and ``lam`` is the decaying root of E_a's symbol
+    (see ``_reference``).  ``ymy_far`` is what y . M_a y over the
     chain adds to the same product over the window.
 
     The rest lives on the core, with the exterior in closed form per unit
@@ -136,6 +137,7 @@ class Reference:
     fold: float
     mu: float
     q: float
+    c: float
     lam: float
     ymy_far: float
     frame: slice
@@ -188,13 +190,13 @@ class Reference:
         the free atoms past the core's own, ``rho``, ``pi`` and ``h`` on the
         exterior bonds.  The left side is the right one mirrored: the bond
         differences and so rho and pi change sign."""
-        mu, q, k2, n_ext = self.mu, self.q, self.params.k2, self.frame.start
+        mu, q, c, n_ext = self.mu, self.q, self.c, self.frame.start
         mu_d = mu ** np.arange(1.0, self.off + 1)  # mu^(d-1) for the bonds d >= 2
         lam_d = abs(self.lam) ** np.arange(1.0, self.off + 1)
         lam_d[::2] *= -1.0  # lam <= 0
-        pc = _particular(self.params, mu, q)
-        right = np.array([mu_d * (-k2 * q**3), pc * (mu_d - lam_d), -lam_d])
-        atoms = np.array([mu_d[2 : n_ext + 2], k2 * q**4 * mu_d[: n_ext]])
+        pc = _particular(self.params, mu, q * c)
+        right = np.array([mu_d * (-q * c), pc * (mu_d - lam_d), -lam_d])
+        atoms = np.array([mu_d[2 : n_ext + 2], q * q * c * mu_d[:n_ext]])
         atoms = np.array([atoms[:, ::-1], atoms]).transpose(1, 0, 2)
         left = right[:, ::-1] * [[-1.0], [-1.0], [1.0]]
         bonds = np.array([left, right]).transpose(1, 0, 2)
@@ -215,14 +217,14 @@ def _atomistic(win: ChainParams) -> tuple[QuadraticModel, LinearSystem]:
     return amodel, asys
 
 
-def _particular(params: ChainParams, mu: float, q: float) -> float:
+def _particular(params: ChainParams, mu: float, rho: float) -> float:
     """pi_d / mu^(d-1) of the particular solution of E_a pi = rho on the
-    exterior, rho_d = -k2 q^3 mu^(d-1): E_a's symbol at mu is
+    exterior, rho_d = -rho mu^(d-1): E_a's symbol at mu is
     k1 + 2 k2 + k2 (mu + 1/mu)."""
     k2 = params.k2
     if mu == 0.0:  # no exterior, or one too stiff to reach
         return 0.0
-    return -k2 * q**3 * mu / ((params.k1 + 2.0 * k2) * mu + k2 * (mu * mu + 1.0))
+    return -rho * mu / ((params.k1 + 2.0 * k2) * mu + k2 * (mu * mu + 1.0))
 
 
 @dataclass(frozen=True)
@@ -311,9 +313,11 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
     ``WINDOW_EPS``, so it is taken as semi-infinite.  Right of the core, d
     atoms past its free edge atom, u = e mu^d for an edge value e; the
     bond d (atoms d, d + 1) has z = -e q mu^d, q = 1 - mu, and (E_a - E_ac)
-    z = e rho_d = -e k2 q^3 mu^(d-1) for d >= 2 (E_a - E_ac has -2 k2 on its
-    diagonal and k2 beside it), so the residual at atom d >= 3 is
-    e k2 q^4 mu^(d-2).  P z there solves E_a x = e rho with the core's end
+    z = e rho_d = -e q c mu^(d-1) for d >= 2, where c = k2 q^2 + r mu is
+    z's second difference under E_a - E_ac: k2 beside the diagonal, and on
+    it -2 k2 + r, r the rounding of E_a's and E_ac's diagonals as the
+    window assembles them (0 unless k2 is far below k1).  So the residual
+    at atom d >= 3 is e q^2 c mu^(d-2).  P z there solves E_a x = e rho with the core's end
     bond value c coupled in by k2: x = e pi - c h, pi_d = P (mu^(d-1) -
     lam^(d-1)) and h_d = -lam^(d-1), with lam the decaying root of E_a's
     symbol, k2 lam^2 + (k1 + 2 k2) lam + k2 = 0.  Folding x into the core's
@@ -347,7 +351,7 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
     ediff_rim = np.zeros((2, nbc + 2))
     edge3, rim = np.zeros(3), np.zeros((2, 2))
     ext_res, ext_pz, ext_fa = np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(4)
-    mu = lam = 0.0
+    mu = lam = c = 0.0
     q = 1.0
     if off:
         # past the core the blended solution is u_edge mu^d, mu + 1/mu =
@@ -364,26 +368,27 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         # coupling of the last to the next, as the window assembles them
         ea_core = np.empty((2, nbc))
         ea_core[0], ea_core[1] = (k1 + k2) + k2, k2
+        c = k2 * q * q + (ea_core[0, 0] - params.k12 + 2.0 * k2) * mu
         pz_core = ea_core.copy()
         pz_core[0, :: nbc - 1] += k2 * lam
         ids = model.atom_ids(core)[lo : 2 * m_core - lo]
         wells = model.well_positions(params, ids)
         # f_a + M_a b is k0 b away from the chain's clamps
         fa = k0 * wells
-        pc = _particular(params, mu, q)
+        pc = _particular(params, mu, q * c)
         # sums over d >= 3 of mu^d, d mu^d and the like, by the right edge
         # atom's id E: sum (E + d) mu^d = mu^3 x / q^2
         x = (m_core - 2) * q + 3.0 - 2.0 * mu
-        g_ = k2 * q**3 * mu**4 / (1.0 + mu)
+        g_ = q * c * mu**4 / (1.0 + mu)
         db = a0 * mu**3 * x / (q * q)
-        ws = a0 * k2 * q * q * mu * x
+        ws = a0 * c * mu * x
         lam_mu = lam * mu / (1.0 - lam * mu)
-        k1_ = -k2 * q**3 * pc * (mu * mu / (q * (1.0 + mu)) - lam_mu)
-        k2_ = k2 * q**3 * lam_mu
+        k1_ = -q * c * pc * (mu * mu / (q * (1.0 + mu)) - lam_mu)
+        k2_ = q * c * lam_mu
         ext_res[:] = [[g_, -ws], [g_, ws]]
         ext_pz[:] = [[k1_, -k2_], [k1_, k2_]]
         ext_fa[::2] = -k0 * db, k0 * db
-        rho2, psi = -k2 * q**3 * mu, k2 * pc * (mu - lam)
+        rho2, psi = -q * c * mu, k2 * pc * (mu - lam)
         rim[:] = [[-rho2, rho2], [-psi, psi]]
         edge3[:] = mu ** np.arange(1.0, 4.0)
         ediff_rim[1, 0] = k2
@@ -421,6 +426,7 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         fold=params.k12 * mu,
         mu=mu,
         q=q,
+        c=c,
         lam=lam,
         ymy_far=ymy_far,
         frame=slice(n_ext, 2 * m_window - 4 - n_ext),

@@ -769,10 +769,22 @@ def _wide_core_cases(draw):
     return params, Partition(atomistic=part.atomistic)
 
 
+# stiff substrates with weak NNN springs: exteriors of 1 and 2 atoms, where
+# the core's clamps are the window's clamps or its first free atoms
+_EXT1 = ChainParams(m=100_000, k0=1e8, k2=1e-8)
+_EXT2 = ChainParams(m=100_000, k0=1e9, k2=1e-6)
+# a k2 far below k1: E_a's and E_ac's assembled diagonals round to the same
+# number, so the exterior's E_a - E_ac is k2 beside a zero diagonal
+_TINY_K2 = ChainParams(m=100_000, k0=0.1, k2=8.903611464977981e-269)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_wide_core_cases())
 @example((_SLOW_K0, interval_partition(_SLOW_K0, 65)))
 @example((_DEFAULT_1E5, make_partition(_DEFAULT_1E5, atomistic=[-64, 3])))
+@example((_EXT1, make_partition(_EXT1, atomistic=[-64, 0, 1, 5])))
+@example((_EXT2, interval_partition(_EXT2, 64)))
+@example((_TINY_K2, make_partition(_TINY_K2, atomistic=[-64])))
 def test_core_path_matches_window_oracle(case):
     # every pair scalar, every report field, Q(e) and the extended eta2
     # indicators of the core path against the whole-window oracle.  The
@@ -783,6 +795,8 @@ def test_core_path_matches_window_oracle(case):
     got = solve_dual_pair(params, part)
     want = window_pair(got.ref, [part])
     assert got.ref.window.m == want.ref.core.m == want.ref.window.m
+    if params in (_EXT1, _EXT2):
+        assert got.ref.off == (1 if params is _EXT1 else 2)
     for name in _PAIR_SCALARS:
         _close(getattr(got, name), getattr(want, name), abs(getattr(want, name)[0]), name)
     (q_got,), (e_got,) = exact_goal_errors(got)
