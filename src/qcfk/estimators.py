@@ -92,7 +92,7 @@ _STACK_BYTES = 1 << 24
 _REFERENCES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Reference:
     """Everything that depends on the window but not on the partition.
 
@@ -227,7 +227,7 @@ def _particular(params: ChainParams, mu: float, rho: float) -> float:
     return -rho * mu / ((params.k1 + 2.0 * k2) * mu + k2 * (mu * mu + 1.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualPair:
     """Primal/dual blended solutions plus everything the estimators reuse,
     for a stack of regions that share ``ref``.
