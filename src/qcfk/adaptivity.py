@@ -187,7 +187,7 @@ def fixed_k_runs(
         reports = estimate_stack(pair, use_gamma=use_gamma)
         q_errors = [None] * len(rows)
         if want_exact:
-            q_errors = exact_goal_errors(pair)[0].tolist()
+            q_errors = exact_goal_errors(pair).tolist()
         for i, report, q_error in zip(rows, reports, q_errors):
             results[i] = FixedKResult(params.m, ks[i], report, q_error)
     return results

@@ -31,7 +31,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .adaptivity import (
     AdaptConfig,
@@ -227,10 +227,10 @@ def emit_csv(header: list[str], rows: list[list]) -> str:
 
 
 def emit_json(spec: RunSpec, header: list[str], rows: list[list], extra=None) -> str:
-    payload = {"spec": asdict(spec), "columns": header, "rows": rows}
+    payload = {"spec": vars(spec), "columns": header, "rows": rows}
     if extra:
         payload.update(extra)
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload) + "\n"
 
 
 def _adapt_rows(spec: RunSpec, m: int):

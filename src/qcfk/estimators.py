@@ -48,11 +48,13 @@ profiles are geometric, so their dot products are closed forms, which the
 carries a few exterior coordinates after its core entries, and every
 product over the window is one dot product over the core.  No step per
 region touches a window-length array, and the reference itself is built
-from closed forms.  The window stays the frame outputs are reported on,
-and the check: ``on_window`` extends a field over it, which the eta2
-indicators do when read (marking, the fixed-k report, the profile), and
-so does the residual the exact goal error solves with, on the window's
-atomistic system.  Every vector here decays away from the defect and the
+from closed forms.  So is the exact goal error Q(e): it is the atomistic
+dual solution g_a, closed form too, times the primal residual, over the
+core.  The window stays the frame outputs are reported on, and the check:
+``on_window`` extends a field over it, which the eta2 indicators do when
+read (marking, the fixed-k report, the profile), and so does the residual
+that the error e itself solves with, on the window's atomistic system.
+Every vector here decays away from the defect and the
 atomistic region, with one exception: y . M_a y grows like M^3 through the
 wells b.  The part u does not touch is summed in closed form, in exact
 integers, so the estimates are those of the whole chain; past a float it
@@ -84,8 +86,7 @@ from .model import ChainParams, LinearSystem, Partition, QuadraticModel
 _DEGENERATE_REL = 1e-14
 # smallest normal float: a reported value below it has lost its digits
 _TINY = np.finfo(float).tiny
-# most bytes one stack holds: about 20 core-length arrays per row, and the
-# window-length residual and error of the exact goal error
+# most bytes one stack holds: about 20 core-length arrays per row
 _STACK_BYTES = 1 << 24
 # the last reference built, held weakly: a growing region finds it while its
 # previous pair is alive, and a sweep's groups never revisit a window
@@ -123,8 +124,8 @@ class Reference:
     P z = e pi - c h for an edge value e and a core end value c of P z;
     ``ymy_tail`` is the part of y . M_a y that u does not touch, less
     b . fa over the frame.  ``tails`` holds those profiles over the window,
-    which ``on_window`` appends.  The window's atomistic model,
-    its reduced system ``M_a`` and the goal vector on its free atoms are
+    which ``on_window`` appends.  The window's atomistic model, its
+    reduced system ``M_a`` and the atomistic dual solution ``dual`` are
     built on first use.  Every solve on this window shares the reference,
     and so does the next solve while a pair solved on it is held, so its
     arrays are read-only.
@@ -169,19 +170,49 @@ class Reference:
         return self._atomistic[1]
 
     @functools.cached_property
-    def goal(self) -> Array:
-        """The goal vector on the window's free atoms."""
-        goal = goal_vector(self.system.free_index)
-        goal.setflags(write=False)
-        return goal
-
-    @functools.cached_property
     def ma_factor(self) -> BandedFactor:
-        """Cholesky factor of ``M_a``, which only the exact goal error
-        solves with: factored on first use."""
+        """Cholesky factor of ``M_a``, which only the exact error e solves
+        with: factored on first use."""
         ma = banded.factor(self.system.mat)
         ma.bands.setflags(write=False)
         return ma
+
+    @functools.cached_property
+    def dual(self) -> tuple[Array, float]:
+        """The atomistic dual solution g_a = M_a^{-1} Q on the frame, and
+        what g_a . R over the exterior adds per unit right edge value of u
+        (the left edge's share is its negative).  Built on first use, which
+        only the exact goal error makes.
+
+        A chain that is its own core solves for g_a with ``ma_factor``.
+        Otherwise the window is taken as infinite, as the exterior is.
+        M_a's symbol k0 + (2 - s)(k1 + 2 k2 + k2 s), s = z + 1/z, has two
+        decaying roots: z1 with z1 + 1/z1 = 2 + 2t, t = k0 / (D + k1 + 4 k2),
+        and z2 = -4 k2 / (k1 + D + sqrt((k1 + D)^2 - 16 k2^2)), finite at
+        k2 = 0, where D = sqrt((k1 + 4 k2)^2 + 4 k2 k0).  Then g_a at atom
+        j >= 1 is (z1^j / (1 + z1) - z2^j / (1 + z2)) / D, and at 1 - j its
+        negative.  Past the frame the residual is e q^2 c mu^(i+1) at atom
+        J + i, J = m_core + 1 (see ``tails``), so the exterior's sum is
+        geometric; 1 - z1 mu is formed from q1 = 1 - z1 and q, which does
+        not cancel as k0 nears 0.
+        """
+        if not self.off:
+            ga = banded.solve(self.ma_factor, self.goal_frame[:-4])
+            ga.setflags(write=False)
+            return ga, 0.0
+        k0, k1, k2 = self.params.k0, self.params.k1, self.params.k2
+        d = math.sqrt((k1 + 4.0 * k2) ** 2 + 4.0 * k2 * k0)
+        z1, q1 = _decaying_root(k0 / (d + k1 + 4.0 * k2))
+        kd = k1 + d
+        z2 = -4.0 * k2 / (kd + math.sqrt((kd - 4.0 * k2) * (kd + 4.0 * k2)))
+        j = np.arange(1, self.core.m - max(0, 2 - self.off) + 1)
+        half = (z1**j / (1.0 + z1) - z2**j / (1.0 + z2)) / d
+        ga = np.concatenate([-half[::-1], half])
+        ga.setflags(write=False)
+        mu, q, big_j = self.mu, self.q, self.core.m + 1
+        far = z1**big_j / ((1.0 + z1) * (q1 + q - q1 * q))
+        far -= z2**big_j / ((1.0 + z2) * (1.0 - z2 * mu))
+        return ga, q * q * self.c * mu / d * far
 
     @functools.cached_property
     def tails(self) -> dict[str, Array]:
@@ -215,6 +246,14 @@ def _atomistic(win: ChainParams) -> tuple[QuadraticModel, LinearSystem]:
     for a in (asys.rhs_wells, asys.wells_free, asys.lift, asys.free_index):
         a.setflags(write=False)
     return amodel, asys
+
+
+def _decaying_root(t: float) -> tuple[float, float]:
+    """The root z < 1 of z + 1/z = 2 + 2t and 1 - z, formed without
+    cancelling as z nears 1 (z = 0 where t overflows)."""
+    r = math.sqrt(t) * math.sqrt(2.0 + t)
+    z = 1.0 / (1.0 + t + r)
+    return z, 1.0 - z if z < 0.5 else (t + r) * z
 
 
 def _particular(params: ChainParams, mu: float, rho: float) -> float:
@@ -279,14 +318,6 @@ def _one_region(pair: DualPair, stacked: str) -> None:
         raise ValueError(
             f"pair holds {len(pair.parts)} regions; use {stacked} for a stack"
         )
-
-
-def goal_vector(free_index: Array) -> Array:
-    """Load vector of Q(y) = y_1 - y_0 on the free atoms."""
-    q = np.zeros(len(free_index))
-    q[np.searchsorted(free_index, 0)] = -1.0
-    q[np.searchsorted(free_index, 1)] = 1.0
-    return q
 
 
 def _wells_ymy(params: ChainParams) -> tuple[int, int]:
@@ -355,14 +386,9 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
     q = 1.0
     if off:
         # past the core the blended solution is u_edge mu^d, mu + 1/mu =
-        # 2 + 2t; folding it in leaves d - k12 mu on the core's first and last
-        # free diagonal entries (a discrete Dirichlet-to-Neumann boundary).
-        # q = 1 - mu is formed without cancelling as mu nears 1 (and mu = 0
-        # where t overflows)
-        t = 0.5 * k0 / params.k12
-        r = math.sqrt(t) * math.sqrt(2.0 + t)
-        mu = 1.0 / (1.0 + t + r)
-        q = 1.0 - mu if mu < 0.5 else (t + r) * mu
+        # 2 + k0/k12; folding it in leaves d - k12 mu on the core's first and
+        # last free diagonal entries (a discrete Dirichlet-to-Neumann boundary)
+        mu, q = _decaying_root(0.5 * k0 / params.k12)
         lam = -2.0 * k2 / (k1 + 2.0 * k2 + math.sqrt(k1 * params.k12))
         # E_a on the core's bonds, each with both NNN pairs, and the
         # coupling of the last to the next, as the window assembles them
@@ -590,8 +616,7 @@ def solve_stacks(
         if ref is None:
             _REFERENCES.clear()
             ref = _REFERENCES[key] = _reference(*key)
-        m_window, m_core = size
-        height = max(1, _STACK_BYTES // (8 * (40 * m_core + 4 * m_window)))
+        height = max(1, _STACK_BYTES // (320 * size[1]))
         for start in range(0, len(rows), height):
             chunk = rows[start : start + height]
             yield chunk, _solve_stack(ref, [parts[i] for i in chunk])
@@ -819,34 +844,39 @@ def estimate(pair: DualPair, use_gamma: bool = False) -> EstimatorReport:
     return estimate_stack(pair, use_gamma)[0]
 
 
-def exact_goal_errors(pair: DualPair) -> tuple[Array, Array]:
-    """Solve the atomistic reference problem of every row of a stack and
-    return (Q(e), e) per row, with e on the free atoms of the window.
+def exact_goal_errors(pair: DualPair) -> Array:
+    """Q(e) of every row of a stack.
 
     This is what the estimators are judged against: the exact CLI modes
-    report it, the adaptive loop never needs it.  The error solves
-    M_a e = r directly with the primal residual, extended over the window,
-    as right-hand side, which is algebraically the same as subtracting the
-    two displacement fields, and every row is one column of a single solve.
-    Because ``solve_stacks`` forms r from the model difference (E_a - E_ac)
-    applied to the blended solution, r carries no backward error of the
-    blended solve, so e keeps full relative accuracy when it is many
+    report it, the adaptive loop never needs it.  The error solves M_a e =
+    R(y), so Q(e) = Q . M_a^{-1} R(y) = g_a . R(y) with the atomistic dual
+    solution g_a = M_a^{-1} Q, which depends on the chain alone
+    (``Reference.dual``): one dot product over the core per row, plus the
+    exterior's closed form times the edge values of u.  Because
+    ``solve_stacks`` forms R(y) from the model difference (E_a - E_ac)
+    applied to the blended solution, it carries no backward error of the
+    blended solve, so Q(e) keeps full relative accuracy when it is many
     orders smaller than the displacements.
     """
-    r = on_window(pair, "residual_primal")
-    e = banded.solve(pair.ref.ma_factor, r.T).T
-    return rowdot(pair.ref.goal, e), e
+    ga, far = pair.ref.dual
+    n = len(ga)
+    q = rowdot(pair.residual_primal[..., :n], ga)
+    q += far * (pair.u_free[..., n + 2] - pair.u_free[..., n])
+    return q
+
 
 def exact_goal_error(
     params: ChainParams, part: Partition, pair: DualPair | None = None
 ) -> tuple[float, Array]:
-    """(Q(e), e) of one region, the stack of one of ``exact_goal_errors``;
-    a given ``pair`` must have been solved for ``params`` and ``part``."""
+    """(Q(e), e) of one region: Q(e) as ``exact_goal_errors`` forms it, and
+    the error e on the free atoms of the window, which solves the window's
+    atomistic system with the primal residual extended over the window.  A
+    given ``pair`` must have been solved for ``params`` and ``part``."""
     if pair is None:
         pair = solve_dual_pair(params, part)
     _one_region(pair, "exact_goal_errors")
     same = np.array_equal(pair.parts[0].atomistic, part.atomistic)
     if not same or pair.ref.params != params:
         raise ValueError("pair was not solved for this chain and region")
-    q, e = exact_goal_errors(pair)
-    return float(q[0]), e[0]
+    e = banded.solve(pair.ref.ma_factor, on_window(pair, "residual_primal")[0])
+    return float(exact_goal_errors(pair)[0]), e

@@ -9,8 +9,10 @@ the partition), reduced systems come from its finite differences (the
 energies are quadratic, so central differences with step 1 are exact up to
 round-off), and solves use plain dense numpy.  Agreement between the two
 routes validates both.  The exact primal/dual errors and the perturbation
-identity of the estimators live here too; the library keeps only
-``exact_goal_error``, which the exact CLI modes report.  So do the direct
+identity of the estimators live here too, with the goal vector on a
+window's free atoms they solve against; the library keeps only the exact
+goal error, which the exact CLI modes report, and takes its Q(e) as the
+atomistic dual solution times the residual.  So do the direct
 forms of the estimator products that the library takes from the model
 difference instead: the projection z - E_a^{-1} E_ac z, the E_a norm and
 the M_a products by matvec, and the lower parallelogram terms in the
@@ -278,6 +280,19 @@ def energy_matrix(params: ChainParams, part: Partition, flavor: str, y: Array) -
     )
 
 
+def goal_vector(free_index: Array) -> Array:
+    """Load vector of Q(y) = y_1 - y_0 on the free atoms."""
+    q = np.zeros(len(free_index))
+    q[np.searchsorted(free_index, 0)] = -1.0
+    q[np.searchsorted(free_index, 1)] = 1.0
+    return q
+
+
+def goal(ref: Reference) -> Array:
+    """The goal vector on the free atoms of the window of ``ref``."""
+    return goal_vector(ref.system.free_index)
+
+
 def ediff(pair: DualPair) -> BandedSpdMatrix:
     """E_a - E_ac on the window, one band matrix per row of the pair."""
     eac = assemble(pair.ref.window, pair.parts).e_mat
@@ -427,10 +442,11 @@ def window_pair(ref: Reference, parts) -> DualPair:
     acmodel = assemble(ref.window, parts)
     acsys = reduce_system(ref.window, acmodel)
     diff = BandedSpdMatrix(ref.model.e_mat.bands - acmodel.e_mat.bands)
-    u, g = np.empty((2, len(parts), len(ref.goal)))
+    q = goal(ref)
+    u, g = np.empty((2, len(parts), len(q)))
     for i in range(len(parts)):
         mat = BandedSpdMatrix(acsys.mat.bands[i])
-        loads = np.column_stack([acsys.rhs_wells[i], ref.goal])
+        loads = np.column_stack([acsys.rhs_wells[i], q])
         u[i], g[i] = factor_solve(mat, loads).T
     y = u + acsys.wells_free
     ez = banded.matvec(diff, bond_differences(ref, u, g))
@@ -458,6 +474,6 @@ def window_pair(ref: Reference, parts) -> DualPair:
         npg=nrm[1],
         ymy=rowdot(y, my) + ref.ymy_far,
         gmy=rowdot(g, my),
-        gmg=rowdot(g, ref.goal - res[1]),
+        gmg=rowdot(g, q - res[1]),
         differs=(diff.bands != 0.0).any(axis=(-2, -1)),
     )

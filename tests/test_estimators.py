@@ -25,17 +25,19 @@ from qcfk.estimators import (
     estimate_stack,
     exact_goal_error,
     exact_goal_errors,
-    goal_vector,
     on_window,
     solve_dual_pair,
     solve_stacks,
 )
-from qcfk.adaptivity import AdaptConfig, fixed_k_run, run_adaptive
+from qcfk.adaptivity import AdaptConfig, fixed_k_run, fixed_k_runs, run_adaptive
+from qcfk.cli import TABLE2_K
 
 from oracle_dense import (
     dual_errors,
     ediff,
     enorm,
+    goal,
+    goal_vector,
     lemma1_check,
     ma_products,
     projections,
@@ -500,7 +502,7 @@ def test_exact_goal_error_matches_dual_errors():
     part = interval_partition(p, 3)
     pair = solve_dual_pair(p, part)
     qe, e = exact_goal_error(p, part, pair)
-    assert np.isclose(np.dot(pair.ref.goal, e), qe)
+    assert np.isclose(np.dot(goal(pair.ref), e), qe)
     # both oracles solve with the same M_a factor
     e2, _ = dual_errors(pair)
     assert np.array_equal(e, e2[0])
@@ -543,8 +545,9 @@ def _arrays(obj):
 def test_reference_arrays_are_read_only():
     p = ChainParams(m=100_000)
     ref = solve_dual_pair(p, interval_partition(p, 10)).ref
-    # the window's model, system, goal and profiles are built on first use
-    arrays = [*_arrays(ref), ("ma_factor", ref.ma_factor.bands), ("goal", ref.goal)]
+    # the window's model, system, factor, the dual and the profiles are
+    # built on first use
+    arrays = [*_arrays(ref), ("ma_factor", ref.ma_factor.bands), ("dual", ref.dual[0])]
     arrays += [*_arrays(ref.model), *_arrays(ref.system), *ref.tails.items()]
     assert len(arrays) == 27 and all(a.size for _, a in arrays)
     for name, a in arrays:
@@ -623,7 +626,7 @@ def test_reference_and_pair_are_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         pair.npy = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):
-        pair.ref.goal = None
+        pair.ref.goal_frame = None
 
 
 def test_off_well_flag():
@@ -816,8 +819,8 @@ def test_core_path_matches_window_oracle(case):
         assert got.ref.off == (1 if params is _EXT1 else 2)
     for name in _PAIR_SCALARS:
         _close(getattr(got, name), getattr(want, name), abs(getattr(want, name)[0]), name)
-    (q_got,), (e_got,) = exact_goal_errors(got)
-    (q_want,), (e_want,) = exact_goal_errors(want)
+    (q_got,), (q_want,) = exact_goal_errors(got), exact_goal_errors(want)
+    e_got, e_want = (exact_goal_error(params, part, p)[1] for p in (got, want))
     _close(q_got, q_want, abs(q_want), "q")
     _close(e_got, e_want, np.max(np.abs(e_want)), "e")
     for gamma in (False, True):
@@ -836,6 +839,59 @@ def test_core_path_matches_window_oracle(case):
         for key in ("eta2_at", "eta2_el"):
             value = getattr(expect, key)
             _close(getattr(have, key), value, np.max(np.abs(value)), key)
+
+
+# a chain whose clamps are not at its wells: its own window
+_OWN_BC = ChainParams(m=300, k0=0.5, bc=(-302.0, -301.0, 301.0, 302.0))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_wide_core_cases())
+@example((_SLOW_K0, interval_partition(_SLOW_K0, 65)))
+@example((dataclasses.replace(_DEFAULT_1E5, k2=0.0), interval_partition(_DEFAULT_1E5, 20)))
+@example((dataclasses.replace(_DEFAULT_1E5, k2=3.2e-71), make_partition(_DEFAULT_1E5, [3])))
+@example((_TINY_K2, make_partition(_TINY_K2, atomistic=[-64])))
+@example((_EXT1, make_partition(_EXT1, atomistic=[-64, 0, 1, 5])))
+@example((ChainParams(m=40), interval_partition(ChainParams(m=40), 5)))
+@example((_OWN_BC, interval_partition(_OWN_BC, 12)))
+def test_dual_form_matches_window_solve(case):
+    # Q(e) as g_a . R(y) on the core, g_a in closed form, against the goal
+    # times the window solve M_a^{-1} R(y), on the scale of sum |g_a R|
+    params, part = case
+    pair = solve_dual_pair(params, part)
+    if params in (ChainParams(m=40), _OWN_BC):
+        assert pair.ref.off == 0
+    (q,) = exact_goal_errors(pair)
+    (e,), _ = dual_errors(pair)
+    q_goal = goal(pair.ref)
+    ga = banded.solve(pair.ref.ma_factor, q_goal)
+    scale = np.sum(np.abs(ga * window(pair, "residual_primal")[0]))
+    assert abs(q - np.dot(q_goal, e)) <= 1e-9 * scale
+
+
+def test_an_exact_sweep_stays_on_the_core(monkeypatch):
+    # a table2 sweep takes Q(e) from the dual in closed form, and builds
+    # neither the window's atomistic system nor its exterior profiles; the
+    # adaptive loop never builds the dual
+    built = []
+
+    def spy(*key):
+        built.append(reference(*key))
+        return built[-1]
+
+    reference = estimators._reference
+    monkeypatch.setattr(estimators, "_reference", spy)
+    estimators._REFERENCES.clear()
+    p = ChainParams(m=20_000)
+    results = fixed_k_runs(p, TABLE2_K, want_exact=True)
+    assert all(r.q_error is not None for r in results)
+    (ref,) = built
+    assert ref.off and "dual" in vars(ref)
+    assert not {"_atomistic", "ma_factor", "tails"} & set(vars(ref))
+    built.clear()
+    estimators._REFERENCES.clear()
+    assert run_adaptive(p, AdaptConfig(tau_gl=1e-10)).status == "converged"
+    assert built and all("dual" not in vars(ref) for ref in built)
 
 
 def test_a_solved_stack_holds_no_window_length_array():
@@ -901,7 +957,7 @@ def test_stack_equals_one_region_at_a_time(case):
     seen = []
     for rows, stack in solve_stacks(params, parts):
         reports = {gamma: estimate_stack(stack, gamma) for gamma in (False, True)}
-        q, e = exact_goal_errors(stack)
+        q, (e, _) = exact_goal_errors(stack), dual_errors(stack)
         seen += rows
         for j, i in enumerate(rows):
             want = solve_dual_pair(params, parts[i])
