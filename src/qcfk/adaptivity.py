@@ -7,6 +7,13 @@ otherwise divides ``tau_at`` by ``tau_div`` and flags every free atom whose
 local indicator (its own residual term plus half of each adjacent bond
 term) reaches the threshold.  Flagged atoms switch to atomistic treatment
 and never switch back.
+
+A pass costs what the region's core costs, whatever the chain length: the
+blended solves run on the core (see ``estimators``), and so does marking,
+which forms the indicators on the core's atoms and bounds those of the
+continuum exterior past it in closed form, evaluating only the exterior
+atoms whose bound reaches the threshold.  No pass reads an array over the
+window.
 """
 
 from __future__ import annotations
@@ -95,8 +102,10 @@ class AdaptTrace:
 
 
 def mark_atoms(report: EstimatorReport, tau_at: float) -> Array:
-    """Atom ids whose local indicator reaches the threshold."""
-    return report.free_ids()[report.eta2_total() >= tau_at]
+    """Atom ids whose local indicator reaches the threshold: those of
+    ``report.free_ids()`` where ``report.eta2_total()`` does, found on the
+    core without forming either."""
+    return report.indicators.marked(tau_at)
 
 
 def _interval_k(atoms: Array) -> int | None:
@@ -113,7 +122,8 @@ def run_adaptive(params: ChainParams, config: AdaptConfig) -> AdaptTrace:
     """Grow the atomistic region until eta1 drops below tau_gl.
 
     A solve rebuilds the atomistic reference only when the growing region
-    outgrows its window (see ``solve_stacks``).
+    outgrows its window (see ``solve_stacks``), and marking reads the
+    core's arrays alone (see ``mark_atoms``).
     """
     atoms = np.empty(0, dtype=int)
     records: list[IterationRecord] = []

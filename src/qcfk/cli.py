@@ -161,12 +161,14 @@ def parse_run_spec(argv: list[str]) -> RunSpec:
     else:
         m_list = _parse_int_list(args.m, "--m", err)
     if args.k is None:
+        # a default list keeps to the regions the chain has, K <= M - 2
+        top = min(m_list) - 2
         if mode in ("table2", "sweep-k"):
-            k_list = TABLE2_K
+            k_list = tuple(k for k in TABLE2_K if k <= top)
         elif mode == "table3":
-            k_list = tuple(range(0, 51))
+            k_list = tuple(range(0, min(50, top) + 1))
         elif mode == "profile":
-            k_list = (20,)
+            k_list = (min(20, top),)
         elif mode == "fixed-k":
             err("mode fixed-k needs --k (use sweep-k for several values)")
         else:

@@ -46,14 +46,19 @@ edge value and the core's end value) times a fixed profile.  Those
 profiles are geometric, so their dot products are closed forms, which the
 ``Reference`` holds per unit edge value; each array of a ``DualPair``
 carries a few exterior coordinates after its core entries, and every
-product over the window is one dot product over the core.  No step per
-region touches a window-length array, and the reference itself is built
-from closed forms.  So is the exact goal error Q(e): it is the atomistic
-dual solution g_a, closed form too, times the primal residual, over the
-core.  The window stays the frame outputs are reported on, and the check:
-``on_window`` extends a field over it, which the eta2 indicators do when
-read (marking, the fixed-k report, the profile), and so does the residual
-that the error e itself solves with, on the window's atomistic system.
+product over the window is one dot product over the core.  The blended
+systems come straight from the reference and the partitions' flags, with
+no model assembled.  No step per region touches a window-length array,
+and the reference itself is built from closed forms.  So is the exact
+goal error Q(e): it is the atomistic dual solution g_a, closed form too,
+times the primal residual, over the core.  Marking runs on the core as
+well: the eta2 totals of the frame's atoms take one exterior bond a side
+in closed form, and past the frame a geometric bound per side says which
+atoms could reach the threshold, so only those are evaluated.  The window
+stays the frame outputs are reported on, and the check: ``on_window``
+extends a field over it, which the eta2 indicators do when read (the
+fixed-k report, the profile), and so does the residual that the error e
+itself solves with, on the window's atomistic system.
 Every vector here decays away from the defect and the
 atomistic region, with one exception: y . M_a y grows like M^3 through the
 wells b.  The part u does not touch is summed in closed form, in exact
@@ -73,8 +78,9 @@ import functools
 import json
 import math
 import weakref
-from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field, fields, replace
+from collections.abc import Iterator, Sequence
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,6 +94,8 @@ _DEGENERATE_REL = 1e-14
 _TINY = np.finfo(float).tiny
 # most bytes one stack holds: about 20 core-length arrays per row
 _STACK_BYTES = 1 << 24
+# the left exterior's rho, pi and h are the right one's times these
+_MIRROR = np.array([[-1.0], [-1.0], [1.0]])
 # the last reference built, held weakly: a growing region finds it while its
 # previous pair is alive, and a sweep's groups never revisit a window
 _REFERENCES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -116,15 +124,17 @@ class Reference:
     ``base`` the bond differences of lift + b - a on the core's bonds and
     one more each side, ``ediff_rim`` the E_a - E_ac bands that couple the
     core to the exterior bond next to each end, and ``ea_core`` E_a on the
-    core's bonds.  ``rim`` holds (E_a - E_ac) z at those exterior bonds and
-    the load P z there puts on the core's end rows, and ``pz_factor`` is
-    the core's E_a with the exterior folded into both end diagonals.
+    core's bonds.  ``rim`` holds the profiles rho = (E_a - E_ac) z, pi and
+    h at those exterior bonds and the load P z there puts on the core's end
+    rows, and ``pz_factor`` is the core's E_a with the exterior folded into
+    both end diagonals.
     ``ext_res`` holds u . R and b . R over the exterior per unit edge
     value, ``ext_pz`` pi . rho and h . rho, with rho = (E_a - E_ac) z and
     P z = e pi - c h for an edge value e and a core end value c of P z;
     ``ymy_tail`` is the part of y . M_a y that u does not touch, less
     b . fa over the frame.  ``tails`` holds those profiles over the window,
-    which ``on_window`` appends.  The window's atomistic model, its
+    which ``on_window`` appends, and ``bound_logs`` the logarithms that
+    bound them for marking.  The window's atomistic model, its
     reduced system ``M_a`` and the atomistic dual solution ``dual`` are
     built on first use.  Every solve on this window shares the reference,
     and so does the next solve while a pair solved on it is held, so its
@@ -215,25 +225,52 @@ class Reference:
         return ga, q * q * self.c * mu / d * far
 
     @functools.cached_property
+    def bound_logs(self) -> tuple[float, ...]:
+        """The logarithms of |rho|, |pi| and |h| on the exterior bond next to
+        the core, of q^2 |c| mu^4 and of mu max(mu, |lam|), which bound the
+        exterior's indicators (see ``_reach``)."""
+        log_mu = _log(self.mu)
+        return (
+            *map(_log, self.rim[:3, 1].tolist()),
+            2.0 * _log(self.q) + _log(self.c) + 4.0 * log_mu,
+            log_mu + _log(max(self.mu, abs(self.lam))),
+        )
+
+    @functools.cached_property
     def tails(self) -> dict[str, Array]:
         """The exterior profiles per unit edge value over the window, (left,
         right) in window order: ``dec`` (u) and ``res`` (the residual) on
         the free atoms past the core's own, ``rho``, ``pi`` and ``h`` on the
-        exterior bonds.  The left side is the right one mirrored: the bond
-        differences and so rho and pi change sign."""
-        mu, q, c, n_ext = self.mu, self.q, self.c, self.frame.start
-        mu_d = mu ** np.arange(1.0, self.off + 1)  # mu^(d-1) for the bonds d >= 2
-        lam_d = abs(self.lam) ** np.arange(1.0, self.off + 1)
-        lam_d[::2] *= -1.0  # lam <= 0
-        pc = _particular(self.params, mu, q * c)
-        right = np.array([mu_d * (-q * c), pc * (mu_d - lam_d), -lam_d])
-        atoms = np.array([mu_d[2 : n_ext + 2], q * q * c * mu_d[:n_ext]])
+        exterior bonds (see ``_profiles``)."""
+        atoms, right = _profiles(self, self.off)
         atoms = np.array([atoms[:, ::-1], atoms]).transpose(1, 0, 2)
-        left = right[:, ::-1] * [[-1.0], [-1.0], [1.0]]
+        left = right[:, ::-1] * _MIRROR
         bonds = np.array([left, right]).transpose(1, 0, 2)
         for a in (atoms, bonds):
             a.setflags(write=False)
         return dict(dec=atoms[0], res=atoms[1], rho=bonds[0], pi=bonds[1], h=bonds[2])
+
+
+def _profiles(ref: Reference, n: int) -> tuple[Array, Array]:
+    """The right exterior's profiles per unit edge value, by distance from
+    the core: on its first ``n - 2`` free atoms u and the residual, and on
+    its first ``n`` bonds rho = (E_a - E_ac) z and the pi and h of P z (see
+    ``_reference``).  The left side is the right one mirrored: the bond
+    differences and so rho and pi change sign (``_MIRROR``)."""
+    mu, q, c = ref.mu, ref.q, ref.c
+    mu_d = mu ** np.arange(1.0, n + 1)  # mu^(d-1) for the bonds d >= 2
+    lam_d = abs(ref.lam) ** np.arange(1.0, n + 1)
+    lam_d[::2] *= -1.0  # lam <= 0
+    bonds = np.array(_bond_profiles(ref.params, mu, q, c, mu_d, lam_d))
+    atoms = np.array([mu_d[2:], q * q * c * mu_d[: max(0, n - 2)]])
+    return atoms, bonds
+
+
+def _bond_profiles(params: ChainParams, mu: float, q: float, c: float, mu_d, lam_d):
+    """rho, pi and h per unit edge value on the right exterior's bonds d >= 2
+    where mu^(d-1) and lam^(d-1) are ``mu_d`` and ``lam_d``."""
+    pc = _particular(params, mu, q * c)
+    return mu_d * (-q * c), pc * (mu_d - lam_d), -lam_d
 
 
 def _atomistic(win: ChainParams) -> tuple[QuadraticModel, LinearSystem]:
@@ -355,8 +392,8 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
     end row adds k2 lam to its diagonal and -k2 P (mu - lam) e to its load.
     The left side is the mirror image.
     """
-    win = params if m_window == params.m else replace(params, m=m_window, bc=None)
-    core = win if m_core == m_window else replace(params, m=m_core, bc=None)
+    win = params if m_window == params.m else model._resized(params, m_window)
+    core = win if m_core == m_window else model._resized(params, m_core)
     k0, k1, k2, a0 = params.k0, params.k1, params.k2, params.a0
     # beyond the window u vanishes and y = b; the window's own clamp rows are
     # part of both closed forms, so the difference is exact (up to the
@@ -378,9 +415,13 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
     # b . M_a b = sum b (k0 b + clamp terms) - b . f_a, and b . f_a is
     # -a0 (E_a D b) at the defect bond, where D b is a0, 2 a0, a0
     ymy_tail = a0**2 * (k0 * tail0 + (k1 + 2.0 * k2) * tailb - 2.0 * (k1 + 3.0 * k2))
-    base = np.zeros((2, 1, nbc + 2))
+    # the bond differences of lift + b - a, added to z_y apart from u so that
+    # no u below one ulp of a0 is lost, on the core's bonds and one more each
+    # side; the lift is that of the window's clamps, which a core shorter than
+    # the window does not reach
+    base, lift = np.zeros((2, 1, nbc + 2)), np.zeros(2 * m_core)
     ediff_rim = np.zeros((2, nbc + 2))
-    edge3, rim = np.zeros(3), np.zeros((2, 2))
+    edge3, rim = np.zeros(3), np.zeros((4, 2))
     ext_res, ext_pz, ext_fa = np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(4)
     mu = lam = c = 0.0
     q = 1.0
@@ -414,8 +455,11 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         ext_res[:] = [[g_, -ws], [g_, ws]]
         ext_pz[:] = [[k1_, -k2_], [k1_, k2_]]
         ext_fa[::2] = -k0 * db, k0 * db
-        rho2, psi = -q * c * mu, k2 * pc * (mu - lam)
-        rim[:] = [[-rho2, rho2], [-psi, psi]]
+        # the first exterior bond's profiles, as ``_profiles`` forms them
+        # (mu^1 is mu), and the load P z there puts on the core's end row
+        rho, pi, h = _bond_profiles(params, mu, q, c, mu, lam)
+        psi = k2 * pc * (mu - lam)
+        rim[:] = [[-rho, rho], [-pi, pi], [h, h], [-psi, psi]]
         edge3[:] = mu ** np.arange(1.0, 4.0)
         ediff_rim[1, 0] = k2
         goal_frame = np.zeros(len(ids))
@@ -425,14 +469,11 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         ea_core = pz_core = amodel.e_mat.bands
         wells = asys.wells_free
         fa = asys.rhs_wells + banded.matvec(asys.mat, wells)
-        base[0, 0, 1:-1] = np.diff(asys.lift)
-        base[0, 0, [0, -1]] = asys.lift[[0, -1]] * [1.0, -1.0]
+        lift = asys.lift
+        base[0, 0, [0, -1]] = lift[[0, -1]] * [1.0, -1.0]
         goal_frame = np.zeros(len(wells))
         ymy_tail = ymy_far
-    # the bond differences of b - a, added to z_y apart from u so that no u
-    # below one ulp of a0 is lost: a0 across the defect bond, whose wells are
-    # 2 a0 apart
-    base[0, 0, m_core] += a0
+    base[0, 0, 1:-1] = model.load_bonds(core, lift)
     goal_frame[[m_core - 1 - lo, m_core - lo]] = -1.0, 1.0
     # the exterior coordinates of b, fa and the goal
     wells = np.concatenate([wells, [0.0, 1.0, 0.0, 1.0]])
@@ -480,30 +521,37 @@ def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
     core.
 
     Each blended matrix is factored and solved once, on the core, for its
-    primal and dual loads together.  The reference is never solved here:
-    production estimates only ever solve the blended model.
+    primal and dual loads together.  The blended bond matrices E_ac come
+    from the partitions' flags on the core, and everything else from the
+    reference: M_ac is D^T E_ac D + k0 on the free atoms less the fold, and
+    the primal load -J^T D^T E_ac applied to ``ref.base``, nonzero only at
+    the defect's four atoms (and the clamps of a chain that is its own
+    window).  The reference is never solved here: production estimates
+    only ever solve the blended model.
     """
-    acmodel = model.assemble(ref.core, parts)
-    acsys = model.reduce_system(ref.core, acmodel)
-    nbc = acmodel.e_mat.n
+    core = ref.core
+    eac = model._nn_bond_bands(core, model._flags(core, parts).astype(float))
+    nbc = eac.n
     ediff = np.empty((len(parts),) + ref.ediff_rim.shape)
     ediff[...] = ref.ediff_rim
-    np.subtract(ref.ea_core, acmodel.e_mat.bands, out=ediff[..., 1:-1])
+    np.subtract(ref.ea_core, eac.bands, out=ediff[..., 1:-1])
     differs = ediff.any(axis=(-2, -1))
-    diag = acsys.mat.bands[..., 0, :]
+    mac = model.stiffness_bands(core, eac)
+    diag = mac.bands[..., 0, :]
     diag[..., 0] -= ref.fold
     diag[..., -1] -= ref.fold
-    nf = len(acsys.free_index)
+    nf = mac.n
 
     # row 0 the primal load and solution, row 1 the dual (goal) ones
     loads = np.empty((len(parts), 2, nf))
-    loads[:, 0] = acsys.rhs_wells
+    loads[:, 0] = model.dt_apply(banded.matvec(eac, ref.base[0, 0, 1:-1]))[..., 2:-2]
+    np.negative(loads[:, 0], out=loads[:, 0])
     lo = 2 - ref.off + ref.frame.start
     loads[:, 1] = ref.goal_frame[2 - lo : 2 - lo + nf]
     # the core's atoms and one more each side, where the continuum exterior
     # has decayed from the edge atoms (3 and nf + 2)
     ug = np.empty((2, len(parts), nf + 6))
-    ug[..., 3:-3] = banded.solve_each(acsys.mat, loads).transpose(1, 0, 2)
+    ug[..., 3:-3] = banded.solve_each(mac, loads).transpose(1, 0, 2)
     np.multiply(ug[..., 3:4], ref.edge3[::-1], out=ug[..., :3])
     np.multiply(ug[..., -4:-3], ref.edge3, out=ug[..., -3:])
     edges = ug[..., 3 : nf + 3 : nf - 1]
@@ -541,7 +589,7 @@ def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
     ez_c[..., :nbc] = ez[..., 1:-1]
     ez_c[..., nbc:] = edges
     rhs = ez[..., 1:-1].copy()
-    rhs[..., :: nbc - 1] -= edges * ref.rim[1]
+    rhs[..., :: nbc - 1] -= edges * ref.rim[3]
     sol = banded.solve(ref.pz_factor, rhs.reshape(-1, nbc).T)
     pz[..., :nbc] = sol.T.reshape(rhs.shape)
     ends = pz[..., : nbc : nbc - 1]
@@ -667,21 +715,126 @@ def eta_upp(pair: DualPair, sigma, sign) -> Array:
     return banded.norm(BandedSpdMatrix(pair.ref.ea_core), pz, ez)
 
 
-def _indicators(pair: DualPair, row: int, gamma: float) -> tuple[Array, Array]:
-    """The eta2 split of one row over the window: per free atom |g R(y)|,
-    per bond the gamma-weighted halves |P z_y . ez_y| and |P z_g . ez_g|
-    (see ``estimate_stack``)."""
-    rows = slice(row, row + 1)
-    g, r, pzy, ezy, pzg, ezg = (
-        on_window(pair, name, rows)[0]
-        for name in ("g_free", "residual_primal", "pz_y", "ez_y", "pz_g", "ez_g")
-    )
-    el = np.abs(pzy * ezy)
-    el *= 0.5 * gamma
-    el_g = np.abs(pzg * ezg)
-    el_g *= 0.5 / gamma
-    el += el_g
-    return np.abs(g * r), el
+def _split(g: Array, r: Array, pz: Array, ez: Array, gamma: float) -> tuple[Array, Array]:
+    """The eta2 split: per atom |g R(y)|, per bond the gamma-weighted halves
+    |P z_y . ez_y| and |P z_g . ez_g| (see ``estimate_stack``), with the
+    primal's and the dual's P z and ez in the two rows of ``pz`` and ``ez``."""
+    el = np.abs(pz * ez)
+    el[0] *= 0.5 * gamma
+    el[1] *= 0.5 / gamma
+    return np.abs(g * r), el[0] + el[1]
+
+
+def _total(at: Array, el: Array) -> Array:
+    """Per-atom indicator: own at-term plus half of each adjacent bond, given
+    the bonds of the atoms in order (one more than the atoms)."""
+    return at + 0.5 * (el[:-1] + el[1:])
+
+
+def _log(x: float) -> float:
+    """log |x|, -inf at 0."""
+    return math.log(abs(x)) if x else -math.inf
+
+
+# at a threshold this small the totals near it may be subnormal, whose
+# rounding the slack of ``_reach`` does not cover: the whole exterior is
+# evaluated
+_TAU_FLOOR = 1e-290
+_LOG2 = math.log(2.0)
+
+
+def _reach(ref: Reference, e: list[float], pz_end: list[float], gamma: float, tau: float) -> int:
+    """How many exterior atoms of one side (nearest first) may reach ``tau``,
+    given the side's edge values ``e`` of u and g and end values ``pz_end``
+    of P z_y and P z_g.
+
+    Per unit edge value bond j >= 0 past the core has |rho| = |rho_1| mu^j,
+    |pi| <= |pi_1| s^j and |h| = |h_1| |lam|^j <= |h_1| s^j, s = max(mu,
+    |lam|), where rho_1, pi_1 and h_1 are those of bond 0 (``ref.rim``).
+    So bond j's term is at most E r^j, r = mu s < 1, with E from the edge
+    and end values, and the at-term |g R| of atom k >= 1 is A mu^(2k - 2)
+    <= A r^(k - 1), A = |e_u e_g| q^2 |c| mu^4.  The total of atom k is at
+    most (A + E) r^(k - 1): geometric, though h and pi alternate in sign.
+    Every atom where the bound falls below a quarter of ``tau`` (the slack
+    covers rounding) is short of it, and so is every one past it.  The
+    bound is taken in logarithms, so no product under- or overflows.
+    """
+    n_ext = ref.frame.start
+    if not n_ext or not tau > _TAU_FLOOR:  # no exterior, or tau 0 or NaN
+        return n_ext if tau <= _TAU_FLOOR else 0
+    rho, pi, h, log_a, log_r = ref.bound_logs
+    (eu, eg), (py, pg) = map(_log, e), map(_log, pz_end)
+    log_y = math.log(gamma) + eu + rho + max(eu + pi, py + h)
+    log_g = -math.log(gamma) + eg + rho + max(eg + pi, pg + h)
+    # A + E <= 2 max(A, E), and E is at most twice the larger of its halves
+    bound = _LOG2 + max(eu + eg + log_a, _LOG2 + max(log_y, log_g))
+    x = (bound - math.log(tau) + 2.0 * _LOG2) / -log_r if log_r < 0.0 else math.inf
+    if not x >= 0.0:
+        return 0
+    return n_ext if x >= n_ext - 1 else 1 + int(x)
+
+
+class _Indicators(NamedTuple):
+    """The eta2 split of one row of a pair, one formula (``_split`` and
+    ``_total``) on two sets of arrays: over the window when called, and on
+    the core by ``marked``."""
+
+    pair: DualPair
+    row: int
+    gamma: float
+
+    def __call__(self) -> tuple[Array, Array]:
+        """The split over the window: per free atom and per bond."""
+        pair, rows = self.pair, slice(self.row, self.row + 1)
+        g, r, pzy, ezy, pzg, ezg = (
+            on_window(pair, name, rows)[0]
+            for name in ("g_free", "residual_primal", "pz_y", "ez_y", "pz_g", "ez_g")
+        )
+        return _split(g, r, np.array([pzy, pzg]), np.array([ezy, ezg]), self.gamma)
+
+    def marked(self, tau: float) -> Array:
+        """The window's free atoms whose total reaches ``tau``, with the bits
+        of the totals over the window, found on the core.
+
+        The frame's atoms take their bonds from the core's and, at each
+        end, the exterior bond next to it.  Past the frame every total is
+        bounded in closed form per side (``_reach``), and only the atoms
+        whose bound reaches ``tau`` are evaluated.
+        """
+        pair, i, gamma, ref = self.pair, self.row, self.gamma, self.pair.ref
+        nc, nbc = pair.g_free.shape[-1] - 4, pair.pz_y.shape[-1] - 2
+        # (primal, dual) by (left, right): the edge values of u and g, and the
+        # end values of P z
+        edges = np.array([pair.u_free[i, -4::2], pair.g_free[i, -4::2]])
+        pz = np.array([pair.pz_y[i], pair.pz_g[i]])
+        ez = np.array([pair.ez_y[i], pair.ez_g[i]])
+        ends = pz[:, : nbc : nbc - 1]
+        # P z and ez on the exterior bond next to each end of the core, in
+        # place of the exterior coordinates
+        rho, pi, h = ref.rim[:3]
+        pz[:, nbc:] = edges * pi - ends * h
+        ez[:, nbc:] = edges * rho
+        at, el = _split(pair.g_free[i, :nc], pair.residual_primal[i, :nc], pz, ez, gamma)
+        # the bonds of the frame's atoms in order, out of the exterior bond
+        # left of the core, the core's and the one right of it: a frame that
+        # holds lo atoms a side fewer than the core starts lo bonds in
+        lo = 2 - ref.off + ref.frame.start
+        el = np.concatenate((el[nbc : nbc + 1], el[:nbc], el[nbc + 1 :]))[lo : lo + nc + 1]
+        first = 3 - ref.window.m + ref.frame.start
+        out = [np.flatnonzero(_total(at, el) >= tau) + first]
+        e, pz_end = edges.T.tolist(), ends.T.tolist()
+        for side in (0, 1):
+            k = _reach(ref, e[side], pz_end[side], gamma, tau)
+            if not k:
+                continue
+            atoms, prof = _profiles(ref, k + 2)
+            prof = prof[:, : k + 1] * (_MIRROR if side == 0 else 1.0)
+            es, end = edges[:, side, None], ends[:, side, None]
+            g, r = es[1] * atoms[0], es[0] * atoms[1]
+            at, el = _split(g, r, es * prof[1] - end * prof[2], es * prof[0], gamma)
+            far = np.flatnonzero(_total(at, el) >= tau) + 1  # distances from the frame
+            out.insert(2 * side, far + (first + nc - 1) if side else (first - far)[::-1])
+        return np.concatenate(out) if len(out) > 1 else out[0]
 
 
 @dataclass(frozen=True)
@@ -696,7 +849,9 @@ class EstimatorReport:
     ``m_window`` that of the window it is reported on: ``eta2_at`` is
     indexed by free atom of the window (``free_ids``, -m_window+3 ..
     m_window-2) and ``eta2_el`` by bond (-m_window+1 .. m_window-1).  Both
-    are formed on first read, by ``indicators``.
+    are formed on first read, by ``indicators``, which also marks the atoms
+    whose ``eta2_total`` reaches a threshold without forming them
+    (``adaptivity.mark_atoms``).
     """
 
     m: int
@@ -713,7 +868,7 @@ class EstimatorReport:
     bound_high: float
     eta2_weighted: float | None
     flags: tuple[str, ...]
-    indicators: Callable[[], tuple[Array, Array]] = field(repr=False, compare=False)
+    indicators: _Indicators = field(repr=False, compare=False)
 
     @functools.cached_property
     def _eta2_split(self) -> tuple[Array, Array]:
@@ -735,8 +890,7 @@ class EstimatorReport:
 
     def eta2_total(self) -> Array:
         """Per-free-atom indicator: own at-term plus half of each adjacent bond."""
-        el = self.eta2_el
-        return self.eta2_at + 0.5 * (el[1:-2] + el[2:-1])
+        return _total(self.eta2_at, self.eta2_el[1:-1])
 
     def as_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)[:-1]}
@@ -831,7 +985,7 @@ def estimate_stack(pair: DualPair, use_gamma: bool = False) -> list[EstimatorRep
                 bound_high=bound_high,
                 eta2_weighted=weighted,
                 flags=tuple(flags),
-                indicators=functools.partial(_indicators, pair, i, gammas[i]),
+                indicators=_Indicators(pair, i, gammas[i]),
             )
         )
     return reports

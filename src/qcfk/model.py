@@ -35,11 +35,14 @@ both half-sizes of a partition.
 ``assemble`` and ``reduce_system`` also take a sequence of partitions of
 one chain: every blended band matrix and load then carries a leading axis
 with one row per partition, and what the partitions share (ids, wells,
-clamps) stays one array.
+clamps) stays one array.  The estimators' blended solves take the same
+pieces without a model: the bond matrix of the flags, ``stiffness_bands``
+and the loads of ``load_bonds``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -123,6 +126,17 @@ class ChainParams:
         """Cauchy-Born NN density equivalent to the NN+NNN pair."""
         return self.k1 + 4.0 * self.k2
 
+    @functools.cached_property
+    def _decay_width(self) -> int:
+        """``w`` of ``sizes``, or ``m`` for a chain that is its own window:
+        the chain's alone, so formed once."""
+        m, tol = self.m, _BC_ULPS * math.ulp(self.m * self.a0)
+        if any(abs(b - d) > tol for b, d in zip(self.bc, _default_bc(m, self.a0))):
+            return m
+        # a decay too slow for a float to resolve reaches past any chain
+        phi = _decay_exponent(self)
+        return math.ceil(math.log(1.0 / WINDOW_EPS) / phi) if phi > 0.0 else m
+
     @property
     def n_atoms(self) -> int:
         return 2 * self.m
@@ -178,7 +192,7 @@ def _flags(params: ChainParams, part: Partition | Sequence[Partition]) -> Array:
         ids = p.atomistic
         if ids.size and (ids[0] < -m + 1 or ids[-1] > m):
             raise ValueError(f"partition reaches past the chain of half-size {m}")
-        row[ids + m - 1] = True
+        row[ids + (m - 1)] = True
     return da[0] if isinstance(part, Partition) else da
 
 
@@ -225,18 +239,25 @@ def sizes(
     own window, or no longer than its core, is solved whole.
     """
     parts = [part] if isinstance(part, Partition) else part
-    m, tol = params.m, _BC_ULPS * math.ulp(params.m * params.a0)
-    whole = any(abs(b - d) > tol for b, d in zip(params.bc, _default_bc(m, params.a0)))
-    # a decay too slow for a float to resolve reaches past any chain
-    phi = _decay_exponent(params)
-    w = math.ceil(math.log(1.0 / WINDOW_EPS) / phi) if phi > 0.0 else m
+    m, w = params.m, params._decay_width
     out = []
     for p in parts:
         span = int(max(-p.atomistic[0], p.atomistic[-1])) if p.atomistic.size else 0
         pad = 1 << max(6, (span - 1).bit_length())
-        windowed = not whole and w + pad < m
-        out.append((w + pad, pad + min(w, _CORE_MARGIN)) if windowed else (m, m))
+        out.append((w + pad, pad + min(w, _CORE_MARGIN)) if w + pad < m else (m, m))
     return out[0] if isinstance(part, Partition) else out
+
+
+def _resized(params: ChainParams, m: int) -> ChainParams:
+    """The chain ``params`` at half-size ``m`` (at least 3) with its clamps
+    at the wells: the window or core of a chain (see ``sizes``).  Springs
+    and spacing are valid already, so they are not checked again."""
+    out = object.__new__(ChainParams)
+    vars(out).update(
+        m=m, k0=params.k0, k1=params.k1, k2=params.k2, a0=params.a0,
+        bc=_default_bc(m, params.a0),
+    )
+    return out
 
 
 def interval_partition(params: ChainParams, k: int) -> Partition:
@@ -297,9 +318,9 @@ def _nn_bond_bands(params: ChainParams, da: Array) -> BandedSpdMatrix:
         da[..., :-1] + da[..., 1:]
     )
     pair = da[..., 0 : nb - 1] + da[..., 2 : nb + 1]  # NNN pair over bonds (p, p+1)
-    diag[..., 1:] += 0.5 * k2 * pair
-    diag[..., :-1] += 0.5 * k2 * pair
-    bands[..., 1, : nb - 1] = 0.5 * k2 * pair
+    np.multiply(pair, 0.5 * k2, out=bands[..., 1, : nb - 1])
+    diag[..., 1:] += bands[..., 1, : nb - 1]
+    diag[..., :-1] += bands[..., 1, : nb - 1]
     return BandedSpdMatrix(bands)
 
 
@@ -319,11 +340,13 @@ def assemble(
     )
 
 
-def stiffness_bands(params: ChainParams, model: QuadraticModel) -> BandedSpdMatrix:
-    """Full Hessian D^T E D + k0 I as a pentadiagonal band matrix."""
-    n = model.n_points
-    ed = model.e_mat.bands[..., 0, :]
-    eo = model.e_mat.bands[..., 1, : n - 2]
+def stiffness_bands(params: ChainParams, e_mat: BandedSpdMatrix) -> BandedSpdMatrix:
+    """Hessian D^T E D + k0 I of the bond matrix ``e_mat`` (a stack of them
+    gives a stack) on the free atoms, the two clamped ones at each end
+    dropped, as a pentadiagonal band matrix."""
+    ed = e_mat.bands[..., 0, :]
+    n = ed.shape[-1] + 1
+    eo = e_mat.bands[..., 1, : n - 2]
 
     bands = banded.zeros_like_band(n, 2, ed.shape[:-1])
     diag = bands[..., 0, :]
@@ -338,7 +361,22 @@ def stiffness_bands(params: ChainParams, model: QuadraticModel) -> BandedSpdMatr
     off2 -= eo
 
     diag += params.k0
+    # the free atoms' rows: their couplings to the clamped atoms at the right
+    # end become unused band slots
+    bands = bands[..., 2:-2]
+    bands[..., 1, -1] = 0.0
+    bands[..., 2, -2:] = 0.0
     return BandedSpdMatrix(bands)
+
+
+def load_bonds(params: ChainParams, lift: Array) -> Array:
+    """The bond differences of lift + b - a: those of the clamps' offsets
+    ``lift`` from their wells, plus a0 across the defect bond, whose wells
+    are 2 a0 apart.  Exact, where differencing the positions would round on
+    every bond of a spacing that is not a power of two."""
+    w = d_apply(lift)
+    w[params.m - 1] += params.a0
+    return w
 
 
 @dataclass(frozen=True)
@@ -365,23 +403,15 @@ def reduce_system(params: ChainParams, model: QuadraticModel) -> LinearSystem:
     n = model.n_points
     if n < 6:
         raise ValueError("need at least 6 points to have free unknowns")
-    full = stiffness_bands(params, model).bands
-    bands = banded.zeros_like_band(n - 4, 2, full.shape[:-2])
-    bands[..., 0, :] = full[..., 0, 2:-2]
-    bands[..., 1, : n - 5] = full[..., 1, 2 : n - 3]
-    bands[..., 2, : n - 6] = full[..., 2, 2 : n - 4]
-    mat = BandedSpdMatrix(bands)
-
     clamped = [0, 1, -2, -1]
     lift = np.zeros(n)
     lift[clamped] = np.subtract(params.bc, model.b_eq[clamped])
     # -J^T D^T E D (lift + b - a): the load of y = u + b on u (the misfit
     # k0 lift lives on the clamped atoms only)
-    w = d_apply(lift + model.b_eq - model.a_eq)
-    f_full = -dt_apply(banded.matvec(model.e_mat, w))
+    f_full = -dt_apply(banded.matvec(model.e_mat, load_bonds(params, lift)))
 
     return LinearSystem(
-        mat=mat,
+        mat=stiffness_bands(params, model.e_mat),
         rhs_wells=f_full[..., 2:-2],
         wells_free=model.b_eq[2:-2],
         lift=lift,

@@ -2,13 +2,14 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcfk import estimators
+from qcfk import adaptivity, estimators
 from qcfk.adaptivity import (
     AdaptConfig,
     AdaptTrace,
@@ -17,7 +18,7 @@ from qcfk.adaptivity import (
     mark_atoms,
     run_adaptive,
 )
-from qcfk.model import ChainParams
+from qcfk.model import ChainParams, interval_partition, make_partition, sizes
 
 from oracle_exact import EXACT, EXACT_ETA1_M100
 
@@ -255,3 +256,82 @@ def test_adaptive_regions_are_nested(case):
         assert np.all(np.isin(previous, region)), i
         previous = region
     assert np.array_equal(previous, full.final_atomistic)
+
+
+def _window_marks(report, tau):
+    """The marking rule as the window states it."""
+    return report.free_ids()[report.eta2_total() >= tau]
+
+
+# chains whose window adds 1 and 2 free atoms past the core at each end: the
+# substrate is so stiff that the decay width w is 8 and 9
+ONE_PAST_CORE = ChainParams(m=300, k0=2e5, k1=1.0, k2=1e-6)
+TWO_PAST_CORE = ChainParams(m=300, k0=5e4, k1=1.0, k2=1e-6)
+
+
+def test_pinned_exteriors_have_one_and_two_atoms():
+    for params, n_ext in ((ONE_PAST_CORE, 1), (TWO_PAST_CORE, 2)):
+        m_window, m_core = sizes(params, interval_partition(params, 2))
+        assert m_window - m_core - 2 == n_ext
+
+
+@st.composite
+def _marking_cases(draw):
+    """The estimator property test's springs with k0 down to 1e-3, on short
+    chains (their own window) and long ones, an interval or scattered region
+    near the defect, a threshold and the bond split."""
+    m = draw(st.integers(3, 80) | st.integers(81, 10**6))
+    params = ChainParams(
+        m=m,
+        k0=10 ** draw(st.floats(-3.0, math.log10(3.0))),
+        k1=draw(st.floats(0.5, 5.0)),
+        k2=draw(st.floats(0.0, 4.0)),
+    )
+    reach = min(m - 2, 60)
+    if draw(st.booleans()):
+        part = interval_partition(params, draw(st.integers(0, reach)))
+    else:
+        ids = draw(st.lists(st.integers(-reach + 1, reach), max_size=30))
+        part = make_partition(params, atomistic=ids)
+    return params, part, 10 ** draw(st.floats(-18.0, -6.0)), draw(st.booleans())
+
+
+def _pin(params, k, tau, use_gamma):
+    return (params, interval_partition(params, k), tau, use_gamma)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_marking_cases())
+# regions whose marks reach past the core, plain and balanced split
+@example(_pin(ChainParams(m=1000, k0=0.0786, k1=1.91, k2=1.27), 51, 1e-17, False))
+@example(_pin(ChainParams(m=100_000, k0=0.00428, k1=4.86, k2=0.79), 19, 1e-18, True))
+# exteriors of one and two atoms, bounded and (at tau 0) all marked
+@example(_pin(ONE_PAST_CORE, 2, 1e-18, False))
+@example(_pin(TWO_PAST_CORE, 2, 1e-18, True))
+@example(_pin(ONE_PAST_CORE, 2, 0.0, False))
+@example(_pin(TWO_PAST_CORE, 2, 0.0, True))
+# a chain that is its own window
+@example(_pin(ChainParams(m=40), 4, 1e-12, False))
+def test_core_marks_equal_window_marks(case):
+    # marking on the core, the exterior bounded in closed form, gives the
+    # window's marked set bit for bit
+    params, part, tau, use_gamma = case
+    report = estimators.estimate(estimators.solve_dual_pair(params, part), use_gamma)
+    marked, expect = mark_atoms(report, tau), _window_marks(report, tau)
+    assert marked.dtype == expect.dtype
+    assert np.array_equal(marked, expect)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(_marking_cases())
+@example(_pin(ChainParams(m=1000, k0=0.0786, k1=1.91, k2=1.27), 0, 1e-16, False))
+@example(_pin(ChainParams(m=100_000, k0=0.00428, k1=4.86, k2=0.79), 0, 1e-17, True))
+def test_adaptive_traces_do_not_depend_on_where_marking_runs(case):
+    params, _, tau, use_gamma = case
+    config = AdaptConfig(tau_gl=tau, max_iterations=6, use_gamma=use_gamma)
+    trace = run_adaptive(params, config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adaptivity, "mark_atoms", _window_marks)
+        window = run_adaptive(params, config)
+    assert (trace.status, trace.records) == (window.status, window.records)
+    assert np.array_equal(trace.final_atomistic, window.final_atomistic)

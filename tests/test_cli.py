@@ -127,6 +127,40 @@ def test_rejected_argv(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, ks",
+    [
+        (["table2", "--m", "20"], [k for k in TABLE2_K if k <= 18]),
+        (["sweep-k", "--m", "30"], [k for k in TABLE2_K if k <= 28]),
+        (["profile", "--m", "15"], [13]),
+        (["table3", "--m", "6"], [0, 1, 2, 3, 4]),
+        (["table3", "--m", "52"], list(range(51))),
+        (["profile", "--m", "22"], [20]),
+    ],
+)
+def test_default_k_lists_fit_the_chain(argv, ks):
+    # a default list keeps K <= M - 2, and every mode then runs
+    spec = parse_run_spec(argv)
+    assert list(spec.k) == ks
+    assert run(spec)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table2", "--m", "20", "--k", "0,19"],
+        ["sweep-k", "--m", "30", "--k", "29"],
+        ["profile", "--m", "15", "--k", "14"],
+        ["table3", "--m", "6", "--k", "0,5"],
+    ],
+)
+def test_explicit_k_past_the_chain_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_run_spec(argv)
+    assert exc.value.code == 2
+    assert "exceeds the largest region" in capsys.readouterr().err
+
+
 def test_parser_is_built_once(capsys):
     # a rejected argv between two good parses still exits with its message,
     # and leaves the shared parser as it was

@@ -114,6 +114,22 @@ def test_chains_past_a_float_take_the_limit_of_the_lower_terms():
         assert [r.k for r in trace.records] == [0, 28, 32]
 
 
+def test_estimates_scale_with_the_spacing():
+    # every displacement, and so Q(e), eta1, eta2 and both bounds, is linear
+    # in a0: the loads take the defect bond's a0 exactly, where differencing
+    # the wells would round on every bond
+    p = ChainParams(m=100_000)
+    for k in (30, 50, 60):
+        ref = fixed_k_run(p, k)
+        for a0 in (0.1, 0.3, 1e-3, 7.7):
+            run = fixed_k_run(ChainParams(m=p.m, a0=a0), k)
+            pairs = [(run.q_error, ref.q_error)]
+            for name in ("eta1", "eta2", "bound_low", "bound_high"):
+                pairs.append((getattr(run.report, name), getattr(ref.report, name)))
+            for value, unit in pairs:
+                assert abs(value - a0 * unit) <= 1e-13 * abs(a0 * unit), (k, a0)
+
+
 # ---------------------------------------------------------------------------
 # structural identities on small chains
 
@@ -872,7 +888,8 @@ def test_dual_form_matches_window_solve(case):
 def test_an_exact_sweep_stays_on_the_core(monkeypatch):
     # a table2 sweep takes Q(e) from the dual in closed form, and builds
     # neither the window's atomistic system nor its exterior profiles; the
-    # adaptive loop never builds the dual
+    # adaptive loop never builds the dual nor the profiles, assembles no
+    # model and extends no field over the window: it marks on the core
     built = []
 
     def spy(*key):
@@ -890,8 +907,14 @@ def test_an_exact_sweep_stays_on_the_core(monkeypatch):
     assert not {"_atomistic", "ma_factor", "tails"} & set(vars(ref))
     built.clear()
     estimators._REFERENCES.clear()
-    assert run_adaptive(p, AdaptConfig(tau_gl=1e-10)).status == "converged"
-    assert built and all("dual" not in vars(ref) for ref in built)
+    called = []
+    spied = ((estimators, "on_window"), (model, "assemble"), (model, "reduce_system"))
+    for module, name in spied:
+        monkeypatch.setattr(module, name, lambda *a, name=name, **k: called.append(name))
+    trace = run_adaptive(p, AdaptConfig(tau_gl=1e-10))
+    assert trace.status == "converged" and len(trace.records) > 1
+    assert built and all(not {"dual", "tails"} & set(vars(ref)) for ref in built)
+    assert not called
 
 
 def test_a_solved_stack_holds_no_window_length_array():

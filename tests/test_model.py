@@ -335,10 +335,12 @@ def test_blended_bond_matrix_pure_continuum():
     model = assemble(p, interval_partition(p, 0))
     dense = to_dense(model.e_mat)
     assert np.allclose(dense, np.eye(2 * p.m - 1) * p.k12)
-    # the Hessian adds the misfit k0 on every atom's diagonal
+    # the Hessian adds the misfit k0 on every atom's diagonal; it is kept
+    # on the free atoms
     d = np.diff(np.eye(2 * p.m), axis=0)
-    hess = to_dense(stiffness_bands(p, model))
-    assert np.allclose(hess, d.T @ dense @ d + p.k0 * np.eye(2 * p.m))
+    hess = to_dense(stiffness_bands(p, model.e_mat))
+    full = d.T @ dense @ d + p.k0 * np.eye(2 * p.m)
+    assert np.allclose(hess, full[2:-2, 2:-2])
 
 
 def test_stacked_assembly_equals_one_by_one():
@@ -496,18 +498,18 @@ def test_stiffness_matches_quadratic_form():
         part = random_partition(rng, p)
         flavor = ("atomistic", "ac")[rng.integers(0, 2)]
         model = assemble(p, flavor_partition(p, part, flavor))
-        full = stiffness_bands(p, model)
+        free = stiffness_bands(p, model.e_mat)
         v = rng.normal(size=model.n_points)
-        # H pins the clamped end atoms with k0 where a continuum end has k0/2
-        # in the energy; no solve sees them, so v leaves them at their wells
-        v[[0, -1]] = 0.0
+        # H is kept on the free atoms, so v leaves the clamped ones at their
+        # wells
+        v[[0, 1, -2, -1]] = 0.0
         # 1/2 v' H v equals the energy of the shifted configuration minus
         # linear and constant parts; check against energy differences
         e0 = energy_matrix(p, part, flavor, model.b_eq)
         e1 = energy_matrix(p, part, flavor, model.b_eq + v)
         grad_term = np.dot(v, _grad_at_b(model))
         assert np.isclose(
-            e1 - e0 - grad_term, 0.5 * quad_form(full, v), rtol=1e-9
+            e1 - e0 - grad_term, 0.5 * quad_form(free, v[2:-2]), rtol=1e-9
         )
 
 
