@@ -261,15 +261,16 @@ def _profiles(ref: Reference, n: int) -> tuple[Array, Array]:
     mu_d = mu ** np.arange(1.0, n + 1)  # mu^(d-1) for the bonds d >= 2
     lam_d = abs(ref.lam) ** np.arange(1.0, n + 1)
     lam_d[::2] *= -1.0  # lam <= 0
-    bonds = np.array(_bond_profiles(ref.params, mu, q, c, mu_d, lam_d))
+    pc = _particular(ref.params, mu, q * c)
+    bonds = np.array(_bond_profiles(pc, q, c, mu_d, lam_d))
     atoms = np.array([mu_d[2:], q * q * c * mu_d[: max(0, n - 2)]])
     return atoms, bonds
 
 
-def _bond_profiles(params: ChainParams, mu: float, q: float, c: float, mu_d, lam_d):
+def _bond_profiles(pc: float, q: float, c: float, mu_d, lam_d):
     """rho, pi and h per unit edge value on the right exterior's bonds d >= 2
-    where mu^(d-1) and lam^(d-1) are ``mu_d`` and ``lam_d``."""
-    pc = _particular(params, mu, q * c)
+    where mu^(d-1) and lam^(d-1) are ``mu_d`` and ``lam_d``, pc being
+    ``_particular``'s."""
     return mu_d * (-q * c), pc * (mu_d - lam_d), -lam_d
 
 
@@ -457,7 +458,7 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         ext_fa[::2] = -k0 * db, k0 * db
         # the first exterior bond's profiles, as ``_profiles`` forms them
         # (mu^1 is mu), and the load P z there puts on the core's end row
-        rho, pi, h = _bond_profiles(params, mu, q, c, mu, lam)
+        rho, pi, h = _bond_profiles(pc, q, c, mu, lam)
         psi = k2 * pc * (mu - lam)
         rim[:] = [[-rho, rho], [-pi, pi], [h, h], [-psi, psi]]
         edge3[:] = mu ** np.arange(1.0, 4.0)
