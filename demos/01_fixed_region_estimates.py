@@ -29,7 +29,6 @@ from qcfk import (
     estimate,
     exact_goal_error,
     interval_partition,
-    on_window,
     solve_dual_pair,
 )
 
@@ -52,8 +51,11 @@ def main() -> None:
     # The blended primal/dual solve and the dislocation it produces
     # ------------------------------------------------------------------
     pair = solve_dual_pair(params, part)
-    y = on_window(pair, "u_free")[0] + pair.ref.system.wells_free
-    ids = pair.ref.system.free_index
+    # the solve's arrays hold the window's free atoms ``ref.frame`` (the
+    # defect's neighbourhood among them), then a few exterior coordinates
+    ref = pair.ref
+    y = pair.u_free[0, :-4] + ref.wells[:-4]
+    ids = np.arange(-ref.window.m + 3, ref.window.m - 1)[ref.frame]
     near = (ids >= -2) & (ids <= 3)
     print("\npositions around the defect (antisymmetric, bond (0,1) stretched):")
     for i, yi in zip(ids[near], y[near]):

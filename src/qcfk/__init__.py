@@ -25,7 +25,6 @@ from .estimators import (
     estimate_stack,
     exact_goal_error,
     exact_goal_errors,
-    on_window,
     solve_dual_pair,
     solve_stacks,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "interval_partition",
     "make_partition",
     "mark_atoms",
-    "on_window",
     "reduce_system",
     "run_adaptive",
     "solve_dual_pair",

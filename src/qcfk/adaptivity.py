@@ -118,6 +118,14 @@ def _interval_k(atoms: Array) -> int | None:
     return None
 
 
+def _threshold(config: AdaptConfig, it: int) -> float:
+    """tau_gl / tau_div^it, 0.0 once the power overflows."""
+    try:
+        return config.tau_gl / config.tau_div**it
+    except OverflowError:
+        return 0.0
+
+
 def run_adaptive(params: ChainParams, config: AdaptConfig) -> AdaptTrace:
     """Grow the atomistic region until eta1 drops below tau_gl.
 
@@ -133,14 +141,13 @@ def run_adaptive(params: ChainParams, config: AdaptConfig) -> AdaptTrace:
         part = Partition(atomistic=atoms)
         pair = solve_dual_pair(params, part)
         report = estimate(pair, use_gamma=config.use_gamma)
-        tau_shown = config.tau_gl / config.tau_div ** (it - 1)
         records.append(
             IterationRecord(
                 iteration=it,
                 k=_interval_k(atoms),
                 n_atomistic=int(atoms.size),
                 m_window=report.m_window,
-                tau_at=tau_shown,
+                tau_at=_threshold(config, it - 1),
                 eta1=report.eta1,
                 eta2=report.eta2,
             )
@@ -148,7 +155,7 @@ def run_adaptive(params: ChainParams, config: AdaptConfig) -> AdaptTrace:
         if report.eta1 <= config.tau_gl:
             status = "converged"
             break
-        marked = mark_atoms(report, config.tau_gl / config.tau_div**it)
+        marked = mark_atoms(report, _threshold(config, it))
         grown = np.union1d(atoms, marked)
         if config.symmetrize and grown.size:
             k = int(np.max(np.maximum(grown, 1 - grown)))

@@ -47,18 +47,18 @@ profiles are geometric, so their dot products are closed forms, which the
 ``Reference`` holds per unit edge value; each array of a ``DualPair``
 carries a few exterior coordinates after its core entries, and every
 product over the window is one dot product over the core.  The blended
-systems come straight from the reference and the partitions' flags, with
-no model assembled.  No step per region touches a window-length array,
+systems come straight from the reference and the partitions' flags, and
+so does the reference of a chain that is its own core, all atoms flagged:
+no model is assembled.  No step per region touches a window-length array,
 and the reference itself is built from closed forms.  So is the exact
 goal error Q(e): it is the atomistic dual solution g_a, closed form too,
-times the primal residual, over the core.  Marking runs on the core as
-well: the eta2 totals of the frame's atoms take one exterior bond a side
-in closed form, and past the frame a geometric bound per side says which
-atoms could reach the threshold, so only those are evaluated.  The window
-stays the frame outputs are reported on, and the check: ``on_window``
-extends a field over it, which the eta2 indicators do when read (the
-fixed-k report, the profile), and so does the residual that the error e
-itself solves with, on the window's atomistic system.
+times the primal residual, over the core.  The eta2 split has one form:
+the frame's atoms and the core's bonds, with the exterior bond next to
+each end, and per side the exterior's atoms and bonds in closed form.
+Marking takes the frame's and, past it, only the exterior atoms whose
+geometric bound reaches the threshold; a report lists the whole window's
+when read (the fixed-k report, the profile).  The window stays the frame
+outputs are reported on, and the error e solves M_a on it.
 Every vector here decays away from the defect and the
 atomistic region, with one exception: y . M_a y grows like M^3 through the
 wells b.  The part u does not touch is summed in closed form, in exact
@@ -66,7 +66,7 @@ integers, so the estimates are those of the whole chain; past a float it
 is inf, and the lower terms take their limit b^2/f.
 
 Many partitions of one chain are solved as stacks: ``solve_stacks`` groups
-them by window, and each group is assembled, solved and estimated in one
+them by window, and each group is built, solved and estimated in one
 pass whose arrays carry a leading row per partition (``estimate_stack``,
 ``exact_goal_errors``).  One region is the stack of one, so a region gives
 the same bits alone or in a stack.
@@ -86,7 +86,7 @@ import numpy as np
 
 from . import banded, model
 from .banded import Array, BandedFactor, BandedSpdMatrix, rowdot
-from .model import ChainParams, LinearSystem, Partition, QuadraticModel
+from .model import ChainParams, Partition
 
 # dimensionless cutoff deciding when sigma's optimum is degenerate
 _DEGENERATE_REL = 1e-14
@@ -132,11 +132,11 @@ class Reference:
     value, ``ext_pz`` pi . rho and h . rho, with rho = (E_a - E_ac) z and
     P z = e pi - c h for an edge value e and a core end value c of P z;
     ``ymy_tail`` is the part of y . M_a y that u does not touch, less
-    b . fa over the frame.  ``tails`` holds those profiles over the window,
-    which ``on_window`` appends, and ``bound_logs`` the logarithms that
-    bound them for marking.  The window's atomistic model, its
-    reduced system ``M_a`` and the atomistic dual solution ``dual`` are
-    built on first use.  Every solve on this window shares the reference,
+    b . fa over the frame.  ``_profiles`` forms the exterior's profiles,
+    and ``bound_logs`` holds the logarithms that bound them for marking.
+    The Cholesky factor ``ma_factor`` of the window's ``M_a`` and the
+    atomistic dual solution ``dual`` are built on first use, by the exact
+    goal error alone.  Every solve on this window shares the reference,
     and so does the next solve while a pair solved on it is held, so its
     arrays are read-only.
     """
@@ -166,24 +166,11 @@ class Reference:
     ymy_tail: float
 
     @functools.cached_property
-    def _atomistic(self) -> tuple[QuadraticModel, LinearSystem]:
-        return _atomistic(self.window)
-
-    @property
-    def model(self) -> QuadraticModel:
-        """The window's atomistic model: the blend that flags every atom."""
-        return self._atomistic[0]
-
-    @property
-    def system(self) -> LinearSystem:
-        """The window's reduced atomistic system ``M_a``."""
-        return self._atomistic[1]
-
-    @functools.cached_property
     def ma_factor(self) -> BandedFactor:
-        """Cholesky factor of ``M_a``, which only the exact error e solves
-        with: factored on first use."""
-        ma = banded.factor(self.system.mat)
+        """Cholesky factor of the window's reduced atomistic system ``M_a``,
+        which only the exact goal error solves with: factored on first use."""
+        win = self.window
+        ma = banded.factor(model.stiffness_bands(win, _atomistic_bonds(win)))
         ma.bands.setflags(write=False)
         return ma
 
@@ -202,7 +189,7 @@ class Reference:
         k2 = 0, where D = sqrt((k1 + 4 k2)^2 + 4 k2 k0).  Then g_a at atom
         j >= 1 is (z1^j / (1 + z1) - z2^j / (1 + z2)) / D, and at 1 - j its
         negative.  Past the frame the residual is e q^2 c mu^(i+1) at atom
-        J + i, J = m_core + 1 (see ``tails``), so the exterior's sum is
+        J + i, J = m_core + 1 (see ``_profiles``), so the exterior's sum is
         geometric; 1 - z1 mu is formed from q1 = 1 - z1 and q, which does
         not cancel as k0 nears 0.
         """
@@ -236,20 +223,6 @@ class Reference:
             log_mu + _log(max(self.mu, abs(self.lam))),
         )
 
-    @functools.cached_property
-    def tails(self) -> dict[str, Array]:
-        """The exterior profiles per unit edge value over the window, (left,
-        right) in window order: ``dec`` (u) and ``res`` (the residual) on
-        the free atoms past the core's own, ``rho``, ``pi`` and ``h`` on the
-        exterior bonds (see ``_profiles``)."""
-        atoms, right = _profiles(self, self.off)
-        atoms = np.array([atoms[:, ::-1], atoms]).transpose(1, 0, 2)
-        left = right[:, ::-1] * _MIRROR
-        bonds = np.array([left, right]).transpose(1, 0, 2)
-        for a in (atoms, bonds):
-            a.setflags(write=False)
-        return dict(dec=atoms[0], res=atoms[1], rho=bonds[0], pi=bonds[1], h=bonds[2])
-
 
 def _profiles(ref: Reference, n: int) -> tuple[Array, Array]:
     """The right exterior's profiles per unit edge value, by distance from
@@ -274,16 +247,10 @@ def _bond_profiles(pc: float, q: float, c: float, mu_d, lam_d):
     return mu_d * (-q * c), pc * (mu_d - lam_d), -lam_d
 
 
-def _atomistic(win: ChainParams) -> tuple[QuadraticModel, LinearSystem]:
-    """The atomistic model of the chain ``win`` and its reduced system,
-    read-only."""
-    amodel = model.assemble(win, Partition(atomistic=model.atom_ids(win)))
-    asys = model.reduce_system(win, amodel)
-    for a in (amodel.ids, amodel.e_mat.bands, amodel.a_eq, amodel.b_eq, asys.mat.bands):
-        a.setflags(write=False)
-    for a in (asys.rhs_wells, asys.wells_free, asys.lift, asys.free_index):
-        a.setflags(write=False)
-    return amodel, asys
+def _atomistic_bonds(win: ChainParams) -> BandedSpdMatrix:
+    """E_a on the bonds of the chain ``win``: the blend that flags every
+    atom."""
+    return model._nn_bond_bands(win, np.ones(2 * win.m))
 
 
 def _decaying_root(t: float) -> tuple[float, float]:
@@ -314,8 +281,7 @@ class DualPair:
     of one.  Arrays live on the core: per-atom ones on the window's free
     atoms ``ref.frame`` and then four exterior coordinates, per-bond ones on
     the core's bonds and then two, so that each product over the window is
-    one dot product over them (``on_window`` extends a field over the
-    window instead).  With u, R and b the exterior profiles per unit edge
+    one dot product over them.  With u, R and b the exterior profiles per unit edge
     value (see ``Reference``), u and g take (e, 0) per side for their edge
     value e and the residuals e (u . R, b . R), while b, f_a + M_a b and the
     goal take (0, 1), (k0 u . b, 0) and (0, 0) (``ref.wells``, ``ref.fa``
@@ -465,12 +431,14 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         ediff_rim[1, 0] = k2
         goal_frame = np.zeros(len(ids))
     else:
-        # the core is the window: the window's own model, no exterior
-        atomistic = amodel, asys = _atomistic(win)
-        ea_core = pz_core = amodel.e_mat.bands
-        wells = asys.wells_free
-        fa = asys.rhs_wells + banded.matvec(asys.mat, wells)
-        lift = asys.lift
+        # the core is the window, clamped at its own ends: no exterior
+        ea = _atomistic_bonds(win)
+        ea_core = pz_core = ea.bands
+        b = model.well_positions(win)
+        lift[[0, 1, -2, -1]] = np.subtract(win.clamps, b[[0, 1, -2, -1]])
+        wells = b[2:-2]
+        fa = -model.dt_apply(banded.matvec(ea, model.load_bonds(win, lift)))[2:-2]
+        fa += banded.matvec(model.stiffness_bands(win, ea), wells)
         base[0, 0, [0, -1]] = lift[[0, -1]] * [1.0, -1.0]
         goal_frame = np.zeros(len(wells))
         ymy_tail = ymy_far
@@ -511,8 +479,6 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         ext_pz=ext_pz,
         ymy_tail=ymy_tail,
     )
-    if not off:  # built already
-        ref.__dict__["_atomistic"] = atomistic
     return ref
 
 
@@ -619,32 +585,6 @@ def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
         gmg=gmg,
         differs=differs,
     )
-
-
-# field -> (the field whose edge values scale its exterior, its exterior
-# profile, its exterior coordinates)
-_EXTERIOR = {
-    "u_free": ("u_free", "dec", 4),
-    "g_free": ("g_free", "dec", 4),
-    "residual_primal": ("u_free", "res", 4),
-    "residual_dual": ("g_free", "res", 4),
-    "ez_y": ("u_free", "rho", 2),
-    "ez_g": ("g_free", "rho", 2),
-    "pz_y": ("u_free", "pi", 2),
-    "pz_g": ("g_free", "pi", 2),
-}
-
-
-def on_window(pair: DualPair, name: str, rows=slice(None)) -> Array:
-    """The per-atom or per-bond field ``name`` of a pair's ``rows``, over
-    the window's free atoms or bonds: the core's values with the exterior
-    in closed form on both sides."""
-    src, profile, n_ext = _EXTERIOR[name]
-    core = getattr(pair, name)[rows, :-n_ext]
-    ext = getattr(pair, src)[rows, -4::2, None] * pair.ref.tails[profile]
-    if profile == "pi":  # less the core's end values times h
-        ext -= core[..., :: core.shape[-1] - 1, None] * pair.ref.tails["h"]
-    return np.concatenate([ext[..., 0, :], core, ext[..., 1, :]], axis=-1)
 
 
 def solve_stacks(
@@ -777,21 +717,55 @@ def _reach(ref: Reference, e: list[float], pz_end: list[float], gamma: float, ta
 
 class _Indicators(NamedTuple):
     """The eta2 split of one row of a pair, one formula (``_split`` and
-    ``_total``) on two sets of arrays: over the window when called, and on
-    the core by ``marked``."""
+    ``_total``) on the frame's atoms and the core's bonds (``_frame``) and
+    on each side's exterior in closed form (``_exterior``): over the window
+    when called, and by ``marked`` only where a total may reach the
+    threshold."""
 
     pair: DualPair
     row: int
     gamma: float
 
+    def _ends(self) -> tuple[Array, Array]:
+        """(primal, dual) by (left, right): the edge values of u and g, and
+        the end values of P z on the core."""
+        pair, i = self.pair, self.row
+        nbc = pair.pz_y.shape[-1] - 2
+        edges = np.array([pair.u_free[i, -4::2], pair.g_free[i, -4::2]])
+        ends = np.array([pair.pz_y[i, : nbc : nbc - 1], pair.pz_g[i, : nbc : nbc - 1]])
+        return edges, ends
+
+    def _frame(self, edges: Array, ends: Array) -> tuple[Array, Array]:
+        """The split of the frame's atoms, and of the core's bonds with the
+        exterior bond next to each end (``ref.rim``) around them."""
+        pair, i, rim = self.pair, self.row, self.pair.ref.rim
+        nc, nbc = pair.g_free.shape[-1] - 4, pair.pz_y.shape[-1] - 2
+        pz, ez = np.empty((2, 2, nbc + 2))
+        pz[:, 1:-1] = pair.pz_y[i, :nbc], pair.pz_g[i, :nbc]
+        ez[:, 1:-1] = pair.ez_y[i, :nbc], pair.ez_g[i, :nbc]
+        pz[:, :: nbc + 1] = edges * rim[1] - ends * rim[2]
+        ez[:, :: nbc + 1] = edges * rim[0]
+        return _split(pair.g_free[i, :nc], pair.residual_primal[i, :nc], pz, ez, self.gamma)
+
+    def _exterior(self, side: int, n: int, edges: Array, ends: Array) -> tuple[Array, Array]:
+        """The split of the first ``n - 2`` free atoms and ``n`` bonds past
+        the core on ``side`` (0 left, 1 right), nearest first (see
+        ``_profiles``)."""
+        atoms, prof = _profiles(self.pair.ref, n)
+        if side == 0:
+            prof = prof * _MIRROR
+        es, end = edges[:, side, None], ends[:, side, None]
+        g, r = es[1] * atoms[0], es[0] * atoms[1]
+        return _split(g, r, es * prof[1] - end * prof[2], es * prof[0], self.gamma)
+
     def __call__(self) -> tuple[Array, Array]:
         """The split over the window: per free atom and per bond."""
-        pair, rows = self.pair, slice(self.row, self.row + 1)
-        g, r, pzy, ezy, pzg, ezg = (
-            on_window(pair, name, rows)[0]
-            for name in ("g_free", "residual_primal", "pz_y", "ez_y", "pz_g", "ez_g")
+        edges, ends = self._ends()
+        at, el = self._frame(edges, ends)
+        (lat, lel), (rat, rel) = (
+            self._exterior(side, self.pair.ref.off, edges, ends) for side in (0, 1)
         )
-        return _split(g, r, np.array([pzy, pzg]), np.array([ezy, ezg]), self.gamma)
+        return np.concatenate([lat[::-1], at, rat]), np.concatenate([lel[::-1], el[1:-1], rel])
 
     def marked(self, tau: float) -> Array:
         """The window's free atoms whose total reaches ``tau``, with the bits
@@ -802,38 +776,21 @@ class _Indicators(NamedTuple):
         bounded in closed form per side (``_reach``), and only the atoms
         whose bound reaches ``tau`` are evaluated.
         """
-        pair, i, gamma, ref = self.pair, self.row, self.gamma, self.pair.ref
-        nc, nbc = pair.g_free.shape[-1] - 4, pair.pz_y.shape[-1] - 2
-        # (primal, dual) by (left, right): the edge values of u and g, and the
-        # end values of P z
-        edges = np.array([pair.u_free[i, -4::2], pair.g_free[i, -4::2]])
-        pz = np.array([pair.pz_y[i], pair.pz_g[i]])
-        ez = np.array([pair.ez_y[i], pair.ez_g[i]])
-        ends = pz[:, : nbc : nbc - 1]
-        # P z and ez on the exterior bond next to each end of the core, in
-        # place of the exterior coordinates
-        rho, pi, h = ref.rim[:3]
-        pz[:, nbc:] = edges * pi - ends * h
-        ez[:, nbc:] = edges * rho
-        at, el = _split(pair.g_free[i, :nc], pair.residual_primal[i, :nc], pz, ez, gamma)
-        # the bonds of the frame's atoms in order, out of the exterior bond
-        # left of the core, the core's and the one right of it: a frame that
-        # holds lo atoms a side fewer than the core starts lo bonds in
-        lo = 2 - ref.off + ref.frame.start
-        el = np.concatenate((el[nbc : nbc + 1], el[:nbc], el[nbc + 1 :]))[lo : lo + nc + 1]
+        ref = self.pair.ref
+        edges, ends = self._ends()
+        at, el = self._frame(edges, ends)
+        # a frame that holds lo atoms a side fewer than the core starts lo
+        # bonds in
+        lo, nc = 2 - ref.off + ref.frame.start, len(at)
         first = 3 - ref.window.m + ref.frame.start
-        out = [np.flatnonzero(_total(at, el) >= tau) + first]
+        out = [np.flatnonzero(_total(at, el[lo : lo + nc + 1]) >= tau) + first]
         e, pz_end = edges.T.tolist(), ends.T.tolist()
         for side in (0, 1):
-            k = _reach(ref, e[side], pz_end[side], gamma, tau)
+            k = _reach(ref, e[side], pz_end[side], self.gamma, tau)
             if not k:
                 continue
-            atoms, prof = _profiles(ref, k + 2)
-            prof = prof[:, : k + 1] * (_MIRROR if side == 0 else 1.0)
-            es, end = edges[:, side, None], ends[:, side, None]
-            g, r = es[1] * atoms[0], es[0] * atoms[1]
-            at, el = _split(g, r, es * prof[1] - end * prof[2], es * prof[0], gamma)
-            far = np.flatnonzero(_total(at, el) >= tau) + 1  # distances from the frame
+            at, el = self._exterior(side, k + 2, edges, ends)
+            far = np.flatnonzero(_total(at, el[:-1]) >= tau) + 1  # distances from the frame
             out.insert(2 * side, far + (first + nc - 1) if side else (first - far)[::-1])
         return np.concatenate(out) if len(out) > 1 else out[0]
 
@@ -913,7 +870,7 @@ def estimate_stack(pair: DualPair, use_gamma: bool = False) -> list[EstimatorRep
     both sign combinations, whose exterior coordinates carry the exterior.
     Degenerate rows run it at sigma 1 and drop it, which leaves their
     bounds and eta1 on the first term alone.  The eta2 indicators are
-    extended over the window only when a report's are read.
+    listed over the window only when a report's are read.
     """
     ref = pair.ref
     # past a0/2 from its well an atom leaves the harmonic well model's range;
@@ -1025,13 +982,16 @@ def exact_goal_error(
 ) -> tuple[float, Array]:
     """(Q(e), e) of one region: Q(e) as ``exact_goal_errors`` forms it, and
     the error e on the free atoms of the window, which solves the window's
-    atomistic system with the primal residual extended over the window.  A
-    given ``pair`` must have been solved for ``params`` and ``part``."""
+    atomistic system ``M_a`` with the primal residual over the window: the
+    core's, and past it the edge values of u times the exterior's profile.
+    A given ``pair`` must have been solved for ``params`` and ``part``."""
     if pair is None:
         pair = solve_dual_pair(params, part)
     _one_region(pair, "exact_goal_errors")
     same = np.array_equal(pair.parts[0].atomistic, part.atomistic)
     if not same or pair.ref.params != params:
         raise ValueError("pair was not solved for this chain and region")
-    e = banded.solve(pair.ref.ma_factor, on_window(pair, "residual_primal")[0])
+    res = _profiles(pair.ref, pair.ref.off)[0][1]
+    (left, right), core = pair.u_free[0, -4::2], pair.residual_primal[0, :-4]
+    e = banded.solve(pair.ref.ma_factor, np.concatenate([left * res[::-1], core, right * res]))
     return float(exact_goal_errors(pair)[0]), e

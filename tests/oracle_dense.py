@@ -21,7 +21,11 @@ library takes in closed Schur form.  The library keeps its fields on the
 core and takes the exterior in closed form; ``window`` extends them over
 the window, and ``window_pair`` is the blended solve and every product
 over the whole window, with its truncated exterior, that the library's
-core path must reproduce.
+core path must reproduce.  ``on_window`` extends a field over the window
+from the exterior profiles, and ``window_indicators`` forms the eta2 split
+and ``window_marks`` the marked set there, the way the report states them.
+``atomistic`` assembles the window's atomistic model and system, which the
+library never builds.
 """
 
 import warnings
@@ -32,16 +36,19 @@ import numpy as np
 from qcfk import banded
 from qcfk.banded import BandedFactor, BandedSpdMatrix, rowdot
 from qcfk.estimators import (
+    _MIRROR,
     DualPair,
+    EstimatorReport,
     Reference,
+    _profiles,
     _reference,
-    on_window,
     solve_dual_pair,
 )
 from qcfk.model import (
     ChainParams,
     LinearSystem,
     Partition,
+    QuadraticModel,
     _flags,
     assemble,
     atom_ids,
@@ -66,7 +73,7 @@ def clamped_energy(params: ChainParams, part: Partition, flavor: str):
     """Energy as a function of the free coordinates only."""
     n = 2 * params.m
     lift = np.zeros(n)
-    lift[[0, 1, -2, -1]] = params.bc
+    lift[[0, 1, -2, -1]] = params.clamps
 
     def ener(y_free: Array) -> float:
         y = lift.copy()
@@ -288,23 +295,91 @@ def goal_vector(free_index: Array) -> Array:
     return q
 
 
+def atomistic(ref: Reference) -> tuple[QuadraticModel, LinearSystem]:
+    """The atomistic model of the window of ``ref`` and its reduced system
+    ``M_a``, assembled."""
+    win = ref.window
+    amodel = assemble(win, Partition(atomistic=atom_ids(win)))
+    return amodel, reduce_system(win, amodel)
+
+
 def goal(ref: Reference) -> Array:
     """The goal vector on the free atoms of the window of ``ref``."""
-    return goal_vector(ref.system.free_index)
+    return goal_vector(atom_ids(ref.window)[2:-2])
 
 
 def ediff(pair: DualPair) -> BandedSpdMatrix:
     """E_a - E_ac on the window, one band matrix per row of the pair."""
     eac = assemble(pair.ref.window, pair.parts).e_mat
-    return BandedSpdMatrix(pair.ref.model.e_mat.bands - eac.bands)
+    return BandedSpdMatrix(atomistic(pair.ref)[0].e_mat.bands - eac.bands)
+
+
+# field -> (the field whose edge values scale its exterior, its exterior
+# profile, its exterior coordinates)
+EXTERIOR = {
+    "u_free": ("u_free", "dec", 4),
+    "g_free": ("g_free", "dec", 4),
+    "residual_primal": ("u_free", "res", 4),
+    "residual_dual": ("g_free", "res", 4),
+    "ez_y": ("u_free", "rho", 2),
+    "ez_g": ("g_free", "rho", 2),
+    "pz_y": ("u_free", "pi", 2),
+    "pz_g": ("g_free", "pi", 2),
+}
+
+
+def tails(ref: Reference) -> dict[str, Array]:
+    """The exterior profiles per unit edge value over the window, (left,
+    right) in window order: ``dec`` (u) and ``res`` (the residual) on the
+    free atoms past the core's own, ``rho``, ``pi`` and ``h`` on the
+    exterior bonds."""
+    atoms, right = _profiles(ref, ref.off)
+    atoms = np.array([atoms[:, ::-1], atoms]).transpose(1, 0, 2)
+    left = right[:, ::-1] * _MIRROR
+    bonds = np.array([left, right]).transpose(1, 0, 2)
+    return dict(dec=atoms[0], res=atoms[1], rho=bonds[0], pi=bonds[1], h=bonds[2])
+
+
+def on_window(pair: DualPair, name: str, rows=slice(None)) -> Array:
+    """The per-atom or per-bond field ``name`` of a pair's ``rows``, over
+    the window's free atoms or bonds: the core's values with the exterior
+    in closed form on both sides."""
+    src, profile, n_ext = EXTERIOR[name]
+    profiles = tails(pair.ref)
+    core = getattr(pair, name)[rows, :-n_ext]
+    ext = getattr(pair, src)[rows, -4::2, None] * profiles[profile]
+    if profile == "pi":  # less the core's end values times h
+        ext -= core[..., :: core.shape[-1] - 1, None] * profiles["h"]
+    return np.concatenate([ext[..., 0, :], core, ext[..., 1, :]], axis=-1)
 
 
 def window(pair: DualPair, name: str) -> Array:
     """A field of the pair over the window, one row per region; ``y_free``
     is u plus the wells."""
     if name == "y_free":
-        return on_window(pair, "u_free") + pair.ref.system.wells_free
+        return on_window(pair, "u_free") + well_positions(pair.ref.window)[2:-2]
     return on_window(pair, name)
+
+
+def window_indicators(report: EstimatorReport) -> tuple[Array, Array]:
+    """The eta2 split of a report over the window, from the fields extended
+    over it: |g R(y)| per free atom, and per bond the gamma-weighted halves
+    |P z_y . ez_y| and |P z_g . ez_g|."""
+    pair, row, gamma = report.indicators
+    rows = slice(row, row + 1)
+    g, r, pzy, ezy, pzg, ezg = (
+        on_window(pair, name, rows)[0]
+        for name in ("g_free", "residual_primal", "pz_y", "ez_y", "pz_g", "ez_g")
+    )
+    return np.abs(g * r), 0.5 * gamma * np.abs(pzy * ezy) + 0.5 / gamma * np.abs(pzg * ezg)
+
+
+def window_marks(report: EstimatorReport, tau: float) -> Array:
+    """The window's free atoms whose total of ``window_indicators``, its own
+    term and half of each adjacent bond's, reaches ``tau``."""
+    at, el = window_indicators(report)
+    total = at + 0.5 * (el[1:-2] + el[2:-1])
+    return report.free_ids()[total >= tau]
 
 
 def bond_differences(ref: Reference, u: Array, g: Array) -> Array:
@@ -312,14 +387,14 @@ def bond_differences(ref: Reference, u: Array, g: Array) -> Array:
     free atoms, lifted to the whole window: z_y of y - a (clamped atoms at
     their positions) and z_g of g (zero on clamped atoms), stacked on a new
     leading axis."""
-    lifted = np.zeros((2,) + u.shape[:-1] + (ref.model.n_points,))
-    lifted[0] = ref.system.lift
+    lifted = np.zeros((2,) + u.shape[:-1] + (2 * ref.window.m,))
+    lifted[0] = atomistic(ref)[1].lift
     lifted[0, ..., 2:-2] = u
     lifted[1, ..., 2:-2] = g
     z = d_apply(lifted)
     # b - a is -a0 left of the defect and 0 right of it: a jump of a0 across
     # bond 0, taken apart from u so that no u below one ulp of a0 is lost
-    z[0, ..., ref.model.ids[:-1] == 0] += ref.params.a0
+    z[0, ..., atom_ids(ref.window)[:-1] == 0] += ref.params.a0
     return z
 
 
@@ -353,14 +428,14 @@ def quad_form(a: BandedSpdMatrix, v: Array) -> Array:
 def projections(pair: DualPair) -> tuple[Array, Array]:
     """P z_y and P z_g by the direct projection, one row per region."""
     eac = assemble(pair.ref.window, pair.parts).e_mat
-    ea_factor = banded.factor(pair.ref.model.e_mat)
+    ea_factor = banded.factor(atomistic(pair.ref)[0].e_mat)
     return tuple(project(ea_factor, eac, z) for z in (z_y(pair), z_g(pair)))
 
 
 def ma_products(pair: DualPair) -> tuple[Array, Array, Array]:
     """(y . M_a y over the whole chain, g . M_a y, g . M_a g) by matvec,
     one value per region."""
-    mat = pair.ref.system.mat
+    mat = atomistic(pair.ref)[1].mat
     y, g = window(pair, "y_free"), window(pair, "g_free")
     my, mg = banded.matvec(mat, y), banded.matvec(mat, g)
     ymy = banded.rowdot(y, my) + pair.ref.ymy_far
@@ -418,12 +493,13 @@ def lemma1_check(
     """
     pair = solve_dual_pair(params, part)
     ref = pair.ref
+    amodel, asys = atomistic(ref)
     e, e_hat = (x[0] for x in dual_errors(pair))
-    lhs = banded.matvec(ref.system.mat, alpha * e + beta * e_hat)
+    lhs = banded.matvec(asys.mat, alpha * e + beta * e_hat)
     eac = assemble(ref.window, part).e_mat
     z = alpha * z_y(pair)[0] + beta * z_g(pair)[0]
-    pz = project(banded.factor(ref.model.e_mat), eac, z)
-    w = banded.matvec(ref.model.e_mat, pz)
+    pz = project(banded.factor(amodel.e_mat), eac, z)
+    w = banded.matvec(amodel.e_mat, pz)
     rhs = -dt_apply(w)[2:-2]
     mismatch = float(np.max(np.abs(lhs - rhs)))
     floor = float(np.finfo(float).eps * np.max(np.abs(banded.matvec(eac, z))))
@@ -439,9 +515,10 @@ def window_pair(ref: Reference, parts) -> DualPair:
     the model difference on the window, as the library forms them on the
     core.  Its reference takes the window as its own core, so every field
     lives on the window and the library estimates it as it is."""
+    amodel, asys = atomistic(ref)
     acmodel = assemble(ref.window, parts)
     acsys = reduce_system(ref.window, acmodel)
-    diff = BandedSpdMatrix(ref.model.e_mat.bands - acmodel.e_mat.bands)
+    diff = BandedSpdMatrix(amodel.e_mat.bands - acmodel.e_mat.bands)
     q = goal(ref)
     u, g = np.empty((2, len(parts), len(q)))
     for i in range(len(parts)):
@@ -451,11 +528,10 @@ def window_pair(ref: Reference, parts) -> DualPair:
     y = u + acsys.wells_free
     ez = banded.matvec(diff, bond_differences(ref, u, g))
     res = -dt_apply(ez)[..., 2:-2]
-    ea_factor = banded.factor(ref.model.e_mat)
+    ea_factor = banded.factor(amodel.e_mat)
     pz = banded.solve(ea_factor, ez.reshape(-1, ez.shape[-1]).T)
     pz = pz.T.reshape(ez.shape)
-    nrm = banded.norm(ref.model.e_mat, pz, ez)
-    asys = ref.system
+    nrm = banded.norm(amodel.e_mat, pz, ez)
     my = asys.rhs_wells + banded.matvec(asys.mat, asys.wells_free) - res[0]
     # no exterior: every exterior coordinate is zero
     ext = np.zeros((len(parts), 4))

@@ -31,6 +31,7 @@ from qcfk.model import (
 )
 
 from oracle_dense import (
+    atomistic,
     dense_solve,
     dual_errors,
     energy_direct,
@@ -240,7 +241,7 @@ def test_criterion_5_small_chain_oracles():
         qe, e = exact_goal_error(params, part, pair)
         _, e_hat = dual_errors(pair)
         ft = estimate(pair).first_term
-        rhs = ft + float(np.dot(e_hat[0], banded.matvec(pair.ref.system.mat, e)))
+        rhs = ft + float(np.dot(e_hat[0], banded.matvec(atomistic(pair.ref)[1].mat, e)))
         iscale = max(abs(qe), abs(ft), 1e-300)
         worst_identity = max(worst_identity, abs(qe - rhs) / iscale)
 

@@ -20,6 +20,7 @@ from qcfk.adaptivity import (
 )
 from qcfk.model import ChainParams, interval_partition, make_partition, sizes
 
+from oracle_dense import window_marks
 from oracle_exact import EXACT, EXACT_ETA1_M100
 
 ETA_REL = 2e-5
@@ -98,6 +99,15 @@ def test_growth_is_monotone_and_never_demotes():
     ks = [r.k for r in trace.records]
     assert None not in ks
     assert ks == sorted(ks)
+
+
+def test_a_threshold_past_the_float_range_is_zero():
+    # tau_div^it overflows at the third iteration: the threshold is 0.0 from
+    # there on, which tau_gl / tau_div^it has underflowed to at the second;
+    # a threshold of 0.0 marks every free atom, and the next pass none
+    trace = run_adaptive(ChainParams(m=200), AdaptConfig(tau_gl=1e-300, tau_div=1e160))
+    assert [r.tau_at for r in trace.records] == [1e-300, 0.0]
+    assert trace.status == "stalled" and trace.records[1].n_atomistic == 2 * 200 - 4
 
 
 def test_mark_atoms_extremes():
@@ -258,11 +268,6 @@ def test_adaptive_regions_are_nested(case):
     assert np.array_equal(previous, full.final_atomistic)
 
 
-def _window_marks(report, tau):
-    """The marking rule as the window states it."""
-    return report.free_ids()[report.eta2_total() >= tau]
-
-
 # chains whose window adds 1 and 2 free atoms past the core at each end: the
 # substrate is so stiff that the decay width w is 8 and 9
 ONE_PAST_CORE = ChainParams(m=300, k0=2e5, k1=1.0, k2=1e-6)
@@ -310,14 +315,18 @@ def _pin(params, k, tau, use_gamma):
 @example(_pin(TWO_PAST_CORE, 2, 1e-18, True))
 @example(_pin(ONE_PAST_CORE, 2, 0.0, False))
 @example(_pin(TWO_PAST_CORE, 2, 0.0, True))
+# exteriors of one and two atoms a side, where the core's clamps are the
+# window's clamps or its first free atoms
+@example(_pin(ChainParams(m=300, k0=1e8, k2=1e-8), 2, 1e-18, False))
+@example(_pin(ChainParams(m=300, k0=1e9, k2=1e-6), 2, 0.0, True))
 # a chain that is its own window
 @example(_pin(ChainParams(m=40), 4, 1e-12, False))
 def test_core_marks_equal_window_marks(case):
     # marking on the core, the exterior bounded in closed form, gives the
-    # window's marked set bit for bit
+    # marked set of the indicators extended over the window bit for bit
     params, part, tau, use_gamma = case
     report = estimators.estimate(estimators.solve_dual_pair(params, part), use_gamma)
-    marked, expect = mark_atoms(report, tau), _window_marks(report, tau)
+    marked, expect = mark_atoms(report, tau), window_marks(report, tau)
     assert marked.dtype == expect.dtype
     assert np.array_equal(marked, expect)
 
@@ -331,7 +340,7 @@ def test_adaptive_traces_do_not_depend_on_where_marking_runs(case):
     config = AdaptConfig(tau_gl=tau, max_iterations=6, use_gamma=use_gamma)
     trace = run_adaptive(params, config)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(adaptivity, "mark_atoms", _window_marks)
+        mp.setattr(adaptivity, "mark_atoms", window_marks)
         window = run_adaptive(params, config)
     assert (trace.status, trace.records) == (window.status, window.records)
     assert np.array_equal(trace.final_atomistic, window.final_atomistic)

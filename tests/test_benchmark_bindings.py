@@ -2,13 +2,16 @@
 
 ``perfbench/spans.py`` wraps the functions its ``TRACED`` table names in
 every qcfk module that binds them, and the workloads call a few more
-through the package.  A rename would only show in the benchmark's own
-tests, which are not part of this suite; these checks make it fail here.
+through the package, unpacking what some of them return.  A rename or a
+new return shape would only show in the benchmark's own tests, which are
+not part of this suite; these checks make it fail here.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
 
 import qcfk
 from qcfk import adaptivity, cli, estimators
@@ -40,3 +43,10 @@ def test_by_name_imports_are_bound():
         "make_partition", "run_adaptive", "solve_dual_pair",
     ):
         assert hasattr(qcfk, name), name
+
+
+def test_exact_goal_error_gives_a_float_and_a_vector():
+    # the benchmark's adapt check unpacks (Q(e), e)
+    p = qcfk.ChainParams(m=100)
+    q, e = qcfk.exact_goal_error(p, qcfk.interval_partition(p, 5))
+    assert type(q) is float and isinstance(e, np.ndarray) and e.shape == (2 * p.m - 4,)

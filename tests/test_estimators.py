@@ -25,7 +25,6 @@ from qcfk.estimators import (
     estimate_stack,
     exact_goal_error,
     exact_goal_errors,
-    on_window,
     solve_dual_pair,
     solve_stacks,
 )
@@ -33,6 +32,8 @@ from qcfk.adaptivity import AdaptConfig, fixed_k_run, fixed_k_runs, run_adaptive
 from qcfk.cli import TABLE2_K
 
 from oracle_dense import (
+    EXTERIOR,
+    atomistic,
     dual_errors,
     ediff,
     enorm,
@@ -40,10 +41,12 @@ from oracle_dense import (
     goal_vector,
     lemma1_check,
     ma_products,
+    on_window,
     projections,
     theta_lower_terms,
     to_dense,
     window,
+    window_indicators,
     window_pair,
     z_g,
     z_y,
@@ -150,7 +153,7 @@ def test_projection_matches_dense_inverse():
     # oracle: dense solve of E_a (P z) = (E_a - E_ac) z
     p = ChainParams(m=10)
     pair = solve_dual_pair(p, interval_partition(p, 2))
-    ea = to_dense(pair.ref.model.e_mat)
+    ea = to_dense(atomistic(pair.ref)[0].e_mat)
     eac = ea - to_dense(BandedSpdMatrix(ediff(pair).bands[0]))
     for z, pz in ((z_y(pair)[0], window(pair, "pz_y")[0]), (z_g(pair)[0], window(pair, "pz_g")[0])):
         dense = z - np.linalg.solve(ea, eac @ z)
@@ -202,7 +205,7 @@ def test_lower_terms_are_the_best_test_vector_over_span_of_y_and_g():
         p = ChainParams(m=m)
         pair = solve_dual_pair(p, interval_partition(p, k))
         rep = estimate(pair)
-        y, g, mat = window(pair, "y_free")[0], window(pair, "g_free")[0], pair.ref.system.mat
+        y, g, mat = window(pair, "y_free")[0], window(pair, "g_free")[0], atomistic(pair.ref)[1].mat
         res_y, res_g = (window(pair, n)[0] for n in ("residual_primal", "residual_dual"))
         v = y + thetas[:, None] * g
         nv = np.sqrt(banded.rowdot(v, banded.matvec(mat, v)) + pair.ref.ymy_far)
@@ -224,7 +227,7 @@ def test_goal_error_identity():
         qe, e = exact_goal_error(p, part, pair)
         _, e_hat = dual_errors(pair)
         ft = estimate(pair).first_term
-        rhs = ft + float(np.dot(e_hat[0], banded.matvec(pair.ref.system.mat, e)))
+        rhs = ft + float(np.dot(e_hat[0], banded.matvec(atomistic(pair.ref)[1].mat, e)))
         scale = max(abs(qe), abs(ft), 1e-300)
         assert abs(qe - rhs) <= 1e-10 * scale
 
@@ -259,7 +262,7 @@ def test_residuals_vanish_when_model_is_exact():
     # every atom exact: the working model is the reference model
     p = ChainParams(m=12)
     pair = solve_dual_pair(p, _fully_atomistic(p))
-    scale = np.max(np.abs(pair.ref.system.rhs_wells))
+    scale = np.max(np.abs(atomistic(pair.ref)[1].rhs_wells))
     assert np.max(np.abs(pair.residual_primal)) <= 1e-12 * scale
     assert np.max(np.abs(pair.residual_dual)) <= 1e-12
     assert pair.npy[0] <= 1e-12 and pair.npg[0] <= 1e-12
@@ -442,7 +445,8 @@ def test_model_difference_products_match_direct_forms(case):
     # product for the M_a products.
     params, part = case
     pair = solve_dual_pair(params, part)
-    ea = pair.ref.model.e_mat
+    amodel, asys = atomistic(pair.ref)
+    ea = amodel.e_mat
     cond = 1.0 + 4.0 * params.k2 / params.k1
     grow = np.sqrt(4.0 * np.abs(ea.bands).max() * ea.n)
     zs = (z_y(pair), z_g(pair))
@@ -458,7 +462,7 @@ def test_model_difference_products_match_direct_forms(case):
         tol = 8.0 * EPS * cond * (s * np.abs(zs[0]).max() + np.abs(zs[1]).max() / s)
         for sign, got in ((1, rep.eta_upp_plus), (-1, rep.eta_upp_minus)):
             assert abs(got - enorm(ea, s * py + sign / s * pg)[0]) <= grow * tol
-    abs_ma = BandedSpdMatrix(np.abs(pair.ref.system.mat.bands))
+    abs_ma = BandedSpdMatrix(np.abs(asys.mat.bands))
     y, g = np.abs(window(pair, "y_free")), np.abs(window(pair, "g_free"))
     n = y.shape[-1]
     for got, direct, (a, b) in zip(
@@ -559,17 +563,18 @@ def _arrays(obj):
 
 
 def test_reference_arrays_are_read_only():
-    p = ChainParams(m=100_000)
-    ref = solve_dual_pair(p, interval_partition(p, 10)).ref
-    # the window's model, system, factor, the dual and the profiles are
-    # built on first use
-    arrays = [*_arrays(ref), ("ma_factor", ref.ma_factor.bands), ("dual", ref.dual[0])]
-    arrays += [*_arrays(ref.model), *_arrays(ref.system), *ref.tails.items()]
-    assert len(arrays) == 27 and all(a.size for _, a in arrays)
-    for name, a in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            a[...] = 0.0
-        assert not a.flags.writeable, name
+    # a reference with an exterior, and a chain that is its own core; the
+    # window's M_a factor and the dual are built on first use
+    for m in (100_000, 40):
+        p = ChainParams(m=m)
+        ref = solve_dual_pair(p, interval_partition(p, 10)).ref
+        assert bool(ref.off) == (m > 40)
+        arrays = [*_arrays(ref), ("ma_factor", ref.ma_factor.bands), ("dual", ref.dual[0])]
+        assert len(arrays) == 13 and all(a.size for _, a in arrays)
+        for name, a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0.0
+            assert not a.flags.writeable, (m, name)
 
 
 def test_cold_and_warm_references_give_the_same_bits():
@@ -769,7 +774,7 @@ def test_core_solve_matches_whole_window_solve(case):
     params, part = case
     got = solve_dual_pair(params, part)
     want = window_pair(got.ref, [part])
-    for name in estimators._EXTERIOR:
+    for name in EXTERIOR:
         ref_value = window(want, name)
         _close(window(got, name), ref_value, np.max(np.abs(ref_value)), name)
     for name in _PAIR_SCALARS:
@@ -857,6 +862,21 @@ def test_core_path_matches_window_oracle(case):
             _close(getattr(have, key), value, np.max(np.abs(value)), key)
 
 
+def test_indicators_are_the_split_of_the_window_fields():
+    # the report lists the eta2 split over the window from the frame and a
+    # closed-form exterior per side: bit for bit the split of the fields
+    # extended over the window, on exteriors of 0, 1, 2 and many bonds a side
+    cases = ((ChainParams(m=40), 0), (_EXT1, 1), (_EXT2, 2), (_DEFAULT_1E5, 291), (_SLOW_K0, None))
+    for params, off in cases:
+        for part in (interval_partition(params, 5), make_partition(params, [-30, 0, 1, 7])):
+            pair = solve_dual_pair(params, part)
+            assert pair.ref.off == off if off is not None else pair.ref.off > 1000
+            for gamma in (False, True):
+                report = estimate(pair, gamma)
+                for got, want in zip((report.eta2_at, report.eta2_el), window_indicators(report)):
+                    assert got.dtype == want.dtype and np.array_equal(got, want), (off, gamma)
+
+
 # a chain whose clamps are not at its wells: its own window
 _OWN_BC = ChainParams(m=300, k0=0.5, bc=(-302.0, -301.0, 301.0, 302.0))
 
@@ -886,11 +906,13 @@ def test_dual_form_matches_window_solve(case):
 
 
 def test_an_exact_sweep_stays_on_the_core(monkeypatch):
-    # a table2 sweep takes Q(e) from the dual in closed form, and builds
-    # neither the window's atomistic system nor its exterior profiles; the
-    # adaptive loop never builds the dual nor the profiles, assembles no
-    # model and extends no field over the window: it marks on the core
-    built = []
+    # a table2 sweep takes Q(e) from the dual: in closed form on a chain
+    # longer than its window, with no M_a factor, and by the M_a factor on a
+    # chain that is its own core.  Neither a sweep nor an adaptive run
+    # assembles a model or reduces a system, and the adaptive loop builds
+    # neither the dual nor the factor and lists no indicator over the
+    # window: it marks on the core
+    built, called = [], []
 
     def spy(*key):
         built.append(reference(*key))
@@ -898,22 +920,22 @@ def test_an_exact_sweep_stays_on_the_core(monkeypatch):
 
     reference = estimators._reference
     monkeypatch.setattr(estimators, "_reference", spy)
-    estimators._REFERENCES.clear()
-    p = ChainParams(m=20_000)
-    results = fixed_k_runs(p, TABLE2_K, want_exact=True)
-    assert all(r.q_error is not None for r in results)
-    (ref,) = built
-    assert ref.off and "dual" in vars(ref)
-    assert not {"_atomistic", "ma_factor", "tails"} & set(vars(ref))
-    built.clear()
-    estimators._REFERENCES.clear()
-    called = []
-    spied = ((estimators, "on_window"), (model, "assemble"), (model, "reduce_system"))
-    for module, name in spied:
-        monkeypatch.setattr(module, name, lambda *a, name=name, **k: called.append(name))
-    trace = run_adaptive(p, AdaptConfig(tau_gl=1e-10))
-    assert trace.status == "converged" and len(trace.records) > 1
-    assert built and all(not {"dual", "tails"} & set(vars(ref)) for ref in built)
+    spied = ((model, "assemble"), (model, "reduce_system"), (estimators._Indicators, "__call__"))
+    for owner, name in spied:
+        monkeypatch.setattr(owner, name, lambda *a, name=name, **k: called.append(name))
+    for p in (ChainParams(m=20_000), ChainParams(m=60)):
+        built.clear()
+        estimators._REFERENCES.clear()
+        results = fixed_k_runs(p, TABLE2_K, want_exact=True)
+        assert all(r.q_error is not None for r in results)
+        (ref,) = built
+        assert bool(ref.off) == (p.m > 60) and "dual" in vars(ref)
+        assert ("ma_factor" in vars(ref)) == (not ref.off)
+        built.clear()
+        estimators._REFERENCES.clear()
+        trace = run_adaptive(p, AdaptConfig(tau_gl=1e-10))
+        assert trace.status == "converged" and len(trace.records) > 1
+        assert built and all(not {"dual", "ma_factor"} & set(vars(ref)) for ref in built)
     assert not called
 
 

@@ -1,5 +1,6 @@
 """Chain geometry, partitions, assembly, and energy bookkeeping."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -151,8 +152,24 @@ def test_default_bc_pins_clamped_atoms_to_wells():
     p = ChainParams(m=5, a0=0.5)
     ids = atom_ids(p)
     b = well_positions(p, ids)
-    assert p.bc == (b[0], b[1], b[-2], b[-1])
-    assert p.bc[0] == -p.m * p.a0 and p.bc[-1] == p.m * p.a0
+    assert p.bc is None and p.clamps == (b[0], b[1], b[-2], b[-1])
+    assert p.clamps[0] == -p.m * p.a0 and p.clamps[-1] == p.m * p.a0
+
+
+def test_replace_keeps_the_default_clamps_at_the_wells():
+    # the default clamps follow m and a0 through dataclasses.replace: the
+    # replaced chain is the fresh one, on its window and to its estimate
+    for change in (dict(a0=0.1), dict(m=50_000), dict(m=60)):
+        fresh = ChainParams(**{"m": 100_000, **change})
+        replaced = dataclasses.replace(ChainParams(m=100_000), **change)
+        assert replaced == fresh and replaced.clamps == fresh.clamps
+        part = interval_partition(fresh, 28)
+        assert sizes(replaced, part) == sizes(fresh, part)
+        got = estimate(solve_dual_pair(replaced, part)).as_dict()
+        assert got == estimate(solve_dual_pair(fresh, part)).as_dict()
+    # given clamps are kept as given
+    bc = (-101.0, -99.0, 99.0, 101.0)
+    assert dataclasses.replace(ChainParams(m=100, bc=bc), a0=0.5).clamps == bc
 
 
 def test_bc_list_equals_tuple_form():
@@ -173,7 +190,7 @@ def test_hand_typed_default_clamps_keep_the_window():
     # to the default's estimate
     typed = ChainParams(m=100000, a0=0.1, bc=(-10000.0, -9999.9, 9999.9, 10000.0))
     default = ChainParams(m=100000, a0=0.1)
-    assert typed.bc != default.bc and typed.bc[1] == -9999.9
+    assert typed.clamps != default.clamps and typed.clamps[1] == -9999.9
     part = interval_partition(typed, 28)
     assert sizes(typed, part) == sizes(default, part)
     # span 28 pads to the floor of 64, and the core keeps 5 atoms past it
@@ -182,7 +199,7 @@ def test_hand_typed_default_clamps_keep_the_window():
     assert got == estimate(solve_dual_pair(default, part)).as_dict()
     # a boundary layer of 1e-9 a0 is not round-off: the chain is its own window
     for i in range(4):
-        bc = list(default.bc)
+        bc = list(default.clamps)
         bc[i] += 1e-9 * default.a0
         shifted = ChainParams(m=100000, a0=0.1, bc=bc)
         assert sizes(shifted, part) == (shifted.m, shifted.m)
@@ -455,7 +472,7 @@ def _chain(rng, m: int, offset: bool) -> ChainParams:
     p = ChainParams(m=m)
     if not offset:
         return p
-    return ChainParams(m=m, bc=np.add(p.bc, rng.uniform(-0.5, 0.5, 4) * p.a0))
+    return ChainParams(m=m, bc=np.add(p.clamps, rng.uniform(-0.5, 0.5, 4) * p.a0))
 
 
 def test_solutions_match_dense_oracle():
