@@ -63,8 +63,9 @@ class AdaptConfig:
 @dataclass(frozen=True)
 class IterationRecord:
     """One solve of the loop: the active threshold, the region it ran on,
-    the half-size of the window chain it solved, and the global estimate it
-    produced."""
+    the half-size of the window its report is listed on (the solve itself
+    runs on the window's core, see ``estimators``), and the global estimate
+    it produced."""
 
     iteration: int
     k: int | None
@@ -105,7 +106,7 @@ def mark_atoms(report: EstimatorReport, tau_at: float) -> Array:
     """Atom ids whose local indicator reaches the threshold: those of
     ``report.free_ids()`` where ``report.eta2_total()`` does, found on the
     core without forming either."""
-    return report.indicators.marked(tau_at)
+    return report.marked(tau_at)
 
 
 def _interval_k(atoms: Array) -> int | None:

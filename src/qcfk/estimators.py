@@ -27,7 +27,11 @@ the report.  Each lower term is the Cauchy-Schwarz bound |r . v| /
 ||v||_{M_a} at the best test vector v in the span of y and g, which needs
 no vector: with a, b = r . y, r . g and c, d, f = y . M_a y, g . M_a y,
 g . M_a g it is lo^2 = b^2/f + (a - b d/f)^2 / (c - d^2/f), the Schur
-complement form of the 2x2 Gram problem.
+complement form of the 2x2 Gram problem; a Schur complement cancelled
+below ``_SCHUR_REL`` of c leaves the bound at v = g alone.  Where the
+parallelogram terms move the bounds by less than the round-off of the
+first term and of Q(e), the report flags it (``bounds-collapsed``,
+``term-at-floor``).
 
 Every product is taken from the model difference ez = (E_a - E_ac) z, which
 the residuals need anyway: P z = E_a^{-1} ez (one solve, no E_ac matvec and
@@ -69,7 +73,10 @@ Many partitions of one chain are solved as stacks: ``solve_stacks`` groups
 them by window, and each group is built, solved and estimated in one
 pass whose arrays carry a leading row per partition (``estimate_stack``,
 ``exact_goal_errors``).  One region is the stack of one, so a region gives
-the same bits alone or in a stack.
+the same bits alone or in a stack.  ``estimate_stack`` takes the array
+work row-wise over the stack and forms each row's scalars as floats in
+one loop; each ``EstimatorReport`` keeps its row of the pair, from which
+it lists the eta2 split and marks atoms.
 """
 
 from __future__ import annotations
@@ -80,7 +87,6 @@ import math
 import weakref
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -90,8 +96,14 @@ from .model import ChainParams, Partition
 
 # dimensionless cutoff deciding when sigma's optimum is degenerate
 _DEGENERATE_REL = 1e-14
+# the round-off of Q(e) and of g . R, in ulps of sum |g_i R_i|
+_FLOOR_ULPS = 128
+# a Schur complement below this fraction of y . M_a y has cancelled: the
+# round-off of the lower terms' y part would grow by more than its inverse
+_SCHUR_REL = 1.0 / 64.0
 # smallest normal float: a reported value below it has lost its digits
 _TINY = np.finfo(float).tiny
+_SQRT_TINY = math.sqrt(_TINY)
 # most bytes one stack holds: about 20 core-length arrays per row
 _STACK_BYTES = 1 << 24
 # the left exterior's rho, pi and h are the right one's times these
@@ -198,18 +210,24 @@ class Reference:
             ga.setflags(write=False)
             return ga, 0.0
         k0, k1, k2 = self.params.k0, self.params.k1, self.params.k2
-        d = math.sqrt((k1 + 4.0 * k2) ** 2 + 4.0 * k2 * k0)
+        d, unit = _symbol_root(k0, k1, k2), 1.0
+        if not _SQRT_TINY <= d < math.inf:
+            # the springs' squares leave the floats: take the springs per
+            # unit k12, and g_a, which scales like 1 / k12, back from them
+            unit = self.params.k12
+            k0, k1, k2 = k0 / unit, k1 / unit, k2 / unit
+            d = _symbol_root(k0, k1, k2)
         z1, q1 = _decaying_root(k0 / (d + k1 + 4.0 * k2))
         kd = k1 + d
         z2 = -4.0 * k2 / (kd + math.sqrt((kd - 4.0 * k2) * (kd + 4.0 * k2)))
         j = np.arange(1, self.core.m - max(0, 2 - self.off) + 1)
-        half = (z1**j / (1.0 + z1) - z2**j / (1.0 + z2)) / d
+        half = (z1**j / (1.0 + z1) - z2**j / (1.0 + z2)) / d / unit
         ga = np.concatenate([-half[::-1], half])
         ga.setflags(write=False)
         mu, q, big_j = self.mu, self.q, self.core.m + 1
         far = z1**big_j / ((1.0 + z1) * (q1 + q - q1 * q))
         far -= z2**big_j / ((1.0 + z2) * (1.0 - z2 * mu))
-        return ga, q * q * self.c * mu / d * far
+        return ga, q * q * self.c * mu / d / unit * far
 
     @functools.cached_property
     def bound_logs(self) -> tuple[float, ...]:
@@ -251,6 +269,15 @@ def _atomistic_bonds(win: ChainParams) -> BandedSpdMatrix:
     """E_a on the bonds of the chain ``win``: the blend that flags every
     atom."""
     return model._nn_bond_bands(win, np.ones(2 * win.m))
+
+
+def _symbol_root(k0: float, k1: float, k2: float) -> float:
+    """D = sqrt((k1 + 4 k2)^2 + 4 k2 k0) of ``Reference.dual``, inf where
+    the square overflows."""
+    try:
+        return math.sqrt((k1 + 4.0 * k2) ** 2 + 4.0 * k2 * k0)
+    except OverflowError:
+        return math.inf
 
 
 def _decaying_root(t: float) -> tuple[float, float]:
@@ -563,7 +590,10 @@ def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
     pz[..., nbc:] = edges * ref.ext_pz[:, 0] - ends * ref.ext_pz[:, 1]
     nrm = banded.norm(BandedSpdMatrix(ref.ea_core), pz, ez_c)
     my = ref.fa - res[0]
-    ymy = rowdot(u + ref.wells, my) + ref.ymy_tail
+    # y . M_a y grows like k a0^2 M^3 and saturates to inf past a float,
+    # where the lower terms take their limit (see ``_lower2``)
+    with np.errstate(over="ignore"):
+        ymy = rowdot(u + ref.wells, my) + ref.ymy_tail
     gmy = rowdot(g, my)
     gmg = rowdot(g, ref.goal_frame - res[1])
 
@@ -641,19 +671,29 @@ def _combo(sigma, sign, primal: Array, dual: Array) -> Array:
     return combo
 
 
-def residual_combo(pair: DualPair, sigma, sign) -> Array:
-    """Weighted residual sigma R(y) +/- sigma^-1 R_hat(g) on the core, row
-    by row (see ``_combo``)."""
-    return _combo(sigma, sign, pair.residual_primal, pair.residual_dual)
-
-
 def eta_upp(pair: DualPair, sigma, sign) -> Array:
     """Upper parallelogram term ||sigma P z_y +/- sigma^-1 P z_g||_{E_a},
-    row by row as ``residual_combo``; E_a maps the combination to the same
+    row by row as ``_combo``; E_a maps the combination to the same
     combination of ``ez_y`` and ``ez_g``."""
     pz = _combo(sigma, sign, pair.pz_y, pair.pz_g)
     ez = _combo(sigma, sign, pair.ez_y, pair.ez_g)
     return banded.norm(BandedSpdMatrix(pair.ref.ea_core), pz, ez)
+
+
+def _div(x: float, y: float) -> float:
+    """x / y, with IEEE's inf or nan where y is 0."""
+    return x / y if y else x * math.copysign(math.inf, y)
+
+
+def _lower2(a: float, b: float, c: float, d: float, f: float, schur: float) -> float:
+    """The squared lower term: the largest (r . v)^2 / ||v||^2_{M_a} over v
+    in the span of y and g, in Schur form, from a, b = r . y, r . g, c, d,
+    f = y . M_a y, g . M_a y, g . M_a g and the Schur complement c - d^2/f.
+    b^2/f is the bound at v = g, and y adds what is left of it once g is
+    projected out; where less than ``_SCHUR_REL`` of c is left (or
+    y . M_a y is past a float) the bound at v = g is the one taken."""
+    rest = a - _div(b * d, f)
+    return _div(b * b, f) + (rest * rest / schur if schur > _SCHUR_REL * c else 0.0)
 
 
 def _split(g: Array, r: Array, pz: Array, ez: Array, gamma: float) -> tuple[Array, Array]:
@@ -715,16 +755,44 @@ def _reach(ref: Reference, e: list[float], pz_end: list[float], gamma: float, ta
     return n_ext if x >= n_ext - 1 else 1 + int(x)
 
 
-class _Indicators(NamedTuple):
-    """The eta2 split of one row of a pair, one formula (``_split`` and
-    ``_total``) on the frame's atoms and the core's bonds (``_frame``) and
-    on each side's exterior in closed form (``_exterior``): over the window
-    when called, and by ``marked`` only where a total may reach the
-    threshold."""
+@dataclass(frozen=True)
+class EstimatorReport:
+    """Everything the estimate of row ``row`` of a solved ``pair`` produces.
 
-    pair: DualPair
-    row: int
-    gamma: float
+    ``bound_low <= Q(e) <= bound_high`` is the guaranteed sandwich, each end
+    the first term plus a quarter of one squared parallelogram term less a
+    quarter of another; ``eta1`` is the end of larger magnitude, which is
+    what the sharp efficiency numbers quote.  The lower terms
+    ``eta_low_*`` are non-negative.  ``flags`` names the hazards the row
+    met (see ``estimate_stack``).  ``m`` is the chain's half-size and
+    ``m_window`` that of the window it is reported on: ``eta2_at`` is
+    indexed by free atom of the window (``free_ids``, -m_window+3 ..
+    m_window-2) and ``eta2_el`` by bond (-m_window+1 .. m_window-1).  Both
+    are the eta2 split at the bond weight ``gamma``, one formula (``_split``
+    and ``_total``) on the frame's atoms and the core's bonds (``_frame``)
+    and on each side's exterior in closed form (``_exterior``): over the
+    window when first read, and by ``marked`` only where a total may reach
+    a threshold.  ``pair``, ``row`` and ``gamma`` stay out of comparisons
+    and of ``as_dict``.
+    """
+
+    m: int
+    m_window: int
+    eta1: float
+    eta2: float
+    first_term: float
+    sigma_bar: float | None
+    eta_upp_plus: float
+    eta_upp_minus: float
+    eta_low_plus: float
+    eta_low_minus: float
+    bound_low: float
+    bound_high: float
+    eta2_weighted: float | None
+    flags: tuple[str, ...]
+    pair: DualPair = field(repr=False, compare=False)
+    row: int = field(repr=False, compare=False)
+    gamma: float = field(repr=False, compare=False)
 
     def _ends(self) -> tuple[Array, Array]:
         """(primal, dual) by (left, right): the edge values of u and g, and
@@ -758,7 +826,8 @@ class _Indicators(NamedTuple):
         g, r = es[1] * atoms[0], es[0] * atoms[1]
         return _split(g, r, es * prof[1] - end * prof[2], es * prof[0], self.gamma)
 
-    def __call__(self) -> tuple[Array, Array]:
+    @functools.cached_property
+    def _eta2_split(self) -> tuple[Array, Array]:
         """The split over the window: per free atom and per bond."""
         edges, ends = self._ends()
         at, el = self._frame(edges, ends)
@@ -767,9 +836,27 @@ class _Indicators(NamedTuple):
         )
         return np.concatenate([lat[::-1], at, rat]), np.concatenate([lel[::-1], el[1:-1], rel])
 
+    @property
+    def eta2_at(self) -> Array:
+        """Per-free-atom residual term |g_i R_i(y)|."""
+        return self._eta2_split[0]
+
+    @property
+    def eta2_el(self) -> Array:
+        """Per-bond projection term."""
+        return self._eta2_split[1]
+
+    def free_ids(self) -> Array:
+        """Atom ids of ``eta2_at`` and ``eta2_total``."""
+        return np.arange(-self.m_window + 3, self.m_window - 1)
+
+    def eta2_total(self) -> Array:
+        """Per-free-atom indicator: own at-term plus half of each adjacent bond."""
+        return _total(self.eta2_at, self.eta2_el[1:-1])
+
     def marked(self, tau: float) -> Array:
-        """The window's free atoms whose total reaches ``tau``, with the bits
-        of the totals over the window, found on the core.
+        """The window's free atoms whose ``eta2_total`` reaches ``tau``, with
+        the bits of the totals over the window, found on the core.
 
         The frame's atoms take their bonds from the core's and, at each
         end, the exterior bond next to it.  Past the frame every total is
@@ -794,64 +881,8 @@ class _Indicators(NamedTuple):
             out.insert(2 * side, far + (first + nc - 1) if side else (first - far)[::-1])
         return np.concatenate(out) if len(out) > 1 else out[0]
 
-
-@dataclass(frozen=True)
-class EstimatorReport:
-    """Everything one primal/dual estimate produces.
-
-    ``bound_low <= Q(e) <= bound_high`` is the guaranteed sandwich, each end
-    the first term plus a quarter of one squared parallelogram term less a
-    quarter of another; ``eta1`` is the end of larger magnitude, which is
-    what the sharp efficiency numbers quote.  The lower terms
-    ``eta_low_*`` are non-negative.  ``m`` is the chain's half-size and
-    ``m_window`` that of the window it is reported on: ``eta2_at`` is
-    indexed by free atom of the window (``free_ids``, -m_window+3 ..
-    m_window-2) and ``eta2_el`` by bond (-m_window+1 .. m_window-1).  Both
-    are formed on first read, by ``indicators``, which also marks the atoms
-    whose ``eta2_total`` reaches a threshold without forming them
-    (``adaptivity.mark_atoms``).
-    """
-
-    m: int
-    m_window: int
-    eta1: float
-    eta2: float
-    first_term: float
-    sigma_bar: float | None
-    eta_upp_plus: float
-    eta_upp_minus: float
-    eta_low_plus: float
-    eta_low_minus: float
-    bound_low: float
-    bound_high: float
-    eta2_weighted: float | None
-    flags: tuple[str, ...]
-    indicators: _Indicators = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def _eta2_split(self) -> tuple[Array, Array]:
-        return self.indicators()
-
-    @property
-    def eta2_at(self) -> Array:
-        """Per-free-atom residual term |g_i R_i(y)|."""
-        return self._eta2_split[0]
-
-    @property
-    def eta2_el(self) -> Array:
-        """Per-bond projection term."""
-        return self._eta2_split[1]
-
-    def free_ids(self) -> Array:
-        """Atom ids of ``eta2_at`` and ``eta2_total``."""
-        return np.arange(-self.m_window + 3, self.m_window - 1)
-
-    def eta2_total(self) -> Array:
-        """Per-free-atom indicator: own at-term plus half of each adjacent bond."""
-        return _total(self.eta2_at, self.eta2_el[1:-1])
-
     def as_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)[:-1]}
+        out = {f.name: getattr(self, f.name) for f in fields(self)[:-3]}
         out.update(
             flags=list(self.flags),
             eta2_at=self.eta2_at.tolist(),
@@ -866,67 +897,81 @@ class EstimatorReport:
 def estimate_stack(pair: DualPair, use_gamma: bool = False) -> list[EstimatorReport]:
     """Run the full eta1 + eta2 pipeline on a stack, one report per row.
 
-    The array work is one row-wise call over the stack's core arrays for
-    both sign combinations, whose exterior coordinates carry the exterior.
-    Degenerate rows run it at sigma 1 and drop it, which leaves their
-    bounds and eta1 on the first term alone.  The eta2 indicators are
-    listed over the window only when a report's are read.
+    The array work is row-wise over the stack's core arrays, whose exterior
+    coordinates carry the exterior: the first term, and for both sign
+    combinations the weighted residual's dot products with y and g and the
+    upper parallelogram terms.  Every other value of a row is a float
+    formed in one loop over the rows.  Degenerate rows run the array work
+    at sigma 1 and drop it, which leaves their bounds and eta1 on the first
+    term alone.  The eta2 indicators are listed over the window only when a
+    report's are read.
     """
-    ref = pair.ref
+    ref, a0 = pair.ref, pair.ref.params.a0
     # past a0/2 from its well an atom leaves the harmonic well model's range;
     # the exterior decays from the core's edge atoms
-    off_well = np.abs(pair.u_free).max(axis=-1) > 0.5 * ref.params.a0
+    u_max = np.abs(pair.u_free).max(axis=-1).tolist()
     # the computable part g . R(y) of the goal error identity
-    ft = rowdot(pair.g_free, pair.residual_primal)
+    ft = rowdot(pair.g_free, pair.residual_primal).tolist()
+    gr_abs = rowdot(np.abs(pair.g_free), np.abs(pair.residual_primal)).tolist()
     npy, npg = pair.npy.tolist(), pair.npg.tolist()
-    rows = range(len(ft))
-    sigmas = [_sigma(npy[i], npg[i]) for i in rows]
+    sigmas = [_sigma(y, g) for y, g in zip(npy, npg)]
     sigma = np.array([1.0 if s is None else s for s in sigmas])
     # leading axis 0 is the sign: + and - parallelogram combinations
-    r = residual_combo(pair, sigma, _SIGNS)
-    a, b = rowdot(r, pair.u_free + ref.wells), rowdot(r, pair.g_free)
+    r = _combo(sigma, _SIGNS, pair.residual_primal, pair.residual_dual)
+    a, b = rowdot(r, pair.u_free + ref.wells).tolist(), rowdot(r, pair.g_free).tolist()
     del r
-    # squared lower terms: the largest (r . v)^2 / ||v||^2_{M_a} over v in the
-    # span of y and g, in Schur form.  b^2/f is the bound at v = g, and y adds
-    # what is left of it once g is projected out; where nothing is left (or
-    # y . M_a y is past a float) the bound at v = g is the exact one
-    c, d, f = pair.ymy, pair.gmy, pair.gmg
-    schur = c - d * d / f
-    low2 = b * b / f
-    rest = (a - b * d / f) ** 2
-    low2 += np.divide(rest, schur, out=np.zeros_like(rest), where=schur > 0.0)
-    lo2_p, lo2_m = low2.tolist()
     up_p, up_m = eta_upp(pair, sigma, _SIGNS).tolist()
-
-    # eta2 split: since ||P z||^2 = sum_i (P z)_i ((E_a - E_ac) z)_i, the plain
-    # bond terms sum to (npy^2 + npg^2) / 2; weighting the halves by gamma =
-    # npg / npy and 1 / gamma makes each sum npy npg / 2 (plain: gamma = 1)
-    gammas = [
-        npg[i] / npy[i] if use_gamma and sigmas[i] is not None else 1.0 for i in rows
-    ]
+    ymy, gmy, gmg = pair.ymy.tolist(), pair.gmy.tolist(), pair.gmg.tolist()
+    differs = pair.differs.tolist()
+    few = ref.params.m <= 4  # at most four free atoms
 
     reports = []
-    for i, first in enumerate(ft.tolist()):
-        flags = ["off-well"] if off_well[i] else []
-        terms = lo2_p[i], lo2_m[i], up_p[i], up_m[i]
-        sig = sigmas[i]
+    for i, first in enumerate(ft):
+        flags = ["off-well"] if u_max[i] > 0.5 * a0 else []
+        sig, gamma, weighted = sigmas[i], 1.0, None
         if sig is None:
             flags.append("sigma-degenerate")
-            terms = 0.0, 0.0, 0.0, 0.0
-        lp, lm, up, um = terms
-        bound_low = first + 0.25 * lp - 0.25 * um**2
-        bound_high = first + 0.25 * up**2 - 0.25 * lm
-        weighted = None
+            lp = lm = up = um = 0.0
+        else:
+            up, um = up_p[i], up_m[i]
+            c, d, f = ymy[i], gmy[i], gmg[i]
+            schur = c - _div(d * d, f)
+            lp = _lower2(a[0][i], b[0][i], c, d, f, schur)
+            lm = _lower2(a[1][i], b[1][i], c, d, f, schur)
+        up2, um2 = up**2, um**2
+        bound_low = first + 0.25 * lp - 0.25 * um2
+        bound_high = first + 0.25 * up2 - 0.25 * lm
         if use_gamma:
+            # eta2 split: since ||P z||^2 = sum_i (P z)_i ((E_a - E_ac) z)_i, the
+            # plain bond terms sum to (npy^2 + npg^2) / 2; weighting the halves
+            # by gamma = npg / npy and 1 / gamma makes each sum npy npg / 2
             if sig is None:
                 flags.append("gamma-degenerate")
-            g = gammas[i]
-            weighted = abs(first) + 0.5 * g * npy[i] ** 2 + 0.5 / g * npg[i] ** 2
+            else:
+                gamma = npg[i] / npy[i]
+            weighted = abs(first) + 0.5 * gamma * npy[i] ** 2 + 0.5 / gamma * npg[i] ** 2
         # a model that differs has a nonzero error: a value below the normal
-        # floats has lost its digits to underflow
+        # floats has lost its digits to underflow.  Above them, Q(e) and g . R
+        # each carry a round-off of a few ulps of sum |g_i R_i|, which decides
+        # on which side of a bound within it Q(e) falls: where no term moves
+        # the bounds by one ulp of the first term they collapse onto it, and
+        # a term is at the floor in a sandwich narrower than that round-off,
+        # in lower terms whose Schur complement cancelled, and where one
+        # sign's terms are below it on a chain of at most four free atoms (y
+        # and g may span the error there, so the other sign's lower term is
+        # exact and Q(e) sits on the end of the sandwich it sets)
         small = min(abs(first), npy[i] * npg[i], abs(bound_low), abs(bound_high))
-        if pair.differs[i] and small < _TINY:
+        if differs[i] and small < _TINY:
             flags.append("underflow")
+        elif sig is not None:
+            floor = _FLOOR_ULPS * math.ulp(gr_abs[i])
+            if (
+                bound_high - bound_low <= floor
+                or 0.0 < schur <= _SCHUR_REL * c < math.inf
+                or (few and 0.25 * min(max(lp, up2), max(lm, um2)) <= floor)
+            ):
+                collapsed = 0.25 * max(lp, lm, up2, um2) < math.ulp(first)
+                flags.append("bounds-collapsed" if collapsed else "term-at-floor")
         reports.append(
             EstimatorReport(
                 m=ref.params.m,
@@ -943,7 +988,9 @@ def estimate_stack(pair: DualPair, use_gamma: bool = False) -> list[EstimatorRep
                 bound_high=bound_high,
                 eta2_weighted=weighted,
                 flags=tuple(flags),
-                indicators=_Indicators(pair, i, gammas[i]),
+                pair=pair,
+                row=i,
+                gamma=gamma,
             )
         )
     return reports

@@ -58,11 +58,20 @@ from .banded import Array, BandedSpdMatrix
 WINDOW_EPS = 1e-40
 # clamps this many ulps of M a0 from the wells count as the default ones
 _BC_ULPS = 4
+# slowest decay exponent the closed-form exterior resolves (see ``sizes``)
+_PHI_MIN = 1e-10
 # atoms the core of a window keeps past the padded span (see ``sizes``)
 _CORE_MARGIN = 5
 # largest lattice spacing: the lower bounds square products that grow like
 # a0^3, which must stay well inside the float range
 A0_MAX = 1e50
+# largest energy scale max(k0, k1, k2, k2^2/k1) a0^2: the squared norms of
+# the residuals and projections grow with it and must stay inside the floats
+ENERGY_MAX = 1e300
+# largest k2 / k1: stiffer next-nearest springs leave the atomistic system
+# too ill-conditioned to factor or to bound (the sandwich fails from about
+# 3e14 on short chains, and M_a loses definiteness in floats from 1e16)
+K2_K1_MAX = 1e12
 
 
 def _default_bc(m: int, a0: float) -> tuple[float, float, float, float]:
@@ -78,7 +87,9 @@ class ChainParams:
     The default, ``None``, clamps them at their wells (``clamps``), which
     stretches the chain by one extra spacing and so forces a dislocation
     into the interior; it follows ``m`` and ``a0`` through
-    ``dataclasses.replace``.
+    ``dataclasses.replace``.  Inputs whose results would leave the floats
+    are rejected here: ``a0`` above ``A0_MAX``, ``k2/k1`` above
+    ``K2_K1_MAX`` and an energy scale above ``ENERGY_MAX``.
     """
 
     m: int
@@ -104,9 +115,19 @@ class ChainParams:
                 f"spring constants must be finite with k0 > 0, k1 > 0, k2 >= 0, "
                 f"got {springs}"
             )
+        if self.k2 > K2_K1_MAX * self.k1:
+            raise ValueError(
+                f"k2/k1 must be at most K2_K1_MAX = {K2_K1_MAX:g}, got "
+                f"k1 = {self.k1}, k2 = {self.k2}"
+            )
         if not 0 < self.a0 <= A0_MAX:
             raise ValueError(
                 f"a0 must be positive and at most {A0_MAX:g}, got {self.a0}"
+            )
+        if max(*springs, self.k2 * (self.k2 / self.k1)) * self.a0 * self.a0 > ENERGY_MAX:
+            raise ValueError(
+                f"the energy scale max(k0, k1, k2, k2^2/k1) a0^2 must be at most "
+                f"ENERGY_MAX = {ENERGY_MAX:g}, got springs {springs} and a0 = {self.a0}"
             )
         # Python numbers, so equal params compute the same bits and numpy
         # integers cannot overflow the exact sums over the chain
@@ -138,9 +159,11 @@ class ChainParams:
         m, tol = self.m, _BC_ULPS * math.ulp(self.m * self.a0)
         if any(abs(b - d) > tol for b, d in zip(self.clamps, _default_bc(m, self.a0))):
             return m
-        # a decay too slow for a float to resolve reaches past any chain
+        # a decay too slow to resolve reaches past any chain: below _PHI_MIN
+        # the exterior's fold k12 mu cancels the core's edge diagonal to a
+        # relative round-off of about eps / phi, and at 1e-16 to nothing
         phi = _decay_exponent(self)
-        return math.ceil(math.log(1.0 / WINDOW_EPS) / phi) if phi > 0.0 else m
+        return math.ceil(math.log(1.0 / WINDOW_EPS) / phi) if phi > _PHI_MIN else m
 
     @property
     def n_atoms(self) -> int:
@@ -234,7 +257,8 @@ def sizes(
     region of the paper's K <= 50 sweeps one window.  The window clamps its
     ends at the wells, where the chain's own atoms sit that far out, so a
     chain whose clamps lie more than ``_BC_ULPS`` ulps of ``M a0`` from the
-    wells (boundary layers at both ends) is its own window.
+    wells (boundary layers at both ends) is its own window, and so is one
+    whose decay is too slow to resolve (exponent at most ``_PHI_MIN``).
 
     The solves and products run on the core, the continuum exterior folded
     into its edge diagonals.  Rows past a free edge atom c are pure continuum,

@@ -365,8 +365,8 @@ def window_indicators(report: EstimatorReport) -> tuple[Array, Array]:
     """The eta2 split of a report over the window, from the fields extended
     over it: |g R(y)| per free atom, and per bond the gamma-weighted halves
     |P z_y . ez_y| and |P z_g . ez_g|."""
-    pair, row, gamma = report.indicators
-    rows = slice(row, row + 1)
+    pair, gamma = report.pair, report.gamma
+    rows = slice(report.row, report.row + 1)
     g, r, pzy, ezy, pzg, ezg = (
         on_window(pair, name, rows)[0]
         for name in ("g_free", "residual_primal", "pz_y", "ez_y", "pz_g", "ez_g")

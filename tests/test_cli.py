@@ -119,6 +119,7 @@ def test_flag_toggles():
         ["table2", "--tau-gl", "nan"],
         ["table3", "--tau-gl", "nan"],
         ["adapt", "--tau-div", "nan"],
+        ["table2", "--k1", "1e-3", "--k2", "1e10"],  # k2/k1 past K2_K1_MAX
     ],
 )
 def test_rejected_argv(argv):

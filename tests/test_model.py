@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcfk import banded
-from qcfk.estimators import estimate, solve_dual_pair
+from qcfk.estimators import estimate, exact_goal_errors, solve_dual_pair
 from qcfk.adaptivity import fixed_k_run
 from qcfk.model import (
     A0_MAX,
+    ENERGY_MAX,
+    K2_K1_MAX,
     WINDOW_EPS,
     ChainParams,
     _decay_exponent,
@@ -106,6 +108,46 @@ def test_lattice_spacing_has_a_limit():
     # the model is linear in a0 and the clamps together
     base = fixed_k_run(ChainParams(m=1000), 5)
     assert math.isclose(run.q_error, A0_MAX * base.q_error, rel_tol=1e-12)
+
+
+def test_next_nearest_springs_have_a_limit():
+    # at k0 = k1 = 1 and K = 2 the sandwich failed from k2 = 3e14 (M = 4)
+    # and M_a lost definiteness in floats from k2 = 1e16; ratios past the
+    # limit are rejected where they enter, and the limit itself computes
+    with pytest.raises(ValueError, match="K2_K1_MAX = 1e\\+12"):
+        ChainParams(m=10, k0=1.0, k1=1.0, k2=math.nextafter(K2_K1_MAX, math.inf))
+    for m in (4, 10, 40, 200):
+        p = ChainParams(m=m, k0=1.0, k1=1.0, k2=K2_K1_MAX)
+        pair = solve_dual_pair(p, interval_partition(p, 2))
+        rep, (qe,) = estimate(pair), exact_goal_errors(pair)
+        assert rep.bound_low <= qe <= rep.bound_high, m
+
+
+def test_energy_scale_has_a_limit():
+    # the squared norms grow like k a0^2, and like k2^2/k1 a0^2 where stiff
+    # next-nearest springs leave E_a ill-conditioned: past the limit they
+    # overflowed, so such chains are rejected where they enter
+    for (k0, k1, k2), a0 in (((1.0, 1e260, 2.0), 1e21), ((1.0, 1e280, 1e291), 1.0)):
+        with pytest.raises(ValueError, match="ENERGY_MAX = 1e\\+300"):
+            ChainParams(m=1000, k0=k0, k1=k1, k2=k2, a0=a0)
+    for (k0, k1, k2), a0 in (((1.0, 1e260, 2.0), 1e20), ((1.0, 1e280, 1e289), 1.0)):
+        run = fixed_k_run(ChainParams(m=1000, k0=k0, k1=k1, k2=k2, a0=a0), 5)
+        rep = run.report
+        values = (run.q_error, rep.eta1, rep.eta2, rep.bound_low, rep.bound_high)
+        assert all(map(math.isfinite, values))
+
+
+def test_a_decay_too_slow_to_resolve_solves_the_whole_chain():
+    # at k0/k12 = 2e-41 the exterior's fold cancelled the core's edge diagonal
+    # and its factor failed: a decay that slow reaches past the chain, as a
+    # decay that underflows does, while a resolvable one keeps its core
+    part = make_partition(ChainParams(m=100), [])
+    slow = ChainParams(m=10**30, k0=1e-40, k1=1.0, k2=1.0)
+    assert sizes(slow, part) == (10**30, 10**30)
+    p = ChainParams(m=10**30, k0=1e-19, k1=1.0, k2=1.0)
+    assert sizes(p, part)[1] == 69
+    run = fixed_k_run(p, 5)
+    assert run.report.bound_low <= run.q_error <= run.report.bound_high
 
 
 def test_numpy_size_does_not_overflow_the_far_field_sums():
