@@ -3,10 +3,10 @@
 The loop keeps a global tolerance ``tau_gl`` and a moving local threshold
 ``tau_at``.  Each pass solves the blended model on the current partition,
 stops if the sharp estimate ``eta1`` is already below ``tau_gl``, and
-otherwise divides ``tau_at`` by ``tau_div`` and flags every free atom whose
-local indicator (its own residual term plus half of each adjacent bond
-term) reaches the threshold.  Flagged atoms switch to atomistic treatment
-and never switch back.
+otherwise divides ``tau_at`` by ``tau_div``, with no new solve, until it
+flags a free atom outside the region: every atom whose local indicator (its
+own residual term plus half of each adjacent bond term) reaches it switches
+to atomistic treatment and never switches back.
 
 A pass costs what the region's core costs, whatever the chain length: the
 blended solves run on the core (see ``estimators``), and so does marking,
@@ -41,7 +41,8 @@ from .model import ChainParams, Partition, interval_partition
 class AdaptConfig:
     """Loop controls; ``symmetrize`` widens every mark set to a symmetric
     interval around the defect, ``use_gamma`` picks the balanced bond split
-    for the marking indicator."""
+    for the marking indicator: the plain one marks by the unit the springs
+    are given in (see README), the balanced one does not."""
 
     tau_gl: float
     tau_div: float = 10.0
@@ -80,8 +81,8 @@ class IterationRecord:
 class AdaptTrace:
     """Full history of one adaptive run.
 
-    ``status`` is "converged" (eta1 met tau_gl), "stalled" (threshold
-    dropped but nothing new was marked), or "max-iterations".
+    ``status`` is "converged" (eta1 met tau_gl), "stalled" (no threshold
+    down to 0.0 grows the region), or "max-iterations".
     """
 
     m: int
@@ -137,6 +138,7 @@ def run_adaptive(params: ChainParams, config: AdaptConfig) -> AdaptTrace:
     atoms = np.empty(0, dtype=int)
     records: list[IterationRecord] = []
     status = "max-iterations"
+    level, tau_at = 0, config.tau_gl  # tau_gl / tau_div^level marked the region
     for it in range(1, config.max_iterations + 1):
         # union1d and arange keep the ids sorted, unique and on the chain
         part = Partition(atomistic=atoms)
@@ -148,7 +150,7 @@ def run_adaptive(params: ChainParams, config: AdaptConfig) -> AdaptTrace:
                 k=_interval_k(atoms),
                 n_atomistic=int(atoms.size),
                 m_window=report.m_window,
-                tau_at=_threshold(config, it - 1),
+                tau_at=tau_at,
                 eta1=report.eta1,
                 eta2=report.eta2,
             )
@@ -156,14 +158,18 @@ def run_adaptive(params: ChainParams, config: AdaptConfig) -> AdaptTrace:
         if report.eta1 <= config.tau_gl:
             status = "converged"
             break
-        marked = mark_atoms(report, _threshold(config, it))
-        grown = np.union1d(atoms, marked)
-        if config.symmetrize and grown.size:
-            k = int(np.max(np.maximum(grown, 1 - grown)))
-            grown = np.arange(-k + 1, k + 1)
+        # no new solve until a threshold marks an atom outside the region
+        grown = atoms
+        while grown.size == atoms.size and atoms.size < 2 * params.m - 4 and tau_at > 0.0:
+            level += 1
+            tau_at = _threshold(config, level)
+            grown = np.union1d(atoms, mark_atoms(report, tau_at))
         if grown.size == atoms.size:
             status = "stalled"
             break
+        if config.symmetrize:
+            k = int(np.max(np.maximum(grown, 1 - grown)))
+            grown = np.arange(-k + 1, k + 1)
         atoms = grown
     return AdaptTrace(
         m=params.m,

@@ -22,8 +22,8 @@ this module is built from those pieces:
                adaptive refinement.
 
 The scalar sigma (relative scaling of primal vs dual) takes its optimal
-value; a degenerate optimum leaves the first term alone and sets a flag on
-the report.  Each lower term is the Cauchy-Schwarz bound |r . v| /
+value; one that cannot be formed leaves the first term alone and sets a
+flag on the report.  Each lower term is the Cauchy-Schwarz bound |r . v| /
 ||v||_{M_a} at the best test vector v in the span of y and g, which needs
 no vector: with a, b = r . y, r . g and c, d, f = y . M_a y, g . M_a y,
 g . M_a g it is lo^2 = b^2/f + (a - b d/f)^2 / (c - d^2/f), the Schur
@@ -94,8 +94,6 @@ from . import banded, model
 from .banded import Array, BandedFactor, BandedSpdMatrix, rowdot
 from .model import ChainParams, Partition
 
-# dimensionless cutoff deciding when sigma's optimum is degenerate
-_DEGENERATE_REL = 1e-14
 # the round-off of Q(e) and of g . R, in ulps of sum |g_i R_i|
 _FLOOR_ULPS = 128
 # a Schur complement below this fraction of y . M_a y has cancelled: the
@@ -103,7 +101,6 @@ _FLOOR_ULPS = 128
 _SCHUR_REL = 1.0 / 64.0
 # smallest normal float: a reported value below it has lost its digits
 _TINY = np.finfo(float).tiny
-_SQRT_TINY = math.sqrt(_TINY)
 # most bytes one stack holds: about 20 core-length arrays per row
 _STACK_BYTES = 1 << 24
 # the left exterior's rho, pi and h are the right one's times these
@@ -203,20 +200,17 @@ class Reference:
         negative.  Past the frame the residual is e q^2 c mu^(i+1) at atom
         J + i, J = m_core + 1 (see ``_profiles``), so the exterior's sum is
         geometric; 1 - z1 mu is formed from q1 = 1 - z1 and q, which does
-        not cancel as k0 nears 0.
+        not cancel as k0 nears 0.  The roots take the springs per unit of a
+        power of two (``_unit_springs``), and g_a ~ 1 / k12 is scaled back
+        exactly, so springs times 4^i and a0 times 2^j move Q(e) by 2^j.
         """
         if not self.off:
             ga = banded.solve(self.ma_factor, self.goal_frame[:-4])
             ga.setflags(write=False)
             return ga, 0.0
-        k0, k1, k2 = self.params.k0, self.params.k1, self.params.k2
-        d, unit = _symbol_root(k0, k1, k2), 1.0
-        if not _SQRT_TINY <= d < math.inf:
-            # the springs' squares leave the floats: take the springs per
-            # unit k12, and g_a, which scales like 1 / k12, back from them
-            unit = self.params.k12
-            k0, k1, k2 = k0 / unit, k1 / unit, k2 / unit
-            d = _symbol_root(k0, k1, k2)
+        k0, k1, k2, unit = _unit_springs(self.params)
+        k12 = k1 + 4.0 * k2
+        d = math.sqrt(k12 * k12 + 4.0 * k2 * k0)
         z1, q1 = _decaying_root(k0 / (d + k1 + 4.0 * k2))
         kd = k1 + d
         z2 = -4.0 * k2 / (kd + math.sqrt((kd - 4.0 * k2) * (kd + 4.0 * k2)))
@@ -271,13 +265,12 @@ def _atomistic_bonds(win: ChainParams) -> BandedSpdMatrix:
     return model._nn_bond_bands(win, np.ones(2 * win.m))
 
 
-def _symbol_root(k0: float, k1: float, k2: float) -> float:
-    """D = sqrt((k1 + 4 k2)^2 + 4 k2 k0) of ``Reference.dual``, inf where
-    the square overflows."""
-    try:
-        return math.sqrt((k1 + 4.0 * k2) ** 2 + 4.0 * k2 * k0)
-    except OverflowError:
-        return math.inf
+def _unit_springs(params: ChainParams) -> tuple[float, float, float, float]:
+    """k0, k1 and k2 per unit of the power of two next above k12, and that
+    unit: the division is exact, and k1 + 4 k2 < 1 in it, so no square a
+    closed-form root takes leaves the floats."""
+    unit = math.ldexp(1.0, math.frexp(params.k12)[1])
+    return params.k0 / unit, params.k1 / unit, params.k2 / unit, unit
 
 
 def _decaying_root(t: float) -> tuple[float, float]:
@@ -405,10 +398,10 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         tail0, tailb = float(m0 - s * (s + 1) * (2 * s + 1) // 3), float(mb)
     except OverflowError:
         far0 = farb = tail0 = tailb = math.inf
-    ymy_far = a0**2 * (k0 * far0 + (k1 + 2.0 * k2) * farb)
+    ymy_far = a0 * a0 * (k0 * far0 + (k1 + 2.0 * k2) * farb)
     # b . M_a b = sum b (k0 b + clamp terms) - b . f_a, and b . f_a is
     # -a0 (E_a D b) at the defect bond, where D b is a0, 2 a0, a0
-    ymy_tail = a0**2 * (k0 * tail0 + (k1 + 2.0 * k2) * tailb - 2.0 * (k1 + 3.0 * k2))
+    ymy_tail = a0 * a0 * (k0 * tail0 + (k1 + 2.0 * k2) * tailb - 2.0 * (k1 + 3.0 * k2))
     # the bond differences of lift + b - a, added to z_y apart from u so that
     # no u below one ulp of a0 is lost, on the core's bonds and one more each
     # side; the lift is that of the window's clamps, which a core shorter than
@@ -424,7 +417,8 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         # 2 + k0/k12; folding it in leaves d - k12 mu on the core's first and
         # last free diagonal entries (a discrete Dirichlet-to-Neumann boundary)
         mu, q = _decaying_root(0.5 * k0 / params.k12)
-        lam = -2.0 * k2 / (k1 + 2.0 * k2 + math.sqrt(k1 * params.k12))
+        _, u1, u2, _ = _unit_springs(params)
+        lam = -2.0 * u2 / (u1 + 2.0 * u2 + math.sqrt(u1 * (u1 + 4.0 * u2)))
         # E_a on the core's bonds, each with both NNN pairs, and the
         # coupling of the last to the next, as the window assembles them
         ea_core = np.empty((2, nbc))
@@ -650,12 +644,13 @@ def solve_dual_pair(params: ChainParams, part: Partition) -> DualPair:
 
 def _sigma(npy: float, npg: float) -> float | None:
     """Balance scalar sqrt(npg / npy), which minimises the upper bound; None
-    when either norm vanishes next to the other.  Any positive value would
-    still give valid bounds: sigma only scales them."""
-    scale = max(npy, npg)
-    if scale == 0.0 or min(npy, npg) <= _DEGENERATE_REL * scale:
-        return None
-    return math.sqrt(npg / npy)
+    where it cannot be formed as a positive normal float: a norm is 0, or
+    npg / npy leaves the floats.  Any positive value gives valid bounds, as
+    sigma only scales them, so no unit decides it: springs times 4^i and a0
+    times 2^j, j even, move every report float but sigma (by 2^-(i + j/2))
+    and the plain eta2 split by an exact power of two."""
+    ratio = npg / npy if npy else 0.0
+    return math.sqrt(ratio) if _TINY <= ratio < math.inf else None
 
 
 # the + and - parallelogram combinations, as a leading axis
@@ -938,7 +933,7 @@ def estimate_stack(pair: DualPair, use_gamma: bool = False) -> list[EstimatorRep
             schur = c - _div(d * d, f)
             lp = _lower2(a[0][i], b[0][i], c, d, f, schur)
             lm = _lower2(a[1][i], b[1][i], c, d, f, schur)
-        up2, um2 = up**2, um**2
+        up2, um2 = up * up, um * um
         bound_low = first + 0.25 * lp - 0.25 * um2
         bound_high = first + 0.25 * up2 - 0.25 * lm
         if use_gamma:
@@ -949,7 +944,7 @@ def estimate_stack(pair: DualPair, use_gamma: bool = False) -> list[EstimatorRep
                 flags.append("gamma-degenerate")
             else:
                 gamma = npg[i] / npy[i]
-            weighted = abs(first) + 0.5 * gamma * npy[i] ** 2 + 0.5 / gamma * npg[i] ** 2
+            weighted = abs(first) + 0.5 * gamma * (npy[i] * npy[i]) + 0.5 / gamma * (npg[i] * npg[i])
         # a model that differs has a nonzero error: a value below the normal
         # floats has lost its digits to underflow.  Above them, Q(e) and g . R
         # each carry a round-off of a few ulps of sum |g_i R_i|, which decides

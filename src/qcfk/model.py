@@ -110,10 +110,12 @@ class ChainParams:
             and self.k0 > 0
             and self.k1 > 0
             and self.k2 >= 0
+            and math.isfinite(2.0 * self.k12 + self.k0)
         ):
             raise ValueError(
-                f"spring constants must be finite with k0 > 0, k1 > 0, k2 >= 0, "
-                f"got {springs}"
+                f"spring constants must be finite with k0 > 0, k1 > 0, k2 >= 0 and the "
+                f"largest stiffness entry 2 (k1 + 4 k2) + k0 at most the largest float, "
+                f"{np.finfo(float).max:g}, got {springs}"
             )
         if self.k2 > K2_K1_MAX * self.k1:
             raise ValueError(

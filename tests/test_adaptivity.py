@@ -18,7 +18,7 @@ from qcfk.adaptivity import (
     mark_atoms,
     run_adaptive,
 )
-from qcfk.model import ChainParams, interval_partition, make_partition, sizes
+from qcfk.model import ChainParams, Partition, interval_partition, make_partition, sizes
 
 from oracle_dense import window_marks
 from oracle_exact import EXACT, EXACT_ETA1_M100
@@ -162,6 +162,38 @@ def test_stalls_when_no_free_atom_is_left_to_mark():
     assert len(trace.records) == 2
     assert np.array_equal(trace.final_atomistic, np.arange(-5, 7))
     assert trace.final_eta1 > 1e-30
+
+
+def test_a_threshold_that_marks_nothing_new_is_lowered_again():
+    # at K = 3 the threshold 3.3e-9 marks only atoms inside the region (the
+    # outside ones reach 1.1e-9): it is lowered, with no new solve, until
+    # atoms -3 and 4 are marked, and the run meets the tolerance where it
+    # used to stop as stalled at eta1 = 3.64e-7
+    p = ChainParams(
+        m=10**9,
+        k0=4.5946222132561365,
+        k1=0.31005641729617345,
+        k2=0.004456694484852517,
+        a0=1.8636694222086312,
+    )
+    trace = run_adaptive(p, AdaptConfig(tau_gl=3.3e-7))
+    assert trace.status == "converged"
+    assert [r.k for r in trace.records] == [0, 3, 4]
+    # each record holds the threshold that marked the region it solved
+    assert [r.tau_at for r in trace.records] == [3.3e-7, 3.3e-7 / 10.0, 3.3e-7 / 1000.0]
+    pair = estimators.solve_dual_pair(p, Partition(atomistic=trace.final_atomistic))
+    assert abs(estimators.exact_goal_errors(pair)[0]) <= 3.3e-7
+
+
+@pytest.mark.parametrize("m", [100, 1000, 10_000, 100_000, 1_000_000])
+def test_criterion_1_traces_keep_their_thresholds(m):
+    # criterion 1's traces: every threshold marks a new atom at once, so the
+    # records keep the thresholds tau_gl / tau_div^(iteration - 1)
+    config = AdaptConfig(tau_gl=1e-10)
+    trace = run_adaptive(ChainParams(m=m), config)
+    assert trace.status == "converged"
+    assert [r.k for r in trace.records] == [0, 28, 32]
+    assert [r.tau_at for r in trace.records] == [1e-10 / 10.0**n for n in range(3)]
 
 
 def test_trace_json_shape():

@@ -120,6 +120,7 @@ def test_flag_toggles():
         ["table3", "--tau-gl", "nan"],
         ["adapt", "--tau-div", "nan"],
         ["table2", "--k1", "1e-3", "--k2", "1e10"],  # k2/k1 past K2_K1_MAX
+        ["table2", "--k1", "1e308", "--k2", "1e308", "--a0", "1e-5"],  # k12 past a float
     ],
 )
 def test_rejected_argv(argv):

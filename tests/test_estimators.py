@@ -135,6 +135,34 @@ def test_estimates_scale_with_the_spacing():
                 assert abs(value - a0 * unit) <= 1e-13 * abs(a0 * unit), (k, a0)
 
 
+@pytest.mark.parametrize("springs", [(1.0, 2.0, 2.0), (1.0, 2.0, 0.5), (1.0, 0.02, 2.0)])
+@pytest.mark.parametrize("m", [60, 1_000_000])
+def test_power_of_two_units_scale_every_output_exactly(springs, m):
+    # springs times 4^i and a0 times 2^-i (i even, so that sqrt(a0) scales
+    # by a power of two too): Q(e), eta1, eta2, the first term and both
+    # bounds scale with a0, the parallelogram terms with sqrt(a0), bit for
+    # bit, and the flags and the balanced split's marks stay.  No unit
+    # decides a result: the closed-form roots take the springs per unit of a
+    # power of two, and sigma is degenerate only where it cannot be formed
+    ks = [0, 10, 30]
+    base = fixed_k_runs(ChainParams(m, *springs), ks, use_gamma=True)
+    linear = ("eta1", "eta2", "first_term", "bound_low", "bound_high", "eta2_weighted")
+    roots = ("eta_upp_plus", "eta_upp_minus", "eta_low_plus", "eta_low_minus")
+    for i in range(-150, 251, 50):
+        c, s = 4.0**i, 2.0**-i
+        params = ChainParams(m, *(k * c for k in springs), a0=s)
+        for ref, run in zip(base, fixed_k_runs(params, ks, use_gamma=True)):
+            rep, want = run.report, ref.report
+            assert run.q_error == s * ref.q_error, (i, run.k)
+            for name in linear:
+                assert getattr(rep, name) == s * getattr(want, name), (i, run.k, name)
+            for name in roots:
+                assert getattr(rep, name) == 2.0 ** (-i // 2) * getattr(want, name), (i, name)
+            assert rep.flags == want.flags, (i, run.k)
+            for tau in (1e-6, 1e-12, 1e-18):
+                assert np.array_equal(rep.marked(s * tau), want.marked(tau)), (i, run.k, tau)
+
+
 # ---------------------------------------------------------------------------
 # structural identities on small chains
 
@@ -528,6 +556,36 @@ def test_model_difference_products_match_direct_forms(case):
     ):
         scale = banded.rowdot(a, banded.matvec(abs_ma, b))
         assert abs(got[0] - direct[0]) <= (8.0 + np.log2(n)) * EPS * scale[0]
+
+
+@pytest.mark.parametrize(
+    "springs, m, k",
+    [
+        ((0.748, 3.139, 2.496), 40, 16),
+        ((0.755, 4.207, 1.024), 1000, 29),
+        ((2.52, 1.752, 2.43), 1000, 3),
+        ((1.542, 3.441, 2.463), 40, 24),
+    ],
+)
+def test_bounds_and_weighted_sum_square_by_products(springs, m, k):
+    # the squares of the upper terms and of the norms are products, which
+    # are correctly rounded; on these rows libm's pow, behind x**2, moved
+    # bound_low, bound_high or eta2_weighted by one ulp (glibc 2.36)
+    params = ChainParams(m, *springs)
+    pair = solve_dual_pair(params, interval_partition(params, k))
+    rep = estimate(pair, use_gamma=True)
+    r = estimators._combo(rep.sigma_bar, estimators._SIGNS, pair.residual_primal, pair.residual_dual)
+    a = banded.rowdot(r, pair.u_free + pair.ref.wells)[:, 0].tolist()
+    b = banded.rowdot(r, pair.g_free)[:, 0].tolist()
+    c, d, f = float(pair.ymy[0]), float(pair.gmy[0]), float(pair.gmg[0])
+    lp, lm = (estimators._lower2(x, y, c, d, f, c - d * d / f) for x, y in zip(a, b))
+    assert (rep.eta_low_plus, rep.eta_low_minus) == (math.sqrt(lp), math.sqrt(lm))
+    up, um, first = rep.eta_upp_plus, rep.eta_upp_minus, rep.first_term
+    assert rep.bound_low == first + 0.25 * lp - 0.25 * (um * um)
+    assert rep.bound_high == first + 0.25 * (up * up) - 0.25 * lm
+    npy, npg = float(pair.npy[0]), float(pair.npg[0])
+    gamma = npg / npy
+    assert rep.eta2_weighted == abs(first) + 0.5 * gamma * (npy * npy) + 0.5 / gamma * (npg * npg)
 
 
 def test_eta1_equals_worse_signed_combination():

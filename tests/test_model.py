@@ -77,6 +77,9 @@ def test_params_validation():
     ):
         with pytest.raises(ValueError):
             ChainParams(m=10, **bad)
+    # a stiffness entry past the largest float, on a valid energy scale
+    with pytest.raises(ValueError, match="largest float"):
+        ChainParams(m=10, k0=1.0, k1=1e308, k2=1e308, a0=1e-5)
     with pytest.raises(ValueError, match="integer"):
         ChainParams(m=50.5)
     assert ChainParams(m=np.int64(10)).n_atoms == 20
