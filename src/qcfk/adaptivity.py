@@ -21,10 +21,11 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, field
 
 import numpy as np
 
+from ._record import frozen
 from .banded import Array
 from .estimators import (
     EstimatorReport,
@@ -37,7 +38,7 @@ from .estimators import (
 from .model import ChainParams, Partition, interval_partition
 
 
-@dataclass(frozen=True)
+@frozen
 class AdaptConfig:
     """Loop controls; ``symmetrize`` widens every mark set to a symmetric
     interval around the defect, ``use_gamma`` picks the balanced bond split
@@ -57,11 +58,11 @@ class AdaptConfig:
         if not (1.0 < self.tau_div < math.inf):
             raise ValueError(f"tau_div must exceed 1 and be finite, got {self.tau_div}")
         n = self.max_iterations
-        if not (isinstance(n, numbers.Integral) and n >= 1):
+        if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
             raise ValueError(f"max_iterations must be an integer >= 1, got {n!r}")
 
 
-@dataclass(frozen=True)
+@frozen
 class IterationRecord:
     """One solve of the loop: the active threshold, the region it ran on,
     the half-size of the window its report is listed on (the solve itself
@@ -77,7 +78,7 @@ class IterationRecord:
     eta2: float
 
 
-@dataclass(frozen=True)
+@frozen
 class AdaptTrace:
     """Full history of one adaptive run.
 
@@ -141,7 +142,7 @@ def run_adaptive(params: ChainParams, config: AdaptConfig) -> AdaptTrace:
     level, tau_at = 0, config.tau_gl  # tau_gl / tau_div^level marked the region
     for it in range(1, config.max_iterations + 1):
         # union1d and arange keep the ids sorted, unique and on the chain
-        part = Partition(atomistic=atoms)
+        part = Partition(atoms)
         pair = solve_dual_pair(params, part)
         report = estimate(pair, use_gamma=config.use_gamma)
         records.append(
@@ -180,7 +181,7 @@ def run_adaptive(params: ChainParams, config: AdaptConfig) -> AdaptTrace:
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class FixedKResult:
     """Estimates (and optionally the exact error) on the interval region
     -K+1 .. K."""

@@ -18,10 +18,11 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from ._record import frozen
 
 Array = np.ndarray
 
@@ -63,7 +64,7 @@ class NotPositiveDefiniteError(ValueError):
         super().__init__(f"matrix is not positive definite (pivot {pivot})")
 
 
-@dataclass(frozen=True)
+@frozen
 class BandedSpdMatrix:
     """Lower bands of a symmetric matrix, or of a stack of them.
 
@@ -87,7 +88,7 @@ class BandedSpdMatrix:
         return self.bands.shape[-2] - 1
 
 
-@dataclass(frozen=True)
+@frozen
 class BandedFactor:
     """Cholesky factor in the same lower-band layout (L D L^T if tridiagonal)."""
 

@@ -31,8 +31,8 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 
+from ._record import frozen
 from .adaptivity import (
     AdaptConfig,
     FixedKResult,
@@ -66,7 +66,7 @@ _OPTIONS = {
 }
 
 
-@dataclass(frozen=True)
+@frozen
 class RunSpec:
     """Fully resolved run request (mode defaults already applied).
 

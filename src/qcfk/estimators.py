@@ -86,11 +86,12 @@ import json
 import math
 import weakref
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import field, fields
 
 import numpy as np
 
 from . import banded, model
+from ._record import frozen
 from .banded import Array, BandedFactor, BandedSpdMatrix, rowdot
 from .model import ChainParams, Partition
 
@@ -110,7 +111,7 @@ _MIRROR = np.array([[-1.0], [-1.0], [1.0]])
 _REFERENCES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True, eq=False)
+@frozen(eq=False)
 class Reference:
     """Everything that depends on the window but not on the partition.
 
@@ -291,7 +292,7 @@ def _particular(params: ChainParams, mu: float, rho: float) -> float:
     return -rho * mu / ((params.k1 + 2.0 * k2) * mu + k2 * (mu * mu + 1.0))
 
 
-@dataclass(frozen=True, eq=False)
+@frozen(eq=False)
 class DualPair:
     """Primal/dual blended solutions plus everything the estimators reuse,
     for a stack of regions that share ``ref``.
@@ -750,7 +751,7 @@ def _reach(ref: Reference, e: list[float], pz_end: list[float], gamma: float, ta
     return n_ext if x >= n_ext - 1 else 1 + int(x)
 
 
-@dataclass(frozen=True)
+@frozen
 class EstimatorReport:
     """Everything the estimate of row ``row`` of a solved ``pair`` produces.
 

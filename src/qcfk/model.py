@@ -46,11 +46,11 @@ import math
 import numbers
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import banded
+from ._record import frozen
 from .banded import Array, BandedSpdMatrix
 
 # truncation level of the window: the slowest decaying field falls below this
@@ -79,7 +79,7 @@ def _default_bc(m: int, a0: float) -> tuple[float, float, float, float]:
     return (-m * a0, (-m + 1) * a0, (m - 1) * a0, m * a0)
 
 
-@dataclass(frozen=True)
+@frozen
 class ChainParams:
     """Chain size, spring constants, and clamped boundary positions.
 
@@ -100,7 +100,7 @@ class ChainParams:
     bc: tuple[float, float, float, float] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.m, numbers.Integral):
+        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral):
             raise ValueError(f"m must be an integer, got {self.m!r}")
         if self.m < 3:
             raise ValueError(f"m must be >= 3, got {self.m}")
@@ -185,7 +185,7 @@ def well_positions(params: ChainParams, ids: Array | None = None) -> Array:
     return (ids - (ids <= 0)) * params.a0
 
 
-@dataclass(frozen=True)
+@frozen
 class Partition:
     """Atom ids treated atomistically, sorted; every other atom is continuum."""
 
@@ -200,6 +200,8 @@ def make_partition(params: ChainParams, atomistic=()) -> Partition:
     """
     lo, hi = -params.m + 1, params.m
     ids = np.asarray(list(atomistic))
+    if ids.dtype.kind == "b":
+        raise ValueError("atomistic must list atom ids, got booleans (a mask?)")
     if ids.dtype.kind not in "iu":
         ids = ids.astype(float)
         whole = np.isfinite(ids) & (ids == np.round(ids))
@@ -209,7 +211,7 @@ def make_partition(params: ChainParams, atomistic=()) -> Partition:
     if ids.size and (ids.min() < lo or ids.max() > hi):
         bad = ids.min() if ids.min() < lo else ids.max()
         raise ValueError(f"atomistic atom {int(bad)} outside chain range [{lo}, {hi}]")
-    return Partition(atomistic=np.unique(ids.astype(int)))
+    return Partition(np.unique(ids.astype(int)))
 
 
 def _flags(params: ChainParams, part: Partition | Sequence[Partition]) -> Array:
@@ -292,19 +294,19 @@ def _resized(params: ChainParams, m: int) -> ChainParams:
 
 def interval_partition(params: ChainParams, k: int) -> Partition:
     """Partition with atoms -K+1 .. K atomistic (K = 0: none)."""
-    if not isinstance(k, numbers.Integral):
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
         raise ValueError(f"k must be an integer, got {k!r}")
     if k < 0 or k > params.m - 2:
         raise ValueError(f"k must be in [0, {params.m - 2}], got {k}")
     k = operator.index(k)
-    return Partition(atomistic=np.arange(-k + 1, k + 1))
+    return Partition(np.arange(-k + 1, k + 1))
 
 
 # ``QuadraticModel``, ``assemble``, ``LinearSystem`` and ``reduce_system``
 # build no solve of the estimators; the tests' oracles use them, and the
 # benchmark's tracer (perfbench/spans.py) wraps ``assemble`` and
 # ``reduce_system`` by name, so they stay until it no longer does.
-@dataclass(frozen=True)
+@frozen
 class QuadraticModel:
     """Assembled quadratic energy 1/2|D(y-a)|_E^2 + k0/2 |y-b|^2.
 
@@ -413,7 +415,7 @@ def load_bonds(params: ChainParams, lift: Array) -> Array:
     return w
 
 
-@dataclass(frozen=True)
+@frozen
 class LinearSystem:
     """Reduced equilibrium system on the free (unclamped) degrees of freedom.
 

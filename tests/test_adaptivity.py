@@ -39,7 +39,8 @@ def test_config_validation():
                 dict(tau_gl=1e-10, tau_div=float("nan")),
                 dict(tau_gl=1e-10, tau_div=float("inf")),
                 dict(tau_gl=1e-10, max_iterations=float("nan")),
-                dict(tau_gl=1e-10, max_iterations=2.5)):
+                dict(tau_gl=1e-10, max_iterations=2.5),
+                dict(tau_gl=1e-3, max_iterations=True)):
         with pytest.raises(ValueError):
             AdaptConfig(**bad)
     c = AdaptConfig(tau_gl=1e-10)
@@ -298,6 +299,35 @@ def test_adaptive_regions_are_nested(case):
         assert np.all(np.isin(previous, region)), i
         previous = region
     assert np.array_equal(previous, full.final_atomistic)
+
+
+@st.composite
+def _guarantee_cases(draw):
+    """Springs log-uniform over k0 1e-3 .. 10, k1 0.1 .. 10 and k2 1e-3 ..
+    10, M over 50 .. 1e9, a tolerance and the bond split."""
+
+    def log_uniform(lo, hi):
+        return 10 ** draw(st.floats(math.log10(lo), math.log10(hi)))
+
+    params = ChainParams(
+        m=round(log_uniform(50, 1e9)),
+        k0=log_uniform(1e-3, 10.0),
+        k1=log_uniform(0.1, 10.0),
+        k2=log_uniform(1e-3, 10.0),
+    )
+    return params, log_uniform(1e-14, 1e-3), draw(st.booleans())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_guarantee_cases())
+def test_a_converged_run_meets_its_tolerance(case):
+    # the guaranteed half of near-optimality: eta1 bounds |Q(e)|, so a run
+    # that stops as "converged" has |Q(e)| <= tau_gl on its final region
+    params, tau, use_gamma = case
+    trace = run_adaptive(params, AdaptConfig(tau_gl=tau, use_gamma=use_gamma))
+    if trace.status == "converged":
+        pair = estimators.solve_dual_pair(params, Partition(atomistic=trace.final_atomistic))
+        assert abs(estimators.exact_goal_errors(pair)[0]) <= tau
 
 
 # chains whose window adds 1 and 2 free atoms past the core at each end: the

@@ -7,6 +7,7 @@ new return shape would only show in the benchmark's own tests, which are
 not part of this suite; these checks make it fail here.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -50,3 +51,13 @@ def test_exact_goal_error_gives_a_float_and_a_vector():
     p = qcfk.ChainParams(m=100)
     q, e = qcfk.exact_goal_error(p, qcfk.interval_partition(p, 5))
     assert type(q) is float and isinstance(e, np.ndarray) and e.shape == (2 * p.m - 4,)
+
+
+def test_model_outputs_are_dataclasses():
+    # perfbench/spans.py::digest hashes them field by field through
+    # dataclasses.fields
+    p = qcfk.ChainParams(m=100)
+    part = qcfk.interval_partition(p, 5)
+    pair = qcfk.solve_dual_pair(p, part)
+    assert dataclasses.is_dataclass(qcfk.assemble(p, part))
+    assert dataclasses.is_dataclass(qcfk.estimate(pair))

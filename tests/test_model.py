@@ -82,6 +82,10 @@ def test_params_validation():
         ChainParams(m=10, k0=1.0, k1=1e308, k2=1e308, a0=1e-5)
     with pytest.raises(ValueError, match="integer"):
         ChainParams(m=50.5)
+    # a bool is an Integral, but no chain size
+    for bad in (True, np.True_):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            ChainParams(m=bad)
     assert ChainParams(m=np.int64(10)).n_atoms == 20
 
 
@@ -349,7 +353,7 @@ def test_interval_partition_equals_the_listed_range():
     with pytest.raises(ValueError, match=r"k must be in \[0, 58\], got 59"):
         interval_partition(p, 59)
     # K is an integer, as atom ids are
-    for bad in (2.5, float("nan"), "3"):
+    for bad in (2.5, float("nan"), "3", True, np.True_):
         with pytest.raises(ValueError, match="k must be an integer"):
             interval_partition(p, bad)
 
@@ -365,6 +369,10 @@ def test_make_partition_rejects_out_of_range():
         with pytest.raises(ValueError, match="must be integers"):
             make_partition(p, atomistic=bad)
     assert make_partition(p, atomistic=[2.0, -1.0]).atomistic.tolist() == [-1, 2]
+    # a boolean mask is not a list of ids (it read as atoms 0 and 1)
+    for mask in ([True, False, True], np.ones(10, dtype=bool)):
+        with pytest.raises(ValueError, match="atomistic must list atom ids"):
+            make_partition(ChainParams(m=10), mask)
 
 
 # ---------------------------------------------------------------------------
