@@ -6,16 +6,40 @@ every import, most of what importing the package cost.  ``frozen`` has
 ``asdict`` and ``is_dataclass`` still work, and gives each class the same
 methods built from closures: the fields by position or name with their
 defaults, then ``__post_init__``; equality and hashing over the tuple of
-the compared fields; a repr of the shown ones.  Field features it does not
-build (``default_factory``, ``init=False``, ``kw_only``, ``hash``,
-``InitVar``) raise ``TypeError`` when the class is made.
+the compared fields; a repr of the shown ones.  ``inspect.signature`` and
+``help`` read the fields from ``__signature__``, built on first access.
+Field features it does not build (``default_factory``, ``init=False``,
+``kw_only``, ``hash``, ``InitVar``) raise ``TypeError`` when the class is
+made.
 """
 
 import dataclasses
+import inspect
 import operator
 
 _MISSING = dataclasses.MISSING
 _store = object.__setattr__
+
+
+class _Signature:
+    """``__signature__`` of a frozen class: its fields as ``__init__`` takes
+    them, by position or name with their defaults, as the generated
+    ``__init__`` of a dataclass shows them.  Built on first access."""
+
+    def __get__(self, obj, cls) -> inspect.Signature:
+        sig = vars(self).get("sig")
+        if sig is None:
+            kind = inspect.Parameter.POSITIONAL_OR_KEYWORD
+            sig = self.sig = inspect.Signature(
+                [
+                    inspect.Parameter(f.name, kind, default=f.default, annotation=f.type)
+                    if f.default is not _MISSING
+                    else inspect.Parameter(f.name, kind, annotation=f.type)
+                    for f in dataclasses.fields(cls)
+                ],
+                return_annotation=None,
+            )
+        return sig
 
 
 def frozen(cls=None, /, *, eq: bool = True):
@@ -96,4 +120,5 @@ def frozen(cls=None, /, *, eq: bool = True):
     for method in methods:
         method.__qualname__ = f"{name}.{method.__name__}"
         setattr(cls, method.__name__, method)
+    cls.__signature__ = _Signature()
     return cls

@@ -60,6 +60,11 @@ class AdaptConfig:
         n = self.max_iterations
         if isinstance(n, bool) or not (isinstance(n, numbers.Integral) and n >= 1):
             raise ValueError(f"max_iterations must be an integer >= 1, got {n!r}")
+        for name in ("symmetrize", "use_gamma"):
+            flag = getattr(self, name)
+            if not isinstance(flag, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {flag!r}")
+            object.__setattr__(self, name, bool(flag))
 
 
 @frozen
@@ -112,13 +117,24 @@ def mark_atoms(report: EstimatorReport, tau_at: float) -> Array:
 
 
 def _interval_k(atoms: Array) -> int | None:
-    """Half-width K if the set is exactly -K+1 .. K, else None."""
+    """Half-width K if the sorted set is exactly -K+1 .. K, else None."""
     if atoms.size == 0:
         return 0
-    k = int(atoms.max())
+    k = int(atoms[-1])  # sorted
     if atoms[0] == -k + 1 and atoms.size == 2 * k:
         return k
     return None
+
+
+def _union(a: Array, b: Array) -> Array:
+    """The sorted union of two sorted arrays of unique ids, as
+    ``np.union1d`` gives it."""
+    both = np.concatenate((a, b))
+    both.sort()
+    keep = np.empty(both.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(both[1:], both[:-1], out=keep[1:])
+    return both[keep]
 
 
 def _threshold(config: AdaptConfig, it: int) -> float:
@@ -141,7 +157,7 @@ def run_adaptive(params: ChainParams, config: AdaptConfig) -> AdaptTrace:
     status = "max-iterations"
     level, tau_at = 0, config.tau_gl  # tau_gl / tau_div^level marked the region
     for it in range(1, config.max_iterations + 1):
-        # union1d and arange keep the ids sorted, unique and on the chain
+        # _union and arange keep the ids sorted, unique and on the chain
         part = Partition(atoms)
         pair = solve_dual_pair(params, part)
         report = estimate(pair, use_gamma=config.use_gamma)
@@ -164,7 +180,7 @@ def run_adaptive(params: ChainParams, config: AdaptConfig) -> AdaptTrace:
         while grown.size == atoms.size and atoms.size < 2 * params.m - 4 and tau_at > 0.0:
             level += 1
             tau_at = _threshold(config, level)
-            grown = np.union1d(atoms, mark_atoms(report, tau_at))
+            grown = _union(atoms, mark_atoms(report, tau_at))
         if grown.size == atoms.size:
             status = "stalled"
             break

@@ -95,11 +95,6 @@ class BandedFactor:
     bands: Array
 
 
-def zeros_like_band(n: int, bandwidth: int, stack: tuple[int, ...] = ()) -> Array:
-    """Fresh zero band storage for a stack of n-by-n matrices."""
-    return np.zeros(stack + (bandwidth + 1, n))
-
-
 def rowdot(a: Array, b: Array) -> Array:
     """Dot products of matching rows of two stacks of vectors.
 
@@ -112,11 +107,12 @@ def rowdot(a: Array, b: Array) -> Array:
 def matvec(a: BandedSpdMatrix, x: Array) -> Array:
     """Product A @ x using only the stored bands, row by row over stacks."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != a.n:
-        raise ValueError(f"vector length {x.shape[-1]} != matrix dimension {a.n}")
-    n, b = a.n, a.bands
+    b = a.bands
+    n = b.shape[-1]
+    if x.shape[-1] != n:
+        raise ValueError(f"vector length {x.shape[-1]} != matrix dimension {n}")
     out = b[..., 0, :] * x
-    for d in range(1, min(a.bandwidth, n - 1) + 1):
+    for d in range(1, min(b.shape[-2], n)):
         sub = b[..., d, : n - d]
         out[..., d:] += sub * x[..., : n - d]
         out[..., : n - d] += sub * x[..., d:]
@@ -128,8 +124,8 @@ def norm(a: BandedSpdMatrix, v: Array, av: Array) -> Array:
     (however the caller formed it); tiny negative round-off is clamped to 0,
     a clearly negative form raises."""
     q = rowdot(v, av)
-    neg = q < 0.0
-    if neg.any():
+    if np.minimum.reduce(q, axis=None) < 0.0:
+        neg = q < 0.0
         # allow only round-off level negativity relative to |A||v|^2
         scale = np.abs(a.bands).max(axis=(-2, -1)) * rowdot(v, v)
         if (q < -1e-10 * np.maximum(scale, 1.0)).any():
@@ -169,7 +165,7 @@ def solve(f: BandedFactor, rhs: Array) -> Array:
         raise ValueError(
             f"right-hand side of shape {rhs.shape} for a matrix of size {n}"
         )
-    if not np.isfinite(rhs).all():
+    if not np.logical_and.reduce(np.isfinite(rhs), axis=None):
         raise ValueError("right-hand side must be finite")
     if len(f.bands) == 2:
         x, info = dpttrs(f.bands[0], f.bands[1, :-1], rhs)
@@ -180,19 +176,22 @@ def solve(f: BandedFactor, rhs: Array) -> Array:
     return x
 
 
-def solve_each(a: BandedSpdMatrix, rhs: Array) -> Array:
+def solve_each(a: BandedSpdMatrix, rhs: Array, out: Array | None = None) -> Array:
     """Factor and solve each matrix of a stack against its own block of
     columns: ``rhs[i]`` is a (k, n) block for ``a.bands[i]``, and the result
-    has its shape.
+    has its shape.  It is written to ``out`` when given: any array of that
+    shape, a transposed view too.
 
     One LAPACK call per matrix factors and solves (the bits of ``factor``
     then ``solve``); the whole stack is checked for finiteness once.
     """
-    bw = min(a.bandwidth, a.n - 1)
+    bw = min(a.bands.shape[-2:]) - 1
     ab = a.bands[..., : bw + 1, :]
-    if not (np.isfinite(ab).all() and np.isfinite(rhs).all()):
+    finite = np.logical_and.reduce
+    if not (finite(np.isfinite(ab), axis=None) and finite(np.isfinite(rhs), axis=None)):
         raise ValueError("matrices and right-hand sides must be finite")
-    out = np.empty(rhs.shape)
+    if out is None:
+        out = np.empty(rhs.shape)
     for i, (bands, cols) in enumerate(zip(ab, rhs)):
         if bw == 1:  # tridiagonal: a scalar loop, no per-row BLAS calls
             *_, x, info = dptsv(bands[0], bands[1, :-1], cols.T)

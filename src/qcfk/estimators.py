@@ -132,9 +132,10 @@ class Reference:
     them, each followed by the four exterior coordinates (see
     ``DualPair``).  ``edge3`` is u 1, 2 and 3 atoms past a unit edge value,
     ``base`` the bond differences of lift + b - a on the core's bonds and
-    one more each side, ``ediff_rim`` the E_a - E_ac bands that couple the
-    core to the exterior bond next to each end, and ``ea_core`` E_a on the
-    core's bonds.  ``rim`` holds the profiles rho = (E_a - E_ac) z, pi and
+    one more each side, ``spans`` the ranges of the core's bonds around its
+    nonzero entries with base on them (see ``_primal_load``), ``ediff_rim``
+    the E_a - E_ac bands that couple the core to the exterior bond next to
+    each end, and ``ea_core`` E_a on the core's bonds.  ``rim`` holds the profiles rho = (E_a - E_ac) z, pi and
     h at those exterior bonds and the load P z there puts on the core's end
     rows, and ``pz_factor`` is the core's E_a with the exterior folded into
     both end diagonals.
@@ -167,8 +168,9 @@ class Reference:
     goal_frame: Array
     edge3: Array
     base: Array
+    spans: tuple[tuple[int, int, list[float]], ...]
     ediff_rim: Array
-    ea_core: Array
+    ea_core: BandedSpdMatrix
     rim: Array
     pz_factor: BandedFactor
     ext_res: Array
@@ -263,7 +265,7 @@ def _bond_profiles(pc: float, q: float, c: float, mu_d, lam_d):
 def _atomistic_bonds(win: ChainParams) -> BandedSpdMatrix:
     """E_a on the bonds of the chain ``win``: the blend that flags every
     atom."""
-    return model._nn_bond_bands(win, np.ones(2 * win.m))
+    return model._nn_bond_bands(win, np.ones(2 * win.m, dtype=bool))
 
 
 def _unit_springs(params: ChainParams) -> tuple[float, float, float, float]:
@@ -426,6 +428,7 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         ea_core[0], ea_core[1] = (k1 + k2) + k2, k2
         c = k2 * q * q + (ea_core[0, 0] - params.k12 + 2.0 * k2) * mu
         pz_core = ea_core.copy()
+        ea_core = BandedSpdMatrix(ea_core)
         pz_core[0, :: nbc - 1] += k2 * lam
         ids = model.atom_ids(core)[lo : 2 * m_core - lo]
         wells = model.well_positions(params, ids)
@@ -454,8 +457,8 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         goal_frame = np.zeros(len(ids))
     else:
         # the core is the window, clamped at its own ends: no exterior
-        ea = _atomistic_bonds(win)
-        ea_core = pz_core = ea.bands
+        ea_core = ea = _atomistic_bonds(win)
+        pz_core = ea.bands
         b = model.well_positions(win)
         lift[[0, 1, -2, -1]] = np.subtract(win.clamps, b[[0, 1, -2, -1]])
         wells = b[2:-2]
@@ -465,14 +468,25 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         goal_frame = np.zeros(len(wells))
         ymy_tail = ymy_far
     base[0, 0, 1:-1] = model.load_bonds(core, lift)
-    goal_frame[[m_core - 1 - lo, m_core - lo]] = -1.0, 1.0
+    # the core's bonds next to each nonzero entry of base, runs that would
+    # share an atom merged, over which the primal load is formed
+    runs: list[tuple[int, int]] = []
+    for j in np.flatnonzero(base[0, 0, 1:-1]).tolist():
+        first, stop = max(j - 1, 0), min(j + 2, nbc)
+        if runs and first <= runs[-1][1]:
+            runs[-1] = runs[-1][0], stop
+        else:
+            runs.append((first, stop))
+    spans = tuple((a, b, base[0, 0, 1 + a : 1 + b].tolist()) for a, b in runs)
+    goal_frame[m_core - 1 - lo] = -1.0
+    goal_frame[m_core - lo] = 1.0
     # the exterior coordinates of b, fa and the goal
     wells = np.concatenate([wells, [0.0, 1.0, 0.0, 1.0]])
     fa = np.concatenate([fa, ext_fa])
     goal_frame = np.concatenate([goal_frame, np.zeros(4)])
     pz_factor = banded.factor(BandedSpdMatrix(pz_core))
     # every solve on this window shares the reference: none may write to it
-    arrays = (wells, fa, goal_frame, edge3, base, ediff_rim, ea_core, rim, ext_res)
+    arrays = (wells, fa, goal_frame, edge3, base, ediff_rim, ea_core.bands, rim, ext_res)
     for a in (*arrays, ext_pz, pz_factor.bands):
         a.setflags(write=False)
     n_ext = max(0, off - 2)  # free atoms past the core's own (its clamps)
@@ -493,6 +507,7 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         goal_frame=goal_frame,
         edge3=edge3,
         base=base,
+        spans=spans,
         ediff_rim=ediff_rim,
         ea_core=ea_core,
         rim=rim,
@@ -504,6 +519,43 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
     return ref
 
 
+def _span_load(e0: list[float], e1: list[float], x: list[float]) -> list[float]:
+    """-D^T E x on the atoms of a run of bonds whose neighbours carry no x:
+    ``e0`` and ``e1`` are the run's diagonal and next-bond entries of E,
+    and each entry takes the operations of ``banded.matvec`` and
+    ``model.dt_apply`` in their order, in floats (the terms past the run
+    are products of zeros, which add nothing)."""
+    n = len(x)
+    w = [a * b for a, b in zip(e0, x)]
+    for j in range(1, n):
+        w[j] += e1[j - 1] * x[j - 1]
+    for j in range(n - 1):
+        w[j] += e1[j] * x[j + 1]
+    out = [-(0.0 - w[0])]
+    out += [-((0.0 - w[j]) + w[j - 1]) for j in range(1, n)]
+    out.append(-(0.0 + w[-1]))
+    return out
+
+
+def _primal_load(ref: Reference, eac: BandedSpdMatrix, out: Array) -> None:
+    """Write the blended primal load -J^T D^T E_ac base on the core's free
+    atoms to ``out``, one row per bond matrix of the stack ``eac``.
+
+    ``base`` is nonzero on the defect bond alone, and on a chain that is its
+    own core on the bonds at its clamps too, so E_ac base is zero outside
+    the bond ranges ``ref.spans`` around them and D^T E_ac base outside
+    their atoms.  Each range is formed alone (``_span_load``), with the bits
+    of the whole product; every other entry is -0.0, the negated zero the
+    whole product gives."""
+    out[...] = -0.0
+    last = eac.bands.shape[-1] - 1
+    for lo, hi, xs in ref.spans:
+        # the range's atoms lo .. hi, those of them that are free
+        a, b = max(lo, 2), min(hi + 1, last)
+        rows = [_span_load(e0, e1, xs) for e0, e1 in eac.bands[..., lo:hi].tolist()]
+        out[..., a - 2 : b - 2] = [row[a - lo : b - lo] for row in rows]
+
+
 def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
     """Solve the blended primal and dual problems of partitions that share
     the window of ``ref``, as one stack, and take every product on the
@@ -513,34 +565,31 @@ def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
     primal and dual loads together.  The blended bond matrices E_ac come
     from the partitions' flags on the core, and everything else from the
     reference: M_ac is D^T E_ac D + k0 on the free atoms less the fold, and
-    the primal load -J^T D^T E_ac applied to ``ref.base``, nonzero only at
-    the defect's four atoms (and the clamps of a chain that is its own
-    window).  The reference is never solved here: production estimates
-    only ever solve the blended model.
+    the primal load -J^T D^T E_ac applied to ``ref.base`` (``_primal_load``).
+    The reference is never solved here: production estimates only ever
+    solve the blended model.
     """
-    core = ref.core
-    eac = model._nn_bond_bands(core, model._flags(core, parts).astype(float))
+    core, rows = ref.core, len(parts)
+    eac = model._nn_bond_bands(core, model._flags(core, parts))
     nbc = eac.n
-    ediff = np.empty((len(parts),) + ref.ediff_rim.shape)
+    ediff = np.empty((rows,) + ref.ediff_rim.shape)
     ediff[...] = ref.ediff_rim
-    np.subtract(ref.ea_core, eac.bands, out=ediff[..., 1:-1])
-    differs = ediff.any(axis=(-2, -1))
+    np.subtract(ref.ea_core.bands, eac.bands, out=ediff[..., 1:-1])
+    differs = np.logical_or.reduce(ediff, axis=(-2, -1))
     mac = model.stiffness_bands(core, eac)
-    diag = mac.bands[..., 0, :]
-    diag[..., 0] -= ref.fold
-    diag[..., -1] -= ref.fold
     nf = mac.n
+    # the fold on the first and last free diagonal entries
+    mac.bands[..., 0, :: nf - 1] -= ref.fold
 
     # row 0 the primal load and solution, row 1 the dual (goal) ones
-    loads = np.empty((len(parts), 2, nf))
-    loads[:, 0] = model.dt_apply(banded.matvec(eac, ref.base[0, 0, 1:-1]))[..., 2:-2]
-    np.negative(loads[:, 0], out=loads[:, 0])
+    loads = np.empty((rows, 2, nf))
+    _primal_load(ref, eac, loads[:, 0])
     lo = 2 - ref.off + ref.frame.start
     loads[:, 1] = ref.goal_frame[2 - lo : 2 - lo + nf]
     # the core's atoms and one more each side, where the continuum exterior
     # has decayed from the edge atoms (3 and nf + 2)
-    ug = np.empty((2, len(parts), nf + 6))
-    ug[..., 3:-3] = banded.solve_each(mac, loads).transpose(1, 0, 2)
+    ug = np.empty((2, rows, nf + 6))
+    banded.solve_each(mac, loads, out=ug[..., 3:-3].transpose(1, 0, 2))
     np.multiply(ug[..., 3:4], ref.edge3[::-1], out=ug[..., :3])
     np.multiply(ug[..., -4:-3], ref.edge3, out=ug[..., -3:])
     edges = ug[..., 3 : nf + 3 : nf - 1]
@@ -553,7 +602,7 @@ def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
     # is exactly zero inside the atomistic region, so the residuals keep full
     # relative accuracy however small the modeling error is.  The bonds next
     # to the core take their exterior values
-    z = np.diff(ug)
+    z = np.subtract(ug[..., 1:], ug[..., :-1])
     z += ref.base
     ez = banded.matvec(BandedSpdMatrix(ediff), z)
     np.multiply(edges, ref.rim[0], out=ez[..., :: nbc + 1])
@@ -561,20 +610,19 @@ def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
     # exterior coordinates: (e, 0) per side for u and g, e (u . R, b . R)
     # for the residuals
     nc = nf + 4 - 2 * lo
-    atoms = np.empty((2, 2, len(parts), nc + 4))
-    u, g = atoms[0]
-    res = atoms[1]
+    atoms = np.empty((2, 2, rows, nc + 4))
+    u, g, res = atoms[0, 0], atoms[0, 1], atoms[1]
     atoms[0, ..., :nc] = ug[..., 1 + lo : nf + 5 - lo]
     atoms[0, ..., nc::2] = edges
     atoms[0, ..., nc + 1 :: 2] = 0.0
     np.subtract(ez[..., 1 + lo : nc + 1 + lo], ez[..., lo : nc + lo], out=res[..., :nc])
-    res[..., nc:] = (edges[..., None] * ref.ext_res).reshape(2, len(parts), 4)
+    np.multiply(edges[..., None], ref.ext_res, out=res[..., nc:].reshape(2, rows, 2, 2))
     # P z = E_a^{-1} ez, supported near the atomistic/continuum interfaces;
     # every row is one column of a single solve with the folded core E_a,
     # and E_a P z = ez.  On the core's bonds, then one exterior coordinate
     # per side: e for ez and e pi . rho - c h . rho for P z
-    bonds = np.empty((2, 2, len(parts), nbc + 2))
-    pz, ez_c = bonds
+    bonds = np.empty((2, 2, rows, nbc + 2))
+    pz, ez_c = bonds[0], bonds[1]
     ez_c[..., :nbc] = ez[..., 1:-1]
     ez_c[..., nbc:] = edges
     rhs = ez[..., 1:-1].copy()
@@ -582,8 +630,9 @@ def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
     sol = banded.solve(ref.pz_factor, rhs.reshape(-1, nbc).T)
     pz[..., :nbc] = sol.T.reshape(rhs.shape)
     ends = pz[..., : nbc : nbc - 1]
-    pz[..., nbc:] = edges * ref.ext_pz[:, 0] - ends * ref.ext_pz[:, 1]
-    nrm = banded.norm(BandedSpdMatrix(ref.ea_core), pz, ez_c)
+    np.multiply(edges, ref.ext_pz[:, 0], out=pz[..., nbc:])
+    pz[..., nbc:] -= ends * ref.ext_pz[:, 1]
+    nrm = banded.norm(ref.ea_core, pz, ez_c)
     my = ref.fa - res[0]
     # y . M_a y grows like k a0^2 M^3 and saturates to inf past a float,
     # where the lower terms take their limit (see ``_lower2``)
@@ -658,22 +707,29 @@ def _sigma(npy: float, npg: float) -> float | None:
 _SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 
-def _combo(sigma, sign, primal: Array, dual: Array) -> Array:
-    """sigma primal +/- sigma^-1 dual, row by row over a stack (``sigma``
-    one value per row); ``sign`` may be ``_SIGNS`` for both at once."""
+def _weights(sigma, sign) -> tuple[Array, Array]:
+    """(sign / sigma, sigma), shaped to weigh the rows of a stack (``sigma``
+    one value per row); ``sign`` may be ``_SIGNS`` for both signs at once."""
     sigma = np.asarray(sigma)[..., None]
-    combo = (sign / sigma) * dual
+    return sign / sigma, sigma
+
+
+def _combo(weights: tuple[Array, Array], primal: Array, dual: Array) -> Array:
+    """sigma primal +/- sigma^-1 dual, row by row over a stack, with the
+    ``_weights`` of sigma and the sign."""
+    over, sigma = weights
+    combo = over * dual
     combo += sigma * primal
     return combo
 
 
-def eta_upp(pair: DualPair, sigma, sign) -> Array:
+def eta_upp(pair: DualPair, weights: tuple[Array, Array]) -> Array:
     """Upper parallelogram term ||sigma P z_y +/- sigma^-1 P z_g||_{E_a},
-    row by row as ``_combo``; E_a maps the combination to the same
-    combination of ``ez_y`` and ``ez_g``."""
-    pz = _combo(sigma, sign, pair.pz_y, pair.pz_g)
-    ez = _combo(sigma, sign, pair.ez_y, pair.ez_g)
-    return banded.norm(BandedSpdMatrix(pair.ref.ea_core), pz, ez)
+    row by row at the ``_weights`` of sigma and the sign; E_a maps the
+    combination to the same combination of ``ez_y`` and ``ez_g``."""
+    pz = _combo(weights, pair.pz_y, pair.pz_g)
+    ez = _combo(weights, pair.ez_y, pair.ez_g)
+    return banded.norm(pair.ref.ea_core, pz, ez)
 
 
 def _div(x: float, y: float) -> float:
@@ -720,10 +776,10 @@ _TAU_FLOOR = 1e-290
 _LOG2 = math.log(2.0)
 
 
-def _reach(ref: Reference, e: list[float], pz_end: list[float], gamma: float, tau: float) -> int:
+def _reach(ref: Reference, logs: list[float], log_gamma: float, tau: float) -> int:
     """How many exterior atoms of one side (nearest first) may reach ``tau``,
-    given the side's edge values ``e`` of u and g and end values ``pz_end``
-    of P z_y and P z_g.
+    given the logarithms ``logs`` of the side's edge values of u and g and
+    end values of P z_y and P z_g, and that of the bond weight gamma.
 
     Per unit edge value bond j >= 0 past the core has |rho| = |rho_1| mu^j,
     |pi| <= |pi_1| s^j and |h| = |h_1| |lam|^j <= |h_1| s^j, s = max(mu,
@@ -740,9 +796,9 @@ def _reach(ref: Reference, e: list[float], pz_end: list[float], gamma: float, ta
     if not n_ext or not tau > _TAU_FLOOR:  # no exterior, or tau 0 or NaN
         return n_ext if tau <= _TAU_FLOOR else 0
     rho, pi, h, log_a, log_r = ref.bound_logs
-    (eu, eg), (py, pg) = map(_log, e), map(_log, pz_end)
-    log_y = math.log(gamma) + eu + rho + max(eu + pi, py + h)
-    log_g = -math.log(gamma) + eg + rho + max(eg + pi, pg + h)
+    eu, eg, py, pg = logs
+    log_y = log_gamma + eu + rho + max(eu + pi, py + h)
+    log_g = -log_gamma + eg + rho + max(eg + pi, pg + h)
     # A + E <= 2 max(A, E), and E is at most twice the larger of its halves
     bound = _LOG2 + max(eu + eg + log_a, _LOG2 + max(log_y, log_g))
     x = (bound - math.log(tau) + 2.0 * _LOG2) / -log_r if log_r < 0.0 else math.inf
@@ -790,46 +846,58 @@ class EstimatorReport:
     row: int = field(repr=False, compare=False)
     gamma: float = field(repr=False, compare=False)
 
-    def _ends(self) -> tuple[Array, Array]:
-        """(primal, dual) by (left, right): the edge values of u and g, and
-        the end values of P z on the core."""
-        pair, i = self.pair, self.row
-        nbc = pair.pz_y.shape[-1] - 2
-        edges = np.array([pair.u_free[i, -4::2], pair.g_free[i, -4::2]])
-        ends = np.array([pair.pz_y[i, : nbc : nbc - 1], pair.pz_g[i, : nbc : nbc - 1]])
-        return edges, ends
-
-    def _frame(self, edges: Array, ends: Array) -> tuple[Array, Array]:
-        """The split of the frame's atoms, and of the core's bonds with the
-        exterior bond next to each end (``ref.rim``) around them."""
-        pair, i, rim = self.pair, self.row, self.pair.ref.rim
+    @functools.cached_property
+    def _frame(self) -> tuple[list[list[float]], Array, Array, Array, list[list[float]]]:
+        """What listing and marking read off the core, formed once: per side
+        (left, right) the edge values of u and g and the end values of P z_y
+        and P z_g on the core; the split of the frame's atoms and of the
+        core's bonds with the exterior bond next to each end (``ref.rim``)
+        around them, as ``_split`` forms it (the core's bonds row by row,
+        the two exterior bonds in floats); ``eta2_total`` on the frame's
+        atoms; and per side the logarithms of the edge and end values (see
+        ``_reach``)."""
+        pair, i, gamma, ref = self.pair, self.row, self.gamma, self.pair.ref
         nc, nbc = pair.g_free.shape[-1] - 4, pair.pz_y.shape[-1] - 2
-        pz, ez = np.empty((2, 2, nbc + 2))
-        pz[:, 1:-1] = pair.pz_y[i, :nbc], pair.pz_g[i, :nbc]
-        ez[:, 1:-1] = pair.ez_y[i, :nbc], pair.ez_g[i, :nbc]
-        pz[:, :: nbc + 1] = edges * rim[1] - ends * rim[2]
-        ez[:, :: nbc + 1] = edges * rim[0]
-        return _split(pair.g_free[i, :nc], pair.residual_primal[i, :nc], pz, ez, self.gamma)
+        (ul, ur), (gl, gr) = pair.u_free[i, -4::2].tolist(), pair.g_free[i, -4::2].tolist()
+        (yl, yr), (dl, dr) = pair.pz_y[i, : nbc : nbc - 1].tolist(), pair.pz_g[i, : nbc : nbc - 1].tolist()
+        sides = [[ul, gl, yl, dl], [ur, gr, yr, dr]]
+        half_y, half_g = 0.5 * gamma, 0.5 / gamma
+        el = np.empty(nbc + 2)
+        term_y = np.abs(pair.pz_y[i, :nbc] * pair.ez_y[i, :nbc])
+        term_y *= half_y
+        term_g = np.abs(pair.pz_g[i, :nbc] * pair.ez_g[i, :nbc])
+        term_g *= half_g
+        np.add(term_y, term_g, out=el[1:-1])
+        rho, pi, h, _ = ref.rim.tolist()
+        terms = []
+        for side, (eu, eg, cy, cg) in enumerate(sides):
+            pz_y, pz_g = eu * pi[side] - cy * h[side], eg * pi[side] - cg * h[side]
+            ez_y, ez_g = eu * rho[side], eg * rho[side]
+            terms.append(abs(pz_y * ez_y) * half_y + abs(pz_g * ez_g) * half_g)
+        el[0], el[-1] = terms
+        at = np.abs(pair.g_free[i, :nc] * pair.residual_primal[i, :nc])
+        # a frame that holds lo atoms a side fewer than the core starts lo
+        # bonds in
+        lo = 2 - ref.off + ref.frame.start
+        logs = [list(map(_log, side)) for side in sides]
+        return sides, at, el, _total(at, el[lo : lo + nc + 1]), logs
 
-    def _exterior(self, side: int, n: int, edges: Array, ends: Array) -> tuple[Array, Array]:
+    def _exterior(self, side: int, n: int) -> tuple[Array, Array]:
         """The split of the first ``n - 2`` free atoms and ``n`` bonds past
         the core on ``side`` (0 left, 1 right), nearest first (see
         ``_profiles``)."""
         atoms, prof = _profiles(self.pair.ref, n)
         if side == 0:
             prof = prof * _MIRROR
-        es, end = edges[:, side, None], ends[:, side, None]
+        es, end = np.array(self._frame[0][side]).reshape(2, 2, 1)
         g, r = es[1] * atoms[0], es[0] * atoms[1]
         return _split(g, r, es * prof[1] - end * prof[2], es * prof[0], self.gamma)
 
     @functools.cached_property
     def _eta2_split(self) -> tuple[Array, Array]:
         """The split over the window: per free atom and per bond."""
-        edges, ends = self._ends()
-        at, el = self._frame(edges, ends)
-        (lat, lel), (rat, rel) = (
-            self._exterior(side, self.pair.ref.off, edges, ends) for side in (0, 1)
-        )
+        _, at, el, _, _ = self._frame
+        (lat, lel), (rat, rel) = (self._exterior(side, self.pair.ref.off) for side in (0, 1))
         return np.concatenate([lat[::-1], at, rat]), np.concatenate([lel[::-1], el[1:-1], rel])
 
     @property
@@ -860,19 +928,15 @@ class EstimatorReport:
         whose bound reaches ``tau`` are evaluated.
         """
         ref = self.pair.ref
-        edges, ends = self._ends()
-        at, el = self._frame(edges, ends)
-        # a frame that holds lo atoms a side fewer than the core starts lo
-        # bonds in
-        lo, nc = 2 - ref.off + ref.frame.start, len(at)
         first = 3 - ref.window.m + ref.frame.start
-        out = [np.flatnonzero(_total(at, el[lo : lo + nc + 1]) >= tau) + first]
-        e, pz_end = edges.T.tolist(), ends.T.tolist()
-        for side in (0, 1):
-            k = _reach(ref, e[side], pz_end[side], self.gamma, tau)
+        _, _, _, totals, end_logs = self._frame
+        out = [np.flatnonzero(totals >= tau) + first]
+        log_gamma, nc = math.log(self.gamma), len(totals)
+        for side, logs in enumerate(end_logs):
+            k = _reach(ref, logs, log_gamma, tau)
             if not k:
                 continue
-            at, el = self._exterior(side, k + 2, edges, ends)
+            at, el = self._exterior(side, k + 2)
             far = np.flatnonzero(_total(at, el[:-1]) >= tau) + 1  # distances from the frame
             out.insert(2 * side, far + (first + nc - 1) if side else (first - far)[::-1])
         return np.concatenate(out) if len(out) > 1 else out[0]
@@ -905,18 +969,18 @@ def estimate_stack(pair: DualPair, use_gamma: bool = False) -> list[EstimatorRep
     ref, a0 = pair.ref, pair.ref.params.a0
     # past a0/2 from its well an atom leaves the harmonic well model's range;
     # the exterior decays from the core's edge atoms
-    u_max = np.abs(pair.u_free).max(axis=-1).tolist()
+    u_max = np.maximum.reduce(np.abs(pair.u_free), axis=-1).tolist()
     # the computable part g . R(y) of the goal error identity
     ft = rowdot(pair.g_free, pair.residual_primal).tolist()
     gr_abs = rowdot(np.abs(pair.g_free), np.abs(pair.residual_primal)).tolist()
     npy, npg = pair.npy.tolist(), pair.npg.tolist()
     sigmas = [_sigma(y, g) for y, g in zip(npy, npg)]
-    sigma = np.array([1.0 if s is None else s for s in sigmas])
     # leading axis 0 is the sign: + and - parallelogram combinations
-    r = _combo(sigma, _SIGNS, pair.residual_primal, pair.residual_dual)
+    weights = _weights([1.0 if s is None else s for s in sigmas], _SIGNS)
+    r = _combo(weights, pair.residual_primal, pair.residual_dual)
     a, b = rowdot(r, pair.u_free + ref.wells).tolist(), rowdot(r, pair.g_free).tolist()
     del r
-    up_p, up_m = eta_upp(pair, sigma, _SIGNS).tolist()
+    up_p, up_m = eta_upp(pair, weights).tolist()
     ymy, gmy, gmg = pair.ymy.tolist(), pair.gmy.tolist(), pair.gmg.tolist()
     differs = pair.differs.tolist()
     few = ref.params.m <= 4  # at most four free atoms

@@ -199,9 +199,11 @@ def make_partition(params: ChainParams, atomistic=()) -> Partition:
     continuum.
     """
     lo, hi = -params.m + 1, params.m
-    ids = np.asarray(list(atomistic))
-    if ids.dtype.kind == "b":
+    items = list(atomistic)
+    # numpy reads a boolean among integers as 0 or 1, so each is looked at
+    if any(isinstance(a, (bool, np.bool_)) for a in items):
         raise ValueError("atomistic must list atom ids, got booleans (a mask?)")
+    ids = np.asarray(items)
     if ids.dtype.kind not in "iu":
         ids = ids.astype(float)
         whole = np.isfinite(ids) & (ids == np.round(ids))
@@ -326,7 +328,7 @@ class QuadraticModel:
 
 def d_apply(v: Array) -> Array:
     """Bond difference map: entry j is v[j+1] - v[j], over the last axis."""
-    return np.diff(v)
+    return np.subtract(v[..., 1:], v[..., :-1])
 
 
 def dt_apply(w: Array) -> Array:
@@ -338,25 +340,30 @@ def dt_apply(w: Array) -> Array:
 
 
 def _nn_bond_bands(params: ChainParams, da: Array) -> BandedSpdMatrix:
-    """Bond interaction matrix for the full chain given atomistic flags.
+    """Bond interaction matrix for the full chain given atomistic flags
+    ``da`` (booleans, a stack of rows for a stack of matrices).
 
     Per-bond NN stiffness blends k1 (atomistic side) with the Cauchy-Born
     k12 (continuum side); NNN pairs couple neighbouring bonds only where an
     atomistic atom participates.  Pairs that would reach past a chain end
-    are dropped entirely.
+    are dropped entirely.  Each entry is a count of atomistic atoms times
+    the spring halves, so the counts pick it from the three values it can
+    take, each formed as k12/2 (continuum atoms) + k1/2 (atomistic ones)
+    or as k2/2 times the count; the diagonal then adds the pairs on its
+    left and on its right, in that order.
     """
-    k1, k2, k12 = params.k1, params.k2, params.k12
-    nb = da.shape[-1] - 1
-    dc = 1.0 - da
-    bands = banded.zeros_like_band(nb, 1, da.shape[:-1])
-    diag = bands[..., 0, :]
-    diag += 0.5 * k12 * (dc[..., :-1] + dc[..., 1:]) + 0.5 * k1 * (
-        da[..., :-1] + da[..., 1:]
-    )
-    pair = da[..., 0 : nb - 1] + da[..., 2 : nb + 1]  # NNN pair over bonds (p, p+1)
-    np.multiply(pair, 0.5 * k2, out=bands[..., 1, : nb - 1])
-    diag[..., 1:] += bands[..., 1, : nb - 1]
-    diag[..., :-1] += bands[..., 1, : nb - 1]
+    h12, h1, h2 = 0.5 * params.k12, 0.5 * params.k1, 0.5 * params.k2
+    f = da.view(np.int8)
+    nb = f.shape[-1] - 1
+    bands = np.zeros(f.shape[:-1] + (2, nb))
+    diag, pair = bands[..., 0, :], bands[..., 1, : nb - 1]
+    values = np.array([h12 * 2.0 + h1 * 0.0, h12 * 1.0 + h1 * 1.0, h12 * 0.0 + h1 * 2.0])
+    values.take(f[..., :-1] + f[..., 1:], out=diag, mode="clip")
+    # NNN pair over bonds (p, p+1)
+    values = np.array([0.0 * h2, 1.0 * h2, 2.0 * h2])
+    values.take(f[..., : nb - 1] + f[..., 2:], out=pair, mode="clip")
+    diag[..., 1:] += pair
+    diag[..., :-1] += pair
     return BandedSpdMatrix(bands)
 
 
@@ -367,10 +374,9 @@ def assemble(
     ``params`` describes (the window, for the estimators); a sequence of
     partitions gives the stack of their models."""
     ids = atom_ids(params)
-    da = _flags(params, part).astype(float)
     return QuadraticModel(
         ids=ids,
-        e_mat=_nn_bond_bands(params, da),
+        e_mat=_nn_bond_bands(params, _flags(params, part)),
         a_eq=ids * params.a0,
         b_eq=well_positions(params, ids),
     )
@@ -379,29 +385,24 @@ def assemble(
 def stiffness_bands(params: ChainParams, e_mat: BandedSpdMatrix) -> BandedSpdMatrix:
     """Hessian D^T E D + k0 I of the bond matrix ``e_mat`` (a stack of them
     gives a stack) on the free atoms, the two clamped ones at each end
-    dropped, as a pentadiagonal band matrix."""
+    dropped, as a pentadiagonal band matrix.
+
+    Atom i couples to bonds i-1 and i: its diagonal is (E_(i-1,i-1) +
+    E_(i,i)) - 2 E_(i,i-1) + k0, the next atom's entry (E_(i-1,i) - E_(i,i))
+    + E_(i+1,i) and the one after -E_(i+1,i).  Couplings of the last free
+    atoms to the clamped ones are unused band slots, left zero.
+    """
     ed = e_mat.bands[..., 0, :]
-    n = ed.shape[-1] + 1
-    eo = e_mat.bands[..., 1, : n - 2]
-
-    bands = banded.zeros_like_band(n, 2, ed.shape[:-1])
-    diag = bands[..., 0, :]
-    off1 = bands[..., 1, : n - 1]
-    off2 = bands[..., 2, : n - 2]
-    diag[..., :-1] += ed
-    diag[..., 1:] += ed
-    diag[..., 1:-1] -= 2.0 * eo
-    off1 -= ed
-    off1[..., 1:] += eo
-    off1[..., :-1] += eo
-    off2 -= eo
-
+    eo = e_mat.bands[..., 1, :]
+    nf = ed.shape[-1] - 3
+    bands = np.zeros(ed.shape[:-1] + (3, nf))
+    diag, off1, off2 = bands[..., 0, :], bands[..., 1, : nf - 1], bands[..., 2, : nf - 2]
+    np.add(ed[..., 1 : nf + 1], ed[..., 2 : nf + 2], out=diag)
+    diag -= 2.0 * eo[..., 1 : nf + 1]
     diag += params.k0
-    # the free atoms' rows: their couplings to the clamped atoms at the right
-    # end become unused band slots
-    bands = bands[..., 2:-2]
-    bands[..., 1, -1] = 0.0
-    bands[..., 2, -2:] = 0.0
+    np.subtract(eo[..., 1 : nf], ed[..., 2 : nf + 1], out=off1)
+    off1 += eo[..., 2 : nf + 1]
+    np.subtract(0.0, eo[..., 2:nf], out=off2)
     return BandedSpdMatrix(bands)
 
 

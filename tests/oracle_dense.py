@@ -509,6 +509,54 @@ def lemma1_check(
     return LemmaCheck(mismatch / scale, mismatch, floor)
 
 
+def blended_bonds(params: ChainParams, da: Array) -> BandedSpdMatrix:
+    """E of the flags ``da`` (0.0 or 1.0 per atom, a stack of rows for a
+    stack) the arithmetic way: each entry formed on the whole band from the
+    continuum and atomistic counts, the NNN pairs added in place.  The
+    library picks each entry from the values it can take, in the same
+    order of operations, so the bits must agree."""
+    k1, k2, k12 = params.k1, params.k2, params.k12
+    nb = da.shape[-1] - 1
+    dc = 1.0 - da
+    bands = np.zeros(da.shape[:-1] + (2, nb))
+    diag = bands[..., 0, :]
+    diag += 0.5 * k12 * (dc[..., :-1] + dc[..., 1:]) + 0.5 * k1 * (da[..., :-1] + da[..., 1:])
+    np.multiply(da[..., : nb - 1] + da[..., 2:], 0.5 * k2, out=bands[..., 1, : nb - 1])
+    diag[..., 1:] += bands[..., 1, : nb - 1]
+    diag[..., :-1] += bands[..., 1, : nb - 1]
+    return BandedSpdMatrix(bands)
+
+
+def hessian_bands(params: ChainParams, e_mat: BandedSpdMatrix) -> BandedSpdMatrix:
+    """D^T E D + k0 I on the free atoms, accumulated over the whole chain's
+    atoms and then cut to the free ones, with the unused slots zeroed: the
+    bits ``model.stiffness_bands`` forms on the free atoms alone."""
+    ed = e_mat.bands[..., 0, :]
+    n = ed.shape[-1] + 1
+    eo = e_mat.bands[..., 1, : n - 2]
+    bands = np.zeros(ed.shape[:-1] + (3, n))
+    diag, off1, off2 = bands[..., 0, :], bands[..., 1, : n - 1], bands[..., 2, : n - 2]
+    diag[..., :-1] += ed
+    diag[..., 1:] += ed
+    diag[..., 1:-1] -= 2.0 * eo
+    off1 -= ed
+    off1[..., 1:] += eo
+    off1[..., :-1] += eo
+    off2 -= eo
+    diag += params.k0
+    bands = np.ascontiguousarray(bands[..., 2:-2])
+    bands[..., 1, -1] = 0.0
+    bands[..., 2, -2:] = 0.0
+    return BandedSpdMatrix(bands)
+
+
+def primal_load(ref: Reference, eac: BandedSpdMatrix) -> Array:
+    """The blended primal load -J^T D^T E_ac base through the whole core's
+    bond product, one row per matrix of ``eac``: what the library forms
+    from the few bonds where ``base`` is nonzero."""
+    return -dt_apply(banded.matvec(eac, ref.base[0, 0, 1:-1]))[..., 2:-2]
+
+
 def window_pair(ref: Reference, parts) -> DualPair:
     """The pair of the regions ``parts`` with every blended solve over the
     whole window of ``ref``, clamped at its ends, and every product from

@@ -40,12 +40,17 @@ def test_config_validation():
                 dict(tau_gl=1e-10, tau_div=float("inf")),
                 dict(tau_gl=1e-10, max_iterations=float("nan")),
                 dict(tau_gl=1e-10, max_iterations=2.5),
-                dict(tau_gl=1e-3, max_iterations=True)):
+                dict(tau_gl=1e-3, max_iterations=True),
+                dict(tau_gl=1e-3, use_gamma="no"), dict(tau_gl=1e-3, symmetrize=1),
+                dict(tau_gl=1e-3, use_gamma=None), dict(tau_gl=1e-3, symmetrize=0.0)):
         with pytest.raises(ValueError):
             AdaptConfig(**bad)
     c = AdaptConfig(tau_gl=1e-10)
     assert c.tau_div == 10.0 and c.max_iterations == 50
     assert not c.symmetrize and not c.use_gamma
+    # numpy's booleans are booleans, kept as Python ones
+    c = AdaptConfig(tau_gl=1e-10, symmetrize=np.True_, use_gamma=np.False_)
+    assert c.symmetrize is True and c.use_gamma is False
 
 
 def test_adaptive_trace_matches_frozen_oracle():

@@ -36,14 +36,17 @@ from qcfk.cli import TABLE2_K
 from oracle_dense import (
     EXTERIOR,
     atomistic,
+    blended_bonds,
     dual_errors,
     ediff,
     enorm,
     goal,
     goal_vector,
+    hessian_bands,
     lemma1_check,
     ma_products,
     on_window,
+    primal_load,
     projections,
     theta_lower_terms,
     to_dense,
@@ -220,9 +223,9 @@ def test_sigma_opt_minimizes_upper_bound():
     s = rep.sigma_bar
     assert np.isclose(s, np.sqrt(pair.npg[0] / pair.npy[0]), rtol=1e-12)
     for sign, best in ((+1, rep.eta_upp_plus), (-1, rep.eta_upp_minus)):
-        assert eta_upp(pair, s, sign)[0] == best
+        assert eta_upp(pair, estimators._weights(s, sign))[0] == best
         for f in (0.5, 0.9, 1.1, 2.0):
-            assert eta_upp(pair, s * f, sign)[0] >= best - 1e-15
+            assert eta_upp(pair, estimators._weights(s * f, sign))[0] >= best - 1e-15
 
 
 def test_lower_terms_are_the_best_test_vector_over_span_of_y_and_g():
@@ -574,7 +577,8 @@ def test_bounds_and_weighted_sum_square_by_products(springs, m, k):
     params = ChainParams(m, *springs)
     pair = solve_dual_pair(params, interval_partition(params, k))
     rep = estimate(pair, use_gamma=True)
-    r = estimators._combo(rep.sigma_bar, estimators._SIGNS, pair.residual_primal, pair.residual_dual)
+    weights = estimators._weights(rep.sigma_bar, estimators._SIGNS)
+    r = estimators._combo(weights, pair.residual_primal, pair.residual_dual)
     a = banded.rowdot(r, pair.u_free + pair.ref.wells)[:, 0].tolist()
     b = banded.rowdot(r, pair.g_free)[:, 0].tolist()
     c, d, f = float(pair.ymy[0]), float(pair.gmy[0]), float(pair.gmg[0])
@@ -1136,3 +1140,98 @@ def test_stack_equals_one_region_at_a_time(case):
             q_want, e_want = exact_goal_error(params, parts[i], want)
             assert q[j] == q_want and np.array_equal(e[j], e_want)
     assert sorted(seen) == list(range(len(parts)))
+
+
+# ---------------------------------------------------------------------------
+# the adaptive step's pieces against their dense forms, bit for bit
+
+
+def _bits(x) -> tuple:
+    x = np.asarray(x)
+    return x.shape, np.ascontiguousarray(x).tobytes()
+
+
+def _step_case(seed: int) -> tuple[ChainParams, list[Partition], bool]:
+    """Springs and a stack of regions on a chain with an exterior (seed % 3
+    == 0), one that is its own core as w + pad >= M (1) and one that is its
+    own core through non-default clamps (2); and whether it has an exterior."""
+    rng = np.random.default_rng(seed)
+    kind = seed % 3
+    springs = dict(k0=10 ** rng.uniform(-3, 1), k1=10 ** rng.uniform(-1, 1))
+    springs["k2"] = 0.0 if seed % 4 == 1 else 10 ** rng.uniform(-2, 1)
+    if kind == 0:
+        params = ChainParams(m=int(10 ** rng.uniform(6, 9)), **springs)
+    elif kind == 1:
+        params = ChainParams(m=int(rng.integers(3, 60)), **springs)
+    else:
+        m = int(rng.integers(5, 300))
+        bc = (np.array([-m, 1 - m, m - 1, m]) + rng.uniform(-0.4, 0.4, 4)).tolist()
+        params = ChainParams(m=m, bc=tuple(bc), **springs)
+    top = min(params.m, 60)
+    ks = sorted({0, min(int(rng.integers(0, top - 1)), params.m - 2), top - 2})
+    parts = [interval_partition(params, k) for k in ks]
+    parts.append(make_partition(params, rng.integers(-top + 1, top + 1, 7).tolist()))
+    return params, parts, kind == 0
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_step_bands_and_load_match_their_dense_forms(seed, monkeypatch):
+    # the blended bands from the flags, the stiffness on the free atoms and
+    # the primal load from the bonds where base is nonzero, against the
+    # whole-band arithmetic and -D^T E_ac base over the whole core; then
+    # every pair array solved with the dense forms in their place
+    params, parts, exterior = _step_case(seed)
+    stacks = list(solve_stacks(params, parts))
+    for rows, pair in stacks:
+        ref = pair.ref
+        assert bool(ref.off) == exterior
+        flags = model._flags(ref.core, pair.parts)
+        eac = model._nn_bond_bands(ref.core, flags)
+        assert _bits(eac.bands) == _bits(blended_bonds(ref.core, flags.astype(float)).bands)
+        mac = model.stiffness_bands(ref.core, eac)
+        assert _bits(mac.bands) == _bits(hessian_bands(ref.core, eac).bands)
+        load = np.empty((len(rows), mac.n))
+        estimators._primal_load(ref, eac, load)
+        assert _bits(load) == _bits(primal_load(ref, eac))
+
+    def dense_load(ref, eac, out):
+        out[...] = primal_load(ref, eac)
+
+    monkeypatch.setattr(estimators, "_REFERENCES", type(estimators._REFERENCES)())
+    monkeypatch.setattr(model, "_nn_bond_bands", lambda p, da: blended_bonds(p, da.astype(float)))
+    monkeypatch.setattr(model, "stiffness_bands", hessian_bands)
+    monkeypatch.setattr(estimators, "_primal_load", dense_load)
+    for (rows, pair), (again, dense) in zip(stacks, solve_stacks(params, parts), strict=True):
+        assert rows == again
+        for f in dataclasses.fields(pair):
+            if f.name not in ("ref", "parts"):
+                assert _bits(getattr(pair, f.name)) == _bits(getattr(dense, f.name)), f.name
+
+
+def test_a_step_makes_one_factor_and_solve_per_row_and_one_projection(monkeypatch):
+    # the blended systems of a stack are factored and solved by one dpbsv
+    # call each, for both loads, and P z of the whole stack is one dpttrs
+    # call; an adaptive run makes exactly that per step
+    calls = {"dpbsv": 0, "dpttrs": 0}
+
+    def counted(name):
+        routine = getattr(banded, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return routine(*args, **kwargs)
+
+        return call
+
+    params = ChainParams(m=2000, k0=0.7, k1=1.3, k2=2.9)
+    parts = [interval_partition(params, k) for k in (0, 4, 30)]
+    solve_dual_pair(params, parts[0])  # the reference of their window
+    for name in calls:
+        monkeypatch.setattr(banded, name, counted(name))
+    ((_, pair),) = solve_stacks(params, parts)
+    estimate_stack(pair)[0].marked(1e-12)
+    assert calls == {"dpbsv": 3, "dpttrs": 1}
+    calls.update(dpbsv=0, dpttrs=0)
+    trace = run_adaptive(params, AdaptConfig(tau_gl=1e-10))
+    steps = len(trace.records)
+    assert steps == 3 and calls == {"dpbsv": steps, "dpttrs": steps}

@@ -373,6 +373,10 @@ def test_make_partition_rejects_out_of_range():
     for mask in ([True, False, True], np.ones(10, dtype=bool)):
         with pytest.raises(ValueError, match="atomistic must list atom ids"):
             make_partition(ChainParams(m=10), mask)
+    # nor is a boolean among ids (it read as atom 1)
+    for mixed in ([True, 5], [5, np.True_], (3, False)):
+        with pytest.raises(ValueError, match="atomistic must list atom ids"):
+            make_partition(ChainParams(m=10), mixed)
 
 
 # ---------------------------------------------------------------------------

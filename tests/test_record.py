@@ -4,11 +4,13 @@ rely on (``dataclasses.fields``, ``replace``, equality, hashing, repr and
 argument checks)."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
 from qcfk import adaptivity, banded, cli, estimators, model
+from qcfk._record import frozen
 
 MODULES = (model, banded, estimators, adaptivity, cli)
 
@@ -21,7 +23,7 @@ FIELDS = {
     "BandedSpdMatrix": "bands",
     "BandedFactor": "bands",
     "Reference": "params window core off fold mu q c lam ymy_far frame wells fa "
-    "goal_frame edge3 base ediff_rim ea_core rim pz_factor ext_res ext_pz ymy_tail",
+    "goal_frame edge3 base spans ediff_rim ea_core rim pz_factor ext_res ext_pz ymy_tail",
     "DualPair": "ref parts u_free g_free residual_primal residual_dual ez_y ez_g "
     "pz_y pz_g npy npg ymy gmy gmg differs",
     "EstimatorReport": "m m_window eta1 eta2 first_term sigma_bar eta_upp_plus "
@@ -135,3 +137,34 @@ def test_defaults_fill_in_and_post_init_runs():
     assert type(p.m) is int and type(p.k1) is float and p.k0 == 1.0
     with pytest.raises(TypeError):
         model.ChainParams(k0=1.0)  # m has no default
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_signatures_show_the_fields(records, name):
+    # inspect.signature and help() list each field by position or name with
+    # its default and annotation, as a dataclass's generated __init__ does,
+    # and the signature binds what the constructor takes
+    x = records[name]
+    sig = inspect.signature(type(x))
+    fs = dataclasses.fields(x)
+    assert list(sig.parameters) == FIELDS[name].split() and sig.return_annotation is None
+    for f, param in zip(fs, sig.parameters.values()):
+        default = inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+        assert param.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+        assert param.default is default and param.annotation == f.type
+    values = [getattr(x, f.name) for f in fs]
+    assert sig.bind(*values).arguments == {f.name: v for f, v in zip(fs, values)}
+    assert str(sig).startswith(f"({fs[0].name}: ")
+
+
+def test_signatures_are_built_on_first_access():
+    @frozen
+    class Point:
+        x: int
+        y: float = 0.0
+
+    built = vars(vars(Point)["__signature__"])
+    assert "sig" not in built  # making the class built none
+    sig = inspect.signature(Point)
+    assert list(sig.parameters) == ["x", "y"] and sig.parameters["y"].default == 0.0
+    assert built["sig"] is sig and inspect.signature(Point) is sig
