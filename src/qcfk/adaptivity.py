@@ -126,17 +126,6 @@ def _interval_k(atoms: Array) -> int | None:
     return None
 
 
-def _union(a: Array, b: Array) -> Array:
-    """The sorted union of two sorted arrays of unique ids, as
-    ``np.union1d`` gives it."""
-    both = np.concatenate((a, b))
-    both.sort()
-    keep = np.empty(both.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(both[1:], both[:-1], out=keep[1:])
-    return both[keep]
-
-
 def _threshold(config: AdaptConfig, it: int) -> float:
     """tau_gl / tau_div^it, 0.0 once the power overflows."""
     try:
@@ -157,7 +146,7 @@ def run_adaptive(params: ChainParams, config: AdaptConfig) -> AdaptTrace:
     status = "max-iterations"
     level, tau_at = 0, config.tau_gl  # tau_gl / tau_div^level marked the region
     for it in range(1, config.max_iterations + 1):
-        # _union and arange keep the ids sorted, unique and on the chain
+        # union1d and arange keep the ids sorted, unique and on the chain
         part = Partition(atoms)
         pair = solve_dual_pair(params, part)
         report = estimate(pair, use_gamma=config.use_gamma)
@@ -180,7 +169,7 @@ def run_adaptive(params: ChainParams, config: AdaptConfig) -> AdaptTrace:
         while grown.size == atoms.size and atoms.size < 2 * params.m - 4 and tau_at > 0.0:
             level += 1
             tau_at = _threshold(config, level)
-            grown = _union(atoms, mark_atoms(report, tau_at))
+            grown = np.union1d(atoms, mark_atoms(report, tau_at))
         if grown.size == atoms.size:
             status = "stalled"
             break

@@ -176,11 +176,11 @@ def solve(f: BandedFactor, rhs: Array) -> Array:
     return x
 
 
-def solve_each(a: BandedSpdMatrix, rhs: Array, out: Array | None = None) -> Array:
+def solve_each(a: BandedSpdMatrix, rhs: Array, out: Array) -> Array:
     """Factor and solve each matrix of a stack against its own block of
-    columns: ``rhs[i]`` is a (k, n) block for ``a.bands[i]``, and the result
-    has its shape.  It is written to ``out`` when given: any array of that
-    shape, a transposed view too.
+    columns: ``rhs[i]`` is a (k, n) block for ``a.bands[i]``, and the result,
+    of its shape, is written to ``out``: any array of that shape, a
+    transposed view too.
 
     One LAPACK call per matrix factors and solves (the bits of ``factor``
     then ``solve``); the whole stack is checked for finiteness once.
@@ -190,8 +190,6 @@ def solve_each(a: BandedSpdMatrix, rhs: Array, out: Array | None = None) -> Arra
     finite = np.logical_and.reduce
     if not (finite(np.isfinite(ab), axis=None) and finite(np.isfinite(rhs), axis=None)):
         raise ValueError("matrices and right-hand sides must be finite")
-    if out is None:
-        out = np.empty(rhs.shape)
     for i, (bands, cols) in enumerate(zip(ab, rhs)):
         if bw == 1:  # tridiagonal: a scalar loop, no per-row BLAS calls
             *_, x, info = dptsv(bands[0], bands[1, :-1], cols.T)

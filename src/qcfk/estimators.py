@@ -135,10 +135,10 @@ class Reference:
     one more each side, ``spans`` the ranges of the core's bonds around its
     nonzero entries with base on them (see ``_primal_load``), ``ediff_rim``
     the E_a - E_ac bands that couple the core to the exterior bond next to
-    each end, and ``ea_core`` E_a on the core's bonds.  ``rim`` holds the profiles rho = (E_a - E_ac) z, pi and
-    h at those exterior bonds and the load P z there puts on the core's end
-    rows, and ``pz_factor`` is the core's E_a with the exterior folded into
-    both end diagonals.
+    each end, and ``ea_core`` E_a on the core's bonds.  ``rim`` holds the
+    profiles rho = (E_a - E_ac) z, pi and h at those exterior bonds and
+    the load P z there puts on the core's end rows, and ``pz_factor`` is
+    the core's E_a with the exterior folded into both end diagonals.
     ``ext_res`` holds u . R and b . R over the exterior per unit edge
     value, ``ext_pz`` pi . rho and h . rho, with rho = (E_a - E_ac) z and
     P z = e pi - c h for an edge value e and a core end value c of P z;
@@ -168,7 +168,7 @@ class Reference:
     goal_frame: Array
     edge3: Array
     base: Array
-    spans: tuple[tuple[int, int, list[float]], ...]
+    spans: tuple[tuple[int, int], ...]
     ediff_rim: Array
     ea_core: BandedSpdMatrix
     rim: Array
@@ -470,14 +470,13 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
     base[0, 0, 1:-1] = model.load_bonds(core, lift)
     # the core's bonds next to each nonzero entry of base, runs that would
     # share an atom merged, over which the primal load is formed
-    runs: list[tuple[int, int]] = []
+    spans: list[tuple[int, int]] = []
     for j in np.flatnonzero(base[0, 0, 1:-1]).tolist():
         first, stop = max(j - 1, 0), min(j + 2, nbc)
-        if runs and first <= runs[-1][1]:
-            runs[-1] = runs[-1][0], stop
+        if spans and first <= spans[-1][1]:
+            spans[-1] = spans[-1][0], stop
         else:
-            runs.append((first, stop))
-    spans = tuple((a, b, base[0, 0, 1 + a : 1 + b].tolist()) for a, b in runs)
+            spans.append((first, stop))
     goal_frame[m_core - 1 - lo] = -1.0
     goal_frame[m_core - lo] = 1.0
     # the exterior coordinates of b, fa and the goal
@@ -507,7 +506,7 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         goal_frame=goal_frame,
         edge3=edge3,
         base=base,
-        spans=spans,
+        spans=tuple(spans),
         ediff_rim=ediff_rim,
         ea_core=ea_core,
         rim=rim,
@@ -519,24 +518,6 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
     return ref
 
 
-def _span_load(e0: list[float], e1: list[float], x: list[float]) -> list[float]:
-    """-D^T E x on the atoms of a run of bonds whose neighbours carry no x:
-    ``e0`` and ``e1`` are the run's diagonal and next-bond entries of E,
-    and each entry takes the operations of ``banded.matvec`` and
-    ``model.dt_apply`` in their order, in floats (the terms past the run
-    are products of zeros, which add nothing)."""
-    n = len(x)
-    w = [a * b for a, b in zip(e0, x)]
-    for j in range(1, n):
-        w[j] += e1[j - 1] * x[j - 1]
-    for j in range(n - 1):
-        w[j] += e1[j] * x[j + 1]
-    out = [-(0.0 - w[0])]
-    out += [-((0.0 - w[j]) + w[j - 1]) for j in range(1, n)]
-    out.append(-(0.0 + w[-1]))
-    return out
-
-
 def _primal_load(ref: Reference, eac: BandedSpdMatrix, out: Array) -> None:
     """Write the blended primal load -J^T D^T E_ac base on the core's free
     atoms to ``out``, one row per bond matrix of the stack ``eac``.
@@ -544,16 +525,19 @@ def _primal_load(ref: Reference, eac: BandedSpdMatrix, out: Array) -> None:
     ``base`` is nonzero on the defect bond alone, and on a chain that is its
     own core on the bonds at its clamps too, so E_ac base is zero outside
     the bond ranges ``ref.spans`` around them and D^T E_ac base outside
-    their atoms.  Each range is formed alone (``_span_load``), with the bits
-    of the whole product; every other entry is -0.0, the negated zero the
-    whole product gives."""
+    their atoms.  Each range is formed alone, by ``banded.matvec`` and
+    ``model.dt_apply`` on its slice of the bands: the terms the slice drops
+    are products of zeros, which add nothing, so it has the bits of the
+    whole product.  Every other entry is -0.0, the negated zero the whole
+    product gives."""
     out[...] = -0.0
-    last = eac.bands.shape[-1] - 1
-    for lo, hi, xs in ref.spans:
+    last = eac.n - 1
+    for lo, hi in ref.spans:
         # the range's atoms lo .. hi, those of them that are free
         a, b = max(lo, 2), min(hi + 1, last)
-        rows = [_span_load(e0, e1, xs) for e0, e1 in eac.bands[..., lo:hi].tolist()]
-        out[..., a - 2 : b - 2] = [row[a - lo : b - lo] for row in rows]
+        span = BandedSpdMatrix(eac.bands[..., lo:hi])
+        load = model.dt_apply(banded.matvec(span, ref.base[0, 0, 1 + lo : 1 + hi]))
+        np.negative(load[..., a - lo : b - lo], out=out[..., a - 2 : b - 2])
 
 
 def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
@@ -748,14 +732,16 @@ def _lower2(a: float, b: float, c: float, d: float, f: float, schur: float) -> f
     return _div(b * b, f) + (rest * rest / schur if schur > _SCHUR_REL * c else 0.0)
 
 
+def _bonds(pz_y, ez_y, pz_g, ez_g, gamma: float):
+    """The eta2 split per bond: the gamma-weighted halves |P z_y . ez_y| and
+    |P z_g . ez_g| (see ``estimate_stack``), of arrays or of floats."""
+    return abs(pz_y * ez_y) * (0.5 * gamma) + abs(pz_g * ez_g) * (0.5 / gamma)
+
+
 def _split(g: Array, r: Array, pz: Array, ez: Array, gamma: float) -> tuple[Array, Array]:
-    """The eta2 split: per atom |g R(y)|, per bond the gamma-weighted halves
-    |P z_y . ez_y| and |P z_g . ez_g| (see ``estimate_stack``), with the
+    """The eta2 split: per atom |g R(y)|, per bond ``_bonds``, with the
     primal's and the dual's P z and ez in the two rows of ``pz`` and ``ez``."""
-    el = np.abs(pz * ez)
-    el[0] *= 0.5 * gamma
-    el[1] *= 0.5 / gamma
-    return np.abs(g * r), el[0] + el[1]
+    return np.abs(g * r), _bonds(pz[0], ez[0], pz[1], ez[1], gamma)
 
 
 def _total(at: Array, el: Array) -> Array:
@@ -850,31 +836,24 @@ class EstimatorReport:
     def _frame(self) -> tuple[list[list[float]], Array, Array, Array, list[list[float]]]:
         """What listing and marking read off the core, formed once: per side
         (left, right) the edge values of u and g and the end values of P z_y
-        and P z_g on the core; the split of the frame's atoms and of the
+        and P z_g on the core; the split of the frame's atoms, and of the
         core's bonds with the exterior bond next to each end (``ref.rim``)
-        around them, as ``_split`` forms it (the core's bonds row by row,
-        the two exterior bonds in floats); ``eta2_total`` on the frame's
-        atoms; and per side the logarithms of the edge and end values (see
-        ``_reach``)."""
+        around them, the core's bonds row by row and the two exterior bonds
+        in floats; ``eta2_total`` on the frame's atoms; and per side the
+        logarithms of the edge and end values (see ``_reach``)."""
         pair, i, gamma, ref = self.pair, self.row, self.gamma, self.pair.ref
         nc, nbc = pair.g_free.shape[-1] - 4, pair.pz_y.shape[-1] - 2
+        pz_y, pz_g, ez_y, ez_g = (a[i, :nbc] for a in (pair.pz_y, pair.pz_g, pair.ez_y, pair.ez_g))
         (ul, ur), (gl, gr) = pair.u_free[i, -4::2].tolist(), pair.g_free[i, -4::2].tolist()
-        (yl, yr), (dl, dr) = pair.pz_y[i, : nbc : nbc - 1].tolist(), pair.pz_g[i, : nbc : nbc - 1].tolist()
+        (yl, yr), (dl, dr) = pz_y[:: nbc - 1].tolist(), pz_g[:: nbc - 1].tolist()
         sides = [[ul, gl, yl, dl], [ur, gr, yr, dr]]
-        half_y, half_g = 0.5 * gamma, 0.5 / gamma
         el = np.empty(nbc + 2)
-        term_y = np.abs(pair.pz_y[i, :nbc] * pair.ez_y[i, :nbc])
-        term_y *= half_y
-        term_g = np.abs(pair.pz_g[i, :nbc] * pair.ez_g[i, :nbc])
-        term_g *= half_g
-        np.add(term_y, term_g, out=el[1:-1])
+        el[1:-1] = _bonds(pz_y, ez_y, pz_g, ez_g, gamma)
         rho, pi, h, _ = ref.rim.tolist()
-        terms = []
-        for side, (eu, eg, cy, cg) in enumerate(sides):
-            pz_y, pz_g = eu * pi[side] - cy * h[side], eg * pi[side] - cg * h[side]
-            ez_y, ez_g = eu * rho[side], eg * rho[side]
-            terms.append(abs(pz_y * ez_y) * half_y + abs(pz_g * ez_g) * half_g)
-        el[0], el[-1] = terms
+        el[0], el[-1] = (
+            _bonds(eu * pi[s] - cy * h[s], eu * rho[s], eg * pi[s] - cg * h[s], eg * rho[s], gamma)
+            for s, (eu, eg, cy, cg) in enumerate(sides)
+        )
         at = np.abs(pair.g_free[i, :nc] * pair.residual_primal[i, :nc])
         # a frame that holds lo atoms a side fewer than the core starts lo
         # bonds in
