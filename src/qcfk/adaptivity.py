@@ -87,8 +87,10 @@ class IterationRecord:
 class AdaptTrace:
     """Full history of one adaptive run.
 
-    ``status`` is "converged" (eta1 met tau_gl), "stalled" (no threshold
-    down to 0.0 grows the region), or "max-iterations".
+    ``status`` is "converged" (eta1 met tau_gl), "all-atomistic" (every
+    free atom is, and the model difference at the clamped atoms, which stay
+    continuum, bounds eta1), "stalled" (no threshold down to 0.0 grows the
+    region), or "max-iterations".
     """
 
     m: int
@@ -146,7 +148,7 @@ def run_adaptive(params: ChainParams, config: AdaptConfig) -> AdaptTrace:
     status = "max-iterations"
     level, tau_at = 0, config.tau_gl  # tau_gl / tau_div^level marked the region
     for it in range(1, config.max_iterations + 1):
-        # union1d and arange keep the ids sorted, unique and on the chain
+        # the merge and arange keep the ids sorted, unique and on the chain
         part = Partition(atoms)
         pair = solve_dual_pair(params, part)
         report = estimate(pair, use_gamma=config.use_gamma)
@@ -165,13 +167,16 @@ def run_adaptive(params: ChainParams, config: AdaptConfig) -> AdaptTrace:
             status = "converged"
             break
         # no new solve until a threshold marks an atom outside the region
-        grown = atoms
-        while grown.size == atoms.size and atoms.size < 2 * params.m - 4 and tau_at > 0.0:
+        grown, whole = atoms, atoms.size >= 2 * params.m - 4
+        while grown.size == atoms.size and not whole and tau_at > 0.0:
             level += 1
             tau_at = _threshold(config, level)
-            grown = np.union1d(atoms, mark_atoms(report, tau_at))
+            # the marked ids (sorted) that searchsorted does not find, merged in
+            marked = mark_atoms(report, tau_at)
+            new = marked[atoms.searchsorted(marked) == atoms.searchsorted(marked, "right")]
+            grown = np.sort(np.concatenate((atoms, new))) if new.size else atoms
         if grown.size == atoms.size:
-            status = "stalled"
+            status = "all-atomistic" if whole else "stalled"
             break
         if config.symmetrize:
             k = int(np.max(np.maximum(grown, 1 - grown)))

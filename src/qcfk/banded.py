@@ -8,9 +8,10 @@ left-aligned, with the trailing ``d`` slots unused (kept at zero).  This is
 exactly the lower form LAPACK's ``dpbtrf`` expects.
 
 A stack of matrices of one size carries leading axes in front of the band
-rows, and vectors stack the same way in front of their one axis:
-``matvec``, ``norm``, ``rowdot`` and ``solve_each`` work row by row over
-those axes, with the same bits as one row at a time.
+rows, and vectors stack the same way in front of their one axis: ``matvec``,
+``norm``, ``rowdot`` and ``solve_each`` work row by row over those axes,
+with the same bits as one row at a time; ``solve_each`` solves a stack by
+one LAPACK call, as one block-diagonal band matrix.
 """
 
 from __future__ import annotations
@@ -56,12 +57,13 @@ dptsv, dpttrf, dpttrs = _LAPACK.dptsv, _LAPACK.dpttrf, _LAPACK.dpttrs
 class NotPositiveDefiniteError(ValueError):
     """Cholesky hit a non-positive pivot.
 
-    ``pivot`` is the 1-based index of the failing leading minor.
+    ``pivot`` is the 1-based failing leading minor, of matrix ``row`` of a stack.
     """
 
-    def __init__(self, pivot: int):
-        self.pivot = pivot
-        super().__init__(f"matrix is not positive definite (pivot {pivot})")
+    def __init__(self, pivot: int, row: int | None = None):
+        self.pivot, self.row = pivot, row
+        which = "matrix" if row is None else f"matrix {row} of the stack"
+        super().__init__(f"{which} is not positive definite (pivot {pivot})")
 
 
 @frozen
@@ -182,22 +184,33 @@ def solve_each(a: BandedSpdMatrix, rhs: Array, out: Array) -> Array:
     of its shape, is written to ``out``: any array of that shape, a
     transposed view too.
 
-    One LAPACK call per matrix factors and solves (the bits of ``factor``
-    then ``solve``); the whole stack is checked for finiteness once.
+    One LAPACK call solves the stack as one block-diagonal matrix, each
+    block's trailing band slots zeroed and followed by ``bw`` unit rows with
+    zero loads, which add to the next block only -0.0, a no-op: each block
+    has the bits, signed zeros too, of ``factor`` then ``solve``, and one
+    that is not positive definite raises with its row and its own pivot.
     """
+    rows, k, n = rhs.shape
     bw = min(a.bands.shape[-2:]) - 1
-    ab = a.bands[..., : bw + 1, :]
+    ab, cols, step = a.bands[0, : bw + 1], rhs[0], n
+    if rows > 1:
+        step = n + bw
+        ab, cols = np.zeros((bw + 1, rows, step)), np.zeros((k, rows, step))
+        for d in range(bw + 1):  # the slots each band row uses
+            ab[d, :, : n - d] = a.bands[:, d, : n - d]
+        ab[0, :, n:] = 1.0
+        cols[..., :n] = rhs.transpose(1, 0, 2)
+    ab, cols = ab.reshape(bw + 1, -1), cols.reshape(k, -1).T
     finite = np.logical_and.reduce
-    if not (finite(np.isfinite(ab), axis=None) and finite(np.isfinite(rhs), axis=None)):
+    if not (finite(np.isfinite(ab), axis=None) and finite(np.isfinite(cols), axis=None)):
         raise ValueError("matrices and right-hand sides must be finite")
-    for i, (bands, cols) in enumerate(zip(ab, rhs)):
-        if bw == 1:  # tridiagonal: a scalar loop, no per-row BLAS calls
-            *_, x, info = dptsv(bands[0], bands[1, :-1], cols.T)
-        else:
-            _, x, info = dpbsv(bands, cols.T, lower=1)
-        if info > 0:
-            raise NotPositiveDefiniteError(info)
-        if info < 0:
-            raise ValueError(f"LAPACK solve rejected argument {-info}")
-        out[i] = x.T
+    if bw == 1:  # tridiagonal: a scalar loop, no per-row BLAS calls
+        *_, x, info = dptsv(ab[0], ab[1, :-1], cols)
+    else:
+        _, x, info = dpbsv(ab, cols, lower=1)
+    if info > 0:
+        raise NotPositiveDefiniteError((info - 1) % step + 1, (info - 1) // step)
+    if info < 0:
+        raise ValueError(f"LAPACK solve rejected argument {-info}")
+    out[...] = x.T.reshape(k, rows, step)[..., :n].transpose(1, 0, 2)
     return out

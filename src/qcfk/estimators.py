@@ -62,21 +62,21 @@ each end, and per side the exterior's atoms and bonds in closed form.
 Marking takes the frame's and, past it, only the exterior atoms whose
 geometric bound reaches the threshold; a report lists the whole window's
 when read (the fixed-k report, the profile).  The window stays the frame
-outputs are reported on, and the error e solves M_a on it.
-Every vector here decays away from the defect and the
-atomistic region, with one exception: y . M_a y grows like M^3 through the
-wells b.  The part u does not touch is summed in closed form, in exact
-integers, so the estimates are those of the whole chain; past a float it
-is inf, and the lower terms take their limit b^2/f.
+outputs are reported on, and the error e solves M_a on it.  Every vector
+here decays away from the defect and the atomistic region, with one
+exception: y . M_a y grows like M^3 through the wells b.  The part u does
+not touch is summed in closed form, in exact integers, so the estimates
+are those of the whole chain; past a float it is inf, and the lower terms
+take their limit b^2/f.
 
 Many partitions of one chain are solved as stacks: ``solve_stacks`` groups
-them by window, and each group is built, solved and estimated in one
-pass whose arrays carry a leading row per partition (``estimate_stack``,
-``exact_goal_errors``).  One region is the stack of one, so a region gives
-the same bits alone or in a stack.  ``estimate_stack`` takes the array
-work row-wise over the stack and forms each row's scalars as floats in
-one loop; each ``EstimatorReport`` keeps its row of the pair, from which
-it lists the eta2 split and marks atoms.
+them by window and solves and estimates each group in one pass whose
+arrays carry a leading row per partition (``estimate_stack``,
+``exact_goal_errors``); ``solve_dual_pair`` solves one region straight, as
+the stack of one, with the bits it has in any stack.  ``estimate_stack``
+forms each row's scalars as floats in one loop; each ``EstimatorReport``
+keeps its row of the pair, from which it lists the eta2 split and marks
+atoms.
 """
 
 from __future__ import annotations
@@ -405,16 +405,18 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
     # b . M_a b = sum b (k0 b + clamp terms) - b . f_a, and b . f_a is
     # -a0 (E_a D b) at the defect bond, where D b is a0, 2 a0, a0
     ymy_tail = a0 * a0 * (k0 * tail0 + (k1 + 2.0 * k2) * tailb - 2.0 * (k1 + 3.0 * k2))
-    # the bond differences of lift + b - a, added to z_y apart from u so that
-    # no u below one ulp of a0 is lost, on the core's bonds and one more each
-    # side; the lift is that of the window's clamps, which a core shorter than
-    # the window does not reach
-    base, lift = np.zeros((2, 1, nbc + 2)), np.zeros(2 * m_core)
-    ediff_rim = np.zeros((2, nbc + 2))
-    edge3, rim = np.zeros(3), np.zeros((4, 2))
-    ext_res, ext_pz, ext_fa = np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(4)
-    mu = lam = c = 0.0
-    q = 1.0
+    # rows b (wells (i - 1) a0 left of the defect, i a0 right of it), f_a +
+    # M_a b and the goal on the frame, each with its exterior coordinates
+    frame = np.zeros((3, 2 * s + 4))
+    frame[0, : 2 * s] = np.arange(-s, s)
+    frame[0, s : 2 * s] += 1.0
+    frame[0, : 2 * s] *= a0
+    frame[0, 2 * s :] = 0.0, 1.0, 0.0, 1.0
+    frame[2, s - 1 : s + 1] = -1.0, 1.0
+    # rows base (added to z_y apart from u so that no u below one ulp of a0
+    # is lost; the lift is the window's clamps', which a shorter core does
+    # not reach), the dual's (0) and ediff_rim; rim, ext_res, ext_pz, edge3
+    zeros, small = np.zeros((4, nbc + 2)), np.zeros(19)
     if off:
         # past the core the blended solution is u_edge mu^d, mu + 1/mu =
         # 2 + k0/k12; folding it in leaves d - k12 mu on the core's first and
@@ -422,18 +424,15 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         mu, q = _decaying_root(0.5 * k0 / params.k12)
         _, u1, u2, _ = _unit_springs(params)
         lam = -2.0 * u2 / (u1 + 2.0 * u2 + math.sqrt(u1 * (u1 + 4.0 * u2)))
-        # E_a on the core's bonds, each with both NNN pairs, and the
-        # coupling of the last to the next, as the window assembles them
-        ea_core = np.empty((2, nbc))
-        ea_core[0], ea_core[1] = (k1 + k2) + k2, k2
-        c = k2 * q * q + (ea_core[0, 0] - params.k12 + 2.0 * k2) * mu
-        pz_core = ea_core.copy()
-        ea_core = BandedSpdMatrix(ea_core)
-        pz_core[0, :: nbc - 1] += k2 * lam
-        ids = model.atom_ids(core)[lo : 2 * m_core - lo]
-        wells = model.well_positions(params, ids)
+        # E_a on the core's bonds, each with both NNN pairs, and the coupling
+        # of the last to the next, as the window assembles them; then pz_core
+        bands = np.empty((4, nbc))
+        bands[::2], bands[1::2] = (k1 + k2) + k2, k2
+        c = k2 * q * q + ((k1 + k2) + k2 - params.k12 + 2.0 * k2) * mu
+        bands[2, :: nbc - 1] += k2 * lam
+        ea_core, pz_core = BandedSpdMatrix(bands[:2]), bands[2:]
         # f_a + M_a b is k0 b away from the chain's clamps
-        fa = k0 * wells
+        np.multiply(frame[0, : 2 * s], k0, out=frame[1, : 2 * s])
         pc = _particular(params, mu, q * c)
         # sums over d >= 3 of mu^d, d mu^d and the like, by the right edge
         # atom's id E: sum (E + d) mu^d = mu^3 x / q^2
@@ -444,52 +443,43 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         lam_mu = lam * mu / (1.0 - lam * mu)
         k1_ = -q * c * pc * (mu * mu / (q * (1.0 + mu)) - lam_mu)
         k2_ = q * c * lam_mu
-        ext_res[:] = [[g_, -ws], [g_, ws]]
-        ext_pz[:] = [[k1_, -k2_], [k1_, k2_]]
-        ext_fa[::2] = -k0 * db, k0 * db
+        frame[1, 2 * s :: 2] = -k0 * db, k0 * db
         # the first exterior bond's profiles, as ``_profiles`` forms them
         # (mu^1 is mu), and the load P z there puts on the core's end row
         rho, pi, h = _bond_profiles(pc, q, c, mu, lam)
         psi = k2 * pc * (mu - lam)
-        rim[:] = [[-rho, rho], [-pi, pi], [h, h], [-psi, psi]]
-        edge3[:] = mu ** np.arange(1.0, 4.0)
-        ediff_rim[1, 0] = k2
-        goal_frame = np.zeros(len(ids))
+        small[:16] = (-rho, rho, -pi, pi, h, h, -psi, psi, g_, -ws, g_, ws, k1_, -k2_, k1_, k2_)
+        np.power(mu, (1.0, 2.0, 3.0), out=small[16:])
+        zeros[0, m_core] = a0
+        zeros[3, 0] = k2
+        spans = [(max(m_core - 2, 0), min(m_core + 1, nbc))]
     else:
         # the core is the window, clamped at its own ends: no exterior
+        mu, lam, c, q = 0.0, 0.0, 0.0, 1.0
         ea_core = ea = _atomistic_bonds(win)
         pz_core = ea.bands
-        b = model.well_positions(win)
-        lift[[0, 1, -2, -1]] = np.subtract(win.clamps, b[[0, 1, -2, -1]])
-        wells = b[2:-2]
-        fa = -model.dt_apply(banded.matvec(ea, model.load_bonds(win, lift)))[2:-2]
-        fa += banded.matvec(model.stiffness_bands(win, ea), wells)
-        base[0, 0, [0, -1]] = lift[[0, -1]] * [1.0, -1.0]
-        goal_frame = np.zeros(len(wells))
+        lift = np.zeros(2 * m_core)
+        lift[[0, 1, -2, -1]] = np.subtract(win.clamps, model._default_bc(m_core, a0))
+        frame[1, : 2 * s] = -model.dt_apply(banded.matvec(ea, model.load_bonds(win, lift)))[2:-2]
+        frame[1, : 2 * s] += banded.matvec(model.stiffness_bands(win, ea), frame[0, : 2 * s])
+        zeros[0, [0, -1]] = lift[[0, -1]] * [1.0, -1.0]
+        zeros[0, 1:-1] = model.load_bonds(core, lift)
         ymy_tail = ymy_far
-    base[0, 0, 1:-1] = model.load_bonds(core, lift)
-    # the core's bonds next to each nonzero entry of base, runs that would
-    # share an atom merged, over which the primal load is formed
-    spans: list[tuple[int, int]] = []
-    for j in np.flatnonzero(base[0, 0, 1:-1]).tolist():
-        first, stop = max(j - 1, 0), min(j + 2, nbc)
-        if spans and first <= spans[-1][1]:
-            spans[-1] = spans[-1][0], stop
-        else:
-            spans.append((first, stop))
-    goal_frame[m_core - 1 - lo] = -1.0
-    goal_frame[m_core - lo] = 1.0
-    # the exterior coordinates of b, fa and the goal
-    wells = np.concatenate([wells, [0.0, 1.0, 0.0, 1.0]])
-    fa = np.concatenate([fa, ext_fa])
-    goal_frame = np.concatenate([goal_frame, np.zeros(4)])
+        # the core's bonds next to each nonzero entry of base, runs that
+        # would share an atom merged (an exterior leaves the defect bond's)
+        spans = []
+        for j in np.flatnonzero(zeros[0, 1:-1]).tolist():
+            first, stop = max(j - 1, 0), min(j + 2, nbc)
+            if spans and first <= spans[-1][1]:
+                spans[-1] = spans[-1][0], stop
+            else:
+                spans.append((first, stop))
     pz_factor = banded.factor(BandedSpdMatrix(pz_core))
     # every solve on this window shares the reference: none may write to it
-    arrays = (wells, fa, goal_frame, edge3, base, ediff_rim, ea_core.bands, rim, ext_res)
-    for a in (*arrays, ext_pz, pz_factor.bands):
+    for a in (frame, zeros, small, ea_core.bands, pz_factor.bands):
         a.setflags(write=False)
     n_ext = max(0, off - 2)  # free atoms past the core's own (its clamps)
-    ref = Reference(
+    return Reference(
         params=params,
         window=win,
         core=core,
@@ -501,43 +491,50 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         lam=lam,
         ymy_far=ymy_far,
         frame=slice(n_ext, 2 * m_window - 4 - n_ext),
-        wells=wells,
-        fa=fa,
-        goal_frame=goal_frame,
-        edge3=edge3,
-        base=base,
+        wells=frame[0],
+        fa=frame[1],
+        goal_frame=frame[2],
+        edge3=small[16:],
+        base=zeros[:2, None],
         spans=tuple(spans),
-        ediff_rim=ediff_rim,
+        ediff_rim=zeros[2:],
         ea_core=ea_core,
-        rim=rim,
+        rim=small[:8].reshape(4, 2),
         pz_factor=pz_factor,
-        ext_res=ext_res,
-        ext_pz=ext_pz,
+        ext_res=small[8:12].reshape(2, 2),
+        ext_pz=small[12:16].reshape(2, 2),
         ymy_tail=ymy_tail,
     )
-    return ref
 
 
 def _primal_load(ref: Reference, eac: BandedSpdMatrix, out: Array) -> None:
     """Write the blended primal load -J^T D^T E_ac base on the core's free
     atoms to ``out``, one row per bond matrix of the stack ``eac``.
 
-    ``base`` is nonzero on the defect bond alone, and on a chain that is its
-    own core on the bonds at its clamps too, so E_ac base is zero outside
-    the bond ranges ``ref.spans`` around them and D^T E_ac base outside
-    their atoms.  Each range is formed alone, by ``banded.matvec`` and
-    ``model.dt_apply`` on its slice of the bands: the terms the slice drops
-    are products of zeros, which add nothing, so it has the bits of the
-    whole product.  Every other entry is -0.0, the negated zero the whole
-    product gives."""
+    ``base`` is nonzero on the defect bond, and on a chain that is its own
+    core on the clamps' bonds, so E_ac base is zero outside the bond ranges
+    ``ref.spans`` around them.  Each range is formed alone, in floats, in
+    the order of ``banded.matvec`` and ``model.dt_apply``: the terms it
+    drops are products of zeros, so it has the bits of the whole product,
+    and every other entry is -0.0, the negated zero that gives."""
     out[...] = -0.0
     last = eac.n - 1
     for lo, hi in ref.spans:
         # the range's atoms lo .. hi, those of them that are free
         a, b = max(lo, 2), min(hi + 1, last)
-        span = BandedSpdMatrix(eac.bands[..., lo:hi])
-        load = model.dt_apply(banded.matvec(span, ref.base[0, 0, 1 + lo : 1 + hi]))
-        np.negative(load[..., a - lo : b - lo], out=out[..., a - 2 : b - 2])
+        x = ref.base[0, 0, 1 + lo : 1 + hi].tolist()
+        n, loads = len(x), []
+        for diag, sub in eac.bands[..., lo:hi].tolist():
+            # the diagonal, then the band below it, then the one above
+            w = [d * v for d, v in zip(diag, x)]
+            for j in range(1, n):
+                w[j] += sub[j - 1] * x[j - 1]
+            for j in range(n - 1):
+                w[j] += sub[j] * x[j + 1]
+            # each atom less its right bond, then plus its left one, negated
+            at = [-(0.0 - w[0]), *(-((0.0 - r) + l) for l, r in zip(w, w[1:])), -(0.0 + w[-1])]
+            loads.append(at[a - lo : b - lo])
+        out[..., a - 2 : b - 2] = loads
 
 
 def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
@@ -594,11 +591,10 @@ def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
     # exterior coordinates: (e, 0) per side for u and g, e (u . R, b . R)
     # for the residuals
     nc = nf + 4 - 2 * lo
-    atoms = np.empty((2, 2, rows, nc + 4))
+    atoms = np.zeros((2, 2, rows, nc + 4))
     u, g, res = atoms[0, 0], atoms[0, 1], atoms[1]
     atoms[0, ..., :nc] = ug[..., 1 + lo : nf + 5 - lo]
     atoms[0, ..., nc::2] = edges
-    atoms[0, ..., nc + 1 :: 2] = 0.0
     np.subtract(ez[..., 1 + lo : nc + 1 + lo], ez[..., lo : nc + lo], out=res[..., :nc])
     np.multiply(edges[..., None], ref.ext_res, out=res[..., nc:].reshape(2, rows, 2, 2))
     # P z = E_a^{-1} ez, supported near the atomistic/continuum interfaces;
@@ -658,22 +654,27 @@ def solve_stacks(
     for i, size in enumerate(model.sizes(params, parts)):
         groups.setdefault(size, []).append(i)
     for size, rows in groups.items():
-        key = (params, *size)
-        ref = _REFERENCES.get(key)
-        if ref is None:
-            _REFERENCES.clear()
-            ref = _REFERENCES[key] = _reference(*key)
+        ref = _shared_reference(params, size)
         height = max(1, _STACK_BYTES // (320 * size[1]))
         for start in range(0, len(rows), height):
             chunk = rows[start : start + height]
             yield chunk, _solve_stack(ref, [parts[i] for i in chunk])
 
 
+def _shared_reference(params: ChainParams, size: tuple[int, int]) -> Reference:
+    """The reference of the half-sizes ``size``, built or found (``_REFERENCES``)."""
+    key = (params, *size)
+    ref = _REFERENCES.get(key)
+    if ref is None:
+        _REFERENCES.clear()
+        ref = _REFERENCES[key] = _reference(*key)
+    return ref
+
+
 def solve_dual_pair(params: ChainParams, part: Partition) -> DualPair:
     """Solve the blended primal and dual problems and prepare estimator data,
     as the stack of one region (see ``solve_stacks``)."""
-    ((_, pair),) = solve_stacks(params, [part])
-    return pair
+    return _solve_stack(_shared_reference(params, *model.sizes(params, [part])), [part])
 
 
 def _sigma(npy: float, npg: float) -> float | None:

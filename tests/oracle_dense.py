@@ -25,9 +25,11 @@ core path must reproduce.  ``on_window`` extends a field over the window
 from the exterior profiles, and ``window_indicators`` forms the eta2 split
 and ``window_marks`` the marked set there, the way the report states them.
 ``atomistic`` assembles the window's atomistic model and system, which the
-library never builds.
+library never builds, and ``two_pass_reference`` builds the reference
+field by field, as the library did before it built it in one pass.
 """
 
+import math
 import warnings
 from typing import NamedTuple
 
@@ -40,8 +42,14 @@ from qcfk.estimators import (
     DualPair,
     EstimatorReport,
     Reference,
+    _atomistic_bonds,
+    _bond_profiles,
+    _decaying_root,
+    _particular,
     _profiles,
     _reference,
+    _unit_springs,
+    _wells_ymy,
     solve_dual_pair,
 )
 from qcfk.model import (
@@ -50,12 +58,15 @@ from qcfk.model import (
     Partition,
     QuadraticModel,
     _flags,
+    _resized,
     assemble,
     atom_ids,
     d_apply,
     dt_apply,
+    load_bonds,
     make_partition,
     reduce_system,
+    stiffness_bands,
     well_positions,
 )
 
@@ -601,3 +612,144 @@ def window_pair(ref: Reference, parts) -> DualPair:
         gmg=rowdot(g, q - res[1]),
         differs=(diff.bands != 0.0).any(axis=(-2, -1)),
     )
+
+
+def two_pass_reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
+    """The ``Reference`` of ``estimators._reference``, built the way it was
+    before that became one pass: each field its own array, the exterior
+    coordinates joined on by ``np.concatenate`` and every array made
+    read-only one by one.  Every field must come out with the same bits."""
+    win = params if m_window == params.m else _resized(params, m_window)
+    core = win if m_core == m_window else _resized(params, m_core)
+    k0, k1, k2, a0 = params.k0, params.k1, params.k2, params.a0
+    # beyond the window u vanishes and y = b; the window's own clamp rows are
+    # part of both closed forms, so the difference is exact (up to the
+    # coupling of the window's edge u, below WINDOW_EPS): 0.0 on a whole chain.
+    # Past M ~ 1e102 the sums exceed a float and saturate to inf
+    (m0, mb), (w0, wb) = _wells_ymy(params), _wells_ymy(win)
+    off, nbc = m_window - m_core, 2 * m_core - 1
+    # the core's atoms that are not the window's free atoms: its clamps on
+    # a whole chain, one of them when the exterior is a single atom
+    lo = max(0, 2 - off)
+    s = m_core - lo
+    try:
+        far0, farb = float(m0 - w0), float(mb - wb)
+        # k0 b . b over the chain beyond the frame, and the rest of b . M_a b
+        tail0, tailb = float(m0 - s * (s + 1) * (2 * s + 1) // 3), float(mb)
+    except OverflowError:
+        far0 = farb = tail0 = tailb = math.inf
+    ymy_far = a0 * a0 * (k0 * far0 + (k1 + 2.0 * k2) * farb)
+    # b . M_a b = sum b (k0 b + clamp terms) - b . f_a, and b . f_a is
+    # -a0 (E_a D b) at the defect bond, where D b is a0, 2 a0, a0
+    ymy_tail = a0 * a0 * (k0 * tail0 + (k1 + 2.0 * k2) * tailb - 2.0 * (k1 + 3.0 * k2))
+    # the bond differences of lift + b - a, added to z_y apart from u so that
+    # no u below one ulp of a0 is lost, on the core's bonds and one more each
+    # side; the lift is that of the window's clamps, which a core shorter than
+    # the window does not reach
+    base, lift = np.zeros((2, 1, nbc + 2)), np.zeros(2 * m_core)
+    ediff_rim = np.zeros((2, nbc + 2))
+    edge3, rim = np.zeros(3), np.zeros((4, 2))
+    ext_res, ext_pz, ext_fa = np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(4)
+    mu = lam = c = 0.0
+    q = 1.0
+    if off:
+        # past the core the blended solution is u_edge mu^d, mu + 1/mu =
+        # 2 + k0/k12; folding it in leaves d - k12 mu on the core's first and
+        # last free diagonal entries (a discrete Dirichlet-to-Neumann boundary)
+        mu, q = _decaying_root(0.5 * k0 / params.k12)
+        _, u1, u2, _ = _unit_springs(params)
+        lam = -2.0 * u2 / (u1 + 2.0 * u2 + math.sqrt(u1 * (u1 + 4.0 * u2)))
+        # E_a on the core's bonds, each with both NNN pairs, and the
+        # coupling of the last to the next, as the window assembles them
+        ea_core = np.empty((2, nbc))
+        ea_core[0], ea_core[1] = (k1 + k2) + k2, k2
+        c = k2 * q * q + (ea_core[0, 0] - params.k12 + 2.0 * k2) * mu
+        pz_core = ea_core.copy()
+        ea_core = BandedSpdMatrix(ea_core)
+        pz_core[0, :: nbc - 1] += k2 * lam
+        ids = atom_ids(core)[lo : 2 * m_core - lo]
+        wells = well_positions(params, ids)
+        # f_a + M_a b is k0 b away from the chain's clamps
+        fa = k0 * wells
+        pc = _particular(params, mu, q * c)
+        # sums over d >= 3 of mu^d, d mu^d and the like, by the right edge
+        # atom's id E: sum (E + d) mu^d = mu^3 x / q^2
+        x = (m_core - 2) * q + 3.0 - 2.0 * mu
+        g_ = q * c * mu**4 / (1.0 + mu)
+        db = a0 * mu**3 * x / (q * q)
+        ws = a0 * c * mu * x
+        lam_mu = lam * mu / (1.0 - lam * mu)
+        k1_ = -q * c * pc * (mu * mu / (q * (1.0 + mu)) - lam_mu)
+        k2_ = q * c * lam_mu
+        ext_res[:] = [[g_, -ws], [g_, ws]]
+        ext_pz[:] = [[k1_, -k2_], [k1_, k2_]]
+        ext_fa[::2] = -k0 * db, k0 * db
+        # the first exterior bond's profiles, as ``_profiles`` forms them
+        # (mu^1 is mu), and the load P z there puts on the core's end row
+        rho, pi, h = _bond_profiles(pc, q, c, mu, lam)
+        psi = k2 * pc * (mu - lam)
+        rim[:] = [[-rho, rho], [-pi, pi], [h, h], [-psi, psi]]
+        edge3[:] = mu ** np.arange(1.0, 4.0)
+        ediff_rim[1, 0] = k2
+        goal_frame = np.zeros(len(ids))
+    else:
+        # the core is the window, clamped at its own ends: no exterior
+        ea_core = ea = _atomistic_bonds(win)
+        pz_core = ea.bands
+        b = well_positions(win)
+        lift[[0, 1, -2, -1]] = np.subtract(win.clamps, b[[0, 1, -2, -1]])
+        wells = b[2:-2]
+        fa = -dt_apply(banded.matvec(ea, load_bonds(win, lift)))[2:-2]
+        fa += banded.matvec(stiffness_bands(win, ea), wells)
+        base[0, 0, [0, -1]] = lift[[0, -1]] * [1.0, -1.0]
+        goal_frame = np.zeros(len(wells))
+        ymy_tail = ymy_far
+    base[0, 0, 1:-1] = load_bonds(core, lift)
+    # the core's bonds next to each nonzero entry of base, runs that would
+    # share an atom merged, over which the primal load is formed
+    spans: list[tuple[int, int]] = []
+    for j in np.flatnonzero(base[0, 0, 1:-1]).tolist():
+        first, stop = max(j - 1, 0), min(j + 2, nbc)
+        if spans and first <= spans[-1][1]:
+            spans[-1] = spans[-1][0], stop
+        else:
+            spans.append((first, stop))
+    goal_frame[m_core - 1 - lo] = -1.0
+    goal_frame[m_core - lo] = 1.0
+    # the exterior coordinates of b, fa and the goal
+    wells = np.concatenate([wells, [0.0, 1.0, 0.0, 1.0]])
+    fa = np.concatenate([fa, ext_fa])
+    goal_frame = np.concatenate([goal_frame, np.zeros(4)])
+    pz_factor = banded.factor(BandedSpdMatrix(pz_core))
+    # every solve on this window shares the reference: none may write to it
+    arrays = (wells, fa, goal_frame, edge3, base, ediff_rim, ea_core.bands, rim, ext_res)
+    for a in (*arrays, ext_pz, pz_factor.bands):
+        a.setflags(write=False)
+    n_ext = max(0, off - 2)  # free atoms past the core's own (its clamps)
+    ref = Reference(
+        params=params,
+        window=win,
+        core=core,
+        off=off,
+        fold=params.k12 * mu,
+        mu=mu,
+        q=q,
+        c=c,
+        lam=lam,
+        ymy_far=ymy_far,
+        frame=slice(n_ext, 2 * m_window - 4 - n_ext),
+        wells=wells,
+        fa=fa,
+        goal_frame=goal_frame,
+        edge3=edge3,
+        base=base,
+        spans=tuple(spans),
+        ediff_rim=ediff_rim,
+        ea_core=ea_core,
+        rim=rim,
+        pz_factor=pz_factor,
+        ext_res=ext_res,
+        ext_pz=ext_pz,
+        ymy_tail=ymy_tail,
+    )
+    return ref

@@ -110,10 +110,10 @@ def test_growth_is_monotone_and_never_demotes():
 def test_a_threshold_past_the_float_range_is_zero():
     # tau_div^it overflows at the third iteration: the threshold is 0.0 from
     # there on, which tau_gl / tau_div^it has underflowed to at the second;
-    # a threshold of 0.0 marks every free atom, and the next pass none
+    # a threshold of 0.0 marks every free atom, and the run ends there
     trace = run_adaptive(ChainParams(m=200), AdaptConfig(tau_gl=1e-300, tau_div=1e160))
     assert [r.tau_at for r in trace.records] == [1e-300, 0.0]
-    assert trace.status == "stalled" and trace.records[1].n_atomistic == 2 * 200 - 4
+    assert trace.status == "all-atomistic" and trace.records[1].n_atomistic == 2 * 200 - 4
 
 
 def test_mark_atoms_extremes():
@@ -158,16 +158,25 @@ def test_max_iterations_status():
     assert trace.final_eta1 > 1e-14
 
 
-def test_stalls_when_no_free_atom_is_left_to_mark():
+def test_ends_all_atomistic_when_no_free_atom_is_left_to_mark():
     # an unreachable tolerance marks every free atom immediately; the next
     # pass cannot add anything because the clamped boundary atoms stay
-    # blended, so the loop reports the stall instead of spinning
+    # blended, so the loop reports that every free atom is atomistic
+    # instead of spinning
     p = ChainParams(m=8)
     trace = run_adaptive(p, AdaptConfig(tau_gl=1e-30))
-    assert trace.status == "stalled"
+    assert trace.status == "all-atomistic"
     assert len(trace.records) == 2
     assert np.array_equal(trace.final_atomistic, np.arange(-5, 7))
     assert trace.final_eta1 > 1e-30
+
+
+def test_stalls_when_a_threshold_of_zero_marks_nothing_new(monkeypatch):
+    # a marking that finds nothing lowers the threshold to 0.0 with free
+    # atoms left out of the region: that run has stalled
+    monkeypatch.setattr(adaptivity, "mark_atoms", lambda report, tau: np.empty(0, dtype=int))
+    trace = run_adaptive(ChainParams(m=50), AdaptConfig(tau_gl=1e-14, tau_div=1e160))
+    assert trace.status == "stalled" and trace.records[-1].n_atomistic == 0
 
 
 def test_a_threshold_that_marks_nothing_new_is_lowered_again():

@@ -6,6 +6,10 @@ import pytest
 from qcfk import banded
 from qcfk.banded import BandedSpdMatrix, NotPositiveDefiniteError
 
+from qcfk import estimators
+from qcfk.cli import TABLE2_K
+from qcfk.model import ChainParams, interval_partition
+
 from oracle_dense import enorm, factor_solve, quad_form, to_dense
 
 
@@ -181,3 +185,70 @@ def test_stacked_matvec_and_norm_equal_row_by_row_bit_for_bit():
         # one matrix against a stack of vectors
         one = banded.matvec(mats[1], x)
         assert np.array_equal(one[1, 3], banded.matvec(mats[1], x[1, 3]))
+
+
+def _one_by_one(stack, rhs):
+    """Each matrix of a stack factored, then solved against its block."""
+    return np.stack([banded.solve(banded.factor(BandedSpdMatrix(b)), r.T).T for b, r in zip(stack, rhs)])
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def test_a_stack_solved_in_one_call_has_the_bits_of_each_matrix_alone():
+    rng = np.random.default_rng(10)
+    for bw in (1, 2):
+        for height in range(1, 17):
+            n = int(rng.integers(bw + 1, 40))
+            stack = np.stack([random_spd(rng, n, bw).bands for _ in range(height)])
+            # junk in the unused trailing band slots, which no block may read
+            for d in range(1, bw + 1):
+                stack[:, d, n - d :] = rng.standard_normal((height, d))
+            rhs = rng.standard_normal((height, 2, n)) * np.logspace(-30, 3, 2)[:, None]
+            # loads of -0.0 but for one entry, on matrices whose solutions
+            # underflow to signed zeros away from it: a block that touched
+            # the next would change those signs
+            stiff = stack.copy()
+            stiff[:, 0] *= 1e80
+            zeros = np.full((height, 2, n), -0.0)
+            zeros[:, :, n // 2] = rng.standard_normal((height, 2))
+            for a, b in ((stack, rhs), (stiff, zeros)):
+                out = np.empty((2, height, n)).transpose(1, 0, 2)
+                banded.solve_each(BandedSpdMatrix(a), b, out=out)
+                assert _bits(out) == _bits(_one_by_one(a, b)), (bw, height)
+
+
+def test_a_table2_stack_solved_in_one_call_has_the_bits_of_each_row_alone(monkeypatch):
+    seen = []
+    solve_each = banded.solve_each
+
+    def spy(a, rhs, out):
+        seen.append((a.bands.copy(), rhs.copy()))
+        return solve_each(a, rhs, out)
+
+    monkeypatch.setattr(banded, "solve_each", spy)
+    p = ChainParams(m=20_000, k0=0.7, k1=1.3, k2=2.9)
+    ((_, pair),) = estimators.solve_stacks(p, [interval_partition(p, k) for k in TABLE2_K])
+    ((bands, rhs),) = seen
+    assert bands.shape[0] == len(TABLE2_K)
+    u, g = _one_by_one(bands, rhs).transpose(1, 0, 2)
+    n = bands.shape[-1]
+    lo = 2 - pair.ref.off + pair.ref.frame.start  # the core's free atoms in the frame
+    assert _bits(pair.u_free[:, 2 - lo : 2 - lo + n]) == _bits(u)
+    assert _bits(pair.g_free[:, 2 - lo : 2 - lo + n]) == _bits(g)
+
+
+def test_a_stack_names_the_matrix_that_is_not_positive_definite():
+    # every block but one is the identity; block r has a negative pivot
+    for bw, n, height in ((1, 5, 4), (2, 7, 3), (2, 7, 1)):
+        for row in range(height):
+            for pivot in (1, n // 2 + 1, n):
+                bands = np.zeros((height, bw + 1, n))
+                bands[:, 0] = 1.0
+                bands[row, 0, pivot - 1] = -1.0
+                out = np.empty((height, 1, n))
+                with pytest.raises(NotPositiveDefiniteError) as info:
+                    banded.solve_each(BandedSpdMatrix(bands), np.ones((height, 1, n)), out=out)
+                assert (info.value.row, info.value.pivot) == (row, pivot)
+                assert f"matrix {row} of the stack" in str(info.value)

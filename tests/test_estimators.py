@@ -50,6 +50,7 @@ from oracle_dense import (
     projections,
     theta_lower_terms,
     to_dense,
+    two_pass_reference,
     window,
     window_indicators,
     window_pair,
@@ -740,6 +741,50 @@ def test_reference_memo_holds_one_and_keeps_none_alive():
     assert len(estimators._REFERENCES) == 0
 
 
+@st.composite
+def _reference_keys(draw):
+    """A chain with springs from the moderate box (k0 and k2 1e-3 .. 10, k1
+    and a0 0.1 .. 10, log-uniform), M from 4 to 1e9, now and then clamps
+    off the wells, and the window and core of a drawn region, or the same
+    window with a core 0 or 1 atom shorter at each end."""
+    box = lambda lo, hi: st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+    k0, k1, k2, a0 = draw(box(1e-3, 10.0)), draw(box(0.1, 10.0)), draw(box(1e-3, 10.0)), draw(box(0.1, 10.0))
+    m = draw(st.integers(4, 10**9))
+    bc = None
+    if m <= 2000 and draw(st.booleans()):
+        bc = tuple(x + draw(st.floats(-0.5, 0.5)) for x in model._default_bc(m, a0))
+    params = ChainParams(m=m, k0=k0, k1=k1, k2=k2, a0=a0, bc=bc)
+    span = draw(st.integers(0, min(m - 2, 300)))
+    ids = draw(st.lists(st.integers(1 - span, span), max_size=8)) if span else []
+    m_window, m_core = model.sizes(params, make_partition(params, ids))
+    off = draw(st.sampled_from([None, 0, 1]))
+    if off is not None and m_window - off >= 3:
+        m_core = m_window - off
+    return params, m_window, m_core
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_reference_keys())
+@example((ChainParams(m=2000), 360, 69))
+@example((ChainParams(m=100_000, k0=0.7, a0=0.3), 424, 133))
+@example((ChainParams(m=100_000, k0=0.7, a0=0.3), 424, 423))
+@example((ChainParams(m=100_000, k0=0.7, a0=0.3), 424, 424))
+@example((ChainParams(m=40, a0=3.0, bc=(-121.0, -116.5, 117.0, 120.2)), 40, 40))
+def test_the_one_pass_reference_has_the_bits_of_the_two_pass_one(key):
+    # every field: floats equal, arrays of the same shape and bytes and
+    # read-only, band matrices and factors by their bands
+    ref, want = estimators._reference(*key), two_pass_reference(*key)
+    for f in dataclasses.fields(ref):
+        got, expected = getattr(ref, f.name), getattr(want, f.name)
+        if isinstance(expected, (banded.BandedSpdMatrix, banded.BandedFactor)):
+            got, expected = got.bands, expected.bands
+        if isinstance(expected, np.ndarray):
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), f.name
+            assert not got.flags.writeable, f.name
+        else:
+            assert got == expected, f.name
+
+
 def test_exact_goal_error_rejects_a_pair_of_another_region():
     p = ChainParams(m=1000)
     pair = solve_dual_pair(p, interval_partition(p, 10))
@@ -1208,10 +1253,10 @@ def test_step_bands_and_load_match_their_dense_forms(seed, monkeypatch):
                 assert _bits(getattr(pair, f.name)) == _bits(getattr(dense, f.name)), f.name
 
 
-def test_a_step_makes_one_factor_and_solve_per_row_and_one_projection(monkeypatch):
+def test_a_step_makes_one_factor_and_solve_per_stack_and_one_projection(monkeypatch):
     # the blended systems of a stack are factored and solved by one dpbsv
-    # call each, for both loads, and P z of the whole stack is one dpttrs
-    # call; an adaptive run makes exactly that per step
+    # call, for both loads, and P z of the whole stack is one dpttrs call;
+    # an adaptive run makes exactly that per step
     calls = {"dpbsv": 0, "dpttrs": 0}
 
     def counted(name):
@@ -1230,7 +1275,7 @@ def test_a_step_makes_one_factor_and_solve_per_row_and_one_projection(monkeypatc
         monkeypatch.setattr(banded, name, counted(name))
     ((_, pair),) = solve_stacks(params, parts)
     estimate_stack(pair)[0].marked(1e-12)
-    assert calls == {"dpbsv": 3, "dpttrs": 1}
+    assert calls == {"dpbsv": 1, "dpttrs": 1}
     calls.update(dpbsv=0, dpttrs=0)
     trace = run_adaptive(params, AdaptConfig(tau_gl=1e-10))
     steps = len(trace.records)
