@@ -189,6 +189,8 @@ def solve_each(a: BandedSpdMatrix, rhs: Array, out: Array) -> Array:
     zero loads, which add to the next block only -0.0, a no-op: each block
     has the bits, signed zeros too, of ``factor`` then ``solve``, and one
     that is not positive definite raises with its row and its own pivot.
+    The matrices and loads are not checked for finiteness, which ``factor``
+    and ``solve`` do: its caller builds them from a validated chain.
     """
     rows, k, n = rhs.shape
     bw = min(a.bands.shape[-2:]) - 1
@@ -201,9 +203,6 @@ def solve_each(a: BandedSpdMatrix, rhs: Array, out: Array) -> Array:
         ab[0, :, n:] = 1.0
         cols[..., :n] = rhs.transpose(1, 0, 2)
     ab, cols = ab.reshape(bw + 1, -1), cols.reshape(k, -1).T
-    finite = np.logical_and.reduce
-    if not (finite(np.isfinite(ab), axis=None) and finite(np.isfinite(cols), axis=None)):
-        raise ValueError("matrices and right-hand sides must be finite")
     if bw == 1:  # tridiagonal: a scalar loop, no per-row BLAS calls
         *_, x, info = dptsv(ab[0], ab[1, :-1], cols)
     else:

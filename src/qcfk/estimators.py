@@ -81,6 +81,7 @@ atoms.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -106,6 +107,8 @@ _TINY = np.finfo(float).tiny
 _STACK_BYTES = 1 << 24
 # the left exterior's rho, pi and h are the right one's times these
 _MIRROR = np.array([[-1.0], [-1.0], [1.0]])
+# a bound on y . M_a y below this leaves room for the solve's rounding
+_YMY_MAX = math.ldexp(1.0, 1000)
 # the last reference built, held weakly: a growing region finds it while its
 # previous pair is alive, and a sweep's groups never revisit a window
 _REFERENCES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -132,24 +135,24 @@ class Reference:
     them, each followed by the four exterior coordinates (see
     ``DualPair``).  ``edge3`` is u 1, 2 and 3 atoms past a unit edge value,
     ``base`` the bond differences of lift + b - a on the core's bonds and
-    one more each side, ``spans`` the ranges of the core's bonds around its
-    nonzero entries with base on them (see ``_primal_load``), ``ediff_rim``
-    the E_a - E_ac bands that couple the core to the exterior bond next to
-    each end, and ``ea_core`` E_a on the core's bonds.  ``rim`` holds the
-    profiles rho = (E_a - E_ac) z, pi and h at those exterior bonds and
-    the load P z there puts on the core's end rows, and ``pz_factor`` is
-    the core's E_a with the exterior folded into both end diagonals.
-    ``ext_res`` holds u . R and b . R over the exterior per unit edge
-    value, ``ext_pz`` pi . rho and h . rho, with rho = (E_a - E_ac) z and
-    P z = e pi - c h for an edge value e and a core end value c of P z;
-    ``ymy_tail`` is the part of y . M_a y that u does not touch, less
-    b . fa over the frame.  ``_profiles`` forms the exterior's profiles,
-    and ``bound_logs`` holds the logarithms that bound them for marking.
-    The Cholesky factor ``ma_factor`` of the window's ``M_a`` and the
-    atomistic dual solution ``dual`` are built on first use, by the exact
-    goal error alone.  Every solve on this window shares the reference,
-    and so does the next solve while a pair solved on it is held, so its
-    arrays are read-only.
+    one more each side, ``ediff_rim`` the E_a - E_ac bands that couple the
+    core to the exterior bond next to each end, and ``ea_core`` E_a on the
+    core's bonds.  ``rim`` holds the profiles rho = (E_a - E_ac) z, pi and
+    h at those exterior bonds and the load P z there puts on the core's end
+    rows, and ``pz_factor`` is the core's E_a with the exterior folded into
+    both end diagonals.  ``ext_res`` holds u . R and b . R over the
+    exterior per unit edge value, ``ext_pz`` pi . rho and h . rho, with rho
+    = (E_a - E_ac) z and P z = e pi - c h for an edge value e and a core
+    end value c of P z; ``ymy_tail`` is the part of y . M_a y that u does
+    not touch, less b . fa over the frame.  ``_profiles`` forms the
+    exterior's profiles, and ``bound_logs`` holds the logarithms that bound
+    them for marking.  The Cholesky factor ``ma_factor`` of the window's
+    ``M_a`` and the atomistic dual solution ``dual`` are built on first
+    use, by the exact goal error alone.  Every solve on this window shares
+    the reference, and so does the next solve while a pair solved on it is
+    held, so its arrays are read-only.  They are finite, from a validated
+    ``ChainParams``, so no step checks the systems built on them, and
+    ``ymy_finite`` decides once whether y . M_a y may leave the floats.
     """
 
     params: ChainParams
@@ -168,7 +171,6 @@ class Reference:
     goal_frame: Array
     edge3: Array
     base: Array
-    spans: tuple[tuple[int, int], ...]
     ediff_rim: Array
     ea_core: BandedSpdMatrix
     rim: Array
@@ -225,6 +227,16 @@ class Reference:
         far = z1**big_j / ((1.0 + z1) * (q1 + q - q1 * q))
         far -= z2**big_j / ((1.0 + z2) * (1.0 - z2 * mu))
         return ga, q * q * self.c * mu / d / unit * far
+
+    @functools.cached_property
+    def ymy_finite(self) -> bool:
+        """Whether y . M_a y stays inside the floats on every partition, so
+        that no step guards it: over the core it is at most 2 m_core + 4
+        terms |M_a| y^2, |M_a| < k0 + 8 k12, and M_ac, an M-matrix with row
+        sums at least k0, keeps |y| <= 2 a0 (m_window + 1) + |clamps|."""
+        p, win = self.params, self.window
+        y = 2.0 * p.a0 * (win.m + 1) + max(map(abs, win.clamps))
+        return (2 * self.core.m + 4) * (p.k0 + 8.0 * p.k12) * y * y + abs(self.ymy_tail) < _YMY_MAX
 
     @functools.cached_property
     def bound_logs(self) -> tuple[float, ...]:
@@ -452,7 +464,6 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         np.power(mu, (1.0, 2.0, 3.0), out=small[16:])
         zeros[0, m_core] = a0
         zeros[3, 0] = k2
-        spans = [(max(m_core - 2, 0), min(m_core + 1, nbc))]
     else:
         # the core is the window, clamped at its own ends: no exterior
         mu, lam, c, q = 0.0, 0.0, 0.0, 1.0
@@ -460,20 +471,11 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         pz_core = ea.bands
         lift = np.zeros(2 * m_core)
         lift[[0, 1, -2, -1]] = np.subtract(win.clamps, model._default_bc(m_core, a0))
-        frame[1, : 2 * s] = -model.dt_apply(banded.matvec(ea, model.load_bonds(win, lift)))[2:-2]
-        frame[1, : 2 * s] += banded.matvec(model.stiffness_bands(win, ea), frame[0, : 2 * s])
         zeros[0, [0, -1]] = lift[[0, -1]] * [1.0, -1.0]
         zeros[0, 1:-1] = model.load_bonds(core, lift)
+        frame[1, : 2 * s] = -model.dt_apply(banded.matvec(ea, zeros[0, 1:-1]))[2:-2]
+        frame[1, : 2 * s] += banded.matvec(model.stiffness_bands(win, ea), frame[0, : 2 * s])
         ymy_tail = ymy_far
-        # the core's bonds next to each nonzero entry of base, runs that
-        # would share an atom merged (an exterior leaves the defect bond's)
-        spans = []
-        for j in np.flatnonzero(zeros[0, 1:-1]).tolist():
-            first, stop = max(j - 1, 0), min(j + 2, nbc)
-            if spans and first <= spans[-1][1]:
-                spans[-1] = spans[-1][0], stop
-            else:
-                spans.append((first, stop))
     pz_factor = banded.factor(BandedSpdMatrix(pz_core))
     # every solve on this window shares the reference: none may write to it
     for a in (frame, zeros, small, ea_core.bands, pz_factor.bands):
@@ -496,7 +498,6 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         goal_frame=frame[2],
         edge3=small[16:],
         base=zeros[:2, None],
-        spans=tuple(spans),
         ediff_rim=zeros[2:],
         ea_core=ea_core,
         rim=small[:8].reshape(4, 2),
@@ -505,36 +506,6 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         ext_pz=small[12:16].reshape(2, 2),
         ymy_tail=ymy_tail,
     )
-
-
-def _primal_load(ref: Reference, eac: BandedSpdMatrix, out: Array) -> None:
-    """Write the blended primal load -J^T D^T E_ac base on the core's free
-    atoms to ``out``, one row per bond matrix of the stack ``eac``.
-
-    ``base`` is nonzero on the defect bond, and on a chain that is its own
-    core on the clamps' bonds, so E_ac base is zero outside the bond ranges
-    ``ref.spans`` around them.  Each range is formed alone, in floats, in
-    the order of ``banded.matvec`` and ``model.dt_apply``: the terms it
-    drops are products of zeros, so it has the bits of the whole product,
-    and every other entry is -0.0, the negated zero that gives."""
-    out[...] = -0.0
-    last = eac.n - 1
-    for lo, hi in ref.spans:
-        # the range's atoms lo .. hi, those of them that are free
-        a, b = max(lo, 2), min(hi + 1, last)
-        x = ref.base[0, 0, 1 + lo : 1 + hi].tolist()
-        n, loads = len(x), []
-        for diag, sub in eac.bands[..., lo:hi].tolist():
-            # the diagonal, then the band below it, then the one above
-            w = [d * v for d, v in zip(diag, x)]
-            for j in range(1, n):
-                w[j] += sub[j - 1] * x[j - 1]
-            for j in range(n - 1):
-                w[j] += sub[j] * x[j + 1]
-            # each atom less its right bond, then plus its left one, negated
-            at = [-(0.0 - w[0]), *(-((0.0 - r) + l) for l, r in zip(w, w[1:])), -(0.0 + w[-1])]
-            loads.append(at[a - lo : b - lo])
-        out[..., a - 2 : b - 2] = loads
 
 
 def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
@@ -546,9 +517,9 @@ def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
     primal and dual loads together.  The blended bond matrices E_ac come
     from the partitions' flags on the core, and everything else from the
     reference: M_ac is D^T E_ac D + k0 on the free atoms less the fold, and
-    the primal load -J^T D^T E_ac applied to ``ref.base`` (``_primal_load``).
-    The reference is never solved here: production estimates only ever
-    solve the blended model.
+    the primal load -J^T D^T E_ac applied to ``ref.base``, both finite as
+    built from a validated chain.  The reference is never solved here:
+    production estimates only ever solve the blended model.
     """
     core, rows = ref.core, len(parts)
     eac = model._nn_bond_bands(core, model._flags(core, parts))
@@ -564,7 +535,7 @@ def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
 
     # row 0 the primal load and solution, row 1 the dual (goal) ones
     loads = np.empty((rows, 2, nf))
-    _primal_load(ref, eac, loads[:, 0])
+    loads[:, 0] = -model.dt_apply(banded.matvec(eac, ref.base[0, 0, 1:-1]))[..., 2:-2]
     lo = 2 - ref.off + ref.frame.start
     loads[:, 1] = ref.goal_frame[2 - lo : 2 - lo + nf]
     # the core's atoms and one more each side, where the continuum exterior
@@ -614,9 +585,9 @@ def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
     pz[..., nbc:] -= ends * ref.ext_pz[:, 1]
     nrm = banded.norm(ref.ea_core, pz, ez_c)
     my = ref.fa - res[0]
-    # y . M_a y grows like k a0^2 M^3 and saturates to inf past a float,
-    # where the lower terms take their limit (see ``_lower2``)
-    with np.errstate(over="ignore"):
+    # y . M_a y grows like k a0^2 M^3 and saturates to inf past a float, where
+    # the lower terms take their limit (see ``_lower2``): guarded unless it cannot
+    with contextlib.nullcontext() if ref.ymy_finite else np.errstate(over="ignore"):
         ymy = rowdot(u + ref.wells, my) + ref.ymy_tail
     gmy = rowdot(g, my)
     gmg = rowdot(g, ref.goal_frame - res[1])

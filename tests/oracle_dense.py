@@ -563,8 +563,7 @@ def hessian_bands(params: ChainParams, e_mat: BandedSpdMatrix) -> BandedSpdMatri
 
 def primal_load(ref: Reference, eac: BandedSpdMatrix) -> Array:
     """The blended primal load -J^T D^T E_ac base through the whole core's
-    bond product, one row per matrix of ``eac``: what the library forms
-    from the few bonds where ``base`` is nonzero."""
+    bond product, one row per matrix of ``eac``."""
     return -dt_apply(banded.matvec(eac, ref.base[0, 0, 1:-1]))[..., 2:-2]
 
 
@@ -705,15 +704,6 @@ def two_pass_reference(params: ChainParams, m_window: int, m_core: int) -> Refer
         goal_frame = np.zeros(len(wells))
         ymy_tail = ymy_far
     base[0, 0, 1:-1] = load_bonds(core, lift)
-    # the core's bonds next to each nonzero entry of base, runs that would
-    # share an atom merged, over which the primal load is formed
-    spans: list[tuple[int, int]] = []
-    for j in np.flatnonzero(base[0, 0, 1:-1]).tolist():
-        first, stop = max(j - 1, 0), min(j + 2, nbc)
-        if spans and first <= spans[-1][1]:
-            spans[-1] = spans[-1][0], stop
-        else:
-            spans.append((first, stop))
     goal_frame[m_core - 1 - lo] = -1.0
     goal_frame[m_core - lo] = 1.0
     # the exterior coordinates of b, fa and the goal
@@ -743,7 +733,6 @@ def two_pass_reference(params: ChainParams, m_window: int, m_core: int) -> Refer
         goal_frame=goal_frame,
         edge3=edge3,
         base=base,
-        spans=tuple(spans),
         ediff_rim=ediff_rim,
         ea_core=ea_core,
         rim=rim,

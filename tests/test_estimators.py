@@ -818,6 +818,16 @@ def test_reference_and_pair_are_frozen():
         pair.ref.goal_frame = None
 
 
+def test_y_ma_y_past_the_floats_saturates_to_inf_without_a_warning():
+    # k0 a0^2 M^3 past the largest float on a chain that is its own core (a
+    # non-default bc): y . M_a y is inf, no warning is raised (every warning
+    # is an error here), and the report keeps the first term alone
+    p = ChainParams(m=2000, k0=1e299, k1=1, k2=1, bc=(-2000.25, -1999.25, 1999.25, 2000.25))
+    pair = solve_dual_pair(p, interval_partition(p, 10))
+    assert pair.ymy[0] == math.inf
+    assert set(estimate(pair).flags) == {"sigma-degenerate", "underflow"}
+
+
 def test_off_well_flag():
     # clamps two spacings further out on each side pull atoms past a0/2
     p = ChainParams(m=50, bc=(-52.0, -51.0, 51.0, 52.0))
@@ -1222,12 +1232,19 @@ def _step_case(seed: int) -> tuple[ChainParams, list[Partition], bool]:
 @pytest.mark.parametrize("seed", range(15))
 def test_step_bands_and_load_match_their_dense_forms(seed, monkeypatch):
     # the blended bands from the flags, the stiffness on the free atoms and
-    # the primal load from the bonds where base is nonzero, against the
-    # whole-band arithmetic and -D^T E_ac base over the whole core; then
-    # every pair array solved with the dense forms in their place
+    # the primal load the stack's solve gets, against the whole-band
+    # arithmetic and -D^T E_ac base over the whole core; then every pair
+    # array solved with the dense forms in their place
     params, parts, exterior = _step_case(seed)
+    loads, solve_each = [], banded.solve_each
+
+    def spy(a, rhs, out):
+        loads.append(rhs[:, 0].copy())
+        return solve_each(a, rhs, out)
+
+    monkeypatch.setattr(banded, "solve_each", spy)
     stacks = list(solve_stacks(params, parts))
-    for rows, pair in stacks:
+    for (rows, pair), load in zip(stacks, loads, strict=True):
         ref = pair.ref
         assert bool(ref.off) == exterior
         flags = model._flags(ref.core, pair.parts)
@@ -1235,17 +1252,11 @@ def test_step_bands_and_load_match_their_dense_forms(seed, monkeypatch):
         assert _bits(eac.bands) == _bits(blended_bonds(ref.core, flags.astype(float)).bands)
         mac = model.stiffness_bands(ref.core, eac)
         assert _bits(mac.bands) == _bits(hessian_bands(ref.core, eac).bands)
-        load = np.empty((len(rows), mac.n))
-        estimators._primal_load(ref, eac, load)
         assert _bits(load) == _bits(primal_load(ref, eac))
-
-    def dense_load(ref, eac, out):
-        out[...] = primal_load(ref, eac)
 
     monkeypatch.setattr(estimators, "_REFERENCES", type(estimators._REFERENCES)())
     monkeypatch.setattr(model, "_nn_bond_bands", lambda p, da: blended_bonds(p, da.astype(float)))
     monkeypatch.setattr(model, "stiffness_bands", hessian_bands)
-    monkeypatch.setattr(estimators, "_primal_load", dense_load)
     for (rows, pair), (again, dense) in zip(stacks, solve_stacks(params, parts), strict=True):
         assert rows == again
         for f in dataclasses.fields(pair):
@@ -1256,11 +1267,13 @@ def test_step_bands_and_load_match_their_dense_forms(seed, monkeypatch):
 def test_a_step_makes_one_factor_and_solve_per_stack_and_one_projection(monkeypatch):
     # the blended systems of a stack are factored and solved by one dpbsv
     # call, for both loads, and P z of the whole stack is one dpttrs call;
-    # an adaptive run makes exactly that per step
-    calls = {"dpbsv": 0, "dpttrs": 0}
+    # an adaptive run makes exactly that per step, and enters no
+    # np.errstate on a chain whose y . M_a y cannot leave the floats
+    modules = {"dpbsv": banded, "dpttrs": banded, "errstate": np}
+    calls = dict.fromkeys(modules, 0)
 
     def counted(name):
-        routine = getattr(banded, name)
+        routine = getattr(modules[name], name)
 
         def call(*args, **kwargs):
             calls[name] += 1
@@ -1271,12 +1284,12 @@ def test_a_step_makes_one_factor_and_solve_per_stack_and_one_projection(monkeypa
     params = ChainParams(m=2000, k0=0.7, k1=1.3, k2=2.9)
     parts = [interval_partition(params, k) for k in (0, 4, 30)]
     solve_dual_pair(params, parts[0])  # the reference of their window
-    for name in calls:
-        monkeypatch.setattr(banded, name, counted(name))
+    for name, module in modules.items():
+        monkeypatch.setattr(module, name, counted(name))
     ((_, pair),) = solve_stacks(params, parts)
     estimate_stack(pair)[0].marked(1e-12)
-    assert calls == {"dpbsv": 1, "dpttrs": 1}
+    assert calls == {"dpbsv": 1, "dpttrs": 1, "errstate": 0}
     calls.update(dpbsv=0, dpttrs=0)
     trace = run_adaptive(params, AdaptConfig(tau_gl=1e-10))
     steps = len(trace.records)
-    assert steps == 3 and calls == {"dpbsv": steps, "dpttrs": steps}
+    assert steps == 3 and calls == {"dpbsv": steps, "dpttrs": steps, "errstate": 0}

@@ -23,7 +23,7 @@ FIELDS = {
     "BandedSpdMatrix": "bands",
     "BandedFactor": "bands",
     "Reference": "params window core off fold mu q c lam ymy_far frame wells fa "
-    "goal_frame edge3 base spans ediff_rim ea_core rim pz_factor ext_res ext_pz ymy_tail",
+    "goal_frame edge3 base ediff_rim ea_core rim pz_factor ext_res ext_pz ymy_tail",
     "DualPair": "ref parts u_free g_free residual_primal residual_dual ez_y ez_g "
     "pz_y pz_g npy npg ymy gmy gmg differs",
     "EstimatorReport": "m m_window eta1 eta2 first_term sigma_bar eta_upp_plus "
