@@ -189,8 +189,7 @@ def solve_each(a: BandedSpdMatrix, rhs: Array, out: Array) -> Array:
     zero loads, which add to the next block only -0.0, a no-op: each block
     has the bits, signed zeros too, of ``factor`` then ``solve``, and one
     that is not positive definite raises with its row and its own pivot.
-    The matrices and loads are not checked for finiteness, which ``factor``
-    and ``solve`` do: its caller builds them from a validated chain.
+    Its caller builds finite inputs; ``factor`` and ``solve`` check theirs.
     """
     rows, k, n = rhs.shape
     bw = min(a.bands.shape[-2:]) - 1

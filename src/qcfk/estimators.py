@@ -107,8 +107,6 @@ _TINY = np.finfo(float).tiny
 _STACK_BYTES = 1 << 24
 # the left exterior's rho, pi and h are the right one's times these
 _MIRROR = np.array([[-1.0], [-1.0], [1.0]])
-# a bound on y . M_a y below this leaves room for the solve's rounding
-_YMY_MAX = math.ldexp(1.0, 1000)
 # the last reference built, held weakly: a growing region finds it while its
 # previous pair is alive, and a sweep's groups never revisit a window
 _REFERENCES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
@@ -151,8 +149,8 @@ class Reference:
     use, by the exact goal error alone.  Every solve on this window shares
     the reference, and so does the next solve while a pair solved on it is
     held, so its arrays are read-only.  They are finite, from a validated
-    ``ChainParams``, so no step checks the systems built on them, and
-    ``ymy_finite`` decides once whether y . M_a y may leave the floats.
+    ``ChainParams``: no step checks the systems built on them, and
+    ``ymy_finite`` decides once whether y . M_a y needs a guard.
     """
 
     params: ChainParams
@@ -230,13 +228,12 @@ class Reference:
 
     @functools.cached_property
     def ymy_finite(self) -> bool:
-        """Whether y . M_a y stays inside the floats on every partition, so
-        that no step guards it: over the core it is at most 2 m_core + 4
-        terms |M_a| y^2, |M_a| < k0 + 8 k12, and M_ac, an M-matrix with row
-        sums at least k0, keeps |y| <= 2 a0 (m_window + 1) + |clamps|."""
+        """Whether y . M_a y stays below 2^1000, with room for rounding: it is
+        at most 2 m_core + 4 terms |M_a| y^2, |M_a| < k0 + 8 k12, and M_ac, an
+        M-matrix with row sums >= k0, keeps |y| <= 2 a0 (m_window + 1) + |bc|."""
         p, win = self.params, self.window
         y = 2.0 * p.a0 * (win.m + 1) + max(map(abs, win.clamps))
-        return (2 * self.core.m + 4) * (p.k0 + 8.0 * p.k12) * y * y + abs(self.ymy_tail) < _YMY_MAX
+        return (2 * self.core.m + 4) * (p.k0 + 8.0 * p.k12) * y * y + abs(self.ymy_tail) < 2.0**1000
 
     @functools.cached_property
     def bound_logs(self) -> tuple[float, ...]:
