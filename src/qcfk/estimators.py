@@ -150,7 +150,10 @@ class Reference:
     the reference, and so does the next solve while a pair solved on it is
     held, so its arrays are read-only.  They are finite, from a validated
     ``ChainParams``: no step checks the systems built on them, and
-    ``ymy_finite`` decides once whether y . M_a y needs a guard.
+    ``ymy_finite`` decides once whether y . M_a y needs a guard.  Each power
+    of mu, lam, z1 and z2 is an entry of ``np.power`` with an array of
+    exponents, whose bits do not depend on the array (``**`` on floats, libm
+    ``pow``, and products may differ): the closed forms share the profiles'.
     """
 
     params: ChainParams
@@ -217,20 +220,20 @@ class Reference:
         z1, q1 = _decaying_root(k0 / (d + k1 + 4.0 * k2))
         kd = k1 + d
         z2 = -4.0 * k2 / (kd + math.sqrt((kd - 4.0 * k2) * (kd + 4.0 * k2)))
-        j = np.arange(1, self.core.m - max(0, 2 - self.off) + 1)
-        half = (z1**j / (1.0 + z1) - z2**j / (1.0 + z2)) / d / unit
+        zj = np.power([[z1], [z2]], np.arange(1.0, self.core.m + 2))  # j = 1 .. J
+        n, mu, q = self.core.m - max(0, 2 - self.off), self.mu, self.q
+        half = (zj[0, :n] / (1.0 + z1) - zj[1, :n] / (1.0 + z2)) / d / unit
         ga = np.concatenate([-half[::-1], half])
         ga.setflags(write=False)
-        mu, q, big_j = self.mu, self.q, self.core.m + 1
-        far = z1**big_j / ((1.0 + z1) * (q1 + q - q1 * q))
-        far -= z2**big_j / ((1.0 + z2) * (1.0 - z2 * mu))
+        far = zj[0, -1] / ((1.0 + z1) * (q1 + q - q1 * q))
+        far -= zj[1, -1] / ((1.0 + z2) * (1.0 - z2 * mu))
         return ga, q * q * self.c * mu / d / unit * far
 
     @functools.cached_property
     def ymy_finite(self) -> bool:
         """Whether y . M_a y stays below 2^1000, with room for rounding: it is
         at most 2 m_core + 4 terms |M_a| y^2, |M_a| < k0 + 8 k12, and M_ac, an
-        M-matrix with row sums >= k0, keeps |y| <= 2 a0 (m_window + 1) + |bc|."""
+        M-matrix with row sums >= k0, keeps |y| <= 2 a0 (m_window + 1) + max|clamp|."""
         p, win = self.params, self.window
         y = 2.0 * p.a0 * (win.m + 1) + max(map(abs, win.clamps))
         return (2 * self.core.m + 4) * (p.k0 + 8.0 * p.k12) * y * y + abs(self.ymy_tail) < 2.0**1000
@@ -255,8 +258,8 @@ def _profiles(ref: Reference, n: int) -> tuple[Array, Array]:
     ``_reference``).  The left side is the right one mirrored: the bond
     differences and so rho and pi change sign (``_MIRROR``)."""
     mu, q, c = ref.mu, ref.q, ref.c
-    mu_d = mu ** np.arange(1.0, n + 1)  # mu^(d-1) for the bonds d >= 2
-    lam_d = abs(ref.lam) ** np.arange(1.0, n + 1)
+    mu_d = np.power(mu, np.arange(1.0, n + 1))  # mu^(d-1) for the bonds d >= 2
+    lam_d = np.power(abs(ref.lam), np.arange(1.0, n + 1))
     lam_d[::2] *= -1.0  # lam <= 0
     pc = _particular(ref.params, mu, q * c)
     bonds = np.array(_bond_profiles(pc, q, c, mu_d, lam_d))
@@ -295,12 +298,12 @@ def _decaying_root(t: float) -> tuple[float, float]:
 
 def _particular(params: ChainParams, mu: float, rho: float) -> float:
     """pi_d / mu^(d-1) of the particular solution of E_a pi = rho on the
-    exterior, rho_d = -rho mu^(d-1): E_a's symbol at mu is
+    exterior, rho_d = -rho mu^(d-1): -rho over E_a's symbol at mu,
     k1 + 2 k2 + k2 (mu + 1/mu)."""
     k2 = params.k2
     if mu == 0.0:  # no exterior, or one too stiff to reach
         return 0.0
-    return -rho * mu / ((params.k1 + 2.0 * k2) * mu + k2 * (mu * mu + 1.0))
+    return -rho / ((params.k1 + 2.0 * k2) + k2 * (mu + 1.0 / mu))
 
 
 @frozen(eq=False)
@@ -425,7 +428,7 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
     # rows base (added to z_y apart from u so that no u below one ulp of a0
     # is lost; the lift is the window's clamps', which a shorter core does
     # not reach), the dual's (0) and ediff_rim; rim, ext_res, ext_pz, edge3
-    zeros, small = np.zeros((4, nbc + 2)), np.zeros(19)
+    zeros, small = np.zeros((4, nbc + 2)), np.zeros(20)
     if off:
         # past the core the blended solution is u_edge mu^d, mu + 1/mu =
         # 2 + k0/k12; folding it in leaves d - k12 mu on the core's first and
@@ -443,14 +446,16 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         # f_a + M_a b is k0 b away from the chain's clamps
         np.multiply(frame[0, : 2 * s], k0, out=frame[1, : 2 * s])
         pc = _particular(params, mu, q * c)
-        # sums over d >= 3 of mu^d, d mu^d and the like, by the right edge
-        # atom's id E: sum (E + d) mu^d = mu^3 x / q^2
+        # edge3, mu^4, and sums over d >= 3 of mu^d, d mu^d and the like, by
+        # the right edge atom's id E: sum (E + d) mu^d = mu^3 x / q^2
+        np.power(mu, (1.0, 2.0, 3.0, 4.0), out=small[16:])
+        _, mu2, mu3, mu4 = small[16:].tolist()
         x = (m_core - 2) * q + 3.0 - 2.0 * mu
-        g_ = q * c * mu**4 / (1.0 + mu)
-        db = a0 * mu**3 * x / (q * q)
+        g_ = q * c * mu4 / (1.0 + mu)
+        db = a0 * mu3 * x / (q * q)
         ws = a0 * c * mu * x
         lam_mu = lam * mu / (1.0 - lam * mu)
-        k1_ = -q * c * pc * (mu * mu / (q * (1.0 + mu)) - lam_mu)
+        k1_ = -q * c * pc * (mu2 / (q * (1.0 + mu)) - lam_mu)
         k2_ = q * c * lam_mu
         frame[1, 2 * s :: 2] = -k0 * db, k0 * db
         # the first exterior bond's profiles, as ``_profiles`` forms them
@@ -458,7 +463,6 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         rho, pi, h = _bond_profiles(pc, q, c, mu, lam)
         psi = k2 * pc * (mu - lam)
         small[:16] = (-rho, rho, -pi, pi, h, h, -psi, psi, g_, -ws, g_, ws, k1_, -k2_, k1_, k2_)
-        np.power(mu, (1.0, 2.0, 3.0), out=small[16:])
         zeros[0, m_core] = a0
         zeros[3, 0] = k2
     else:
@@ -493,7 +497,7 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         wells=frame[0],
         fa=frame[1],
         goal_frame=frame[2],
-        edge3=small[16:],
+        edge3=small[16:19],
         base=zeros[:2, None],
         ediff_rim=zeros[2:],
         ea_core=ea_core,

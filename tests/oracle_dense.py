@@ -674,11 +674,12 @@ def two_pass_reference(params: ChainParams, m_window: int, m_core: int) -> Refer
         # sums over d >= 3 of mu^d, d mu^d and the like, by the right edge
         # atom's id E: sum (E + d) mu^d = mu^3 x / q^2
         x = (m_core - 2) * q + 3.0 - 2.0 * mu
-        g_ = q * c * mu**4 / (1.0 + mu)
-        db = a0 * mu**3 * x / (q * q)
+        mu_k = np.power(mu, np.arange(1.0, 5.0))
+        g_ = q * c * mu_k[3] / (1.0 + mu)
+        db = a0 * mu_k[2] * x / (q * q)
         ws = a0 * c * mu * x
         lam_mu = lam * mu / (1.0 - lam * mu)
-        k1_ = -q * c * pc * (mu * mu / (q * (1.0 + mu)) - lam_mu)
+        k1_ = -q * c * pc * (mu_k[1] / (q * (1.0 + mu)) - lam_mu)
         k2_ = q * c * lam_mu
         ext_res[:] = [[g_, -ws], [g_, ws]]
         ext_pz[:] = [[k1_, -k2_], [k1_, k2_]]
@@ -688,7 +689,7 @@ def two_pass_reference(params: ChainParams, m_window: int, m_core: int) -> Refer
         rho, pi, h = _bond_profiles(pc, q, c, mu, lam)
         psi = k2 * pc * (mu - lam)
         rim[:] = [[-rho, rho], [-pi, pi], [h, h], [-psi, psi]]
-        edge3[:] = mu ** np.arange(1.0, 4.0)
+        edge3[:] = mu_k[:3]
         ediff_rim[1, 0] = k2
         goal_frame = np.zeros(len(ids))
     else:

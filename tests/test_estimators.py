@@ -785,6 +785,49 @@ def test_the_one_pass_reference_has_the_bits_of_the_two_pass_one(key):
             assert got == expected, f.name
 
 
+def test_the_closed_forms_take_the_profiles_powers():
+    # u past a unit edge value, d = 1 .. n atoms out, is the head of edge3
+    # and then the profile from d = 3 on; edge3 and the exterior sums over
+    # d >= 3 take mu^2, mu^3 and mu^4 from it bit for bit
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        params = ChainParams(
+            m=int(10 ** rng.uniform(4, 9)),
+            k0=10 ** rng.uniform(-3, 1),
+            k1=10 ** rng.uniform(-1, 1),
+            k2=10 ** rng.uniform(-2, 1),
+            a0=rng.uniform(0.3, 3.0),
+        )
+        ref = estimators._reference(params, *model.sizes(params, interval_partition(params, 8)))
+        assert ref.off >= 2
+        mu, q, c, lam, a0, k0 = ref.mu, ref.q, ref.c, ref.lam, params.a0, params.k0
+        u = np.concatenate([ref.edge3[:2], estimators._profiles(ref, 8)[0][0]])
+        assert u.tolist() == np.power(mu, np.arange(1.0, 9.0)).tolist()
+        assert ref.edge3.tolist() == u[:3].tolist()
+        x = (ref.core.m - 2) * q + 3.0 - 2.0 * mu
+        g, db = q * c * u[3] / (1.0 + mu), a0 * u[2] * x / (q * q)
+        lam_mu = lam * mu / (1.0 - lam * mu)
+        pc = estimators._particular(params, mu, q * c)
+        k1_ = -q * c * pc * (u[1] / (q * (1.0 + mu)) - lam_mu)
+        assert ref.ext_res[:, 0].tolist() == [g, g]
+        assert ref.fa[-4::2].tolist() == [-k0 * db, k0 * db]
+        assert ref.ext_pz[:, 0].tolist() == [k1_, k1_]
+
+
+def test_a_power_has_the_same_bits_in_every_array():
+    # the sums' four powers of a scalar base are the head of every longer
+    # profile, and the dual's two roots, raised as two rows, are the rows
+    # raised alone: over 1e5 random mu in (0, 1) and z in (-1, 0)
+    rng = np.random.default_rng(32)
+    mu = rng.uniform(0.0, 1.0, 100_000)
+    short = np.array([np.power(m, (1.0, 2.0, 3.0, 4.0)) for m in mu.tolist()])
+    assert np.array_equal(short, np.power(mu[:, None], np.arange(1.0, 65.0))[:, :4])
+    for m, n, z in zip(mu[:2000].tolist(), rng.integers(4, 400, 2000).tolist(), -mu[-2000:]):
+        j = np.arange(1.0, n + 1)
+        assert np.array_equal(np.power(m, j)[:4], np.power(m, (1.0, 2.0, 3.0, 4.0)))
+        assert np.array_equal(np.power([[m], [z]], j), [np.power(m, j), np.power(z, j)])
+
+
 def test_exact_goal_error_rejects_a_pair_of_another_region():
     p = ChainParams(m=1000)
     pair = solve_dual_pair(p, interval_partition(p, 10))
