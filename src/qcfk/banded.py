@@ -189,7 +189,8 @@ def solve_each(a: BandedSpdMatrix, rhs: Array, out: Array) -> Array:
     zero loads, which add to the next block only -0.0, a no-op: each block
     has the bits, signed zeros too, of ``factor`` then ``solve``, and one
     that is not positive definite raises with its row and its own pivot.
-    Its caller builds finite inputs; ``factor`` and ``solve`` check theirs.
+    Its one caller's inputs are finite by ``ChainParams``' limits, so it
+    does not scan them; ``factor`` and ``solve`` check theirs.
     """
     rows, k, n = rhs.shape
     bw = min(a.bands.shape[-2:]) - 1

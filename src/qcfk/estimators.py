@@ -81,7 +81,6 @@ atoms.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
@@ -148,12 +147,13 @@ class Reference:
     ``M_a`` and the atomistic dual solution ``dual`` are built on first
     use, by the exact goal error alone.  Every solve on this window shares
     the reference, and so does the next solve while a pair solved on it is
-    held, so its arrays are read-only.  They are finite, from a validated
-    ``ChainParams``: no step checks the systems built on them, and
-    ``ymy_finite`` decides once whether y . M_a y needs a guard.  Each power
-    of mu, lam, z1 and z2 is an entry of ``np.power`` with an array of
-    exponents, whose bits do not depend on the array (``**`` on floats, libm
-    ``pow``, and products may differ): the closed forms share the profiles'.
+    held, so its arrays are read-only.  ``ChainParams`` bounds the springs,
+    a0 and the clamps' offsets, so the systems and loads built on them are
+    finite and no step checks them.  Each power of mu, lam, z1 and z2 in a
+    profile or a closed-form sum over one is an entry of ``np.power`` with
+    an array of exponents, whose bits do not depend on the array (``**`` on
+    floats, libm ``pow``, and products may differ): the sums share the
+    profiles' bits.
     """
 
     params: ChainParams
@@ -230,15 +230,6 @@ class Reference:
         return ga, q * q * self.c * mu / d / unit * far
 
     @functools.cached_property
-    def ymy_finite(self) -> bool:
-        """Whether y . M_a y stays below 2^1000, with room for rounding: it is
-        at most 2 m_core + 4 terms |M_a| y^2, |M_a| < k0 + 8 k12, and M_ac, an
-        M-matrix with row sums >= k0, keeps |y| <= 2 a0 (m_window + 1) + max|clamp|."""
-        p, win = self.params, self.window
-        y = 2.0 * p.a0 * (win.m + 1) + max(map(abs, win.clamps))
-        return (2 * self.core.m + 4) * (p.k0 + 8.0 * p.k12) * y * y + abs(self.ymy_tail) < 2.0**1000
-
-    @functools.cached_property
     def bound_logs(self) -> tuple[float, ...]:
         """The logarithms of |rho|, |pi| and |h| on the exterior bond next to
         the core, of q^2 |c| mu^4 and of mu max(mu, |lam|), which bound the
@@ -298,12 +289,12 @@ def _decaying_root(t: float) -> tuple[float, float]:
 
 def _particular(params: ChainParams, mu: float, rho: float) -> float:
     """pi_d / mu^(d-1) of the particular solution of E_a pi = rho on the
-    exterior, rho_d = -rho mu^(d-1): -rho over E_a's symbol at mu,
+    exterior, rho_d = -rho mu^(d-1): E_a's symbol at mu is
     k1 + 2 k2 + k2 (mu + 1/mu)."""
     k2 = params.k2
     if mu == 0.0:  # no exterior, or one too stiff to reach
         return 0.0
-    return -rho / ((params.k1 + 2.0 * k2) + k2 * (mu + 1.0 / mu))
+    return -rho * mu / ((params.k1 + 2.0 * k2) * mu + k2 * (mu * mu + 1.0))
 
 
 @frozen(eq=False)
@@ -518,8 +509,8 @@ def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
     primal and dual loads together.  The blended bond matrices E_ac come
     from the partitions' flags on the core, and everything else from the
     reference: M_ac is D^T E_ac D + k0 on the free atoms less the fold, and
-    the primal load -J^T D^T E_ac applied to ``ref.base``, both finite as
-    built from a validated chain.  The reference is never solved here:
+    the primal load -J^T D^T E_ac applied to ``ref.base``, both finite by
+    ``ChainParams``' limits.  The reference is never solved here:
     production estimates only ever solve the blended model.
     """
     core, rows = ref.core, len(parts)
@@ -586,9 +577,9 @@ def _solve_stack(ref: Reference, parts: Sequence[Partition]) -> DualPair:
     pz[..., nbc:] -= ends * ref.ext_pz[:, 1]
     nrm = banded.norm(ref.ea_core, pz, ez_c)
     my = ref.fa - res[0]
-    # y . M_a y grows like k a0^2 M^3 and saturates to inf past a float, where
-    # the lower terms take their limit (see ``_lower2``): guarded unless it cannot
-    with contextlib.nullcontext() if ref.ymy_finite else np.errstate(over="ignore"):
+    # y . M_a y grows like k a0^2 M^3 and saturates to inf past a float,
+    # where the lower terms take their limit (see ``_lower2``)
+    with np.errstate(over="ignore"):
         ymy = rowdot(u + ref.wells, my) + ref.ymy_tail
     gmy = rowdot(g, my)
     gmg = rowdot(g, ref.goal_frame - res[1])

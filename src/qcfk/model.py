@@ -89,7 +89,8 @@ class ChainParams:
     into the interior; it follows ``m`` and ``a0`` through
     ``dataclasses.replace``.  Inputs whose results would leave the floats
     are rejected here: ``a0`` above ``A0_MAX``, ``k2/k1`` above
-    ``K2_K1_MAX`` and an energy scale above ``ENERGY_MAX``.
+    ``K2_K1_MAX``, an energy scale above ``ENERGY_MAX``, and clamps whose
+    offset from their wells passes either limit in place of ``a0``.
     """
 
     m: int
@@ -126,7 +127,8 @@ class ChainParams:
             raise ValueError(
                 f"a0 must be positive and at most {A0_MAX:g}, got {self.a0}"
             )
-        if max(*springs, self.k2 * (self.k2 / self.k1)) * self.a0 * self.a0 > ENERGY_MAX:
+        stiffest = max(*springs, self.k2 * (self.k2 / self.k1))
+        if stiffest * self.a0 * self.a0 > ENERGY_MAX:
             raise ValueError(
                 f"the energy scale max(k0, k1, k2, k2^2/k1) a0^2 must be at most "
                 f"ENERGY_MAX = {ENERGY_MAX:g}, got springs {springs} and a0 = {self.a0}"
@@ -141,8 +143,11 @@ class ChainParams:
             object.__setattr__(self, "bc", tuple(map(float, self.bc)))
             if len(self.bc) != 4:
                 raise ValueError("bc must give positions for the 4 clamped atoms")
-            if not all(map(math.isfinite, self.bc)):
-                raise ValueError(f"bc positions must be finite, got {self.bc}")
+            # an offset from the wells scales the solution as a0 does, and so
+            # has a0's limits; a nan or inf position passes neither
+            lim = min(A0_MAX, math.sqrt(ENERGY_MAX / stiffest))
+            if not all(abs(b - w) <= lim for b, w in zip(self.bc, _default_bc(self.m, self.a0))):
+                raise ValueError(f"bc must lie within {lim:g} of the wells, got {self.bc}")
 
     @property
     def clamps(self) -> tuple[float, float, float, float]:

@@ -861,6 +861,18 @@ def test_reference_and_pair_are_frozen():
         pair.ref.goal_frame = None
 
 
+def test_the_particular_solution_takes_a_subnormal_decay():
+    # k0 at the largest float over k12 = 1 decays past the exterior's first
+    # atom by a subnormal mu, whose inverse is inf: with k2 = 0 the
+    # particular solution is -rho/k1, and the exterior values stay finite
+    p = ChainParams(m=1000, k0=np.finfo(float).max, k1=1.0, k2=0.0, a0=1e-5)
+    ref = estimators._reference(p, 60, 50)
+    assert 0.0 < ref.mu < np.finfo(float).tiny
+    assert estimators._particular(p, ref.mu, 3.0) == -3.0
+    assert all(np.isfinite(a).all() for a in estimators._profiles(ref, 8))
+    assert all(np.isfinite(a).all() for a in (ref.rim, ref.ext_pz, ref.ext_res))
+
+
 def test_y_ma_y_past_the_floats_saturates_to_inf_without_a_warning():
     # k0 a0^2 M^3 past the largest float on a chain that is its own core (a
     # non-default bc): y . M_a y is inf, no warning is raised (every warning
@@ -1310,13 +1322,11 @@ def test_step_bands_and_load_match_their_dense_forms(seed, monkeypatch):
 def test_a_step_makes_one_factor_and_solve_per_stack_and_one_projection(monkeypatch):
     # the blended systems of a stack are factored and solved by one dpbsv
     # call, for both loads, and P z of the whole stack is one dpttrs call;
-    # an adaptive run makes exactly that per step, and enters no
-    # np.errstate on a chain whose y . M_a y cannot leave the floats
-    modules = {"dpbsv": banded, "dpttrs": banded, "errstate": np}
-    calls = dict.fromkeys(modules, 0)
+    # an adaptive run makes exactly that per step
+    calls = {"dpbsv": 0, "dpttrs": 0}
 
     def counted(name):
-        routine = getattr(modules[name], name)
+        routine = getattr(banded, name)
 
         def call(*args, **kwargs):
             calls[name] += 1
@@ -1327,12 +1337,12 @@ def test_a_step_makes_one_factor_and_solve_per_stack_and_one_projection(monkeypa
     params = ChainParams(m=2000, k0=0.7, k1=1.3, k2=2.9)
     parts = [interval_partition(params, k) for k in (0, 4, 30)]
     solve_dual_pair(params, parts[0])  # the reference of their window
-    for name, module in modules.items():
-        monkeypatch.setattr(module, name, counted(name))
+    for name in calls:
+        monkeypatch.setattr(banded, name, counted(name))
     ((_, pair),) = solve_stacks(params, parts)
     estimate_stack(pair)[0].marked(1e-12)
-    assert calls == {"dpbsv": 1, "dpttrs": 1, "errstate": 0}
+    assert calls == {"dpbsv": 1, "dpttrs": 1}
     calls.update(dpbsv=0, dpttrs=0)
     trace = run_adaptive(params, AdaptConfig(tau_gl=1e-10))
     steps = len(trace.records)
-    assert steps == 3 and calls == {"dpbsv": steps, "dpttrs": steps, "errstate": 0}
+    assert steps == 3 and calls == {"dpbsv": steps, "dpttrs": steps}

@@ -117,6 +117,22 @@ def test_lattice_spacing_has_a_limit():
     assert math.isclose(run.q_error, A0_MAX * base.q_error, rel_tol=1e-12)
 
 
+def test_clamp_offsets_have_a_limit():
+    # clamps 1e160 off their wells overflowed inside the solve; an offset
+    # past A0_MAX, or one whose energy scale passes ENERGY_MAX, is rejected
+    # where it enters, and the limit itself computes
+    wells = np.array([-50.0, -49.0, 49.0, 50.0])
+    for d, springs in ((1e160, {}), (2 * A0_MAX, {}), (1e20, dict(k1=1e270))):
+        with pytest.raises(ValueError, match="of the wells"):
+            ChainParams(m=50, bc=tuple(wells + d), **springs)
+    p = ChainParams(m=50, bc=tuple(wells + [-A0_MAX, 0.0, 0.0, A0_MAX]))
+    pair = solve_dual_pair(p, interval_partition(p, 5))
+    rep, (qe,) = estimate(pair), exact_goal_errors(pair)
+    values = (qe, rep.eta1, rep.eta2, rep.bound_low, rep.bound_high)
+    assert all(map(math.isfinite, values))
+    assert np.isfinite(pair.residual_primal).all()
+
+
 def test_next_nearest_springs_have_a_limit():
     # at k0 = k1 = 1 and K = 2 the sandwich failed from k2 = 3e14 (M = 4)
     # and M_a lost definiteness in floats from k2 = 1e16; ratios past the
