@@ -117,13 +117,12 @@ class Reference:
 
     ``params`` is the chain, ``window`` the chain every output is reported
     on and ``core`` the chain the blended solves run on (see
-    ``model.sizes``), ``off`` atoms shorter at each end.  The blended solves
-    fold the continuum exterior into ``fold`` = k12 mu on the core's edge
-    diagonal entries, where mu + 1/mu = 2 + k0/k12, mu < 1 and q = 1 - mu:
-    past the core u and g are their edge values times mu^d.  ``c`` scales
-    (E_a - E_ac) z there, and ``lam`` is the decaying root of E_a's symbol
-    (see ``_reference``).  ``ymy_far`` is what y . M_a y over the
-    chain adds to the same product over the window.
+    ``model.sizes``), ``off`` atoms shorter at each end.  The decaying
+    roots mu, lam, z1 and z2 are the chain's, read from ``params.roots``.
+    The blended solves fold the continuum exterior into ``fold`` = k12 mu
+    on the core's edge diagonal entries: past the core u and g are their
+    edge values times mu^d.  ``c`` scales (E_a - E_ac) z there (see
+    ``_reference``).
 
     The rest lives on the core, with the exterior in closed form per unit
     edge value, side by side (left, right).  ``frame`` is the window's free
@@ -161,11 +160,7 @@ class Reference:
     core: ChainParams
     off: int
     fold: float
-    mu: float
-    q: float
     c: float
-    lam: float
-    ymy_far: float
     frame: slice
     wells: Array
     fa: Array
@@ -197,48 +192,41 @@ class Reference:
         only the exact goal error makes.
 
         A chain that is its own core solves for g_a with ``ma_factor``.
-        Otherwise the window is taken as infinite, as the exterior is.
-        M_a's symbol k0 + (2 - s)(k1 + 2 k2 + k2 s), s = z + 1/z, has two
-        decaying roots: z1 with z1 + 1/z1 = 2 + 2t, t = k0 / (D + k1 + 4 k2),
-        and z2 = -4 k2 / (k1 + D + sqrt((k1 + D)^2 - 16 k2^2)), finite at
-        k2 = 0, where D = sqrt((k1 + 4 k2)^2 + 4 k2 k0).  Then g_a at atom
-        j >= 1 is (z1^j / (1 + z1) - z2^j / (1 + z2)) / D, and at 1 - j its
-        negative.  Past the frame the residual is e q^2 c mu^(i+1) at atom
-        J + i, J = m_core + 1 (see ``_profiles``), so the exterior's sum is
-        geometric; 1 - z1 mu is formed from q1 = 1 - z1 and q, which does
-        not cancel as k0 nears 0.  The roots take the springs per unit of a
-        power of two (``_unit_springs``), and g_a ~ 1 / k12 is scaled back
-        exactly, so springs times 4^i and a0 times 2^j move Q(e) by 2^j.
+        Otherwise the window is taken as infinite, as the exterior is, and
+        g_a is closed form in M_a's roots z1 and z2 and D (``params.roots``):
+        at atom j >= 1 it is (z1^j / (1 + z1) - z2^j / (1 + z2)) / D, and at
+        1 - j its negative.  Past the frame the residual is e q^2 c mu^(i+1)
+        at atom J + i, J = m_core + 1 (see ``_profiles``), so the exterior's
+        sum is geometric; 1 - z1 mu is formed from q1 = 1 - z1 and q, which
+        does not cancel as k0 nears 0.  D is per unit of a power of two, and
+        g_a ~ 1 / k12 is scaled back exactly, so springs times 4^i and a0
+        times 2^j move Q(e) by 2^j.  Where z1 = 0 and D = inf, g_a is 0.
         """
         if not self.off:
             ga = banded.solve(self.ma_factor, self.goal_frame[:-4])
             ga.setflags(write=False)
             return ga, 0.0
-        k0, k1, k2, unit = _unit_springs(self.params)
-        k12 = k1 + 4.0 * k2
-        d = math.sqrt(k12 * k12 + 4.0 * k2 * k0)
-        z1, q1 = _decaying_root(k0 / (d + k1 + 4.0 * k2))
-        kd = k1 + d
-        z2 = -4.0 * k2 / (kd + math.sqrt((kd - 4.0 * k2) * (kd + 4.0 * k2)))
+        r = self.params.roots
+        n, z1, z2, d, q = self.core.m - max(0, 2 - self.off), r.z1, r.z2, r.d, r.q
         zj = np.power([[z1], [z2]], np.arange(1.0, self.core.m + 2))  # j = 1 .. J
-        n, mu, q = self.core.m - max(0, 2 - self.off), self.mu, self.q
-        half = (zj[0, :n] / (1.0 + z1) - zj[1, :n] / (1.0 + z2)) / d / unit
+        half = (zj[0, :n] / (1.0 + z1) - zj[1, :n] / (1.0 + z2)) / d / r.unit
         ga = np.concatenate([-half[::-1], half])
         ga.setflags(write=False)
-        far = zj[0, -1] / ((1.0 + z1) * (q1 + q - q1 * q))
-        far -= zj[1, -1] / ((1.0 + z2) * (1.0 - z2 * mu))
-        return ga, q * q * self.c * mu / d / unit * far
+        far = zj[0, -1] / ((1.0 + z1) * (r.q1 + q - r.q1 * q))
+        far -= zj[1, -1] / ((1.0 + z2) * (1.0 - z2 * r.mu))
+        return ga, q * q * self.c * r.mu / d / r.unit * far
 
     @functools.cached_property
     def bound_logs(self) -> tuple[float, ...]:
         """The logarithms of |rho|, |pi| and |h| on the exterior bond next to
         the core, of q^2 |c| mu^4 and of mu max(mu, |lam|), which bound the
         exterior's indicators (see ``_reach``)."""
-        log_mu = _log(self.mu)
+        r = self.params.roots
+        log_mu = _log(r.mu)
         return (
             *map(_log, self.rim[:3, 1].tolist()),
-            2.0 * _log(self.q) + _log(self.c) + 4.0 * log_mu,
-            log_mu + _log(max(self.mu, abs(self.lam))),
+            2.0 * _log(r.q) + _log(self.c) + 4.0 * log_mu,
+            log_mu + _log(max(r.mu, abs(r.lam))),
         )
 
 
@@ -248,9 +236,9 @@ def _profiles(ref: Reference, n: int) -> tuple[Array, Array]:
     its first ``n`` bonds rho = (E_a - E_ac) z and the pi and h of P z (see
     ``_reference``).  The left side is the right one mirrored: the bond
     differences and so rho and pi change sign (``_MIRROR``)."""
-    mu, q, c = ref.mu, ref.q, ref.c
+    mu, q, c = ref.params.roots.mu, ref.params.roots.q, ref.c
     mu_d = np.power(mu, np.arange(1.0, n + 1))  # mu^(d-1) for the bonds d >= 2
-    lam_d = np.power(abs(ref.lam), np.arange(1.0, n + 1))
+    lam_d = np.power(abs(ref.params.roots.lam), np.arange(1.0, n + 1))
     lam_d[::2] *= -1.0  # lam <= 0
     pc = _particular(ref.params, mu, q * c)
     bonds = np.array(_bond_profiles(pc, q, c, mu_d, lam_d))
@@ -271,30 +259,14 @@ def _atomistic_bonds(win: ChainParams) -> BandedSpdMatrix:
     return model._nn_bond_bands(win, np.ones(2 * win.m, dtype=bool))
 
 
-def _unit_springs(params: ChainParams) -> tuple[float, float, float, float]:
-    """k0, k1 and k2 per unit of the power of two next above k12, and that
-    unit: the division is exact, and k1 + 4 k2 < 1 in it, so no square a
-    closed-form root takes leaves the floats."""
-    unit = math.ldexp(1.0, math.frexp(params.k12)[1])
-    return params.k0 / unit, params.k1 / unit, params.k2 / unit, unit
-
-
-def _decaying_root(t: float) -> tuple[float, float]:
-    """The root z < 1 of z + 1/z = 2 + 2t and 1 - z, formed without
-    cancelling as z nears 1 (z = 0 where t overflows)."""
-    r = math.sqrt(t) * math.sqrt(2.0 + t)
-    z = 1.0 / (1.0 + t + r)
-    return z, 1.0 - z if z < 0.5 else (t + r) * z
-
-
 def _particular(params: ChainParams, mu: float, rho: float) -> float:
     """pi_d / mu^(d-1) of the particular solution of E_a pi = rho on the
     exterior, rho_d = -rho mu^(d-1): E_a's symbol at mu is
     k1 + 2 k2 + k2 (mu + 1/mu)."""
-    k2 = params.k2
-    if mu == 0.0:  # no exterior, or one too stiff to reach
-        return 0.0
-    return -rho * mu / ((params.k1 + 2.0 * k2) * mu + k2 * (mu * mu + 1.0))
+    symbol = (params.k1 + 2.0 * params.k2) * mu + params.k2 * (mu * mu + 1.0)
+    # 0 at mu = 0 (no exterior, or one too stiff to reach) and where k1 mu
+    # underflows at k2 = 0, where rho is 0
+    return -rho * mu / symbol if mu and symbol else 0.0
 
 
 @frozen(eq=False)
@@ -381,33 +353,31 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
     at atom d >= 3 is e q^2 c mu^(d-2).  P z there solves E_a x = e rho with the core's end
     bond value c coupled in by k2: x = e pi - c h, pi_d = P (mu^(d-1) -
     lam^(d-1)) and h_d = -lam^(d-1), with lam the decaying root of E_a's
-    symbol, k2 lam^2 + (k1 + 2 k2) lam + k2 = 0.  Folding x into the core's
-    end row adds k2 lam to its diagonal and -k2 P (mu - lam) e to its load.
-    The left side is the mirror image.
+    symbol.  Folding x into the core's end row adds k2 lam to its diagonal
+    and -k2 P (mu - lam) e to its load.  The left side is the mirror image.
+    mu, q and lam are ``params.roots``; mu = 0 leaves the exterior at rest.
     """
     win = params if m_window == params.m else model._resized(params, m_window)
     core = win if m_core == m_window else model._resized(params, m_core)
     k0, k1, k2, a0 = params.k0, params.k1, params.k2, params.a0
-    # beyond the window u vanishes and y = b; the window's own clamp rows are
-    # part of both closed forms, so the difference is exact (up to the
-    # coupling of the window's edge u, below WINDOW_EPS): 0.0 on a whole chain.
-    # Past M ~ 1e102 the sums exceed a float and saturate to inf
-    (m0, mb), (w0, wb) = _wells_ymy(params), _wells_ymy(win)
     off, nbc = m_window - m_core, 2 * m_core - 1
     # the core's atoms that are not the window's free atoms: its clamps on
     # a whole chain, one of them when the exterior is a single atom
     lo = max(0, 2 - off)
     s = m_core - lo
+    # ymy_tail from exact integer sums (inf past M ~ 1e102).  No exterior:
+    # b . M_a b beyond the window, where u vanishes and y = b (exact up to
+    # the edge u's coupling, below WINDOW_EPS; 0.0 on a whole chain).  An
+    # exterior: k0 b . b beyond the frame and the rest of b . M_a b, less
+    # b . f_a = -a0 (E_a D b) at the defect bond, where D b is a0, 2 a0, a0
+    (m0, mb), (w0, wb) = _wells_ymy(params), _wells_ymy(win)
+    far = (m0 - s * (s + 1) * (2 * s + 1) // 3, mb) if off else (m0 - w0, mb - wb)
     try:
-        far0, farb = float(m0 - w0), float(mb - wb)
-        # k0 b . b over the chain beyond the frame, and the rest of b . M_a b
-        tail0, tailb = float(m0 - s * (s + 1) * (2 * s + 1) // 3), float(mb)
+        far0, farb = map(float, far)
     except OverflowError:
-        far0 = farb = tail0 = tailb = math.inf
-    ymy_far = a0 * a0 * (k0 * far0 + (k1 + 2.0 * k2) * farb)
-    # b . M_a b = sum b (k0 b + clamp terms) - b . f_a, and b . f_a is
-    # -a0 (E_a D b) at the defect bond, where D b is a0, 2 a0, a0
-    ymy_tail = a0 * a0 * (k0 * tail0 + (k1 + 2.0 * k2) * tailb - 2.0 * (k1 + 3.0 * k2))
+        far0 = farb = math.inf
+    bfa = 2.0 * (k1 + 3.0 * k2) if off else 0.0
+    ymy_tail = a0 * a0 * (k0 * far0 + (k1 + 2.0 * k2) * farb - bfa)
     # rows b (wells (i - 1) a0 left of the defect, i a0 right of it), f_a +
     # M_a b and the goal on the frame, each with its exterior coordinates
     frame = np.zeros((3, 2 * s + 4))
@@ -424,9 +394,7 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         # past the core the blended solution is u_edge mu^d, mu + 1/mu =
         # 2 + k0/k12; folding it in leaves d - k12 mu on the core's first and
         # last free diagonal entries (a discrete Dirichlet-to-Neumann boundary)
-        mu, q = _decaying_root(0.5 * k0 / params.k12)
-        _, u1, u2, _ = _unit_springs(params)
-        lam = -2.0 * u2 / (u1 + 2.0 * u2 + math.sqrt(u1 * (u1 + 4.0 * u2)))
+        mu, q, lam = params.roots.mu, params.roots.q, params.roots.lam
         # E_a on the core's bonds, each with both NNN pairs, and the coupling
         # of the last to the next, as the window assembles them; then pz_core
         bands = np.empty((4, nbc))
@@ -458,7 +426,7 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         zeros[3, 0] = k2
     else:
         # the core is the window, clamped at its own ends: no exterior
-        mu, lam, c, q = 0.0, 0.0, 0.0, 1.0
+        mu = c = 0.0
         ea_core = ea = _atomistic_bonds(win)
         pz_core = ea.bands
         lift = np.zeros(2 * m_core)
@@ -467,7 +435,6 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         zeros[0, 1:-1] = model.load_bonds(core, lift)
         frame[1, : 2 * s] = -model.dt_apply(banded.matvec(ea, zeros[0, 1:-1]))[2:-2]
         frame[1, : 2 * s] += banded.matvec(model.stiffness_bands(win, ea), frame[0, : 2 * s])
-        ymy_tail = ymy_far
     pz_factor = banded.factor(BandedSpdMatrix(pz_core))
     # every solve on this window shares the reference: none may write to it
     for a in (frame, zeros, small, ea_core.bands, pz_factor.bands):
@@ -479,11 +446,7 @@ def _reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
         core=core,
         off=off,
         fold=params.k12 * mu,
-        mu=mu,
-        q=q,
         c=c,
-        lam=lam,
-        ymy_far=ymy_far,
         frame=slice(n_ext, 2 * m_window - 4 - n_ext),
         wells=frame[0],
         fa=frame[1],

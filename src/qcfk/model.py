@@ -25,9 +25,10 @@ same array position.  Boundary conditions clamp the two outermost atoms on
 each side, so the free unknowns are atoms ``-M+3 .. M-2``.
 
 Every field the estimators need decays exponentially away from the defect
-and the atomistic region, so solves run on a centred window chain: the
-same springs at a half-size that leaves the slowest decay below
-``WINDOW_EPS`` at its clamped ends: the frame outputs are reported on.
+and the atomistic region, by the roots of ``ChainParams.roots``, so solves
+run on a centred window chain: the same springs at a half-size that leaves
+the slowest decay below ``WINDOW_EPS`` at its clamped ends: the frame
+outputs are reported on.
 The whole chain is the window's degenerate case.  The work runs on its
 shorter core, the continuum exterior in closed form.  ``sizes`` gives
 both half-sizes of a partition.
@@ -79,6 +80,37 @@ def _default_bc(m: int, a0: float) -> tuple[float, float, float, float]:
     return (-m * a0, (-m + 1) * a0, (m - 1) * a0, m * a0)
 
 
+def _decaying_root(t: float) -> tuple[float, float]:
+    """The root z < 1 of z + 1/z = 2 + 2t and 1 - z, formed without
+    cancelling as z nears 1 (z = 0 where t overflows)."""
+    r = math.sqrt(t) * math.sqrt(2.0 + t)
+    z = 1.0 / (1.0 + t + r)
+    return z, 1.0 - z if z < 0.5 else (t + r) * z
+
+
+@frozen
+class DecayRoots:
+    """The decaying roots of a chain's symbols (``ChainParams.roots``):
+    ``mu`` of the far field's, mu + 1/mu = 2 + k0/k12; ``lam`` of E_a's, k2
+    lam^2 + (k1 + 2 k2) lam + k2 = 0; ``z1`` and ``z2`` of M_a's, k0 + (2 -
+    s)(k1 + 2 k2 + k2 s) with s = z + 1/z: z1 + 1/z1 = 2 + 2 k0 / (D + k1 +
+    4 k2) and z2 = -4 k2 / (k1 + D + sqrt((k1 + D)^2 - 16 k2^2)), with ``d``
+    = D = sqrt(k12^2 + 4 k2 k0).  ``q`` = 1 - mu and ``q1`` = 1 - z1 keep
+    their digits as mu and z1 near 1.  All but mu take the springs per
+    ``unit``, the power of two next above k12, so no square leaves the
+    floats.  Past the floats mu is 0 where k0/k12 is, and z1 and z2 are 0
+    and D inf where k0 per unit is."""
+
+    mu: float
+    q: float
+    lam: float
+    z1: float
+    q1: float
+    z2: float
+    d: float
+    unit: float
+
+
 @frozen
 class ChainParams:
     """Chain size, spring constants, and clamped boundary positions.
@@ -90,7 +122,8 @@ class ChainParams:
     ``dataclasses.replace``.  Inputs whose results would leave the floats
     are rejected here: ``a0`` above ``A0_MAX``, ``k2/k1`` above
     ``K2_K1_MAX``, an energy scale above ``ENERGY_MAX``, and clamps whose
-    offset from their wells passes either limit in place of ``a0``.
+    offset from their wells passes either limit in place of ``a0``.  A
+    k0/k12 past the floats is kept: ``roots`` takes its limit.
     """
 
     m: int
@@ -160,16 +193,38 @@ class ChainParams:
         return self.k1 + 4.0 * self.k2
 
     @functools.cached_property
+    def roots(self) -> DecayRoots:
+        """The chain's ``DecayRoots``, formed once and here alone."""
+        unit = math.ldexp(1.0, math.frexp(self.k12)[1])
+        k0, k1, k2 = self.k0 / unit, self.k1 / unit, self.k2 / unit
+        mu, q = _decaying_root(0.5 * self.k0 / self.k12)
+        lam = -2.0 * k2 / (k1 + 2.0 * k2 + math.sqrt(k1 * (k1 + 4.0 * k2)))
+        if k0 == math.inf:  # and so D and t: their limit
+            return DecayRoots(mu, q, lam, 0.0, 1.0, -0.0, math.inf, unit)
+        k12 = k1 + 4.0 * k2
+        d = math.sqrt(k12 * k12 + 4.0 * k2 * k0)
+        z1, q1 = _decaying_root(k0 / (d + k1 + 4.0 * k2))
+        kd = k1 + d
+        z2 = -4.0 * k2 / (kd + math.sqrt((kd - 4.0 * k2) * (kd + 4.0 * k2)))
+        return DecayRoots(mu, q, lam, z1, q1, z2, d, unit)
+
+    @functools.cached_property
     def _decay_width(self) -> int:
         """``w`` of ``sizes``, or ``m`` for a chain that is its own window:
         the chain's alone, so formed once."""
         m, tol = self.m, _BC_ULPS * math.ulp(self.m * self.a0)
         if any(abs(b - d) > tol for b, d in zip(self.clamps, _default_bc(m, self.a0))):
             return m
-        # a decay too slow to resolve reaches past any chain: below _PHI_MIN
+        # the slowest root z: M_a's z1 (never faster than mu) or E_a's lam;
+        # both 0 leave one atom.  Near 1, phi = -ln z1 is taken from q1.  A
+        # decay too slow to resolve reaches past any chain: below _PHI_MIN
         # the exterior's fold k12 mu cancels the core's edge diagonal to a
         # relative round-off of about eps / phi, and at 1e-16 to nothing
-        phi = _decay_exponent(self)
+        r = self.roots
+        z = max(r.z1, abs(r.lam))
+        if not z:
+            return 1
+        phi = -math.log1p(-r.q1) if z == r.z1 > 0.5 else -math.log(z)
         return math.ceil(math.log(1.0 / WINDOW_EPS) / phi) if phi > _PHI_MIN else m
 
     @property
@@ -235,41 +290,22 @@ def _flags(params: ChainParams, part: Partition | Sequence[Partition]) -> Array:
     return da[0] if isinstance(part, Partition) else da
 
 
-def _decay_exponent(params: ChainParams) -> float:
-    """Smallest phi with every field decaying like exp(-phi |i|) or faster.
-
-    A root lam = exp(-phi) of lam + 1/lam = 2 + t decays the slower the
-    smaller t is.  The atomistic pentadiagonal symbol has s = 2 + t solving
-    k2 s^2 + k1 s = k0 + 2 k1 + 4 k2, so t = 2 k0 / (k12 + sqrt(k12^2 + 4 k0
-    k2)): stable at k2 = 0 (t = k0/k1) and never above the Cauchy-Born
-    far field's t = k0/k12, so it is the slower of the two.  It is formed
-    from the ratios k0/k12 and k2/k12, which no spring size overflows.  The
-    bond matrix E_a that the projection P inverts has t = k1/k2, slower
-    still only when k0 > 4 k1 + 2 k1^2/k2.
-    """
-    k0, k1, k2 = params.k0 / params.k12, params.k1, params.k2
-    t = 2.0 * k0 / (1.0 + math.sqrt(1.0 + 4.0 * k0 * (k2 / params.k12)))
-    if k2 > 0.0:
-        t = min(t, k1 / k2)
-    return 2.0 * math.asinh(0.5 * math.sqrt(t))
-
-
 def sizes(
     params: ChainParams, part: Partition | Sequence[Partition]
 ) -> tuple[int, int] | list[tuple[int, int]]:
     """(m_window, m_core): the half-sizes of the centred chains every solve
     on the partition runs on, one pair per partition of a sequence.
 
-    The window is ``min(M, w + pad)``: ``w = ceil(ln eps / ln lam)`` is the
-    distance over which the slowest decay falls below ``WINDOW_EPS``, and
-    ``pad = 2**max(6, ceil(log2 span))`` the largest |atom id| of the
-    region rounded up.  Only the span is padded, so a growing region
+    The window is ``min(M, w + pad)``: over ``w = ceil(ln eps / ln z)`` the
+    slowest root z = max(z1, |lam|) of ``roots`` falls below ``WINDOW_EPS``,
+    and ``pad = 2**max(6, ceil(log2 span))`` is the largest |atom id| of
+    the region rounded up.  Only the span is padded, so a growing region
     rebuilds its window O(log K) times, and the floor of 64 gives every
     region of the paper's K <= 50 sweeps one window.  The window clamps its
     ends at the wells, where the chain's own atoms sit that far out, so a
     chain whose clamps lie more than ``_BC_ULPS`` ulps of ``M a0`` from the
     wells (boundary layers at both ends) is its own window, and so is one
-    whose decay is too slow to resolve (exponent at most ``_PHI_MIN``).
+    whose decay is too slow to resolve (-ln z at most ``_PHI_MIN``).
 
     The solves and products run on the core, the continuum exterior folded
     into its edge diagonals.  Rows past a free edge atom c are pure continuum,

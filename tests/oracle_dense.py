@@ -44,11 +44,9 @@ from qcfk.estimators import (
     Reference,
     _atomistic_bonds,
     _bond_profiles,
-    _decaying_root,
     _particular,
     _profiles,
     _reference,
-    _unit_springs,
     _wells_ymy,
     solve_dual_pair,
 )
@@ -449,7 +447,7 @@ def ma_products(pair: DualPair) -> tuple[Array, Array, Array]:
     mat = atomistic(pair.ref)[1].mat
     y, g = window(pair, "y_free"), window(pair, "g_free")
     my, mg = banded.matvec(mat, y), banded.matvec(mat, g)
-    ymy = banded.rowdot(y, my) + pair.ref.ymy_far
+    ymy = banded.rowdot(y, my) + ymy_far(pair.ref.params, pair.ref.window)
     return ymy, banded.rowdot(g, my), banded.rowdot(g, mg)
 
 
@@ -606,11 +604,25 @@ def window_pair(ref: Reference, parts) -> DualPair:
         pz_g=np.hstack([pz[1], ext[:, :2]]),
         npy=nrm[0],
         npg=nrm[1],
-        ymy=rowdot(y, my) + ref.ymy_far,
+        ymy=rowdot(y, my) + ymy_far(ref.params, ref.window),
         gmy=rowdot(g, my),
         gmg=rowdot(g, q - res[1]),
         differs=(diff.bands != 0.0).any(axis=(-2, -1)),
     )
+
+
+def ymy_far(params: ChainParams, win: ChainParams) -> float:
+    """What y . M_a y over the chain ``params`` adds to the same product
+    over its window ``win``, as ``estimators._reference`` forms it: beyond
+    the window u vanishes and y = b, and the window's own clamp rows are
+    part of both sums of ``_wells_ymy``, so the difference is exact; 0.0 on
+    a whole chain, inf past a float (M ~ 1e102)."""
+    (m0, mb), (w0, wb) = _wells_ymy(params), _wells_ymy(win)
+    try:
+        far0, farb = float(m0 - w0), float(mb - wb)
+    except OverflowError:
+        return math.inf
+    return params.a0 * params.a0 * (params.k0 * far0 + (params.k1 + 2.0 * params.k2) * farb)
 
 
 def two_pass_reference(params: ChainParams, m_window: int, m_core: int) -> Reference:
@@ -621,23 +633,17 @@ def two_pass_reference(params: ChainParams, m_window: int, m_core: int) -> Refer
     win = params if m_window == params.m else _resized(params, m_window)
     core = win if m_core == m_window else _resized(params, m_core)
     k0, k1, k2, a0 = params.k0, params.k1, params.k2, params.a0
-    # beyond the window u vanishes and y = b; the window's own clamp rows are
-    # part of both closed forms, so the difference is exact (up to the
-    # coupling of the window's edge u, below WINDOW_EPS): 0.0 on a whole chain.
-    # Past M ~ 1e102 the sums exceed a float and saturate to inf
-    (m0, mb), (w0, wb) = _wells_ymy(params), _wells_ymy(win)
+    m0, mb = _wells_ymy(params)
     off, nbc = m_window - m_core, 2 * m_core - 1
     # the core's atoms that are not the window's free atoms: its clamps on
     # a whole chain, one of them when the exterior is a single atom
     lo = max(0, 2 - off)
     s = m_core - lo
     try:
-        far0, farb = float(m0 - w0), float(mb - wb)
         # k0 b . b over the chain beyond the frame, and the rest of b . M_a b
         tail0, tailb = float(m0 - s * (s + 1) * (2 * s + 1) // 3), float(mb)
     except OverflowError:
-        far0 = farb = tail0 = tailb = math.inf
-    ymy_far = a0 * a0 * (k0 * far0 + (k1 + 2.0 * k2) * farb)
+        tail0 = tailb = math.inf
     # b . M_a b = sum b (k0 b + clamp terms) - b . f_a, and b . f_a is
     # -a0 (E_a D b) at the defect bond, where D b is a0, 2 a0, a0
     ymy_tail = a0 * a0 * (k0 * tail0 + (k1 + 2.0 * k2) * tailb - 2.0 * (k1 + 3.0 * k2))
@@ -649,15 +655,12 @@ def two_pass_reference(params: ChainParams, m_window: int, m_core: int) -> Refer
     ediff_rim = np.zeros((2, nbc + 2))
     edge3, rim = np.zeros(3), np.zeros((4, 2))
     ext_res, ext_pz, ext_fa = np.zeros((2, 2)), np.zeros((2, 2)), np.zeros(4)
-    mu = lam = c = 0.0
-    q = 1.0
+    mu = c = 0.0
     if off:
         # past the core the blended solution is u_edge mu^d, mu + 1/mu =
         # 2 + k0/k12; folding it in leaves d - k12 mu on the core's first and
         # last free diagonal entries (a discrete Dirichlet-to-Neumann boundary)
-        mu, q = _decaying_root(0.5 * k0 / params.k12)
-        _, u1, u2, _ = _unit_springs(params)
-        lam = -2.0 * u2 / (u1 + 2.0 * u2 + math.sqrt(u1 * (u1 + 4.0 * u2)))
+        mu, q, lam = params.roots.mu, params.roots.q, params.roots.lam
         # E_a on the core's bonds, each with both NNN pairs, and the
         # coupling of the last to the next, as the window assembles them
         ea_core = np.empty((2, nbc))
@@ -703,7 +706,7 @@ def two_pass_reference(params: ChainParams, m_window: int, m_core: int) -> Refer
         fa += banded.matvec(stiffness_bands(win, ea), wells)
         base[0, 0, [0, -1]] = lift[[0, -1]] * [1.0, -1.0]
         goal_frame = np.zeros(len(wells))
-        ymy_tail = ymy_far
+        ymy_tail = ymy_far(params, win)
     base[0, 0, 1:-1] = load_bonds(core, lift)
     goal_frame[m_core - 1 - lo] = -1.0
     goal_frame[m_core - lo] = 1.0
@@ -723,11 +726,7 @@ def two_pass_reference(params: ChainParams, m_window: int, m_core: int) -> Refer
         core=core,
         off=off,
         fold=params.k12 * mu,
-        mu=mu,
-        q=q,
         c=c,
-        lam=lam,
-        ymy_far=ymy_far,
         frame=slice(n_ext, 2 * m_window - 4 - n_ext),
         wells=wells,
         fa=fa,

@@ -10,6 +10,8 @@ not part of this suite; these checks make it fail here.
 import dataclasses
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,18 +19,20 @@ import numpy as np
 import qcfk
 from qcfk import adaptivity, cli, estimators
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+def _load(name: str):
+    """The module ``perfbench/<name>.py``, loaded from its file (and
+    registered, as its dataclasses look their module up by name)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_traced_names_resolve():
-    spans = _load_spans()
+    spans = _load("spans")
     for layer, names in spans.TRACED.items():
         mod = importlib.import_module(f"{spans.PACKAGE}.{layer}")
         for name in names:
@@ -61,3 +65,13 @@ def test_model_outputs_are_dataclasses():
     pair = qcfk.solve_dual_pair(p, part)
     assert dataclasses.is_dataclass(qcfk.assemble(p, part))
     assert dataclasses.is_dataclass(qcfk.estimate(pair))
+
+
+def test_table2_output_has_the_contract_the_sweep_check_reads():
+    # the sweep-exact check compares table2's JSON columns with its own
+    # copy, its K grid and its precision floor with the CLI's
+    workloads = _load("workloads")
+    assert cli.TABLE2_K == workloads.TABLE2_K
+    assert cli.PRECISION_FLOOR == workloads.PRECISION_FLOOR
+    spec = cli.parse_run_spec(["table2", "--m", "60", "--k", "0,2", "--format", "json"])
+    assert json.loads(cli.run(spec))["columns"] == workloads.TABLE2_COLUMNS

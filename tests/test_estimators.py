@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -54,6 +55,7 @@ from oracle_dense import (
     window,
     window_indicators,
     window_pair,
+    ymy_far,
     z_g,
     z_y,
 )
@@ -111,7 +113,7 @@ def test_chains_past_a_float_take_the_limit_of_the_lower_terms():
         p = ChainParams(m=m)
         part = interval_partition(p, 28)
         pair = solve_dual_pair(p, part)
-        assert pair.ref.ymy_far == np.inf and np.all(pair.ymy == np.inf)
+        assert ymy_far(p, pair.ref.window) == np.inf and np.all(pair.ymy == np.inf)
         run = fixed_k_run(p, 28)
         rep = run.report
         assert abs(abs(run.q_error) - qe) <= REL * qe
@@ -242,7 +244,7 @@ def test_lower_terms_are_the_best_test_vector_over_span_of_y_and_g():
         y, g, mat = window(pair, "y_free")[0], window(pair, "g_free")[0], atomistic(pair.ref)[1].mat
         res_y, res_g = (window(pair, n)[0] for n in ("residual_primal", "residual_dual"))
         v = y + thetas[:, None] * g
-        nv = np.sqrt(banded.rowdot(v, banded.matvec(mat, v)) + pair.ref.ymy_far)
+        nv = np.sqrt(banded.rowdot(v, banded.matvec(mat, v)) + ymy_far(p, pair.ref.window))
         lows = (rep.eta_low_plus, rep.eta_low_minus)
         wants = theta_lower_terms(pair, rep.sigma_bar)
         for sign, low, want in zip((1, -1), lows, wants):
@@ -488,6 +490,10 @@ def _valid_box(draw):
 @example((10**40, (1e-40, 1.0, 1.0), 1.0, 3))
 @example((10**9, (1.0, 1e300, 2.0), 1.0, 5))
 @example((10**150, (1.0, 2.0, 2.0), A0_MAX, 20))
+# k0/k12 past the floats: mu and z1 are 0 or subnormal, and the window
+# takes their limit, not the whole chain
+@example((10**6, (sys.float_info.max, 1.0, 0.0), 1e-5, 5))
+@example((103, (1e300, 1e-9, 1e-10), 1.0, 0))
 def test_every_valid_input_computes_or_is_rejected_where_it_enters(case):
     # each draw raises ValueError from ChainParams, or its sizes are those of
     # a solve; a small core is solved, and then every result is finite and
@@ -800,7 +806,8 @@ def test_the_closed_forms_take_the_profiles_powers():
         )
         ref = estimators._reference(params, *model.sizes(params, interval_partition(params, 8)))
         assert ref.off >= 2
-        mu, q, c, lam, a0, k0 = ref.mu, ref.q, ref.c, ref.lam, params.a0, params.k0
+        r, c, a0, k0 = params.roots, ref.c, params.a0, params.k0
+        mu, q, lam = r.mu, r.q, r.lam
         u = np.concatenate([ref.edge3[:2], estimators._profiles(ref, 8)[0][0]])
         assert u.tolist() == np.power(mu, np.arange(1.0, 9.0)).tolist()
         assert ref.edge3.tolist() == u[:3].tolist()
@@ -867,10 +874,16 @@ def test_the_particular_solution_takes_a_subnormal_decay():
     # particular solution is -rho/k1, and the exterior values stay finite
     p = ChainParams(m=1000, k0=np.finfo(float).max, k1=1.0, k2=0.0, a0=1e-5)
     ref = estimators._reference(p, 60, 50)
-    assert 0.0 < ref.mu < np.finfo(float).tiny
-    assert estimators._particular(p, ref.mu, 3.0) == -3.0
+    assert 0.0 < p.roots.mu < np.finfo(float).tiny
+    assert estimators._particular(p, p.roots.mu, 3.0) == -3.0
     assert all(np.isfinite(a).all() for a in estimators._profiles(ref, 8))
     assert all(np.isfinite(a).all() for a in (ref.rim, ref.ext_pz, ref.ext_res))
+    # a chain that is its own core has no exterior, and the split reads its
+    # empty profiles from the chain's mu: at k2 = 0, k1 mu underflows here
+    p = ChainParams(m=17, k0=1.56e-119, k1=2.23e-229, k2=0.0, a0=8.28e-294)
+    assert p.k1 * p.roots.mu == 0.0 and estimators._particular(p, p.roots.mu, 0.0) == 0.0
+    rep = estimate(solve_dual_pair(p, interval_partition(p, 15)))
+    assert rep.eta2_at.shape == (2 * p.m - 4,) and np.isfinite(rep.eta2_el).all()
 
 
 def test_y_ma_y_past_the_floats_saturates_to_inf_without_a_warning():

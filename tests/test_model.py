@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from qcfk.model import (
     K2_K1_MAX,
     WINDOW_EPS,
     ChainParams,
-    _decay_exponent,
     assemble,
     atom_ids,
     d_apply,
@@ -44,6 +44,7 @@ from oracle_dense import (
     solve_displacements,
     solve_positions,
     to_dense,
+    ymy_far,
 )
 
 
@@ -181,8 +182,8 @@ def test_numpy_size_does_not_overflow_the_far_field_sums():
     assert type(p.m) is int and p == want
     part = interval_partition(p, 10)
     pair, want_pair = solve_dual_pair(p, part), solve_dual_pair(want, part)
-    assert pair.ref.ymy_far == want_pair.ref.ymy_far
-    assert math.isclose(pair.ref.ymy_far, 6.6666757e20, rel_tol=1e-7)
+    assert ymy_far(p, pair.ref.window) == ymy_far(want, want_pair.ref.window)
+    assert math.isclose(ymy_far(p, pair.ref.window), 6.6666757e20, rel_tol=1e-7)
     assert estimate(pair).as_dict() == estimate(want_pair).as_dict()
 
 
@@ -194,7 +195,8 @@ def test_equal_params_compute_the_same_bits():
     assert all(type(getattr(as_int, k)) is float for k in ("k0", "k1", "k2", "a0"))
     part = interval_partition(as_int, 10)
     got, want = solve_dual_pair(as_int, part), solve_dual_pair(as_float, part)
-    assert got.ref.ymy_far == want.ref.ymy_far == 2.00000299994953e18
+    far = (ymy_far(as_int, got.ref.window), ymy_far(as_float, want.ref.window))
+    assert far == (2.00000299994953e18,) * 2
     assert estimate(got).as_dict() == estimate(want).as_dict()
     # non-real values stay rejected
     for bad in (dict(k0="1"), dict(a0="1"), dict(m="10"), dict(k2=1j)):
@@ -272,8 +274,21 @@ def test_hand_typed_default_clamps_keep_the_window():
 
 
 def _decay_width(params: ChainParams) -> int:
-    """w of the window rule: the slowest decay falls below WINDOW_EPS over it."""
-    return math.ceil(math.log(1.0 / WINDOW_EPS) / _decay_exponent(params))
+    """w of the window rule, from the roots ``np.roots`` finds.  M_a's
+    symbol k0 + 2 k1 + 2 k2 - k1 (z + 1/z) - k2 (z^2 + 1/z^2) and E_a's
+    k1 + 2 k2 + k2 (z + 1/z) are palindromic, so in x = 1 / (z + 1/z) they
+    are c x^2 - k1 x - k2, c = k0 + 2 k1 + 4 k2, and (k1 + 2 k2) x + k2,
+    whose roots np.roots resolves however small k2 is (z's companion matrix
+    loses them: 3 for 2.618 at k0 = k1 = 1, k2 = 1e-100).  Each x gives the
+    decaying root z = 2 x / (1 + sqrt(1 - 4 x^2)); the slowest falls below
+    WINDOW_EPS over w atoms, at least 1."""
+    k0, k1, k2 = params.k0, params.k1, params.k2
+    x = np.concatenate([
+        np.roots([k0 + 2.0 * k1 + 4.0 * k2, -k1, -k2]),
+        np.roots([k1 + 2.0 * k2, k2]),
+    ])
+    slowest = np.max(2.0 * np.abs(x) / (1.0 + np.sqrt(1.0 - 4.0 * x * x)))
+    return math.ceil(math.log(WINDOW_EPS) / math.log(slowest)) if slowest else 1
 
 
 # spring boxes the suite's property tests and the benchmark's workloads draw
@@ -286,8 +301,22 @@ def _springs(draw, box=PROPERTY_SPRINGS):
     return {k: draw(st.floats(lo, hi)) for k, (lo, hi) in box.items()}
 
 
+@st.composite
+def _window_springs(draw):
+    """Springs from the property box, in half the draws with k2 = 0 and in
+    half (independently) with k0/k12 above 1e300, on a0 = 1e-5 so that the
+    energy scale stays below ENERGY_MAX."""
+    springs = draw(_springs())
+    if draw(st.booleans()):
+        springs["k2"] = 0.0
+    if draw(st.booleans()):
+        k12 = springs["k1"] + 4.0 * springs["k2"]
+        springs.update(k0=k12 * 10.0 ** draw(st.floats(300.1, 306.0)), a0=1e-5)
+    return springs
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(_springs(), st.integers(0, 100_000), st.booleans())
+@given(_window_springs(), st.integers(0, 100_000), st.booleans())
 def test_window_pads_only_the_span(springs, span, left):
     # the window holds the region and the decay width, and pads the span to
     # a power of two at least 64: never more than max(span, 64) atoms over
@@ -297,12 +326,37 @@ def test_window_pads_only_the_span(springs, span, left):
     m_w, m_core = sizes(params, part)
     assert m_w >= span + w
     assert m_w - (span + w) <= max(span, 64)
-    # the core drops the decay width but keeps the region and 5 atoms more
-    assert m_w - m_core == w - 5 and m_core >= span + 5
+    # the core drops the decay width but keeps the region and 5 atoms more,
+    # or all of the window where the decay width is shorter
+    assert m_w - m_core == max(0, w - 5) and m_core >= span + min(w, 5)
     # capped at the chain: a chain no longer than the window is its own
     short = ChainParams(m=m_w, **springs)
     assert sizes(short, part) == (m_w, m_w)
     assert sizes(ChainParams(m=m_w + 1, **springs), part) == (m_w, m_core)
+
+
+def test_a_substrate_past_the_floats_keeps_a_window():
+    # k0/k12 past the floats: the far field's mu is 0, and z1 too where k0
+    # per unit passes them, so the window takes the roots' limit, not the
+    # whole chain (2e6 atoms and an overflow for the first one)
+    stiff = ChainParams(m=10**6, k0=sys.float_info.max, k1=1, k2=0, a0=1e-5)
+    assert stiff.roots.lam == 0.0 and 0.0 < stiff.roots.z1 < sys.float_info.min
+    assert sizes(stiff, interval_partition(stiff, 5)) == (65, 65)
+    soft = ChainParams(m=103, k0=1e300, k1=1e-9, k2=1e-10)
+    assert soft.roots.mu == soft.roots.z1 == 0.0 and soft.roots.d == math.inf
+    assert sizes(soft, interval_partition(soft, 0)) == (102, 69)
+    # both roots 0 still leave one atom past the span, so a region that
+    # holds -pad fits in its window
+    bare = ChainParams(m=10**6, k0=1e308, k1=0.1, k2=0, a0=1e-5)
+    assert bare.roots.z1 == bare.roots.lam == 0.0
+    assert sizes(bare, make_partition(bare, [-64])) == (65, 65)
+    # every warning is an error here, so each solves without one
+    for params, k in ((stiff, 5), (soft, 0), (bare, 64)):
+        run = fixed_k_run(params, k)
+        rep = run.report
+        values = [run.q_error, rep.eta1, rep.eta2, rep.bound_low, rep.bound_high]
+        assert all(map(math.isfinite, values)), (params, rep)
+        assert rep.bound_low <= run.q_error <= rep.bound_high or "underflow" in rep.flags
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -22,8 +22,9 @@ FIELDS = {
     "LinearSystem": "mat rhs_wells wells_free lift free_index",
     "BandedSpdMatrix": "bands",
     "BandedFactor": "bands",
-    "Reference": "params window core off fold mu q c lam ymy_far frame wells fa "
-    "goal_frame edge3 base ediff_rim ea_core rim pz_factor ext_res ext_pz ymy_tail",
+    "DecayRoots": "mu q lam z1 q1 z2 d unit",
+    "Reference": "params window core off fold c frame wells fa goal_frame edge3 "
+    "base ediff_rim ea_core rim pz_factor ext_res ext_pz ymy_tail",
     "DualPair": "ref parts u_free g_free residual_primal residual_dual ez_y ez_g "
     "pz_y pz_g npy npg ymy gmy gmg differs",
     "EstimatorReport": "m m_window eta1 eta2 first_term sigma_bar eta_upp_plus "
@@ -69,7 +70,7 @@ def records():
     trace = adaptivity.run_adaptive(p, adaptivity.AdaptConfig(tau_gl=1e-6))
     fixed = adaptivity.fixed_k_run(p, 4)
     spec = cli.parse_run_spec(["fixed-k", "--m", "200", "--k", "4"])
-    out = [p, part, qm, system, system.mat, banded.factor(system.mat), pair.ref,
+    out = [p, p.roots, part, qm, system, system.mat, banded.factor(system.mat), pair.ref,
            pair, fixed.report, trace.config, trace.records[0], trace, fixed, spec]
     return {type(r).__name__: r for r in out}
 
